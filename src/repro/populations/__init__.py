@@ -40,7 +40,7 @@ from repro.populations.generators import (
     snapshot_from_exchange,
     write_snapshot,
 )
-from repro.populations.spec import PopulationSpec
+from repro.populations.spec import RESIDENT_BYTES, PopulationSpec
 
 __all__ = [
     "BEHAVIOR_COOPERATE",
@@ -48,6 +48,7 @@ __all__ = [
     "BEHAVIOR_OFFLINE",
     "DEFAULT_CHUNK_AGENTS",
     "MAX_AGENTS",
+    "RESIDENT_BYTES",
     "SEED_BLOCK",
     "PopulationArrays",
     "PopulationFamily",

@@ -18,6 +18,14 @@ span whole blocks, **the stream is bit-identical no matter which
 population and concatenating any chunking of it produce the same arrays,
 which the property suite (``tests/properties/test_chunk_equivalence.py``)
 asserts.
+
+Consumers that stream the same population several times in one call
+(the audit's structure and gain passes, the dynamics driver's two passes
+per epoch) take a re-iterable source from :meth:`PopulationSpec.chunks`
+instead: populations whose columns fit in :data:`RESIDENT_BYTES` are
+synthesized once and held read-only for as long as the caller keeps the
+source, and larger ones are re-synthesized per pass exactly as
+:meth:`PopulationSpec.iter_chunks` does.
 """
 
 from __future__ import annotations
@@ -25,8 +33,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -43,6 +61,44 @@ from repro.populations.arrays import (
 )
 from repro.populations.generators import resolve_sampler
 from repro.sim.rng import derive_seed
+from repro.telemetry.runtime import get_registry
+
+#: Column budget, in bytes, below which :meth:`PopulationSpec.chunks`
+#: synthesizes a population once and holds it resident (stake + cost at
+#: the spec's dtype plus one behavior byte per agent).  8 MiB keeps
+#: float64 populations of up to ~490k agents resident; larger ones stream.
+RESIDENT_BYTES = 8 << 20
+
+
+def _agent_count(label: str, value: Any) -> int:
+    """An integral agent count as a plain ``int`` (numpy integers included).
+
+    Bools and floats are refused: ``True`` is not a population of one,
+    and ``20000.0`` would only fail later, mid-stream, inside ``range``.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(
+            f"{label} must be an integer, got {value!r} ({type(value).__name__})"
+        )
+    return int(value)
+
+
+def _read_only(chunk: PopulationArrays) -> PopulationArrays:
+    """Freeze a chunk's columns so a consumer cannot corrupt a later pass."""
+    for column in (chunk.stake, chunk.cost, chunk.behavior):
+        column.flags.writeable = False
+    return chunk
+
+
+class _StreamedChunks:
+    """A re-iterable chunk source that re-synthesizes on every iteration."""
+
+    def __init__(self, spec: "PopulationSpec", chunk_agents: Optional[int]) -> None:
+        self._spec = spec
+        self._chunk_agents = chunk_agents
+
+    def __iter__(self) -> Iterator[PopulationArrays]:
+        return self._spec.iter_chunks(self._chunk_agents)
 
 
 def _canonical(value: Any) -> str:
@@ -93,6 +149,9 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
+        # Normalized to int so numpy-integer callers share cache keys
+        # (and JSON identities) with plain-int ones.
+        object.__setattr__(self, "size", _agent_count("population size", self.size))
         if self.size < 1:
             raise ConfigurationError(f"population size must be >= 1, got {self.size}")
         if self.size > MAX_AGENTS:
@@ -236,6 +295,10 @@ class PopulationSpec:
 
     def block(self, block_index: int) -> PopulationArrays:
         """Synthesize one seed block's agents."""
+        get_registry().counter(
+            "repro_population_blocks_synthesized_total",
+            "Population seed blocks synthesized (re-synthesis included)",
+        ).inc()
         start, stop = self.block_bounds(block_index)
         n = stop - start
         sampler = resolve_sampler(self.family, self.params)
@@ -284,6 +347,7 @@ class PopulationSpec:
         """
         if chunk_agents is None:
             chunk_agents = DEFAULT_CHUNK_AGENTS
+        chunk_agents = _agent_count("chunk_agents", chunk_agents)
         if chunk_agents < 1:
             raise ConfigurationError(
                 f"chunk_agents must be >= 1, got {chunk_agents}"
@@ -306,6 +370,24 @@ class PopulationSpec:
                 for index in range(first, min(first + per_chunk, self.n_blocks))
             ]
             yield blocks[0] if len(blocks) == 1 else PopulationArrays.concat(blocks)
+
+    def chunks(self, chunk_agents: Optional[int] = None) -> Iterable[PopulationArrays]:
+        """A re-iterable chunk source for consumers that stream several passes.
+
+        Yields the same chunks as :meth:`iter_chunks` on every iteration.
+        When the columns fit in :data:`RESIDENT_BYTES`
+        (``size * (2 * itemsize + 1)`` bytes), the population is
+        synthesized once, its columns are made read-only, and the chunks
+        come back as a tuple; above the budget, each iteration calls
+        :meth:`iter_chunks` again and memory stays O(chunk).  Nothing is
+        cached on the spec: the resident copy lives exactly as long as
+        the caller holds the returned source.
+        """
+        self.chunk_blocks(chunk_agents)  # validate now: iter_chunks is lazy
+        itemsize = DTYPES[self.dtype].itemsize
+        if self.size * (2 * itemsize + 1) <= RESIDENT_BYTES:
+            return tuple(_read_only(chunk) for chunk in self.iter_chunks(chunk_agents))
+        return _StreamedChunks(self, chunk_agents)
 
     def materialize(self) -> PopulationArrays:
         """Synthesize the whole population as one in-memory chunk.

@@ -31,6 +31,12 @@ streaming substrate:
    ``exchange_snapshot`` bootstrap), with the selected agents' stakes
    pinned so the epoch-0 calibration and quorum threshold stay exact.
 
+Every pass of one run iterates a single chunk source built once per call
+(:meth:`~repro.populations.spec.PopulationSpec.chunks`): a population
+within :data:`~repro.populations.spec.RESIDENT_BYTES` is synthesized
+once and held read-only for the run, a larger one is re-synthesized per
+pass in O(chunk) memory.
+
 Counterfactual (unilateral-deviation) crowd fitness is the load-bearing
 choice: both schemes pay crowd *defectors* from stake-proportional pools,
 so realized class means cannot distinguish foundation from role-based
@@ -54,6 +60,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -287,6 +294,8 @@ class _Engine:
     n_sync: int  # strong-synchrony crowd agents
     n_nonsync: int
     churn_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]]
+    #: The run's chunk source, iterated once per pass (see ``_chunks``).
+    chunks: Iterable[PopulationArrays]
 
     @property
     def table(self):
@@ -318,13 +327,16 @@ class _EpochAggregates:
 
 
 def _build_engine(
-    spec: PopulationDynamicsSpec, scheme_name: str, structure: _Structure
+    spec: PopulationDynamicsSpec,
+    scheme_name: str,
+    structure: _Structure,
+    chunks: Iterable[PopulationArrays],
 ) -> _Engine:
     """Census pass: count the synchrony split of the online crowd."""
     config = structure.config
     pop = spec.population
     n_sync = 0
-    for chunk in _chunks(pop, config):
+    for chunk in chunks:
         ctx = _chunk_context(structure, pop, chunk)
         n_sync += int(np.count_nonzero(ctx.sync))
     n_crowd = pop.size - config.n_selected
@@ -356,6 +368,7 @@ def _build_engine(
         n_sync=n_sync,
         n_nonsync=n_crowd - n_sync,
         churn_sampler=churn_sampler,
+        chunks=chunks,
     )
 
 
@@ -498,7 +511,7 @@ def _measure_pass(
     sync_defectors = 0
     sole_candidates: List[int] = []
 
-    for chunk in _chunks(spec.population, engine.config):
+    for chunk in engine.chunks:
         ctx = _epoch_context(
             engine, chunk, epoch, thresholds, sel_action, crowd_behavior
         )
@@ -754,7 +767,7 @@ def _update_pass(
     accumulator = ReplicatorAccumulator(
         intensity=spec.replicator_intensity, mutation=spec.replicator_mutation
     )
-    for chunk in _chunks(spec.population, engine.config):
+    for chunk in engine.chunks:
         ctx = _epoch_context(
             engine, chunk, prev_epoch, thresholds, sel_action, crowd_behavior
         )
@@ -804,8 +817,12 @@ def run_population_dynamics(
     field carries ``spec.name`` (epoch 0 is the seeded initial state).
     """
     resolved = resolve_scheme(scheme)
-    structure = _build_structure([resolved], spec.population, spec.audit_config())
-    engine = _build_engine(spec, resolved.name, structure)
+    config = spec.audit_config()
+    # One source for all 3 + 2 * n_epochs passes: a population within
+    # RESIDENT_BYTES is synthesized once per call, not once per pass.
+    chunks = _chunks(spec.population, config)
+    structure = _build_structure([resolved], spec.population, config, chunks)
+    engine = _build_engine(spec, resolved.name, structure, chunks)
     sel_action = np.zeros(engine.config.n_selected, dtype=np.int8)
     crowd_behavior = (
         np.zeros(spec.population.size, dtype=np.int8)
@@ -917,8 +934,9 @@ def oracle_population_dynamics(
         )
     resolved = resolve_scheme(scheme)
     config = spec.audit_config()
-    structure = _build_structure([resolved], pop, config)
-    engine = _build_engine(spec, resolved.name, structure)
+    chunks = _chunks(pop, config)
+    structure = _build_structure([resolved], pop, config, chunks)
+    engine = _build_engine(spec, resolved.name, structure, chunks)
     population = pop.materialize()
     n = population.n_agents
     base_ctx = _chunk_context(structure, pop, population)

@@ -19,7 +19,9 @@ population** (10^6–10^7 agents from a
    block-stable reduction and the Theorem 3 calibration aggregates.
 2. **Gain pass.**  With pool totals and the calibrated split in hand, a
    unilateral deviation has the same closed form as in the batch engine;
-   the second pass re-streams the population and evaluates every agent's
+   the second pass iterates the population again (re-synthesized above
+   :data:`~repro.populations.spec.RESIDENT_BYTES`, held resident below
+   it) and evaluates every agent's
    deviation to C, D and O chunk by chunk, tracking the running maximum
    gain and its witness.
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,16 +82,19 @@ _RACE_COLUMN = "audit.race"
 _SYNC_COLUMN = "audit.sync"
 
 
-def _chunks(spec: PopulationSpec, config: "PopulationAuditConfig"):
-    """The audit's chunk stream: ``chunk_agents=None`` means monolithic.
+def _chunks(
+    spec: PopulationSpec, config: "PopulationAuditConfig"
+) -> Iterable[PopulationArrays]:
+    """The audit's re-iterable chunk source: ``chunk_agents=None`` is monolithic.
 
-    ``PopulationSpec.iter_chunks(None)`` uses the library default chunk;
-    the audit's documented contract is stronger — ``None`` is the
-    monolithic cross-check path, one chunk covering the whole population
-    regardless of its size.
+    ``PopulationSpec.chunks(None)`` uses the library default chunk; the
+    audit's documented contract is stronger — ``None`` is the monolithic
+    cross-check path, one chunk covering the whole population regardless
+    of its size.  Build the source once per call and iterate it once per
+    pass: small populations are then synthesized only once.
     """
     chunk_agents = spec.size if config.chunk_agents is None else config.chunk_agents
-    return spec.iter_chunks(chunk_agents)
+    return spec.chunks(chunk_agents)
 
 
 @dataclass(frozen=True)
@@ -398,6 +403,7 @@ def _build_structure_grid(
     config: PopulationAuditConfig,
     budget_multipliers: Tuple[float, ...],
     cost_scales: Tuple[float, ...],
+    chunks: Optional[Iterable[PopulationArrays]] = None,
 ) -> Dict[Tuple[float, float], _Structure]:
     """Pass 1, fused: one stream selects, calibrates and totals every cell.
 
@@ -410,7 +416,9 @@ def _build_structure_grid(
     ``b_i = multiplier x optimum`` scalar.  Each returned
     ``(budget_multiplier, cost_scale)`` cell is therefore bit-identical
     to the structure :func:`_build_structure` builds for that cell's
-    single-cell config, at every chunk size.
+    single-cell config, at every chunk size.  ``chunks`` is the caller's
+    :func:`_chunks` source when it streams the population again
+    afterwards (default: a fresh one).
     """
     if spec.size < config.n_selected + 2:
         raise ConfigurationError(
@@ -452,7 +460,7 @@ def _build_structure_grid(
     }
 
     total_stake_units = 0
-    for chunk in _chunks(spec, config):
+    for chunk in _chunks(spec, config) if chunks is None else chunks:
         stake = chunk.stake64()
         cost_multiplier = chunk.cost64()
         total_stake = blockwise_sum(stake, start=total_stake)
@@ -674,6 +682,7 @@ def _build_structure(
     schemes: Sequence[RewardScheme],
     spec: PopulationSpec,
     config: PopulationAuditConfig,
+    chunks: Optional[Iterable[PopulationArrays]] = None,
 ) -> _Structure:
     """Pass 1: stream the population once; select, calibrate, total.
 
@@ -686,6 +695,7 @@ def _build_structure(
         config,
         (config.budget_multiplier,),
         (config.cost_scale,),
+        chunks,
     )
     return grid[(config.budget_multiplier, config.cost_scale)]
 
@@ -894,9 +904,10 @@ def iter_population_gains(
     monolithic path and the scalar game oracle.
     """
     resolved = resolve_scheme(scheme)
+    chunks = _chunks(spec, config)
     if structure is None:
-        structure = _build_structure([resolved], spec, config)
-    for chunk in _chunks(spec, config):
+        structure = _build_structure([resolved], spec, config, chunks)
+    for chunk in chunks:
         ctx = _chunk_context(structure, spec, chunk)
         yield chunk, _chunk_gains(resolved.name, structure, ctx), ctx.coop
 
@@ -1159,6 +1170,9 @@ def audit_population_grid(
     ``b_i`` scalar — before folding every cell's closed-form deviation
     gains.  Memory stays O(chunk): the per-cell state carried across
     chunks is one :class:`_GainReducer` (a few scalars and a witness).
+    Both passes iterate one :func:`_chunks` source, so a population
+    within :data:`~repro.populations.spec.RESIDENT_BYTES` is synthesized
+    once per call rather than once per pass.
 
     ``budget_multipliers`` / ``cost_scales`` default to the single value
     in ``config``; both axes are validated positive/finite and deduped
@@ -1196,14 +1210,17 @@ def audit_population_grid(
         agents=spec.size,
         cells=len(resolved) * len(budgets) * len(scales),
     ):
-        structures = _build_structure_grid(resolved, spec, config, budgets, scales)
+        chunks = _chunks(spec, config)
+        structures = _build_structure_grid(
+            resolved, spec, config, budgets, scales, chunks
+        )
         reducers = {
             (item.name, b, cs): _GainReducer(structures[(b, cs)])
             for item in resolved
             for b in budgets
             for cs in scales
         }
-        for chunk in _chunks(spec, config):
+        for chunk in chunks:
             chunk_started = time.perf_counter() if telemetry else 0.0
             # Draw the chunk's synchrony Bernoullis and widen its stakes
             # once; every cost scale re-derives its context (costs differ),

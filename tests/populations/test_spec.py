@@ -32,6 +32,36 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="int32"):
             small_spec(size=MAX_AGENTS + 1)
 
+    def test_rejects_float_size_at_construction(self):
+        # Used to construct, then fail mid-stream with a raw TypeError.
+        with pytest.raises(ConfigurationError, match="integer"):
+            PopulationSpec("zipf", 20000.0)
+
+    def test_rejects_bool_size(self):
+        # True used to be accepted as a one-agent population.
+        with pytest.raises(ConfigurationError, match="integer"):
+            small_spec(size=True)
+        with pytest.raises(ConfigurationError, match="integer"):
+            small_spec(size=np.bool_(True))
+
+    def test_rejects_non_numeric_size(self):
+        with pytest.raises(ConfigurationError, match="integer"):
+            small_spec(size="20000")
+
+    def test_numpy_integer_size_is_normalized(self):
+        # Used to fail with a misleading "JSON-serializable" message.
+        spec = PopulationSpec("zipf", np.int64(20000))
+        assert type(spec.size) is int
+        assert spec == PopulationSpec("zipf", 20000)
+        assert spec.cache_key() == PopulationSpec("zipf", 20000).cache_key()
+
+    def test_chunk_blocks_rejects_non_integral_chunk_agents(self):
+        spec = small_spec()
+        for bad in (1.5, 8192.0, True):
+            with pytest.raises(ConfigurationError, match="integer"):
+                spec.chunk_blocks(bad)
+        assert spec.chunk_blocks(np.int64(SEED_BLOCK + 1)) == 2
+
     def test_rejects_unknown_family_and_params_eagerly(self):
         with pytest.raises(ConfigurationError):
             small_spec(family="nope")

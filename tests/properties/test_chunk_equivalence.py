@@ -7,7 +7,8 @@ hypothesis-chosen populations and chunk sizes:
 * generator output — any chunking concatenates to the materialized
   population, bitwise,
 * audit verdicts — the chunked audit reproduces the monolithic audit's
-  verdict dict (gains, witnesses, counts) bitwise, and
+  verdict dict (gains, witnesses, counts) bitwise, whether the
+  population is held resident across passes or re-streamed per pass, and
 * tournament league tables — already covered at the worker-count level by
   ``tests/schemes/test_tournament.py`` and the CI byte-equality check;
   here the campaign substrate is exercised through a population-by-
@@ -19,10 +20,12 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.populations import SEED_BLOCK, PopulationArrays, PopulationSpec
+from repro.populations import spec as spec_module
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     audit_population,
@@ -46,6 +49,10 @@ _FAMILIES = st.sampled_from(
     ]
 )
 _DTYPES = st.sampled_from(["float64", "float32"])
+
+#: The residency axis: ``RESIDENT_BYTES`` values forcing every population
+#: here to stream (re-synthesize per pass) and to stay resident.
+_RESIDENCY_BUDGETS = (0, 1 << 40)
 
 
 @given(family=_FAMILIES, size=_SIZES, chunk=_CHUNKS, dtype=_DTYPES,
@@ -112,25 +119,31 @@ def test_grid_verdict_tensor_identical_at_pinned_chunk_sizes(family, size, seed)
     """The fused verdict tensor is byte-identical at every chunking.
 
     Serializes the whole (scheme x budget x cost-scale) grid payload at
-    the pinned chunk sizes {1, 7, 8192, 16384} plus the monolithic path
-    and requires one identical byte string — the fused engine inherits
-    the blockwise-reduction contract cell for cell.
+    the pinned chunk sizes {1, 7, 8192, 16384} plus the monolithic path,
+    each with the population held resident and re-streamed per pass
+    (``RESIDENT_BYTES`` forced to 2^40 and to 0), and requires one
+    identical byte string — the fused engine inherits the
+    blockwise-reduction contract cell for cell, and residency only
+    changes how often blocks are synthesized.
     """
     name, params = family
     spec = PopulationSpec(family=name, size=size, params=params, seed=seed)
     payloads = set()
-    for chunk in (1, 7, SEED_BLOCK, 2 * SEED_BLOCK, None):
-        config = PopulationAuditConfig(
-            n_leaders=2, committee_size=6, chunk_agents=chunk
-        )
-        grid = audit_population_grid(
-            ["foundation", "role_based", "hybrid"],
-            spec,
-            config,
-            budget_multipliers=(1.0, 1.5),
-            cost_scales=(1.0, 2.0),
-        )
-        payloads.add(json.dumps(grid.to_payload(), sort_keys=True))
+    for budget in _RESIDENCY_BUDGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spec_module, "RESIDENT_BYTES", budget)
+            for chunk in (1, 7, SEED_BLOCK, 2 * SEED_BLOCK, None):
+                config = PopulationAuditConfig(
+                    n_leaders=2, committee_size=6, chunk_agents=chunk
+                )
+                grid = audit_population_grid(
+                    ["foundation", "role_based", "hybrid"],
+                    spec,
+                    config,
+                    budget_multipliers=(1.0, 1.5),
+                    cost_scales=(1.0, 2.0),
+                )
+                payloads.add(json.dumps(grid.to_payload(), sort_keys=True))
     assert len(payloads) == 1
 
 

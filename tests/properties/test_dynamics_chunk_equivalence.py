@@ -5,7 +5,8 @@ evolutionary layer:
 
 * **chunk equivalence** — any ``chunk_agents`` (including pathological
   values like 1 and 7 that split every seed block) yields byte-identical
-  epoch trajectories,
+  epoch trajectories, with the population held resident across passes
+  or re-streamed per pass, under replicator, best-response and churn,
 * **simplex conservation** — every epoch record partitions the
   population exactly (cooperating + defecting + offline == players),
 * **payoff-monotone share growth** — ``replicator_step`` moves the share
@@ -19,11 +20,13 @@ from __future__ import annotations
 import functools
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynamics import replicator_step
 from repro.populations import SEED_BLOCK, PopulationSpec
+from repro.populations import spec as spec_module
 from repro.scenarios.population_dynamics import (
     PopulationDynamicsSpec,
     run_population_dynamics,
@@ -36,8 +39,16 @@ from repro.scenarios.population_dynamics import (
 #: against the monolithic reference.
 _CHUNK_SIZES = (1, 7, 64, 8192, 16_384)
 
+#: The residency axis: ``RESIDENT_BYTES`` values forcing the population
+#: to re-synthesize on every pass (0) or to stay resident (2^40).
+_RESIDENCY_BUDGETS = (0, 1 << 40)
 
-def _spec(seed: int, update_rule: str, chunk_agents) -> PopulationDynamicsSpec:
+#: Update modes: the two rules, plus replicator under per-epoch churn.
+_MODES = ("replicator", "best_response", "churn")
+
+
+def _spec(seed: int, mode: str, chunk_agents) -> PopulationDynamicsSpec:
+    churn = mode == "churn"
     return PopulationDynamicsSpec(
         name="chunk-equivalence",
         population=PopulationSpec(
@@ -48,7 +59,8 @@ def _spec(seed: int, update_rule: str, chunk_agents) -> PopulationDynamicsSpec:
             seed=seed,
         ),
         n_epochs=4,
-        update_rule=update_rule,
+        update_rule="replicator" if churn else mode,
+        churn_rate=0.2 if churn else 0.0,
         n_leaders=3,
         committee_size=8,
         chunk_agents=chunk_agents,
@@ -56,28 +68,48 @@ def _spec(seed: int, update_rule: str, chunk_agents) -> PopulationDynamicsSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_payload(seed: int, update_rule: str, scheme: str) -> str:
+def _reference_payload(seed: int, mode: str, scheme: str) -> str:
     """The monolithic (single-chunk) trajectory, serialized canonically."""
-    trajectory = run_population_dynamics(_spec(seed, update_rule, None), scheme)
+    trajectory = run_population_dynamics(_spec(seed, mode, None), scheme)
     return json.dumps(trajectory.to_payload(), sort_keys=True)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=16, deadline=None)
 @given(
     chunk_agents=st.sampled_from(_CHUNK_SIZES),
+    resident_bytes=st.sampled_from(_RESIDENCY_BUDGETS),
     scheme=st.sampled_from(["foundation", "role_based"]),
-    update_rule=st.sampled_from(["replicator", "best_response"]),
+    mode=st.sampled_from(_MODES),
     seed=st.integers(min_value=0, max_value=2),
 )
 def test_epoch_records_are_byte_identical_at_any_chunk_size(
-    chunk_agents, scheme, update_rule, seed
+    chunk_agents, resident_bytes, scheme, mode, seed
 ):
-    """Chunked trajectory payloads equal the monolithic payload, bitwise."""
-    trajectory = run_population_dynamics(
-        _spec(seed, update_rule, chunk_agents), scheme
-    )
+    """Chunked trajectory payloads equal the monolithic payload, bitwise,
+    whether the population is held resident or re-streamed per pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spec_module, "RESIDENT_BYTES", resident_bytes)
+        trajectory = run_population_dynamics(
+            _spec(seed, mode, chunk_agents), scheme
+        )
     payload = json.dumps(trajectory.to_payload(), sort_keys=True)
-    assert payload == _reference_payload(seed, update_rule, scheme)
+    assert payload == _reference_payload(seed, mode, scheme)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_residency_never_changes_a_trajectory(mode):
+    """The full {resident, streamed} x chunk-size grid for one seed and
+    scheme per mode: every cell serializes to one byte string."""
+    payloads = set()
+    for resident_bytes in _RESIDENCY_BUDGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spec_module, "RESIDENT_BYTES", resident_bytes)
+            for chunk_agents in _CHUNK_SIZES + (None,):
+                trajectory = run_population_dynamics(
+                    _spec(1, mode, chunk_agents), "foundation"
+                )
+                payloads.add(json.dumps(trajectory.to_payload(), sort_keys=True))
+    assert len(payloads) == 1
 
 
 @settings(max_examples=10, deadline=None)
