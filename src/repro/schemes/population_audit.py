@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -299,18 +300,34 @@ def _pool_weights(
     cost_vec: np.ndarray,
 ) -> np.ndarray:
     """Within-pool weights ``(P, n)`` for one chunk (float64)."""
-    P = len(tables.kinds)
-    weights = np.empty((P, stake.size), dtype=np.float64)
-    for p, kind in enumerate(tables.kinds):
-        if kind is WeightKind.STAKE:
-            weights[p] = stake
-        elif kind is WeightKind.EQUAL:
-            weights[p] = 1.0
-        elif kind is WeightKind.STAKE_POWER:
-            weights[p] = stake ** tables.exponents[p]
-        else:  # COST — the cooperation cost of the member's role.
-            weights[p] = cost_vec[roles] * cost_multiplier
+    coop_cost = (
+        cost_vec[roles] * cost_multiplier if WeightKind.COST in tables.kinds else None
+    )
+    weights = np.empty((len(tables.kinds), stake.size), dtype=np.float64)
+    for p in range(len(tables.kinds)):
+        weights[p] = _pool_weight(tables, p, stake, coop_cost)
     return weights
+
+
+def _pool_weight(
+    tables: _PoolTables,
+    p: int,
+    stake: np.ndarray,
+    coop_cost: Optional[np.ndarray],
+) -> np.ndarray:
+    """Within-pool weights of pool ``p`` for one chunk (may alias an input).
+
+    ``coop_cost`` is each agent's cooperation cost of its role (the COST
+    kind's weight).
+    """
+    kind = tables.kinds[p]
+    if kind is WeightKind.STAKE:
+        return stake
+    if kind is WeightKind.EQUAL:
+        return np.ones(stake.size)
+    if kind is WeightKind.STAKE_POWER:
+        return stake ** tables.exponents[p]
+    return coop_cost
 
 
 def _online_actions(
@@ -718,11 +735,29 @@ class _ChunkContext:
     stake: np.ndarray  # float64
     cost_multiplier: np.ndarray  # float64
     roles: np.ndarray  # int8 role codes
+    selected_rows: np.ndarray  # local indices of in-chunk leaders/committee
     sync: np.ndarray  # bool, online agents only
     coop: np.ndarray  # bool — target-profile cooperation
     action: np.ndarray  # int8: 0=C, 1=D
     coop_cost: np.ndarray  # per-agent cooperation cost of the held role
     sortition_cost: np.ndarray  # per-agent cost of playing D or O
+
+    # Scheme-independent gain-kernel inputs, built on first use only.
+
+    @cached_property
+    def current_cost(self) -> np.ndarray:
+        """Each agent's cost under its target-profile action."""
+        return np.where(self.coop, self.coop_cost, self.sortition_cost)
+
+    @cached_property
+    def nan_unless_defect(self) -> np.ndarray:
+        """``0.0`` for defectors, ``nan`` for cooperators (an additive mark)."""
+        return np.where(self.coop, np.nan, 0.0)
+
+    @cached_property
+    def nan_unless_coop(self) -> np.ndarray:
+        """``0.0`` for cooperators, ``nan`` for defectors (an additive mark)."""
+        return np.where(self.coop, 0.0, np.nan)
 
 
 def _chunk_context(
@@ -783,6 +818,7 @@ def _chunk_context(
         stake=stake,
         cost_multiplier=cost_multiplier,
         roles=roles,
+        selected_rows=local_selected,
         sync=sync,
         coop=coop,
         action=(~coop).astype(np.int8),
@@ -791,16 +827,68 @@ def _chunk_context(
     )
 
 
-def _chunk_gains(
-    scheme_name: str, structure: _Structure, ctx: _ChunkContext
+def _membership(
+    lookup: np.ndarray, ctx: _ChunkContext, action: Optional[int] = None
 ) -> np.ndarray:
-    """Deviation gains ``(n, 3)`` for one chunk's realized context.
+    """``lookup[role, action]`` for every agent of the chunk, as a bool mask.
 
-    Row ``j`` holds agent ``ctx.offset + j``'s payoff gain for a
-    unilateral switch to C, D and O (``nan`` marks the agent's current
-    strategy).  The agent-major layout fixes the witness tie-break:
-    smaller global index first, then target order C, D, O — independent
-    of chunking.
+    ``lookup`` is one pool's ``(3 roles, 2 actions)`` membership table and
+    ``action`` a fixed action code (``None``: each agent's target-profile
+    action).  Nearly every agent is online crowd, so the mask starts from
+    the online row — a constant or the cooperation mask — and patches the
+    few selected agents, instead of gathering per agent.
+    """
+    online_c, online_d = lookup[_ONLINE]
+    if action is not None:
+        mask = np.full(ctx.n, lookup[_ONLINE, action])
+    elif online_c == online_d:
+        mask = np.full(ctx.n, online_c)
+    else:
+        mask = ctx.coop.copy() if online_c else ~ctx.coop
+    rows = ctx.selected_rows
+    mask[rows] = lookup[ctx.roles[rows], ctx.action[rows] if action is None else action]
+    return mask
+
+
+@dataclass
+class _CellGains:
+    """One budget cell's per-agent deviation gains over one chunk.
+
+    Entry ``j`` of each column is agent ``ctx.offset + j``'s payoff gain
+    for a unilateral switch to C, D or O; ``nan`` marks the agent's
+    current strategy (C for cooperators, D for defectors).
+    """
+
+    to_c: np.ndarray
+    to_d: np.ndarray
+    to_o: np.ndarray
+
+    def tensor(self, ctx: _ChunkContext) -> np.ndarray:
+        """The agent-major ``(n, 3)`` form, with canonical ``nan`` marks."""
+        gains = np.full((ctx.n, 3), np.nan)
+        gains[:, 0] = np.where(ctx.coop, np.nan, self.to_c)
+        gains[:, 1] = np.where(ctx.coop, self.to_d, np.nan)
+        gains[:, 2] = self.to_o
+        return gains
+
+
+def _chunk_gains(
+    scheme_name: str, cells: Sequence[_Structure], ctx: _ChunkContext
+) -> List[_CellGains]:
+    """Deviation gains of one chunk for every budget cell of one cost scale.
+
+    ``cells`` are the budget cells of one cost scale: they share tables,
+    pool totals and the calibrated split by reference and differ only in
+    ``b_i``, which enters solely through each pool's ``slice_budget =
+    fraction * b_i``.  Weights, membership, post-deviation pool totals
+    and the block-break masks are computed once; only the
+    ``slice_budget[p] * new_contribution / new_totals`` divide-and-sum
+    runs per budget.  The loop is pool-major: each pool is folded into
+    per-budget accumulators through reused ``out=`` buffers and dropped
+    before the next, so the working set is a few ``(n,)`` arrays per
+    budget whatever the pool count.  Every element sees the same
+    floating-point expressions in the same order for any number of
+    cells, so each cell is bit-identical to a one-cell call.
 
     When the base profile fails to produce a block
     (:attr:`_Structure.base_block_fails` — sync-set defectors under the
@@ -808,86 +896,96 @@ def _chunk_gains(
     the one exception is the *sole* sync defector, whose unilateral
     switch to C restores the block.
     """
-    config = structure.config
-    table = structure.tables[scheme_name]
-    totals = structure.pool_totals[scheme_name]
-    P = len(table.kinds)
+    head = cells[0]
+    table = head.tables[scheme_name]
+    totals = head.pool_totals[scheme_name]
     n = ctx.n
-    cost_vec = np.array(
-        [structure.costs.leader, structure.costs.committee, structure.costs.online]
-    )
+    slice_budgets = [table.fractions * cell.b_i for cell in cells]  # (P,) each
+    base = [np.zeros(n) for _ in cells]
+    rewards_c = [np.zeros(n) for _ in cells]
+    rewards_d = [np.zeros(n) for _ in cells]
+    contribution = np.empty(n)
+    new_contribution = np.empty(n)
+    new_totals = np.empty(n)
+    scratch = np.empty(n)
+    payable = np.empty(n, dtype=bool)
+    positive = np.empty(n, dtype=bool)
 
-    weights = _pool_weights(
-        table, ctx.stake, ctx.cost_multiplier, ctx.roles, cost_vec
-    )
-    member = np.empty((P, n), dtype=bool)
-    member_c = np.empty((P, n), dtype=bool)
-    member_d = np.empty((P, n), dtype=bool)
-    for p in range(P):
-        member[p] = table.lookup[p, ctx.roles, ctx.action]
-        member_c[p] = table.lookup[p, ctx.roles, 0]
-        member_d[p] = table.lookup[p, ctx.roles, 1]
-    contribution = weights * member
-    slice_budget = table.fractions * structure.b_i  # (P,)
+    sole_local: Optional[int] = None
+    sole = head.sole_sync_defector
+    if head.base_block_fails and sole is not None and 0 <= sole - ctx.offset < n:
+        sole_local = sole - ctx.offset
 
-    def pool_payments(member_new: np.ndarray) -> np.ndarray:
-        """Per-agent rewards if each agent *alone* played the new action."""
-        rewards = np.zeros(n)
-        for p in range(P):
-            new_contribution = weights[p] * member_new[p]
-            new_totals = totals[p] - contribution[p] + new_contribution
-            payable = (new_contribution > 0) & (new_totals > 0)
-            pool_reward = np.zeros(n)
-            np.divide(
-                slice_budget[p] * new_contribution,
-                new_totals,
-                out=pool_reward,
-                where=payable,
-            )
-            rewards += pool_reward
-        return rewards
+    def fold_payments(
+        p: int, weight: np.ndarray, member_new: np.ndarray, rewards: List[np.ndarray]
+    ) -> None:
+        """Add pool ``p``'s reward if each agent *alone* played the new action."""
+        np.multiply(weight, member_new, out=new_contribution)
+        np.subtract(totals[p], contribution, out=new_totals)
+        np.add(new_totals, new_contribution, out=new_totals)
+        np.greater(new_contribution, 0, out=payable)
+        np.greater(new_totals, 0, out=positive)
+        np.logical_and(payable, positive, out=payable)
+        for acc, slice_budget in zip(rewards, slice_budgets):
+            np.multiply(slice_budget[p], new_contribution, out=scratch)
+            np.divide(scratch, new_totals, out=scratch, where=payable)
+            # Rewards are >= +0.0, so skipping a +0.0 add is exact.
+            np.add(acc, scratch, out=acc, where=payable)
 
-    if structure.base_block_fails:
+    for p in range(len(table.kinds)):
+        weight = _pool_weight(table, p, ctx.stake, ctx.coop_cost)
+        lookup = table.lookup[p]
+        np.multiply(weight, _membership(lookup, ctx), out=contribution)
+        if not head.base_block_fails:
+            for acc, slice_budget in zip(base, slice_budgets):
+                rate = slice_budget[p] / totals[p] if totals[p] > 0 else 0.0
+                np.multiply(rate, contribution, out=scratch)
+                acc += scratch
+            fold_payments(p, weight, _membership(lookup, ctx, 0), rewards_c)
+            fold_payments(p, weight, _membership(lookup, ctx, 1), rewards_d)
+        elif sole_local is not None:
+            fold_payments(p, weight, _membership(lookup, ctx, 0), rewards_c)
+
+    if head.base_block_fails:
         # No block, no rewards — in the base profile and after any
         # unilateral deviation except the sole defector's return to C.
-        base_rewards = np.zeros(n)
-        rewards_c = np.zeros(n)
-        rewards_d = np.zeros(n)
-        sole = structure.sole_sync_defector
-        if sole is not None and ctx.offset <= sole < ctx.offset + n:
-            local = sole - ctx.offset
-            rewards_c[local] = pool_payments(member_c)[local]
+        if sole_local is not None:
+            for acc in rewards_c:
+                kept = acc[sole_local]
+                acc.fill(0.0)
+                acc[sole_local] = kept
     else:
-        base_rewards = np.zeros(n)
-        for p in range(P):
-            rate = slice_budget[p] / totals[p] if totals[p] > 0 else 0.0
-            base_rewards += rate * contribution[p]
-        rewards_c = pool_payments(member_c)
         # Withdrawal block-breaks: a sole cooperating leader, a committee
         # member whose exit drops the tally below quorum, or any
         # strong-synchrony cooperator (all leaders/committee cooperate
-        # by construction of the target profile).
-        sole_leader = (ctx.roles == _LEADER) & (config.n_leaders == 1)
-        quorum_break = (ctx.roles == _COMMITTEE) & (
-            (structure.committee_stake_total - ctx.stake)
-            <= structure.quorum_threshold
+        # by construction of the target profile).  Leaders and committee
+        # members are all among the selected rows.
+        rows = ctx.selected_rows
+        roles = ctx.roles[rows]
+        sole_leader = (roles == _LEADER) & (head.config.n_leaders == 1)
+        quorum_break = (roles == _COMMITTEE) & (
+            (head.committee_stake_total - ctx.stake[rows]) <= head.quorum_threshold
         )
-        breaks = sole_leader | quorum_break | (ctx.sync & ctx.coop)
-        rewards_d = np.where(breaks, 0.0, pool_payments(member_d))
+        sync_breaks = np.flatnonzero(ctx.sync & ctx.coop)
+        role_breaks = rows[sole_leader | quorum_break]
+        for acc in rewards_d:
+            acc[sync_breaks] = 0.0
+            acc[role_breaks] = 0.0
 
-    coop = ctx.coop
-    current_cost = np.where(coop, ctx.coop_cost, ctx.sortition_cost)
-    base_utility = base_rewards - current_cost
-
-    gains = np.full((n, 3), np.nan)
-
-    utility_c = rewards_c - ctx.coop_cost
-    gains[:, 0] = np.where(~coop, utility_c - base_utility, np.nan)
-
-    utility_d = rewards_d - ctx.sortition_cost
-    gains[:, 1] = np.where(coop, utility_d - base_utility, np.nan)
-
-    gains[:, 2] = -ctx.sortition_cost - base_utility
+    neg_sortition = np.negative(ctx.sortition_cost, out=scratch)
+    gains: List[_CellGains] = []
+    for base_utility, to_c, to_d in zip(base, rewards_c, rewards_d):
+        base_utility -= ctx.current_cost
+        to_c -= ctx.coop_cost
+        to_c -= base_utility
+        to_d -= ctx.sortition_cost
+        to_d -= base_utility
+        np.subtract(neg_sortition, base_utility, out=base_utility)
+        # Gains are never -0.0 (rewards are >= +0.0 and costs positive),
+        # so adding a 0.0 mark is exact; a nan mark hides the entry.
+        to_c += ctx.nan_unless_defect
+        to_d += ctx.nan_unless_coop
+        gains.append(_CellGains(to_c=to_c, to_d=to_d, to_o=base_utility))
     return gains
 
 
@@ -899,9 +997,12 @@ def iter_population_gains(
 ) -> Iterator[Tuple[PopulationArrays, np.ndarray, np.ndarray]]:
     """Stream ``(chunk, gains (n, 3), coop mask)`` over the population.
 
-    The raw generator behind :func:`audit_population` — used directly by
-    the differential tests that compare chunked gains against the
-    monolithic path and the scalar game oracle.
+    Row ``j`` of ``gains`` holds agent ``chunk.offset + j``'s gain for a
+    unilateral switch to C, D and O (``nan`` marks its current strategy).
+    The raw generator behind the audit's kernel (:func:`_chunk_gains`
+    with one budget cell) — used directly by the differential tests that
+    compare chunked gains against the monolithic path and the scalar
+    game oracle.
     """
     resolved = resolve_scheme(scheme)
     chunks = _chunks(spec, config)
@@ -909,16 +1010,24 @@ def iter_population_gains(
         structure = _build_structure([resolved], spec, config, chunks)
     for chunk in chunks:
         ctx = _chunk_context(structure, spec, chunk)
-        yield chunk, _chunk_gains(resolved.name, structure, ctx), ctx.coop
+        (gains,) = _chunk_gains(resolved.name, [structure], ctx)
+        yield chunk, gains.tensor(ctx), ctx.coop
+
+
+def _nan_peak(values: np.ndarray) -> Tuple[float, int]:
+    """``(max, count)`` over the non-``nan`` entries (``nan`` if none)."""
+    return float(np.fmax.reduce(values)), int(values.size - np.isnan(values).sum())
 
 
 class _GainReducer:
-    """Folds one scheme's streamed gain chunks into the audit verdict.
+    """Folds one cell's streamed gain chunks into the audit verdict.
 
     Chunks must arrive in population order: the ``>`` max update keeps
-    the *first* maximizing deviation, which together with the agent-major
-    in-chunk argmax fixes the chunking-independent witness tie-break
-    (smaller agent index, then target order C, D, O).
+    the *first* maximizing deviation, and within a chunk the witness is
+    the smallest agent index, then target order C, D, O — a
+    chunking-independent tie-break.  The kernel yields no ``-0.0`` gain
+    (rewards are ``>= +0.0`` and costs positive), so folding the columns
+    in any order gives the same maximum bits.
     """
 
     _ROLE_NAMES = {_LEADER: "leader", _COMMITTEE: "committee", _ONLINE: "online"}
@@ -930,41 +1039,51 @@ class _GainReducer:
         self.n_deviations = 0
         self.witness: Optional[DeviationWitness] = None
 
-    def update(
-        self, chunk: PopulationArrays, gains: np.ndarray, coop: np.ndarray
-    ) -> None:
-        """Fold one chunk's ``(n, 3)`` gain tensor into the running verdict."""
-        structure = self._structure
-        self.n_deviations += int(np.count_nonzero(~np.isnan(gains)))
-        chunk_max = float(np.nanmax(gains))
+    def update(self, gains: _CellGains, ctx: _ChunkContext) -> None:
+        """Fold one chunk's gains, column by column (no ``(n, 3)`` tensor)."""
+        to_c, n_c = _nan_peak(gains.to_c)
+        to_d, n_d = _nan_peak(gains.to_d)
+        to_o, n_o = _nan_peak(gains.to_o)
+        self.n_deviations += n_c + n_d + n_o
+        chunk_max = float(np.fmax.reduce([to_c, to_d, to_o]))
         if chunk_max > self.max_gain:
             self.max_gain = chunk_max
-            # Flat argmax over the agent-major (n, 3) layout: first hit is
-            # the smallest (agent, target) pair — the canonical witness.
-            flat = int(np.nanargmax(gains))
-            j, t = divmod(flat, 3)
-            in_chunk = (structure.selected_index >= chunk.offset) & (
-                structure.selected_index < chunk.offset + chunk.n_agents
-            )
-            local = structure.selected_index[in_chunk] - chunk.offset
-            role = _ONLINE
-            matches = np.flatnonzero(local == j)
-            if matches.size:
-                role = int(structure.selected_role[in_chunk][matches[0]])
-            self.witness = DeviationWitness(
-                population=0,
-                player=int(chunk.offset + j),
-                role=self._ROLE_NAMES[role],
-                stake=float(chunk.stake64()[j]),
-                from_strategy="C" if coop[j] else "D",
-                to_strategy=_TARGETS[t],
-                gain=chunk_max,
-            )
-        shirk = np.where(
-            coop[:, None], gains[:, 1:], np.nan
-        )  # columns D and O, cooperators only
-        if not bool(np.all(np.isnan(shirk))):
-            self.max_shirk = max(self.max_shirk, float(np.nanmax(shirk)))
+            self.witness = self._witness(gains, ctx, chunk_max)
+        # Cooperators' work-reducing deviations: D, and O among cooperators.
+        shirk = float(np.fmax(to_d, np.fmax.reduce(gains.to_o + ctx.nan_unless_coop)))
+        if not math.isnan(shirk):
+            self.max_shirk = max(self.max_shirk, shirk)
+
+    def _witness(
+        self, gains: _CellGains, ctx: _ChunkContext, gain: float
+    ) -> DeviationWitness:
+        """The first ``(agent, target)`` pair in agent-major order at ``gain``."""
+        best: Optional[Tuple[int, int]] = None
+        for t, column in enumerate((gains.to_c, gains.to_d, gains.to_o)):
+            hits = column == gain
+            j = int(np.argmax(hits))
+            if hits[j] and (best is None or j < best[0]):
+                best = (j, t)
+        assert best is not None
+        j, t = best
+        structure = self._structure
+        in_chunk = (structure.selected_index >= ctx.offset) & (
+            structure.selected_index < ctx.offset + ctx.n
+        )
+        local = structure.selected_index[in_chunk] - ctx.offset
+        role = _ONLINE
+        matches = np.flatnonzero(local == j)
+        if matches.size:
+            role = int(structure.selected_role[in_chunk][matches[0]])
+        return DeviationWitness(
+            population=0,
+            player=int(ctx.offset + j),
+            role=self._ROLE_NAMES[role],
+            stake=float(ctx.stake[j]),
+            from_strategy="C" if ctx.coop[j] else "D",
+            to_strategy=_TARGETS[t],
+            gain=gain,
+        )
 
     def report(
         self,
@@ -1167,9 +1286,11 @@ def audit_population_grid(
     every cell at once (:func:`_build_structure_grid`), and the gain
     pass realizes each chunk's roles/synchrony/actions once per cost
     scale — budget cells share the context and differ only in the
-    ``b_i`` scalar — before folding every cell's closed-form deviation
-    gains.  Memory stays O(chunk): the per-cell state carried across
-    chunks is one :class:`_GainReducer` (a few scalars and a witness).
+    ``b_i`` scalar, so one :func:`_chunk_gains` call per (scheme, cost
+    scale, chunk) serves them all — before folding every cell's
+    closed-form deviation gains.  Memory stays O(chunk): the per-cell
+    state carried across chunks is one :class:`_GainReducer` (a few
+    scalars and a witness).
     Both passes iterate one :func:`_chunks` source, so a population
     within :data:`~repro.populations.spec.RESIDENT_BYTES` is synthesized
     once per call rather than once per pass.
@@ -1220,6 +1341,35 @@ def audit_population_grid(
             for b in budgets
             for cs in scales
         }
+
+        def fold_scale(
+            chunk: PopulationArrays,
+            stake: np.ndarray,
+            sync_draws: np.ndarray,
+            cs: float,
+        ) -> None:
+            """Fold one chunk into every cell of one cost scale.
+
+            A function, so the context and gains die before the next
+            scale's (or chunk's) are built: that bounds peak memory.
+            """
+            cells = [structures[(b, cs)] for b in budgets]
+            ctx = _chunk_context(cells[0], spec, chunk, stake=stake, sync=sync_draws)
+            for item in resolved:
+                call_started = time.perf_counter() if telemetry else 0.0
+                for b, gains in zip(budgets, _chunk_gains(item.name, cells, ctx)):
+                    reducers[(item.name, b, cs)].update(gains, ctx)
+                if telemetry:
+                    # One fused call serves every budget cell: split its
+                    # time evenly so each cell keeps its series.
+                    share = (time.perf_counter() - call_started) / len(budgets)
+                    for b in budgets:
+                        m_cell_gain.labels(
+                            scheme=item.name,
+                            budget=repr(float(b)),
+                            cost_scale=repr(float(cs)),
+                        ).inc(share)
+
         for chunk in chunks:
             chunk_started = time.perf_counter() if telemetry else 0.0
             # Draw the chunk's synchrony Bernoullis and widen its stakes
@@ -1228,27 +1378,7 @@ def audit_population_grid(
             stake = chunk.stake64()
             sync_draws = _sync_mask(spec, config, chunk)
             for cs in scales:
-                ctx = _chunk_context(
-                    structures[(budgets[0], cs)],
-                    spec,
-                    chunk,
-                    stake=stake,
-                    sync=sync_draws,
-                )
-                for item in resolved:
-                    for b in budgets:
-                        cell_started = time.perf_counter() if telemetry else 0.0
-                        reducers[(item.name, b, cs)].update(
-                            chunk,
-                            _chunk_gains(item.name, structures[(b, cs)], ctx),
-                            ctx.coop,
-                        )
-                        if telemetry:
-                            m_cell_gain.labels(
-                                scheme=item.name,
-                                budget=repr(float(b)),
-                                cost_scale=repr(float(cs)),
-                            ).inc(time.perf_counter() - cell_started)
+                fold_scale(chunk, stake, sync_draws, cs)
             if telemetry:
                 m_chunks.inc()
                 m_agents.inc(float(chunk.n_agents))

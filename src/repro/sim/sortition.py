@@ -128,23 +128,30 @@ def binomial_weights(
     """Vectorized :func:`binomial_weight` over a population of nodes.
 
     Runs the same multiplicative pmf recurrence as the scalar path, in
-    lockstep across all elements (each element performs the identical
-    sequence of floating-point operations it would perform under
-    :func:`binomial_weight`), so the batch path is a drop-in replacement
-    and the scalar path doubles as its correctness oracle.  The loop runs
-    ``max(j)`` iterations — a handful in the small-``p`` regime sortition
-    operates in — while each iteration advances every still-active element
-    at numpy speed, which is what makes population-scale sortition sweeps
-    (500k nodes per round) tractable.
+    lockstep across the elements still searching (each element performs
+    the identical sequence of floating-point operations it would perform
+    under :func:`binomial_weight`), so the batch path is a drop-in
+    replacement and the scalar path doubles as its correctness oracle.
+
+    Only *active* elements are iterated: after the initial ``F(0)`` test
+    the kernel keeps the flat indices of elements with ``F(0) <= value``
+    and advances compacted copies of their state, scattering each element
+    back as it retires.  The cost therefore scales with the number of
+    active elements times their ``j``, not with the array size times
+    ``max(j)``: in a heavy-tailed population one whale may need hundreds
+    of iterations while almost every other agent retires at ``j = 0``.
 
     ``vrf_values`` and ``stake_units`` broadcast against each other;
     ``probability`` is shared, matching one role's selection probability
     ``tau / W``.  Returns an ``int64`` array of selected sub-user counts.
+    Non-finite VRF values and a NaN probability raise
+    :class:`~repro.errors.SortitionError`, as the scalar path does.
     """
     values = np.asarray(vrf_values, dtype=float)
     units = np.asarray(stake_units, dtype=np.int64)
-    if values.size and (values.min() < 0.0 or values.max() >= 1.0):
-        raise SortitionError("vrf values must be in [0, 1)")
+    # Written so NaN fails the test: min/max propagate NaN.
+    if values.size and not (values.min() >= 0.0 and values.max() < 1.0):
+        raise SortitionError("vrf values must be finite and in [0, 1)")
     if units.size and units.min() < 0:
         raise SortitionError("stake units must be non-negative")
     if not 0.0 <= probability <= 1.0:
@@ -159,22 +166,37 @@ def binomial_weights(
 
     units_f = units.astype(float)
     pmf = (1.0 - probability) ** units_f
-    cdf = pmf.copy()
     selected = np.zeros(values.shape, dtype=np.int64)
     ratio = probability / (1.0 - probability)
-    #: Elements forced to full weight by pmf underflow (scalar tail case).
-    forced = np.zeros(values.shape, dtype=bool)
-    active = (cdf <= values) & (selected < units)
-    while active.any():
-        step_pmf = pmf * ((units_f - selected) / (selected + 1) * ratio)
-        pmf = np.where(active, step_pmf, pmf)
-        selected = selected + active
-        cdf = np.where(active, cdf + pmf, cdf)
-        underflow = active & (pmf < 1e-300) & (cdf <= values)
+    # selected == 0 here, so ``selected < units`` is ``units > 0``.
+    index = np.flatnonzero((pmf <= values) & (units > 0))
+    if not index.size:
+        return selected
+    pmf = pmf.ravel()[index]
+    cdf = pmf.copy()
+    value = values.ravel()[index]
+    unit = units.ravel()[index]
+    unit_f = units_f.ravel()[index]
+    count = np.zeros(index.size, dtype=np.int64)
+    flat = selected.reshape(-1)
+    while index.size:
+        pmf = pmf * ((unit_f - count) / (count + 1) * ratio)
+        count += 1
+        cdf = cdf + pmf
+        searching = cdf <= value
+        # Floating-point underflow in an extreme tail: the element is
+        # forced to full weight (and so retires), like the scalar path.
+        underflow = searching & (pmf < 1e-300)
         if underflow.any():
-            selected = np.where(underflow, units, selected)
-            forced |= underflow
-        active = (cdf <= values) & (selected < units) & ~forced
+            count[underflow] = unit[underflow]
+        searching &= count < unit
+        if searching.all():
+            continue
+        retired = ~searching
+        flat[index[retired]] = count[retired]
+        index = index[searching]
+        pmf, cdf, value = pmf[searching], cdf[searching], value[searching]
+        unit, unit_f, count = unit[searching], unit_f[searching], count[searching]
     return selected
 
 
@@ -198,7 +220,11 @@ def sample_population_weights(
         raise SortitionError(
             f"expected committee size must be positive, got {expected_size}"
         )
-    units = np.asarray(stakes, dtype=float).astype(np.int64)
+    stakes_f = np.asarray(stakes, dtype=float)
+    # Before the int cast: NaN/inf would cast to garbage with a warning.
+    if not np.isfinite(stakes_f).all():
+        raise SortitionError("stakes must be finite")
+    units = stakes_f.astype(np.int64)
     if units.size and units.min() < 0:
         raise SortitionError("stakes must be non-negative")
     probability = min(1.0, expected_size / total_stake)

@@ -17,6 +17,8 @@ Covered pairs:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import paper_aggregates, paper_aggregates_scalar
 from repro.core.rewards import RewardSchedule
-from repro.errors import MechanismError
+from repro.errors import MechanismError, SortitionError
 from repro.sim.sortition import binomial_weight, binomial_weights
 
 #: Idealized VRF outputs live in [0, 1).
@@ -82,6 +84,22 @@ class TestBinomialWeightsDifferential:
         assert binomial_weights([vrf_value], [stake], probability).tolist() == [
             expected
         ]
+
+    @given(
+        vrf_values=st.lists(_VRF, min_size=0, max_size=16),
+        position=st.integers(min_value=0),
+        stake=st.integers(min_value=0, max_value=2_000),
+        probability=_PROBABILITY,
+    )
+    def test_nan_vrf_value_raises_on_both_paths(
+        self, vrf_values, position, stake, probability
+    ):
+        values = list(vrf_values)
+        values.insert(position % (len(values) + 1), math.nan)
+        with pytest.raises(SortitionError):
+            binomial_weight(math.nan, stake, probability)
+        with pytest.raises(SortitionError):
+            binomial_weights(values, stake, probability)
 
 
 class TestPaperAggregatesDifferential:

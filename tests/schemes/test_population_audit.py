@@ -343,6 +343,31 @@ class TestGridAudit:
         with pytest.raises(ConfigurationError, match="empty"):
             audit_population_grid(["irs"], SPEC, CHUNKED, budget_multipliers=())
 
+    def test_every_cell_gain_series_is_present_and_positive(self):
+        """Budget cells share one fused kernel call; its time is split
+        evenly across them, so every cell still gets its own series."""
+        from repro.telemetry import capture
+
+        with capture() as registry:
+            grid = self._grid()
+        family = registry.snapshot()["metrics"][
+            "repro_audit_cell_gain_seconds_total"
+        ]
+        seconds = {
+            (s["labels"]["scheme"], s["labels"]["budget"], s["labels"]["cost_scale"]):
+            s["value"]
+            for s in family["samples"]
+        }
+        assert set(seconds) == {
+            (name, repr(b), repr(c)) for name, b, c in grid.cells()
+        }
+        assert all(value > 0 for value in seconds.values())
+        # An even split: a call's budget cells record equal seconds.
+        for name in grid.schemes:
+            for c in self.SCALES:
+                shares = {seconds[(name, repr(b), repr(c))] for b in self.BUDGETS}
+                assert len(shares) == 1
+
     def test_grid_axes_deduped_preserving_order(self):
         grid = audit_population_grid(
             ["irs"],

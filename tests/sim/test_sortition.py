@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from repro.sim.crypto import KeyPair
 from repro.sim.sortition import (
     Role,
     binomial_weight,
+    binomial_weights,
+    sample_population_weights,
     sortition,
     verify_sortition,
 )
@@ -86,6 +90,90 @@ class TestBinomialWeight:
     def test_bad_probability_raises(self):
         with pytest.raises(SortitionError):
             binomial_weight(0.5, 10, 1.5)
+
+
+class TestBinomialWeightsActiveSet:
+    """The batch kernel iterates only still-active elements and scatters
+    each one back as it retires; one batch mixing every retirement
+    iteration must still equal the scalar oracle elementwise."""
+
+    P = 1e-3
+    #: Largest double below 1: with a large stake the pmf underflows
+    #: before the cdf passes it, forcing full weight.
+    TAIL = float(np.nextafter(1.0, 0.0))
+    # (vrf value, stake units): zero stake, j=0, j=1, small j, a whale
+    # (mean 1000 sub-users) and a forced-underflow element.
+    CASES = (
+        (0.5, 0),
+        (0.0, 1_000),
+        (0.5, 1_000),
+        (0.95, 1_000),
+        (0.999, 3_000),
+        (0.5, 1_000_000),
+        (TAIL, 1_000),
+    )
+
+    def _oracle(self, values, stakes):
+        return [binomial_weight(v, int(w), self.P) for v, w in zip(values, stakes)]
+
+    def test_mixed_retirements_match_scalar_oracle(self):
+        values = np.array([v for v, _ in self.CASES])
+        stakes = np.array([w for _, w in self.CASES], dtype=np.int64)
+        weights = binomial_weights(values, stakes, self.P)
+        assert weights.tolist() == self._oracle(values, stakes)
+        assert weights[0] == weights[1] == 0 and weights[2] == 1
+        assert weights[5] >= 500  # the whale runs hundreds of iterations
+        assert weights[6] == 1_000  # forced to full weight by underflow
+
+    def test_broadcast_scalar_stake_matches_scalar_oracle(self):
+        values = np.array([0.0, 0.2, 0.5, 0.9, self.TAIL, 0.5])
+        for stake in (0, 1, 1_000, 1_000_000):
+            weights = binomial_weights(values, stake, self.P)
+            assert weights.shape == values.shape
+            assert weights.tolist() == self._oracle(values, [stake] * values.size)
+
+    def test_2d_batch_keeps_shape_and_matches_oracle(self):
+        values = np.array([v for v, _ in self.CASES] * 2).reshape(2, -1)
+        stakes = np.array([w for _, w in self.CASES] * 2).reshape(2, -1)
+        weights = binomial_weights(values, stakes, self.P)
+        assert weights.shape == values.shape
+        assert weights.ravel().tolist() == self._oracle(values.ravel(), stakes.ravel())
+
+    def test_read_only_inputs_are_accepted_and_not_mutated(self):
+        values = np.array([v for v, _ in self.CASES])
+        stakes = np.array([w for _, w in self.CASES], dtype=np.int64)
+        values.setflags(write=False)
+        stakes.setflags(write=False)
+        before = values.copy(), stakes.copy()
+        weights = binomial_weights(values, stakes, self.P)
+        assert weights.flags.writeable
+        assert np.array_equal(values, before[0])
+        assert np.array_equal(stakes, before[1])
+        assert weights.tolist() == self._oracle(values, stakes)
+
+
+class TestBatchValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -0.1])
+    def test_non_finite_or_out_of_range_vrf_values_raise(self, bad):
+        with pytest.raises(SortitionError, match="vrf values"):
+            binomial_weights([bad, 0.5], [100, 100], 0.01)
+        with pytest.raises(SortitionError, match="vrf value"):
+            binomial_weight(bad, 100, 0.01)
+
+    def test_nan_probability_raises(self):
+        with pytest.raises(SortitionError, match="probability"):
+            binomial_weights([0.5], [100], math.nan)
+        with pytest.raises(SortitionError, match="probability"):
+            binomial_weight(0.5, 100, math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stakes_raise_before_the_int_cast(self, bad):
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            # No "invalid value encountered in cast" on the way to the error.
+            warnings.simplefilter("error")
+            with pytest.raises(SortitionError, match="finite"):
+                sample_population_weights([1.0, bad], 10.0, 5.0, rng)
 
 
 class TestSortition:
