@@ -12,8 +12,8 @@ another box would be meaningless) and fails when
   ``crypto.vrf_evaluate`` or its speedup over the per-key hashing loop
   falls below the ``ci_guard.min_vrf_speedup`` floor (same tolerance), or
 * the telemetry tax on the kernel — enabled-registry rounds vs
-  null-registry rounds, order-alternating median-of-ratios, best of
-  three attempts — exceeds the ``ci_guard.max_telemetry_overhead``
+  null-registry rounds stepped in lockstep for at least one CPU second
+  per side, median of ratios, best of three attempts — exceeds the ``ci_guard.max_telemetry_overhead``
   ceiling (default 3%; disabled mode does strictly less work, so this
   bounds the default configuration's overhead too).  Absent guard keys
   are skipped for records written before the guard existed.
@@ -100,9 +100,11 @@ def main(argv=None) -> int:
         ceiling = max_overhead * (1.0 + guard["tolerance"])
         overhead = None
         for attempt in range(1, 4):
-            disabled_s, enabled_s, overhead = run_telemetry_overhead_microbench()
+            rounds, disabled_s, enabled_s, overhead = (
+                run_telemetry_overhead_microbench()
+            )
             print(
-                f"telemetry tax (attempt {attempt}): "
+                f"telemetry tax (attempt {attempt}, {rounds} rounds): "
                 f"{disabled_s * 1000:.1f}ms off, "
                 f"{enabled_s * 1000:.1f}ms on, {overhead:+.2%} "
                 f"(ceiling {max_overhead:.0%} + tolerance -> {ceiling:.2%})"

@@ -10,7 +10,9 @@ This module implements the same round semantics as batched array work:
   (same keypairs, same seed chain, same domain tags) and inverts the
   binomial CDF with the batched :func:`repro.sim.sortition.binomial_weights`
   primitive, so per-step committee weights are bit-identical to the DES on
-  paired seeds.
+  paired seeds.  The steps every round that reaches BinaryBA* votes in
+  (1 through ``FIRST_BINARY_STEP + 3``) are hashed and inverted as one
+  batch; later steps and the FINAL committee are drawn on first use.
 * **Gossip** is replaced by a reachability model: hop distances through
   the relaying subgraph (defectors and offline nodes do not forward) plus
   a calibrated :class:`LatencyModel` mapping time windows to hop budgets.
@@ -20,17 +22,24 @@ This module implements the same round semantics as batched array work:
   defection the thinned relay graph disconnects and finality collapses —
   the same mechanism that drives the paper's Figure 3.
 * **Agreement (BA*)** reuses the event path's pure
-  :class:`~repro.sim.ba_star.ConsensusStateMachine` per node (cheap: tens
-  of transitions per round) while the heavy CountVotes tallies are numpy
-  reductions feeding the shared
-  :func:`~repro.sim.ba_star.resolve_quorum` threshold rule.
+  :class:`~repro.sim.ba_star.ConsensusStateMachine`, one per *cohort*:
+  online nodes that hold the same best proposal start in the same state,
+  every directive is cast for all members as one array operation, and a
+  cohort splits (each part copying the machine) only when its members'
+  tallies differ.  Transitions are pure in (state, counted value, shared
+  coin), so this is exact and the work scales with the distinct
+  behaviours in a round, not nodes x steps.  Each step's CountVotes is
+  one matrix product of the vote reach matrix and the one-hot vote
+  weights, feeding the shared :func:`~repro.sim.ba_star.resolve_quorum`
+  threshold rule.
 
 The kernel emits the same :class:`~repro.sim.metrics.RoundRecord` /
 :class:`~repro.sim.metrics.SimulationMetrics` schema as the DES and honours
 the same mechanism/behaviour hooks, so experiments switch backends through
 :func:`make_simulation` without touching their measurement code.  The DES
 remains available as the differential oracle
-(``tests/sim/test_fastpath_oracle.py``).
+(``tests/sim/test_fastpath_oracle.py``), and
+``tests/sim/test_fastpath_golden.py`` pins the kernel's full output.
 
 Known approximations (tolerance-tested, never silently wrong):
 
@@ -44,6 +53,7 @@ Known approximations (tolerance-tested, never silently wrong):
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import time
@@ -57,6 +67,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim import crypto
 from repro.sim.ba_star import (
     FINAL_STEP,
+    FIRST_BINARY_STEP,
     ConsensusStateMachine,
     make_common_coin,
     resolve_quorum,
@@ -266,6 +277,53 @@ class _Proposal:
     priority: float
 
 
+#: One batch of same-step votes cast at one deadline: ``(senders, weights,
+#: value indices, cast deadline index)``.
+_VoteBatch = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+@dataclass
+class _Ballot:
+    """Per-round voting context shared by every cast."""
+
+    value_index: Dict[int, int]
+    #: Proposal hashes in priority order: the equivocators' choices.
+    ranked_hashes: List[int]
+    #: Which nodes cast at least one vote this round.
+    voted: np.ndarray
+
+
+@dataclass
+class _Cohort:
+    """Online nodes whose BA* machines are in one state."""
+
+    machine: ConsensusStateMachine
+    members: np.ndarray  # ascending node ids
+
+
+def _split(cohorts: List[_Cohort], won: np.ndarray) -> List[Tuple[_Cohort, int]]:
+    """Pair each cohort with its members' tally, splitting where they differ.
+
+    Each part of a split cohort gets its own copy of the machine, taken
+    before any part advances.  A shallow copy suffices while the machine
+    holds only immutable fields and the shared coin.
+    """
+    parts: List[Tuple[_Cohort, int]] = []
+    for cohort in cohorts:
+        counted = won[cohort.members]
+        if (counted == counted[0]).all():
+            parts.append((cohort, int(counted[0])))
+            continue
+        for k in np.unique(counted).tolist():
+            parts.append(
+                (
+                    _Cohort(copy.copy(cohort.machine), cohort.members[counted == k]),
+                    k,
+                )
+            )
+    return parts
+
+
 class FastSimulation:
     """Vectorized drop-in for :class:`~repro.sim.protocol.AlgorandSimulation`.
 
@@ -314,11 +372,6 @@ class FastSimulation:
             hashlib.sha256(b"'vrf'\x1f%d" % private)
             for private in self._private_keys
         ]
-        # Behaviour predicates as plain lists: the voting loop consults
-        # them once per (node, step) and enum-property dispatch is
-        # measurable at that rate.
-        self._votes_list = [b.votes for b in self.behaviors]
-        self._equivocates_list = [b.equivocates for b in self.behaviors]
         self.rewards_received: List[float] = [0.0] * n
         self._neighbors = build_random_overlay(
             list(range(n)), config.gossip_fanout, self.streams.get("topology")
@@ -327,7 +380,11 @@ class FastSimulation:
         self._online = np.array([b.is_online for b in self.behaviors], dtype=bool)
         self._relays = np.array([b.relays for b in self.behaviors], dtype=bool)
         self._votes_mask = np.array([b.votes for b in self.behaviors], dtype=bool)
-        self._online_ids = [i for i in range(n) if self.behaviors[i].is_online]
+        self._equivocates_mask = np.array(
+            [b.equivocates for b in self.behaviors], dtype=bool
+        )
+        self._online_idx = np.flatnonzero(self._online)
+        self._online_ids = self._online_idx.tolist()
 
         self.authoritative = Ledger(genesis_seed=0)
         genesis_hash = self.authoritative.tip().block_hash()
@@ -374,13 +431,13 @@ class FastSimulation:
         ).labels()
         self._m_vrf_seconds = _registry.histogram(
             "repro_fastpath_vrf_batch_seconds",
-            "Wall time of one batched population VRF evaluation "
-            "(its _count is the batch total)",
+            "Wall time of one batched population VRF evaluation over one "
+            "or more step domains (its _count is the batch total)",
             buckets=DEFAULT_TIME_BUCKETS,
         ).labels()
         _committee = _registry.histogram(
             "repro_fastpath_committee_weight",
-            "Total sortition committee weight per (role) selection",
+            "Total sortition committee weight per (role, step) a round uses",
             labels=("role",),
             buckets=DEFAULT_SIZE_BUCKETS,
         )
@@ -432,19 +489,42 @@ class FastSimulation:
         )
         hops = self._round_hops()
         stake_units = np.array([int(s) for s in self.stakes], dtype=np.int64)
+        total_steps = config.total_step_count()
 
-        # Per-step sortition weights are computed lazily: a short-circuited
-        # round only pays for the VRFs of the steps it actually ran.
-        step_weight_cache: Dict[int, np.ndarray] = {}
+        # Every round that reaches BinaryBA* votes in steps 1 through
+        # FIRST_BINARY_STEP + 3 (a conclusion at the first binary step
+        # casts helper votes for the next three), so their sortition runs
+        # as one batch; later steps and the FINAL committee stay lazy.  The
+        # committee histogram is observed once per (role, step) the round
+        # uses, not per prefetched row, in one batch at the round's end.
+        prefetched = tuple(range(1, min(FIRST_BINARY_STEP + 3, total_steps) + 1))
+        rows = self._sortition(
+            Role.STEP, prefetched, round_index, round_seed, stake_units, total_stake
+        )
+        step_rows: Dict[int, np.ndarray] = dict(zip(prefetched, rows))
+        # Committee totals for the histogram, summed only under telemetry.
+        step_totals: Dict[int, float] = (
+            dict(zip(prefetched, rows.sum(axis=1).tolist()))
+            if self._telemetry
+            else {}
+        )
+        used_steps = set()
 
         def step_weights(step: int) -> np.ndarray:
-            cached = step_weight_cache.get(step)
-            if cached is None:
-                cached = self._role_weights(
-                    Role.STEP, step, round_index, round_seed, stake_units, total_stake
-                )
-                step_weight_cache[step] = cached
-            return cached
+            weights = step_rows.get(step)
+            if weights is None:
+                weights = step_rows[step] = self._sortition(
+                    Role.STEP,
+                    (step,),
+                    round_index,
+                    round_seed,
+                    stake_units,
+                    total_stake,
+                )[0]
+                if self._telemetry:
+                    step_totals[step] = float(weights.sum())
+            used_steps.add(step)
+            return weights
 
         final_weight_cache: List[Optional[np.ndarray]] = [None]
 
@@ -467,100 +547,136 @@ class FastSimulation:
         value_index = {value: k for k, value in enumerate(candidates)}
 
         budget_prop = self.latency.hop_budget(config.proposal_wait, config)
-        best_hash = self._best_proposals(proposals, hops, budget_prop)
+        best = self._best_proposals(proposals, hops, budget_prop, value_index)
 
-        # -- phase B: reduction + BinaryBA* ----------------------------------
+        # -- phase B: reduction + BinaryBA*, one machine per cohort ---------
+        # Nodes holding the same best proposal start in the same machine
+        # state; a cohort splits only when its members' tallies differ.
+        # Transitions are pure in (state, counted, shared coin), so
+        # stepping one machine per cohort is exact.
+        ranked = sorted(proposals, key=lambda p: (p.priority, p.block_hash))
+        ballot = _Ballot(
+            value_index, [p.block_hash for p in ranked], np.zeros(n, dtype=bool)
+        )
         coin = make_common_coin(round_seed, round_index)
-        machines: Dict[int, ConsensusStateMachine] = {}
         proposed = {p.sender for p in proposals}
-        voted_any = set()
-        # votes[s]: list of (sender, weight, value, cast_deadline_index);
-        # step-s votes are tallied at deadline index s, normal votes are
-        # cast at index s-1 (one window of travel), helper votes earlier.
-        votes: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        final_votes: List[Tuple[int, int, int, int]] = []
+        # votes[s]: batches of step-s votes; step-s votes are tallied at
+        # deadline index s, normal votes are cast at index s-1 (one window
+        # of travel), helper votes earlier.
+        votes: Dict[int, List[_VoteBatch]] = {}
+        final_votes: List[_VoteBatch] = []
 
         first_weights = step_weights(1)
-        for i in self._online_ids:
+        online_best = best[self._online_idx]
+        active: List[_Cohort] = []
+        for k in np.unique(online_best).tolist():
             machine = ConsensusStateMachine(config.max_binary_steps, coin)
-            machines[i] = machine
-            step, value = machine.start(best_hash[i])
+            members = self._online_idx[online_best == k]
+            step, value = machine.start(None if k < 0 else candidates[k])
             self._cast(
-                i, step, value, 0, first_weights, votes, voted_any, proposals
+                votes.setdefault(step, []), members, value, 0, first_weights, ballot
             )
+            active.append(_Cohort(machine, members))
 
         needed_step = config.t_step * config.tau_step
-        total_steps = config.total_step_count()
+        settled: List[_Cohort] = []
         steps_used = 0
         for step in range(1, total_steps + 1):
-            counted = self._tally(
-                votes.get(step, ()),
-                step,
-                hops,
-                candidates,
-                value_index,
-                needed_step,
+            won = self._tally(
+                votes.get(step, ()), step, hops, len(candidates), needed_step
             )
-            for i in self._online_ids:
-                machine = machines[i]
+            running: List[_Cohort] = []
+            for cohort, counted in _split(active, won):
+                machine, members = cohort.machine, cohort.members
+                directive = machine.on_step_result(
+                    step, None if counted < 0 else candidates[counted]
+                )
+                step_votes = [] if directive.vote is None else [directive.vote]
+                for vstep, vvalue in step_votes + directive.helper_votes:
+                    self._cast(
+                        votes.setdefault(vstep, []),
+                        members,
+                        vvalue,
+                        step,
+                        step_weights(vstep),
+                        ballot,
+                    )
+                if (
+                    directive.final_vote is not None
+                    and self._votes_mask[members].any()
+                ):
+                    self._cast(
+                        final_votes,
+                        members,
+                        directive.final_vote,
+                        step,
+                        final_weights(),
+                        ballot,
+                    )
                 if machine.concluded or machine.failed:
-                    continue
-                directive = machine.on_step_result(step, counted[i])
-                if directive.vote is not None:
-                    vstep, vvalue = directive.vote
-                    self._cast(
-                        i,
-                        vstep,
-                        vvalue,
-                        step,
-                        step_weights(vstep),
-                        votes,
-                        voted_any,
-                        proposals,
-                    )
-                for vstep, vvalue in directive.helper_votes:
-                    self._cast(
-                        i,
-                        vstep,
-                        vvalue,
-                        step,
-                        step_weights(vstep),
-                        votes,
-                        voted_any,
-                        proposals,
-                    )
-                if directive.final_vote is not None and self._votes_list[i]:
-                    weight = int(final_weights()[i])
-                    if weight > 0:
-                        value = directive.final_vote
-                        if self._equivocates_list[i]:
-                            value = self._equivocated(i, value, proposals)
-                        final_votes.append((i, weight, value, step))
-                        voted_any.add(i)
+                    settled.append(cohort)
+                else:
+                    running.append(cohort)
+            active = running
             steps_used = step
-            if config.short_circuit_rounds and all(
-                m.concluded or m.failed for m in machines.values()
-            ):
+            if config.short_circuit_rounds and not active:
                 break
 
         # -- phase C: extraction and rewards ---------------------------------
         record = self._finalize_round(
             ctx,
             steps_used,
-            machines,
+            settled + active,
             registry,
-            proposals,
+            candidates,
             proposed,
-            voted_any,
+            set(np.flatnonzero(ballot.voted).tolist()),
             final_votes,
             hops,
         )
         if self._telemetry:
+            histogram = self._m_committee[Role.STEP]
+            for step in used_steps:
+                histogram.observe(step_totals[step])
             self._m_rounds.inc()
             self._m_round_seconds.observe(time.perf_counter() - round_started)
         return record
 
     # -- sortition ------------------------------------------------------------
+
+    def _sortition(
+        self,
+        role: Role,
+        steps: Sequence[int],
+        round_index: int,
+        round_seed: int,
+        stake_units: np.ndarray,
+        total_stake: float,
+    ) -> np.ndarray:
+        """Exact per-node sortition weights for one role at several steps.
+
+        Recomputes the same VRFs the event-driven nodes evaluate (same
+        keypairs, seed and domain separation) and inverts the binomial
+        CDF for every (step, node) in one batched call, so the
+        ``(len(steps), n)`` result matches the DES bit-for-bit on paired
+        seeds: every element runs the scalar float sequence.
+        """
+        base = {Role.PROPOSER: 0, Role.STEP: 1_000, Role.FINAL: 2_000}[role]
+        expected = {
+            Role.PROPOSER: self.config.tau_proposer,
+            Role.STEP: self.config.tau_step,
+            Role.FINAL: self.config.tau_final,
+        }[role]
+        values = self._vrf_values(round_seed, round_index, [base + s for s in steps])
+        probability = min(1.0, expected / total_stake)
+        # Flat (step-major) operands: element for element the same
+        # inversion as a 2-D broadcast, and the batch's length is its
+        # element count, which the perfbench layer tracer records.
+        weights = binomial_weights(
+            values.ravel(), np.tile(stake_units, len(steps)), probability
+        ).reshape(values.shape)
+        weights[:, ~self._online] = 0
+        return weights
 
     def _role_weights(
         self,
@@ -571,64 +687,52 @@ class FastSimulation:
         stake_units: np.ndarray,
         total_stake: float,
     ) -> np.ndarray:
-        """Exact per-node sortition weights for one (role, step).
-
-        Recomputes the same VRFs the event-driven nodes evaluate (same
-        keypairs, seed and domain separation) and inverts the binomial
-        CDF for the whole population in one batched call, so the result
-        matches the DES bit-for-bit on paired seeds.
-        """
-        tag = {Role.PROPOSER: 0, Role.STEP: 1_000, Role.FINAL: 2_000}[role] + step
-        expected = {
-            Role.PROPOSER: self.config.tau_proposer,
-            Role.STEP: self.config.tau_step,
-            Role.FINAL: self.config.tau_final,
-        }[role]
-        values = self._vrf_values(round_seed, round_index, tag)
-        probability = min(1.0, expected / total_stake)
-        weights = binomial_weights(values, stake_units, probability)
-        weights[~self._online] = 0
+        """Sortition weights for one (role, step), observed as used."""
+        weights = self._sortition(
+            role, (step,), round_index, round_seed, stake_units, total_stake
+        )[0]
         if self._telemetry:
             self._m_committee[role].observe(float(weights.sum()))
         return weights
 
     def _vrf_values(
-        self, round_seed: int, round_index: int, tag: int
+        self, round_seed: int, round_index: int, tags: Sequence[int]
     ) -> np.ndarray:
-        """Population VRF outputs for one (round, role-step) domain.
+        """Population VRF outputs for several (round, role-step) domains.
 
         Batched specialization of ``crypto.vrf_evaluate(...).value``: it
         hashes the *identical* canonical payload (``repr`` of an int is
         its decimal string; ``repr("vrf")`` keeps its quotes) in
         counter-ish mode — every key's pre-absorbed prefix state is
-        copied and fed the one shared ``(round, step)`` suffix — then
-        all digests are joined into one contiguous byte block and the
-        top-53-bit fractions extracted with a single strided
+        copied and fed each domain's shared ``(round, step)`` suffix —
+        then all digests are joined into one contiguous byte block and
+        the top-53-bit fractions extracted with a single strided
         ``np.frombuffer`` pass: byte-reversing the leading big-endian
         uint64 of each digest and shifting out the low 11 bits is
         exactly ``digest[:7]`` dropped to its top 53 bits, and dividing
-        by 2^53 is exact.  Outputs are bit-identical to the crypto
-        helper — asserted by the differential suite — while skipping
-        per-key bytes construction, Python int conversion and the
-        per-part ``repr``/join machinery that dominates profiles at
-        population x steps x rounds scale.
+        by 2^53 is exact.  Returns a ``(len(tags), n)`` array,
+        bit-identical to the crypto helper — asserted by the
+        differential suite — while skipping per-key bytes construction,
+        Python int conversion and the per-part ``repr``/join machinery
+        that dominates profiles at population x steps x rounds scale.
         """
         batch_started = time.perf_counter() if self._telemetry else 0.0
-        suffix = f"\x1f{round_seed}\x1f{round_index}\x1f{tag}".encode("utf-8")
         digests: List[bytes] = []
         append = digests.append
-        for state in self._vrf_states:
-            hasher = state.copy()
-            hasher.update(suffix)
-            append(hasher.digest())
+        for tag in tags:
+            suffix = f"\x1f{round_seed}\x1f{round_index}\x1f{tag}".encode("utf-8")
+            for state in self._vrf_states:
+                hasher = state.copy()
+                hasher.update(suffix)
+                append(hasher.digest())
         block = b"".join(digests)
-        # One 32-byte digest per key: take word 0 of each 4-uint64 row.
+        # One 32-byte digest per (tag, key): take word 0 of each row.
         words = np.frombuffer(block, dtype=">u8").reshape(-1, 4)[:, 0]
         values = (words.astype(np.uint64) >> np.uint64(11)) / float(2**53)
         if self._telemetry:
-            self._m_vrf_keys.inc(self._n_keys)
+            self._m_vrf_keys.inc(self._n_keys * len(tags))
             self._m_vrf_seconds.observe(time.perf_counter() - batch_started)
-        return values
+        return values.reshape(len(tags), -1)
 
     # -- proposals ------------------------------------------------------------
 
@@ -709,51 +813,55 @@ class FastSimulation:
         )
 
     def _best_proposals(
-        self, proposals: List[_Proposal], hops: np.ndarray, budget: int
-    ) -> List[Optional[int]]:
-        """Per node: hash of the best proposal that arrives in the window.
+        self,
+        proposals: List[_Proposal],
+        hops: np.ndarray,
+        budget: int,
+        value_index: Dict[int, int],
+    ) -> np.ndarray:
+        """Per node: value index of the best proposal that arrives in time.
 
-        Iterates proposals worst-first so the best reachable proposal ends
-        up owning each node's slot — the array form of the DES's
-        ``min(proposals, key=(priority, block_hash))``.
+        Walks proposals worst-first, each overwriting the slots of the
+        nodes its sender reaches, so the best reachable proposal ends up
+        owning each node's slot — the array form of the DES's
+        ``min(proposals, key=(priority, block_hash))``.  ``-1`` marks a
+        node that saw no proposal.
         """
-        n = self.config.n_nodes
-        best: List[Optional[int]] = [None] * n
+        best = np.full(self.config.n_nodes, -1, dtype=np.intp)
         ranked = sorted(
             proposals, key=lambda p: (p.priority, p.block_hash), reverse=True
         )
         for proposal in ranked:
-            reach = np.flatnonzero(hops[proposal.sender] <= budget)
-            for j in reach:
-                best[int(j)] = proposal.block_hash
+            best = np.where(
+                hops[proposal.sender] <= budget, value_index[proposal.block_hash], best
+            )
         return best
 
     # -- voting ----------------------------------------------------------------
 
     def _cast(
         self,
-        node_id: int,
-        step: int,
+        batches: List[_VoteBatch],
+        members: np.ndarray,
         value: int,
         cast_index: int,
         weights: np.ndarray,
-        votes: Dict[int, List[Tuple[int, int, int, int]]],
-        voted_any: set,
-        proposals: List[_Proposal],
+        ballot: _Ballot,
     ) -> None:
-        """Record one committee vote if the node votes and was selected."""
-        if not self._votes_list[node_id]:
+        """Record one cohort's committee votes: its voting, selected members."""
+        selected = members[self._votes_mask[members] & (weights[members] > 0)]
+        if not selected.size:
             return
-        weight = int(weights[node_id])
-        if weight <= 0:
-            return
-        if self._equivocates_list[node_id]:
-            value = self._equivocated(node_id, value, proposals)
-        votes.setdefault(step, []).append((node_id, weight, value, cast_index))
-        voted_any.add(node_id)
+        values = np.full(selected.size, ballot.value_index[value], dtype=np.intp)
+        for pos in np.flatnonzero(self._equivocates_mask[selected]).tolist():
+            values[pos] = ballot.value_index[
+                self._equivocated(int(selected[pos]), value, ballot.ranked_hashes)
+            ]
+        batches.append((selected, weights[selected], values, cast_index))
+        ballot.voted[selected] = True
 
     def _equivocated(
-        self, node_id: int, honest_value: int, proposals: List[_Proposal]
+        self, node_id: int, honest_value: int, ranked_hashes: List[int]
     ) -> int:
         """Fast-path analogue of ``Node._equivocated_value``.
 
@@ -762,45 +870,54 @@ class FastSimulation:
         dedicated stream over proposals in priority order — statistically
         equivalent, never bit-matched (documented approximation).
         """
-        options = [EMPTY_HASH, honest_value] + [
-            p.block_hash for p in sorted(proposals, key=lambda p: (p.priority, p.block_hash))
-        ]
+        options = [EMPTY_HASH, honest_value] + ranked_hashes
         return self._equiv_rngs[node_id].choice(options)
 
     def _tally(
         self,
-        step_votes: Sequence[Tuple[int, int, int, int]],
-        step: int,
+        batches: Sequence[_VoteBatch],
+        tally_index: int,
         hops: np.ndarray,
-        candidates: List[int],
-        value_index: Dict[int, int],
+        n_values: int,
         needed: float,
-    ) -> List[Optional[int]]:
-        """Per-node CountVotes for one step, as one array reduction.
+    ) -> np.ndarray:
+        """Per-node CountVotes at one deadline, as one matrix product.
 
-        Accumulates, for every receiving node, the sub-user weight of each
-        candidate value over the votes whose hop distance fits the travel
-        windows between cast and tally deadlines, then applies the shared
-        :func:`resolve_quorum` rule (vectorized: candidates are ordered
-        ascending, so the first argmax reproduces the smallest-value
-        tie-break exactly).
+        Builds the ``(votes, nodes)`` reach matrix — a vote reaches a node
+        when its hop distance fits the travel windows between its cast
+        deadline and ``tally_index`` — and multiplies it into the one-hot
+        ``(votes, values)`` weight matrix.  Weights are integers far below
+        2^53, so the float64 sums are exact in any order.  The shared
+        :func:`resolve_quorum` rule is then applied vectorized: values are
+        ordered ascending, so the first argmax reproduces the
+        smallest-value tie-break exactly.  Returns each node's winning
+        value index, ``-1`` on timeout.
         """
         n = self.config.n_nodes
-        if not step_votes:
-            return [None] * n
+        if not batches:
+            return np.full(n, -1, dtype=np.intp)
         config = self.config
-        tally = np.zeros((n, len(candidates)))
-        for sender, weight, value, cast_index in step_votes:
-            windows = step - cast_index
-            budget = self.latency.hop_budget(windows * config.step_timeout, config)
-            reach = hops[sender] <= budget
-            tally[reach, value_index[value]] += weight
+        senders = np.concatenate([batch[0] for batch in batches])
+        budgets = np.concatenate(
+            [
+                np.full(
+                    batch[0].size,
+                    self.latency.hop_budget(
+                        (tally_index - batch[3]) * config.step_timeout, config
+                    ),
+                )
+                for batch in batches
+            ]
+        )
+        reach = hops[senders] <= budgets[:, None]
+        ballots = np.zeros((senders.size, n_values))
+        ballots[
+            np.arange(senders.size), np.concatenate([batch[2] for batch in batches])
+        ] = np.concatenate([batch[1] for batch in batches])
+        tally = reach.T @ ballots
         quorum = tally > needed
-        has_quorum = quorum.any(axis=1)
         winner = np.where(quorum, tally, -1.0).argmax(axis=1)
-        return [
-            candidates[int(winner[j])] if has_quorum[j] else None for j in range(n)
-        ]
+        return np.where(quorum.any(axis=1), winner, -1)
 
     # -- network ----------------------------------------------------------------
 
@@ -818,38 +935,30 @@ class FastSimulation:
         self,
         ctx: RoundContext,
         steps_used: int,
-        machines: Dict[int, ConsensusStateMachine],
+        cohorts: List[_Cohort],
         registry: Dict[int, _Proposal],
-        proposals: List[_Proposal],
+        candidates: List[int],
         proposed: set,
         voted_any: set,
-        final_votes: List[Tuple[int, int, int, int]],
+        final_votes: List[_VoteBatch],
         hops: np.ndarray,
     ) -> RoundRecord:
         config = self.config
-        n = config.n_nodes
 
         authoritative_value, authoritative_label = self._authoritative_outcome(
-            ctx, machines, registry, final_votes
+            ctx, cohorts, registry, candidates, final_votes
         )
 
         # FINAL-vote tallies as seen by each node at extraction time: the
         # driver grants one trailing window past the last deadline, so a
         # vote cast at deadline c travels (steps_used + 1 - c) windows.
         extraction_index = steps_used + 1
-        needed_final = config.t_final * config.tau_final
-        candidates = [EMPTY_HASH] + sorted(registry)
-        value_index = {value: k for k, value in enumerate(candidates)}
-        final_counted = self._tally(
-            [
-                (sender, weight, value, cast_index)
-                for sender, weight, value, cast_index in final_votes
-            ],
+        final_won = self._tally(
+            final_votes,
             extraction_index,
             hops,
-            candidates,
-            value_index,
-            needed_final,
+            len(candidates),
+            config.t_final * config.tau_final,
         )
 
         # Blocks remain collectible until extraction: the whole round is
@@ -858,43 +967,52 @@ class FastSimulation:
         budget_fin = self.latency.hop_budget(window_fin, config)
         empty_seed = crypto.next_round_seed(ctx.sortition_seed, ctx.round_index)
         auth_tip = self.authoritative.tip().block_hash()
+        tips = self._tips
+        # Empty-block hashes by parent: nodes sharing a tip share the block.
+        empty_hashes: Dict[int, int] = {}
 
         n_final = n_tentative = n_none = 0
         n_concluded_empty = n_desynced = n_caught_up = 0
-        for i in self._online_ids:
-            machine = machines[i]
-            value = machine.concluded_value if machine.concluded else None
-            if value is None:
-                n_none += 1
+        for cohort in cohorts:
+            machine, members = cohort.machine, cohort.members
+            if not machine.concluded:
+                n_none += members.size
                 continue
+            value = machine.concluded_value
             if value == EMPTY_HASH:
-                empty = make_empty_block(ctx.round_index, self._tips[i], empty_seed)
-                self._tips[i] = empty.block_hash()
-                n_tentative += 1
-                n_concluded_empty += 1
+                for i in members.tolist():
+                    tip = tips[i]
+                    if tip not in empty_hashes:
+                        empty_hashes[tip] = make_empty_block(
+                            ctx.round_index, tip, empty_seed
+                        ).block_hash()
+                    tips[i] = empty_hashes[tip]
+                n_tentative += members.size
+                n_concluded_empty += members.size
                 continue
             proposal = registry.get(value)
-            received = (
-                proposal is not None and hops[proposal.sender, i] <= budget_fin
-            )
-            if not received:
-                n_none += 1
+            if proposal is None:
+                n_none += members.size
                 continue
-            has_finality = final_counted[i] == value
-            parent_matches = proposal.block.previous_hash == self._tips[i]
-            if has_finality:
-                n_final += 1
-                if parent_matches:
-                    self._tips[i] = value
+            received = members[hops[proposal.sender, members] <= budget_fin]
+            n_none += members.size - received.size
+            finality = (final_won[received] == candidates.index(value)).tolist()
+            parent_hash = proposal.block.previous_hash
+            for i, has_finality in zip(received.tolist(), finality):
+                parent_matches = parent_hash == tips[i]
+                if has_finality:
+                    n_final += 1
+                    if parent_matches:
+                        tips[i] = value
+                    else:
+                        tips[i] = auth_tip
+                        n_caught_up += 1
+                elif parent_matches:
+                    tips[i] = value
+                    n_tentative += 1
                 else:
-                    self._tips[i] = auth_tip
-                    n_caught_up += 1
-            elif parent_matches:
-                self._tips[i] = value
-                n_tentative += 1
-            else:
-                n_none += 1
-                n_desynced += 1
+                    n_none += 1
+                    n_desynced += 1
 
         snapshot = self.role_snapshot(ctx.round_index, proposed, voted_any)
         reward_total = 0.0
@@ -934,24 +1052,26 @@ class FastSimulation:
     def _authoritative_outcome(
         self,
         ctx: RoundContext,
-        machines: Dict[int, ConsensusStateMachine],
+        cohorts: List[_Cohort],
         registry: Dict[int, _Proposal],
-        final_votes: List[Tuple[int, int, int, int]],
+        candidates: List[int],
+        final_votes: List[_VoteBatch],
     ):
         """Ground truth, identical to the DES's omniscient observer."""
-        conclusions = Counter(
-            machine.concluded_value
-            for machine in machines.values()
-            if machine.concluded
-        )
+        conclusions: Counter = Counter()
+        for cohort in cohorts:
+            if cohort.machine.concluded:
+                conclusions[cohort.machine.concluded_value] += cohort.members.size
         if not conclusions:
             return None, ConsensusLabel.NONE
         winner, _count = min(
             conclusions.items(), key=lambda item: (-item[1], item[0])
         )
         weights: Dict[int, int] = {}
-        for _sender, weight, value, _cast in final_votes:
-            weights[value] = weights.get(value, 0) + weight
+        for _senders, batch_weights, values, _cast in final_votes:
+            for k, weight in zip(values.tolist(), batch_weights.tolist()):
+                value = candidates[k]
+                weights[value] = weights.get(value, 0) + weight
         final_tally = resolve_quorum(weights, ctx.tau_final, ctx.t_final)
         if winner == EMPTY_HASH:
             block = make_empty_block(

@@ -38,6 +38,7 @@ from repro.sim import crypto
 from repro.sim.ba_star import count_votes, resolve_quorum
 from repro.sim.fastpath import DEFAULT_HOP_QUANTILE, fit_latency_model
 from repro.sim.roles import RewardAllocation, RoleSnapshot
+from repro.sim.sortition import Role, sortition
 
 
 def _paired_config(**overrides) -> SimulationConfig:
@@ -120,16 +121,103 @@ class TestVrfHotLoopExact:
         Sweeps the proposer (0), step (1000+s), and final (2000+s) tag
         domains across degenerate and extreme (seed, round) pairs — the
         batched path must reproduce ``crypto.vrf_evaluate`` exactly, not
-        just statistically.
+        just statistically, on every row of one multi-domain batch.
         """
         simulation = FastSimulation(_paired_config(backend="fast"))
-        for tag in (0, 1_000 + 1, 1_000 + 13, 2_000 + 10_000):
-            batch = simulation._vrf_values(round_seed, round_index, tag)
+        tags = (0, 1_000 + 1, 1_000 + 13, 2_000 + 10_000)
+        batch = simulation._vrf_values(round_seed, round_index, tags)
+        assert batch.shape == (len(tags), simulation.config.n_nodes)
+        for row, tag in zip(batch, tags):
             reference = [
                 crypto.vrf_evaluate(keypair, round_seed, round_index, tag).value
                 for keypair in simulation._keypairs
             ]
-            assert batch.tolist() == reference
+            assert row.tolist() == reference
+
+
+class TestBatchedStepSortition:
+    """One batch of step domains equals per-node scalar sortition."""
+
+    def test_batch_rows_match_scalar_sortition(self):
+        simulation = FastSimulation(
+            _paired_config(backend="fast", offline_rate=0.2, stake_high=400.0)
+        )
+        config = simulation.config
+        stakes = simulation.stakes
+        total = simulation.total_stake()
+        units = np.array([int(s) for s in stakes], dtype=np.int64)
+        seed, round_index = simulation.sortition_seed, 3
+        steps = (1, 2, 3, 4, 5, 6)
+        batch = simulation._sortition(
+            Role.STEP, steps, round_index, seed, units, total
+        )
+        assert batch.shape == (len(steps), config.n_nodes)
+        for row, step in zip(batch, steps):
+            single = simulation._sortition(
+                Role.STEP, (step,), round_index, seed, units, total
+            )[0]
+            assert row.tolist() == single.tolist()
+            reference = [
+                sortition(
+                    keypair,
+                    seed,
+                    round_index,
+                    Role.STEP,
+                    stakes[i],
+                    total,
+                    config.tau_step,
+                    step,
+                ).weight
+                if simulation.behaviors[i].is_online
+                else 0
+                for i, keypair in enumerate(simulation._keypairs)
+            ]
+            assert row.tolist() == reference
+
+
+class TestMatmulTally:
+    """The one-matmul tally equals a per-node resolve_quorum reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_tally_matches_per_node_reference(self, data):
+        simulation = FastSimulation(
+            _paired_config(backend="fast", n_nodes=12, seed=5, offline_rate=0.2)
+        )
+        hops = simulation._round_hops()
+        n, n_values, step = 12, 4, 5
+        batches = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            size = data.draw(st.integers(min_value=1, max_value=n))
+            senders = np.array(
+                data.draw(st.permutations(range(n)))[:size], dtype=np.intp
+            )
+            weights = np.array(
+                data.draw(st.lists(st.integers(1, 30), min_size=size, max_size=size)),
+                dtype=np.int64,
+            )
+            values = np.array(
+                data.draw(
+                    st.lists(st.integers(0, n_values - 1), min_size=size, max_size=size)
+                ),
+                dtype=np.intp,
+            )
+            cast_index = data.draw(st.integers(min_value=step - 3, max_value=step - 1))
+            batches.append((senders, weights, values, cast_index))
+        needed = 0.685 * 40.0
+        won = simulation._tally(batches, step, hops, n_values, needed)
+        config = simulation.config
+        for node in range(n):
+            weights = {}
+            for senders, batch_weights, values, cast_index in batches:
+                budget = simulation.latency.hop_budget(
+                    (step - cast_index) * config.step_timeout, config
+                )
+                for sender, weight, value in zip(senders, batch_weights, values):
+                    if hops[sender, node] <= budget:
+                        weights[int(value)] = weights.get(int(value), 0) + int(weight)
+            expected = resolve_quorum(weights, 40.0, 0.685)
+            assert won[node] == (-1 if expected is None else expected)
 
 
 class TestProposeSubUnitWeight:
