@@ -9,10 +9,10 @@ foundation scheme unravels toward All-D, and role-based sharing keeps
 cooperation stable with blocks produced.  Each size runs in a fresh
 subprocess so its peak RSS is honest (``ru_maxrss`` is a process
 lifetime maximum).  Results land in ``BENCH_dynamics.json`` at the repo
-root.
+root — only when every invariant holds (:func:`guard_violations`).
 
 Run via ``pytest benchmarks/bench_population_dynamics.py`` (the full
-sweep, a couple of minutes of which 10^6 is most), or directly::
+sweep, under a minute of which 10^6 is most), or directly::
 
     PYTHONPATH=src python benchmarks/bench_population_dynamics.py --sizes 100000
 """
@@ -43,6 +43,12 @@ CHUNK_AGENTS = 131_072
 EPOCHS = 20
 SEED = 2021
 SCHEMES = ("foundation", "role_based")
+
+#: Peak-RSS ceiling per size: within 2x of the streamed audit's ~124 MB
+#: envelope (``BENCH_scale.json``).  The run holds ~2 bytes per agent
+#: (synchrony draws and the realized profile) on top of O(chunk), ~2 MB
+#: at 10^6 agents.
+MAX_PEAK_RSS_MB = 248.0
 
 
 def _dynamics_spec(size: int, chunk_agents, epochs: int = EPOCHS):
@@ -129,8 +135,41 @@ def _chunk_invariance(size: int = 20_000) -> bool:
     return all(payload(chunk) == reference for chunk in (4096, 16384, 65536))
 
 
+def guard_violations(payload: Dict[str, object]) -> List[str]:
+    """Every acceptance invariant a ``BENCH_dynamics.json`` payload breaks.
+
+    Chunk invariance, the Section V verdicts at every size (naive
+    sharing unravels, role-based stabilizes with blocks produced) and
+    the peak-RSS envelope.  A payload this returns problems for is never
+    written.
+    """
+    problems = []
+    if payload["chunk_invariance_at_20k"] is not True:
+        problems.append("trajectories differ across chunk sizes at 2*10^4")
+    for row in payload["sizes"]:
+        size = row["n_agents"]
+        schemes = row["schemes"]
+        if not schemes["foundation"]["final_defection"] > 0.9:
+            problems.append(f"foundation did not unravel at {size} agents")
+        if not schemes["role_based"]["final_defection"] < 0.1:
+            problems.append(f"role_based did not stabilize at {size} agents")
+        if schemes["role_based"]["final_block"] is not True:
+            problems.append(f"role_based final block failed at {size} agents")
+        if not row["peak_rss_mb"] < MAX_PEAK_RSS_MB:
+            problems.append(
+                f"peak RSS {row['peak_rss_mb']:.0f} MB at {size} agents left "
+                f"the {MAX_PEAK_RSS_MB:.0f} MB envelope"
+            )
+    return problems
+
+
 def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict[str, object]:
-    """Sweep the sizes, verify the invariants, write ``BENCH_dynamics.json``."""
+    """Sweep the sizes, verify the invariants, write ``BENCH_dynamics.json``.
+
+    Raises ``AssertionError`` instead of writing when the payload breaks
+    :func:`guard_violations`: the committed record stays the last one
+    that held.
+    """
     import numpy
 
     from repro.telemetry import merge_snapshots
@@ -153,9 +192,10 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
             f"fitness + selected best response) over {FAMILY} populations "
             f"({FAMILY_PARAMS}), {EPOCHS} epochs, chunk_agents="
             f"{chunk_agents}, cooperation seeded at 0.9.  Peak RSS is "
-            "per-size (fresh subprocess per size) and stays O(chunk) while "
-            "population size grows.  chunk_invariance_at_20k asserts the "
-            "trajectories are byte-identical at four chunk sizes."
+            "per-size (fresh subprocess per size): O(chunk) plus ~2 bytes "
+            "per agent (held synchrony draws and realized profile).  "
+            "chunk_invariance_at_20k asserts the trajectories are "
+            "byte-identical at four chunk sizes."
         ),
         "family": FAMILY,
         "family_params": FAMILY_PARAMS,
@@ -165,6 +205,11 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
         "sizes": rows,
         "telemetry": merge_snapshots(snapshots),
     }
+    violations = guard_violations(payload)
+    if violations:
+        raise AssertionError(
+            "not writing BENCH_dynamics.json: " + "; ".join(violations)
+        )
     _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
@@ -196,20 +241,8 @@ def _format_report(payload: Dict[str, object]) -> str:
 
 
 def test_bench_population_dynamics(report):
-    """Pytest entry point: run the sweep and check the Section V verdicts."""
-    payload = run_benchmark()
-    assert payload["chunk_invariance_at_20k"] is True
-    largest = payload["sizes"][-1]
-    schemes = largest["schemes"]
-    # Section V at scale: naive sharing unravels, role-based stabilizes.
-    assert schemes["foundation"]["final_defection"] > 0.9
-    assert schemes["role_based"]["final_defection"] < 0.1
-    assert schemes["role_based"]["final_block"] is True
-    # O(chunk) memory: within 2x of the PR 5 audit's ~124 MB envelope.
-    assert largest["peak_rss_mb"] < 248, (
-        "peak RSS left the O(chunk) envelope — the streaming contract broke"
-    )
-    report(_format_report(payload))
+    """Pytest entry point: run the sweep; it fails before writing a bad record."""
+    report(_format_report(run_benchmark()))
 
 
 def main(argv=None) -> int:

@@ -753,8 +753,8 @@ def main(argv=None) -> int:
         "--dtype",
         default="float64",
         choices=["float64", "float32"],
-        help="stake/cost storage dtype for the 'scale' experiment "
-        "(float32 halves memory; arithmetic stays float64)",
+        help="stake/cost storage dtype for the 'scale' and 'dynamics' "
+        "experiments (float32 halves memory; arithmetic stays float64)",
     )
     parser.add_argument(
         "--scheme",

@@ -4,29 +4,31 @@ The in-memory scenario driver (:mod:`repro.scenarios.dynamics`) holds a
 whole :class:`~repro.core.game.AlgorandGame` per epoch — ideal at 10^2
 players, an OOM at exchange scale.  This module evolves one huge
 population (a :class:`~repro.populations.spec.PopulationSpec`) through
-replicator or synchronous best-response epochs **blockwise**, in O(chunk)
-memory, reusing the population audit's selection/chunk-context pass
-(:mod:`repro.schemes.population_audit`) so dynamics and audits share one
-streaming substrate:
+replicator or synchronous best-response epochs **blockwise** — O(chunk)
+working memory plus ~2 held bytes per agent — reusing the population
+audit's selection/chunk-context pass (:mod:`repro.schemes.population_audit`)
+so dynamics and audits share one streaming substrate:
 
 1. **Structure pass** — stake-weighted sortition selects the leaders and
    committee, Algorithm 1 calibrates ``(b_i, alpha, beta)`` at the
    all-cooperate profile, and pool tables are expanded — exactly
    :func:`~repro.schemes.population_audit._build_structure`.
-2. **Per epoch, two streamed passes.**  The *measure* pass realizes the
-   epoch's strategy profile (crowd thresholds + selected best responses),
-   folds per-pool class weights, costs and the strong-synchrony defector
-   census with the block-stable reductions, and emits an
-   :class:`~repro.scenarios.dynamics.EpochRecord`.  The *update* pass
-   replays the profile and evaluates each crowd agent's **counterfactual**
-   payoffs — what it would earn if it alone played C (resp. D) — with the
-   audit's closed-form pool algebra; a
+2. **Synchrony census** — the pre-selection strong-synchrony draws are
+   made once per run and held, one bool per agent, for every later pass.
+3. **Per epoch, two streamed passes.**  The *measure* pass realizes the
+   epoch's strategy profile (crowd thresholds + selected best responses)
+   into one held int8 array, folds per-pool class weights, costs and the
+   strong-synchrony defector census with the block-stable reductions,
+   and emits an :class:`~repro.scenarios.dynamics.EpochRecord`.  The
+   *update* pass reads that profile back and evaluates each crowd
+   agent's **counterfactual** payoffs — what it would earn if it alone
+   played C (resp. D) — with the audit's closed-form pool algebra; a
    :class:`~repro.core.dynamics.ReplicatorAccumulator` folds the sums and
    steps the crowd share once per epoch, while the selected agents revise
    by exact synchronous best response in both update modes (they are the
    mechanism's performers; their incentives, not the crowd means, are what
    separates the schemes).
-3. **Stake churn** (optional) replays per-epoch resampling draws from the
+4. **Stake churn** (optional) replays per-epoch resampling draws from the
    population's seed-block tree (any generator family, including the
    ``exchange_snapshot`` bootstrap), with the selected agents' stakes
    pinned so the epoch-0 calibration and quorum threshold stay exact.
@@ -93,8 +95,12 @@ from repro.schemes.population_audit import (
     _chunk_context,
     _chunks,
     _ChunkContext,
+    _membership,
+    _PaymentFold,
+    _pool_weight,
     _pool_weights,
     _Structure,
+    _sync_mask,
 )
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS
@@ -133,8 +139,8 @@ class PopulationDynamicsSpec:
     n_epochs / update_rule:
         Epochs beyond the initial state, evolved by ``"replicator"``
         (crowd share dynamics + selected best response) or
-        ``"best_response"`` (everyone revises synchronously; keeps one
-        behavior byte per agent — the documented O(n) concession).
+        ``"best_response"`` (everyone revises synchronously).  Both
+        rules hold the realized profile, one byte per agent.
     replicator_intensity / replicator_mutation:
         Selection intensity and trembling term of
         :func:`repro.core.dynamics.replicator_step`.
@@ -296,6 +302,8 @@ class _Engine:
     churn_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]]
     #: The run's chunk source, iterated once per pass (see ``_chunks``).
     chunks: Iterable[PopulationArrays]
+    sync: np.ndarray  # (N,) pre-selection strong-synchrony draws, held
+    profile: np.ndarray  # (N,) int8 realized profile (0=C, 1=D), held
 
     @property
     def table(self):
@@ -308,7 +316,6 @@ class _EpochAggregates:
     """One measured epoch: realized pool totals, census and record."""
 
     totals: np.ndarray  # (P,) realized pool weight totals
-    rates: np.ndarray  # (P,) pool payout per unit weight (0 if no block)
     block_success: bool
     leader_coop: int
     committee_tally: float
@@ -332,13 +339,14 @@ def _build_engine(
     structure: _Structure,
     chunks: Iterable[PopulationArrays],
 ) -> _Engine:
-    """Census pass: count the synchrony split of the online crowd."""
+    """Census pass: draw synchrony once and count the online crowd's split."""
     config = structure.config
     pop = spec.population
-    n_sync = 0
-    for chunk in chunks:
-        ctx = _chunk_context(structure, pop, chunk)
-        n_sync += int(np.count_nonzero(ctx.sync))
+    sync = np.concatenate([_sync_mask(pop, config, chunk) for chunk in chunks])
+    # The selected agents perform their role: they are not sync crowd.
+    n_sync = int(np.count_nonzero(sync)) - int(
+        np.count_nonzero(sync[structure.selected_index])
+    )
     n_crowd = pop.size - config.n_selected
     table = structure.tables[scheme_name]
     cost_vec = np.array(
@@ -369,6 +377,8 @@ def _build_engine(
         n_nonsync=n_crowd - n_sync,
         churn_sampler=churn_sampler,
         chunks=chunks,
+        sync=sync,
+        profile=np.zeros(pop.size, dtype=np.int8),
     )
 
 
@@ -399,6 +409,15 @@ def _thresholds(engine: _Engine, share: float) -> Tuple[float, float]:
     spill = max(0.0, defect_mass - engine.n_nonsync)
     p_sync = min(1.0, spill / engine.n_sync) if engine.n_sync else 0.0
     return p_nonsync, p_sync
+
+
+def _pin_selected(
+    engine: _Engine, chunk: PopulationArrays, column: np.ndarray, values: np.ndarray
+) -> None:
+    """Set the in-chunk selected agents' entries of a chunk column."""
+    index = engine.structure.selected_index
+    in_chunk = (index >= chunk.offset) & (index < chunk.offset + chunk.n_agents)
+    column[index[in_chunk] - chunk.offset] = values[in_chunk]
 
 
 def _churned_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.ndarray:
@@ -435,59 +454,57 @@ def _churned_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.n
         raise ConfigurationError(
             "churn family produced non-positive or non-finite stakes"
         )
-    structure = engine.structure
-    in_chunk = (structure.selected_index >= chunk.offset) & (
-        structure.selected_index < chunk.offset + chunk.n_agents
-    )
-    local = structure.selected_index[in_chunk] - chunk.offset
-    stake[local] = structure.selected_stake[in_chunk]
+    _pin_selected(engine, chunk, stake, engine.structure.selected_stake)
     return stake
 
 
 def _epoch_context(
+    engine: _Engine, chunk: PopulationArrays, epoch: int
+) -> _ChunkContext:
+    """One chunk's context at a given epoch under the held profile.
+
+    Actions are the chunk's slice of :attr:`_Engine.profile` (selected
+    agents included), stakes the epoch's churned stakes and the
+    synchrony mask the census pass's held draw.
+    """
+    rows = slice(chunk.offset, chunk.offset + chunk.n_agents)
+    return _chunk_context(
+        engine.structure,
+        engine.spec.population,
+        chunk,
+        stake=_churned_stake(engine, chunk, epoch),
+        actions=engine.profile[rows],
+        sync=engine.sync[rows],
+    )
+
+
+def _realize(
     engine: _Engine,
     chunk: PopulationArrays,
     epoch: int,
     thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
-    crowd_behavior: Optional[np.ndarray],
-) -> _ChunkContext:
-    """One chunk's realized context at a given epoch.
+) -> None:
+    """Realize one chunk's epoch profile into :attr:`_Engine.profile`.
 
     Crowd actions come from the epoch's uniform draws against
-    ``thresholds`` (replicator realization — deterministic replay: the
-    update pass rebuilds the previous epoch's profile from the same
-    draws), or from the persistent ``crowd_behavior`` array when
+    ``thresholds``, or stay as the last update pass revised them when
     ``thresholds`` is None (best-response mode).  Selected agents play
     their current best-response actions.
     """
-    structure = engine.structure
-    pop = engine.spec.population
-    ctx = _chunk_context(
-        structure, pop, chunk, stake=_churned_stake(engine, chunk, epoch)
-    )
+    rows = slice(chunk.offset, chunk.offset + chunk.n_agents)
+    profile = engine.profile[rows]
     if thresholds is not None:
-        uniforms = pop.chunk_draws(
+        uniforms = engine.spec.population.chunk_draws(
             chunk.offset,
             chunk.n_agents,
             f"{_REALIZE_COLUMN}.{epoch}",
             lambda rng, n: rng.random(n),
         )
-        level = np.where(ctx.sync, thresholds[1], thresholds[0])
-        actions = (uniforms < level).astype(np.int8)
-    else:
-        assert crowd_behavior is not None
-        actions = crowd_behavior[
-            chunk.offset : chunk.offset + chunk.n_agents
-        ].copy()
-    in_chunk = (structure.selected_index >= chunk.offset) & (
-        structure.selected_index < chunk.offset + chunk.n_agents
-    )
-    local = structure.selected_index[in_chunk] - chunk.offset
-    actions[local] = sel_action[in_chunk]
-    ctx.action = actions
-    ctx.coop = actions == 0
-    return ctx
+        # Selected rows draw a crowd level too; their action is set below.
+        level = np.where(engine.sync[rows], thresholds[1], thresholds[0])
+        profile[:] = uniforms < level
+    _pin_selected(engine, chunk, profile, sel_action)
 
 
 def _measure_pass(
@@ -495,11 +512,8 @@ def _measure_pass(
     epoch: int,
     thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
-    crowd_behavior: Optional[np.ndarray],
-    store_behavior: Optional[np.ndarray] = None,
 ) -> _EpochAggregates:
-    """Stream the epoch's realized profile and fold its aggregates."""
-    spec = engine.spec
+    """Realize the epoch's profile, hold it, and fold its aggregates."""
     structure = engine.structure
     table = engine.table
     P = len(table.kinds)
@@ -512,18 +526,13 @@ def _measure_pass(
     sole_candidates: List[int] = []
 
     for chunk in engine.chunks:
-        ctx = _epoch_context(
-            engine, chunk, epoch, thresholds, sel_action, crowd_behavior
-        )
-        if store_behavior is not None:
-            store_behavior[chunk.offset : chunk.offset + ctx.n] = ctx.action
-        weights = _pool_weights(
+        _realize(engine, chunk, epoch, thresholds, sel_action)
+        ctx = _epoch_context(engine, chunk, epoch)
+        contribution = _pool_weights(
             table, ctx.stake, ctx.cost_multiplier, ctx.roles, engine.cost_vec
         )
-        member = np.empty((P, ctx.n), dtype=bool)
         for p in range(P):
-            member[p] = table.lookup[p, ctx.roles, ctx.action]
-        contribution = weights * member
+            contribution[p] *= _membership(table.lookup[p], ctx)
         weight_coop = blockwise_row_sums(
             np.where(ctx.coop, contribution, 0.0), start=weight_coop
         )
@@ -573,7 +582,7 @@ def _measure_pass(
     reward_coop = float(np.dot(rates, weight_coop))
     reward_defect = float(np.dot(rates, weight_defect))
 
-    size = spec.population.size
+    size = engine.spec.population.size
     n_defect = size - n_coop
     mean_coop = (reward_coop - coop_cost_sum) / n_coop if n_coop else 0.0
     mean_defect = (
@@ -596,7 +605,6 @@ def _measure_pass(
     sole = sole_candidates[0] if sync_defectors == 1 else None
     return _EpochAggregates(
         totals=totals,
-        rates=rates,
         block_success=block_success,
         leader_coop=leader_coop,
         committee_tally=committee_tally,
@@ -627,59 +635,38 @@ def _chunk_counterfactuals(
 
     Valid for online-crowd rows; selected rows are handled scalar-side
     by :func:`_selected_best_responses` and masked out by the caller.
+    The pools fold pool-major through the audit's :class:`_PaymentFold`.
     """
     table = engine.table
     totals = aggregates.totals
-    P = len(table.kinds)
     n = ctx.n
-    weights = _pool_weights(
-        table, ctx.stake, ctx.cost_multiplier, ctx.roles, engine.cost_vec
-    )
-    member = np.empty((P, n), dtype=bool)
-    member_c = np.empty((P, n), dtype=bool)
-    member_d = np.empty((P, n), dtype=bool)
-    for p in range(P):
-        member[p] = table.lookup[p, ctx.roles, ctx.action]
-        member_c[p] = table.lookup[p, ctx.roles, 0]
-        member_d[p] = table.lookup[p, ctx.roles, 1]
-    contribution = weights * member
-    slice_budget = engine.slice_budget
-
-    def pool_payments(member_new: np.ndarray) -> np.ndarray:
-        """Per-agent rewards if each agent *alone* held the new membership."""
-        rewards = np.zeros(n)
-        for p in range(P):
-            new_contribution = weights[p] * member_new[p]
-            new_totals = totals[p] - contribution[p] + new_contribution
-            payable = (new_contribution > 0) & (new_totals > 0)
-            pool_reward = np.zeros(n)
-            np.divide(
-                slice_budget[p] * new_contribution,
-                new_totals,
-                out=pool_reward,
-                where=payable,
-            )
-            rewards += pool_reward
-        return rewards
-
-    if aggregates.block_success:
-        utility_c = pool_payments(member_c) - ctx.coop_cost
-        utility_d = (
-            np.where(ctx.sync, 0.0, pool_payments(member_d)) - ctx.sortition_cost
-        )
+    block = aggregates.block_success
+    sole = aggregates.sole_sync_defector
+    restore = aggregates.restorable and 0 <= sole - ctx.offset < n
+    rewards_c = np.zeros(n)
+    rewards_d = np.zeros(n)
+    if block or restore:
+        deviations = [(0, rewards_c), (1, rewards_d)] if block else [(0, rewards_c)]
+        contribution = np.empty(n)
+        fold = _PaymentFold(n)
+        for p in range(len(table.kinds)):
+            weight = _pool_weight(table, p, ctx.stake, ctx.coop_cost)
+            lookup = table.lookup[p]
+            np.multiply(weight, _membership(lookup, ctx), out=contribution)
+            budget = (engine.slice_budget[p],)
+            for action, rewards in deviations:
+                member = _membership(lookup, ctx, action)
+                fold.add(totals[p], contribution, weight, member, budget, (rewards,))
+    if block:
+        utility_c = rewards_c - ctx.coop_cost
+        rewards_d[ctx.sync] = 0.0  # a sync cooperator's exit breaks the block
+        utility_d = rewards_d - ctx.sortition_cost
     else:
-        utility_c = -ctx.coop_cost.copy()
-        utility_d = -ctx.sortition_cost.copy()
-        sole = aggregates.sole_sync_defector
-        if (
-            aggregates.restorable
-            and sole is not None
-            and ctx.offset <= sole < ctx.offset + n
-        ):
+        utility_c = -ctx.coop_cost
+        utility_d = -ctx.sortition_cost
+        if restore:
             local = sole - ctx.offset
-            utility_c[local] = (
-                pool_payments(member_c)[local] - ctx.coop_cost[local]
-            )
+            utility_c[local] = rewards_c[local] - ctx.coop_cost[local]
     return utility_c, utility_d
 
 
@@ -748,17 +735,15 @@ def _update_pass(
     engine: _Engine,
     aggregates: _EpochAggregates,
     prev_epoch: int,
-    thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
-    crowd_behavior: Optional[np.ndarray],
     share: float,
 ) -> Tuple[float, np.ndarray]:
-    """Replay the previous epoch's profile and compute the revisions.
+    """Read back the previous epoch's held profile and compute the revisions.
 
     Returns ``(next crowd share, next selected actions)``; in
-    best-response mode the crowd's new actions are written back into
-    ``crowd_behavior`` in place (each chunk replays from its pre-update
-    slice, so the synchronous semantics hold).
+    best-response mode the crowd's new actions are written back into the
+    held profile in place (each chunk reads its slice before writing it,
+    so the synchronous semantics hold).
     """
     spec = engine.spec
     registry = get_registry()
@@ -768,15 +753,12 @@ def _update_pass(
         intensity=spec.replicator_intensity, mutation=spec.replicator_mutation
     )
     for chunk in engine.chunks:
-        ctx = _epoch_context(
-            engine, chunk, prev_epoch, thresholds, sel_action, crowd_behavior
-        )
+        ctx = _epoch_context(engine, chunk, prev_epoch)
         utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates)
         crowd = ctx.roles == _ONLINE
         if spec.update_rule == "replicator":
             accumulator.fold(utility_c, utility_d, include=crowd)
         else:
-            assert crowd_behavior is not None
             switched = np.where(
                 ctx.coop,
                 np.where(utility_d > utility_c + _BR_TOLERANCE, 1, 0),
@@ -784,9 +766,8 @@ def _update_pass(
             ).astype(np.int8)
             if telemetry:
                 crowd_revisions += int(np.sum(crowd & (switched != ctx.action)))
-            crowd_behavior[chunk.offset : chunk.offset + ctx.n] = np.where(
-                crowd, switched, ctx.action
-            )
+            rows = slice(chunk.offset, chunk.offset + ctx.n)
+            np.copyto(engine.profile[rows], switched, where=crowd)
     next_selected = _selected_best_responses(engine, aggregates, sel_action)
     if telemetry:
         revisions = registry.counter(
@@ -824,11 +805,6 @@ def run_population_dynamics(
     structure = _build_structure([resolved], spec.population, config, chunks)
     engine = _build_engine(spec, resolved.name, structure, chunks)
     sel_action = np.zeros(engine.config.n_selected, dtype=np.int8)
-    crowd_behavior = (
-        np.zeros(spec.population.size, dtype=np.int8)
-        if spec.update_rule == "best_response"
-        else None
-    )
     share = _initial_share(spec, engine)
     trajectory = ScenarioTrajectory(
         scenario=spec.name,
@@ -854,28 +830,18 @@ def run_population_dynamics(
         "dynamics.run", agents=spec.population.size, epochs=spec.n_epochs
     ):
         thresholds: Optional[Tuple[float, float]] = _thresholds(engine, share)
-        aggregates = _measure_pass(
-            engine, 0, thresholds, sel_action, None, store_behavior=crowd_behavior
-        )
+        aggregates = _measure_pass(engine, 0, thresholds, sel_action)
         trajectory.records.append(aggregates.record)
         for epoch in range(1, spec.n_epochs + 1):
             epoch_started = time.perf_counter() if telemetry else 0.0
             share, sel_action = _update_pass(
-                engine,
-                aggregates,
-                epoch - 1,
-                thresholds,
-                sel_action,
-                crowd_behavior,
-                share,
+                engine, aggregates, epoch - 1, sel_action, share
             )
             if spec.update_rule == "replicator":
                 thresholds = _thresholds(engine, share)
             else:
                 thresholds = None
-            aggregates = _measure_pass(
-                engine, epoch, thresholds, sel_action, crowd_behavior
-            )
+            aggregates = _measure_pass(engine, epoch, thresholds, sel_action)
             trajectory.records.append(aggregates.record)
             if telemetry:
                 m_epochs.labels(scheme=resolved.name).inc()

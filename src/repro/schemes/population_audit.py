@@ -776,11 +776,11 @@ def _chunk_context(
     overrides ``stake`` (churned stakes) and ``actions`` (the epoch's
     realized strategy profile, 0=C / 1=D for *every* position including
     the selected agents, which revise by best response there instead of
-    performing unconditionally).  The fused grid pass overrides ``sync``
-    with the chunk's pre-selection Bernoulli draws so one
-    :func:`_sync_mask` evaluation serves every grid cell; the draws are
-    copied before the selection mask is applied, so a shared array is
-    never mutated.
+    performing unconditionally).  The fused grid pass and the dynamics
+    driver override ``sync`` with pre-selection Bernoulli draws so one
+    :func:`_sync_mask` evaluation serves every grid cell (every epoch);
+    the draws are copied before the selection mask is applied, so a
+    shared array is never mutated.
     """
     config = structure.config
     n = chunk.n_agents
@@ -850,6 +850,44 @@ def _membership(
     return mask
 
 
+class _PaymentFold:
+    """Pool-major unilateral-switch payments through reused ``out=`` buffers.
+
+    Shared by the audit's gain kernel and the dynamics' counterfactuals.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.new_contribution = np.empty(n)
+        self.new_totals = np.empty(n)
+        self.scratch = np.empty(n)
+        self.payable = np.empty(n, dtype=bool)
+        self.positive = np.empty(n, dtype=bool)
+
+    def add(
+        self,
+        total: float,
+        contribution: np.ndarray,
+        weight: np.ndarray,
+        member_new: np.ndarray,
+        slice_budgets: Sequence[float],
+        rewards: Sequence[np.ndarray],
+    ) -> None:
+        """Add a pool's payment per budget if each agent *alone* switched."""
+        new_contribution, new_totals = self.new_contribution, self.new_totals
+        scratch, payable = self.scratch, self.payable
+        np.multiply(weight, member_new, out=new_contribution)
+        np.subtract(total, contribution, out=new_totals)
+        np.add(new_totals, new_contribution, out=new_totals)
+        np.greater(new_contribution, 0, out=payable)
+        np.greater(new_totals, 0, out=self.positive)
+        np.logical_and(payable, self.positive, out=payable)
+        for acc, slice_budget in zip(rewards, slice_budgets):
+            np.multiply(slice_budget, new_contribution, out=scratch)
+            np.divide(scratch, new_totals, out=scratch, where=payable)
+            # Rewards are >= +0.0, so skipping a +0.0 add is exact.
+            np.add(acc, scratch, out=acc, where=payable)
+
+
 @dataclass
 class _CellGains:
     """One budget cell's per-agent deviation gains over one chunk.
@@ -905,46 +943,33 @@ def _chunk_gains(
     rewards_c = [np.zeros(n) for _ in cells]
     rewards_d = [np.zeros(n) for _ in cells]
     contribution = np.empty(n)
-    new_contribution = np.empty(n)
-    new_totals = np.empty(n)
-    scratch = np.empty(n)
-    payable = np.empty(n, dtype=bool)
-    positive = np.empty(n, dtype=bool)
+    fold = _PaymentFold(n)
+    scratch = fold.scratch  # free whenever no fold.add is in progress
 
     sole_local: Optional[int] = None
     sole = head.sole_sync_defector
     if head.base_block_fails and sole is not None and 0 <= sole - ctx.offset < n:
         sole_local = sole - ctx.offset
 
-    def fold_payments(
-        p: int, weight: np.ndarray, member_new: np.ndarray, rewards: List[np.ndarray]
-    ) -> None:
-        """Add pool ``p``'s reward if each agent *alone* played the new action."""
-        np.multiply(weight, member_new, out=new_contribution)
-        np.subtract(totals[p], contribution, out=new_totals)
-        np.add(new_totals, new_contribution, out=new_totals)
-        np.greater(new_contribution, 0, out=payable)
-        np.greater(new_totals, 0, out=positive)
-        np.logical_and(payable, positive, out=payable)
-        for acc, slice_budget in zip(rewards, slice_budgets):
-            np.multiply(slice_budget[p], new_contribution, out=scratch)
-            np.divide(scratch, new_totals, out=scratch, where=payable)
-            # Rewards are >= +0.0, so skipping a +0.0 add is exact.
-            np.add(acc, scratch, out=acc, where=payable)
+    # Deviations to fold: C and D, or only the sole defector's C.
+    if not head.base_block_fails:
+        deviations = [(0, rewards_c), (1, rewards_d)]
+    else:
+        deviations = [(0, rewards_c)] if sole_local is not None else []
 
     for p in range(len(table.kinds)):
         weight = _pool_weight(table, p, ctx.stake, ctx.coop_cost)
         lookup = table.lookup[p]
         np.multiply(weight, _membership(lookup, ctx), out=contribution)
+        budgets = [slice_budget[p] for slice_budget in slice_budgets]
         if not head.base_block_fails:
-            for acc, slice_budget in zip(base, slice_budgets):
-                rate = slice_budget[p] / totals[p] if totals[p] > 0 else 0.0
+            for acc, budget in zip(base, budgets):
+                rate = budget / totals[p] if totals[p] > 0 else 0.0
                 np.multiply(rate, contribution, out=scratch)
                 acc += scratch
-            fold_payments(p, weight, _membership(lookup, ctx, 0), rewards_c)
-            fold_payments(p, weight, _membership(lookup, ctx, 1), rewards_d)
-        elif sole_local is not None:
-            fold_payments(p, weight, _membership(lookup, ctx, 0), rewards_c)
+        for action, rewards in deviations:
+            member_new = _membership(lookup, ctx, action)
+            fold.add(totals[p], contribution, weight, member_new, budgets, rewards)
 
     if head.base_block_fails:
         # No block, no rewards — in the base profile and after any

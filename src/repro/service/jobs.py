@@ -150,6 +150,14 @@ def _backend(params: Mapping[str, Any]) -> Optional[str]:
     return backend
 
 
+def _dtype(params: Mapping[str, Any]) -> str:
+    """The population storage dtype (the CLI's ``--dtype`` choices)."""
+    dtype = params.get("dtype", "float64")
+    if dtype not in ("float64", "float32"):
+        raise ConfigurationError(f"'dtype' must be float64 or float32, got {dtype!r}")
+    return dtype
+
+
 def _family_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     raw = params.get("family_params", {})
     if not isinstance(raw, Mapping):
@@ -178,9 +186,7 @@ def _prepare_audit(raw: Mapping[str, Any]) -> PreparedJob:
     from repro.analysis.scale import ScaleConfig
 
     _reject_unknown("audit", raw, _AUDIT_FIELDS)
-    dtype = raw.get("dtype", "float64")
-    if dtype not in ("float64", "float32"):
-        raise ConfigurationError(f"'dtype' must be float64 or float32, got {dtype!r}")
+    dtype = _dtype(raw)
     config = ScaleConfig(
         family=raw.get("family", "zipf"),
         family_params=_family_params(raw),
@@ -228,6 +234,7 @@ _DYNAMICS_FIELDS = (
     "family_params",
     "agents",
     "chunk_agents",
+    "dtype",
     "epochs",
     "schemes",
     "seed",
@@ -248,6 +255,7 @@ def _prepare_dynamics(raw: Mapping[str, Any]) -> PreparedJob:
         size=_int(raw, "agents", 24_576),
         params=_family_params(raw),
         cooperation=0.9,
+        dtype=_dtype(raw),
         seed=seed,
     )
     schemes = _schemes(raw, ("foundation", "role_based"))
@@ -257,6 +265,7 @@ def _prepare_dynamics(raw: Mapping[str, Any]) -> PreparedJob:
         "family_params": dict(population.params),
         "agents": population.size,
         "chunk_agents": _int(raw, "chunk_agents", DEFAULT_CHUNK_AGENTS),
+        "dtype": population.dtype,
         "epochs": _int(raw, "epochs", 6),
         "schemes": list(schemes),
         "seed": seed,

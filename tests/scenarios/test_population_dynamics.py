@@ -146,6 +146,61 @@ class TestGoldenTrajectories:
         assert final_r["n_defecting"] == 0  # stabilized
         assert final_r["block_success"] is True
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            path
+            for path in sorted(_GOLDEN_DIR.glob("population_dynamics_*.json"))
+            if "spec" in json.loads(path.read_text())
+        ],
+        ids=lambda path: path.stem[len("population_dynamics_") :],
+    )
+    def test_case_golden_replay_is_bit_identical(self, path):
+        """Self-describing fixtures: rule, churn, scheme and dtype paths."""
+        golden = json.loads(path.read_text())
+        spec = PopulationDynamicsSpec.from_params(golden["spec"])
+        replayed = run_population_dynamics(spec, golden["scheme"]).to_payload()
+        assert json.dumps(replayed, sort_keys=True) == json.dumps(
+            golden["trajectory"], sort_keys=True
+        )
+
+    def test_case_goldens_cover_the_unpinned_paths(self):
+        cases = [
+            json.loads(path.read_text())
+            for path in _GOLDEN_DIR.glob("population_dynamics_*.json")
+        ]
+        specs = [case["spec"] for case in cases if "spec" in case]
+        assert {case["scheme"] for case in cases if "spec" in case} >= {
+            "foundation",
+            "role_based",
+            "irs",
+            "axiomatic_tau",
+        }
+        assert any(spec["update_rule"] == "best_response" for spec in specs)
+        assert any(spec["churn_rate"] > 0 for spec in specs)
+        assert any(spec["population"]["dtype"] == "float32" for spec in specs)
+
+    def test_sole_sync_defector_golden_has_a_restorable_epoch(self, monkeypatch):
+        """The fixture keeps exercising the sole-defector restore branch."""
+        from repro.scenarios import population_dynamics
+
+        golden = json.loads(
+            (_GOLDEN_DIR / "population_dynamics_sole_sync_defector.json").read_text()
+        )
+        restorable = []
+        measure = population_dynamics._measure_pass
+
+        def recording(*args, **kwargs):
+            aggregates = measure(*args, **kwargs)
+            restorable.append(aggregates.restorable)
+            return aggregates
+
+        monkeypatch.setattr(population_dynamics, "_measure_pass", recording)
+        run_population_dynamics(
+            PopulationDynamicsSpec.from_params(golden["spec"]), golden["scheme"]
+        )
+        assert any(restorable)
+
 
 class TestEngineBehavior:
     def test_trajectory_shape_and_metadata(self):
@@ -214,6 +269,64 @@ class TestEngineBehavior:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
             run_population_dynamics(_spec(), "no-such-scheme")
+
+
+class TestDrawCounts:
+    """Each run draws its epoch-invariant and per-epoch columns once."""
+
+    @staticmethod
+    def _counted_run(monkeypatch, update_rule, resident_bytes, chunk_agents):
+        from collections import Counter
+
+        from repro.populations import SEED_BLOCK
+        from repro.populations import spec as spec_module
+
+        monkeypatch.setattr(spec_module, "RESIDENT_BYTES", resident_bytes)
+        draws = Counter()
+        chunk_draws = PopulationSpec.chunk_draws
+
+        def counting(self, offset, n_agents, column, draw):
+            first = offset // SEED_BLOCK
+            last = (offset + n_agents - 1) // SEED_BLOCK
+            for block in range(first, last + 1):
+                draws[(column, block)] += 1
+            return chunk_draws(self, offset, n_agents, column, draw)
+
+        monkeypatch.setattr(PopulationSpec, "chunk_draws", counting)
+        spec = _spec(
+            population=_population(size=2 * SEED_BLOCK + 700),
+            n_epochs=4,
+            update_rule=update_rule,
+            chunk_agents=chunk_agents,
+        )
+        run_population_dynamics(spec, "role_based")
+        return spec, draws
+
+    @pytest.mark.parametrize("chunk_agents", [None, 8_192])
+    @pytest.mark.parametrize("resident_bytes", [0, 1 << 40], ids=["streamed", "resident"])
+    @pytest.mark.parametrize("update_rule", ["replicator", "best_response"])
+    def test_sync_and_realize_columns_are_drawn_once(
+        self, monkeypatch, update_rule, resident_bytes, chunk_agents
+    ):
+        spec, draws = self._counted_run(
+            monkeypatch, update_rule, resident_bytes, chunk_agents
+        )
+        blocks = range(spec.population.n_blocks)
+        # Once in the structure pass, once in the census — never per epoch.
+        sync = {block: draws[("audit.sync", block)] for block in blocks}
+        assert all(1 <= count <= 2 for count in sync.values()), sync
+        realize = {
+            key: count
+            for key, count in draws.items()
+            if key[0].startswith("dynamics.realize.")
+        }
+        # Best response realizes the crowd from draws at epoch 0 only.
+        epochs = range(spec.n_epochs + 1) if update_rule == "replicator" else (0,)
+        assert realize == {
+            (f"dynamics.realize.{epoch}", block): 1
+            for epoch in epochs
+            for block in blocks
+        }
 
 
 class TestCampaign:

@@ -50,6 +50,44 @@ class TestByteIdentity:
         served_bytes = harness.result(job["id"])
         assert served_bytes == cli_bytes
 
+    def test_served_float32_dynamics_equals_cli_dynamics(self, harness, tmp_path):
+        from repro.analysis.runner import run_experiment
+
+        params = {
+            "name": "dynamics-small",
+            "family": "lognormal",
+            "family_params": {"median": 10.0, "sigma": 1.0},
+            "agents": 8192,
+            "epochs": 2,
+            "schemes": ["role_based"],
+            "dtype": "float32",
+        }
+        run_experiment(
+            "dynamics",
+            scale="small",
+            out=tmp_path,
+            workers=1,
+            family="lognormal",
+            family_params=("median=10.0", "sigma=1.0"),
+            agents=params["agents"],
+            epochs=params["epochs"],
+            schemes=tuple(params["schemes"]),
+            dtype="float32",
+        )
+        cli_bytes = (tmp_path / "dynamics.json").read_bytes()
+
+        served = {}
+        for dtype in ("float32", "float64"):
+            status, body = harness.submit("dynamics", dict(params, dtype=dtype))
+            assert status in (200, 202)
+            assert body["job"]["params"]["dtype"] == dtype
+            job = harness.poll(body["job"]["id"])
+            assert job["state"] == "done"
+            served[dtype] = harness.result(job["id"])
+        assert served["float32"] == cli_bytes
+        # The cast is real: continuous stakes round differently.
+        assert served["float64"] != served["float32"]
+
     def test_repeat_submission_serves_identical_bytes(self, harness):
         first_status, first = harness.submit("audit", AUDIT_PARAMS)
         harness.poll(first["job"]["id"])

@@ -75,10 +75,11 @@ class TestMalformedParameters:
 
     def test_out_of_range_values_are_rejected(self, harness):
         assert "agents" in _submit_error(harness, "audit", {"agents": 0})["message"]
-        assert (
-            "dtype"
-            in _submit_error(harness, "audit", {"dtype": "float16"})["message"]
-        )
+        for kind in ("audit", "dynamics"):
+            assert (
+                "dtype"
+                in _submit_error(harness, kind, {"dtype": "float16"})["message"]
+            )
         assert (
             "backend"
             in _submit_error(harness, "scenarios", {"backend": "quantum"})[
