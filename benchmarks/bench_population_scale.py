@@ -8,7 +8,7 @@ acceptance invariant that the chunked path is bit-identical to the
 monolithic path on a size that fits in memory.  Each size runs in a
 fresh subprocess so its peak RSS is honest (``ru_maxrss`` is a process
 lifetime maximum).  Results land in ``BENCH_scale.json`` at the repo
-root.
+root — only when every invariant holds (:func:`guard_violations`).
 
 Also records the fused verdict-tensor audit: the full (scheme x budget
 x cost-scale) grid over the 10^7 population in **one** streamed pass
@@ -54,6 +54,11 @@ SEED = 2021
 GRID_AGENTS = 10_000_000
 GRID_BUDGETS = (1.0, 1.5, 2.0)
 GRID_COST_SCALES = (0.5, 1.0, 2.0)
+
+#: O(chunk) memory: the largest size's (and the fused grid's) peak RSS
+#: stays below this multiple of the smallest size's, while the
+#: population grows 1000x.
+RSS_GROWTH_LIMIT = 6
 
 
 def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
@@ -172,12 +177,43 @@ def _monolithic_match(size: int = 10_000) -> bool:
     )
 
 
+def guard_violations(payload: Dict[str, object]) -> List[str]:
+    """Every acceptance invariant a ``BENCH_scale.json`` payload breaks.
+
+    Chunked == monolithic verdicts, fused grid verdicts == per-cell
+    verdicts (and the fused pass faster), and the O(chunk) RSS envelope.
+    A payload this returns problems for is never written.
+    """
+    problems = []
+    if payload["monolithic_match_at_10k"] is not True:
+        problems.append("chunked verdicts differ from the monolithic path")
+    grid = payload["fused_grid"]
+    if grid["verdicts_match"] is not True:
+        problems.append("fused grid verdicts diverged from the per-cell baseline")
+    if not grid["speedup"] > 1.0:
+        problems.append(
+            f"fused grid audit ({grid['fused_elapsed_s']:.1f}s) is not faster "
+            f"than the per-cell baseline ({grid['per_cell_elapsed_s']:.1f}s)"
+        )
+    envelope = RSS_GROWTH_LIMIT * payload["sizes"][0]["peak_rss_mb"]
+    if not payload["sizes"][-1]["peak_rss_mb"] < envelope:
+        problems.append("peak RSS scaled with population size")
+    if not grid["fused_peak_rss_mb"] < envelope:
+        problems.append("fused grid audit RSS scaled with the number of cells")
+    return problems
+
+
 def run_benchmark(
     sizes=DEFAULT_SIZES,
     chunk_agents: int = CHUNK_AGENTS,
     grid_agents: int = GRID_AGENTS,
 ) -> Dict[str, object]:
-    """Sweep the sizes, verify the invariant, and write ``BENCH_scale.json``."""
+    """Sweep the sizes, verify the invariants, write ``BENCH_scale.json``.
+
+    Raises ``AssertionError`` instead of writing when the payload breaks
+    :func:`guard_violations`: the committed record stays the last one
+    that held.
+    """
     import numpy
 
     from repro.telemetry import merge_snapshots
@@ -246,6 +282,9 @@ def run_benchmark(
         },
         "telemetry": merge_snapshots(snapshots),
     }
+    violations = guard_violations(payload)
+    if violations:
+        raise AssertionError("not writing BENCH_scale.json: " + "; ".join(violations))
     _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
@@ -281,28 +320,8 @@ def _format_report(payload: Dict[str, object]) -> str:
 
 
 def test_bench_population_scale(report):
-    """Pytest entry point: run the sweep and print the record."""
-    payload = run_benchmark()
-    assert payload["monolithic_match_at_10k"] is True
-    # O(chunk) memory: RSS grows far slower than the 1000x population span.
-    first, last = payload["sizes"][0], payload["sizes"][-1]
-    assert last["peak_rss_mb"] < 6 * first["peak_rss_mb"], (
-        "peak RSS scaled with population size — the streaming contract broke"
-    )
-    grid = payload["fused_grid"]
-    assert grid["verdicts_match"], (
-        "fused grid verdicts diverged from the per-cell baseline"
-    )
-    assert grid["speedup"] > 1.0, (
-        f"fused grid audit ({grid['fused_elapsed_s']:.1f}s) is not faster "
-        f"than the per-cell baseline ({grid['per_cell_elapsed_s']:.1f}s)"
-    )
-    # The fused pass shares the streamed chunks across cells, so its RSS
-    # stays in the same O(chunk) band as a single-cell audit.
-    assert grid["fused_peak_rss_mb"] < 6 * first["peak_rss_mb"], (
-        "fused grid audit RSS scaled with the number of cells"
-    )
-    report(_format_report(payload))
+    """Pytest entry point: run the sweep; it fails before writing a bad record."""
+    report(_format_report(run_benchmark()))
 
 
 def main(argv=None) -> int:

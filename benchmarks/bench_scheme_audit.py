@@ -1,13 +1,14 @@
 """The IC audit engine: vectorized deviation payoffs vs the scalar oracle.
 
 Not a paper figure — tracks the speedup that makes scheme tournaments
-cheap: the audit's closed-form pool algebra computes every player's
-deviation payoff for a whole population batch in a few numpy passes,
-where the scalar oracle walks an :class:`AlgorandGame` one ``payoff``
-call at a time.  The two paths must agree to float tolerance (that is the
-audit's own correctness check); this benchmark records how much the
-vectorization buys and writes the measurement to ``BENCH_schemes.json``
-at the repo root.
+cheap: the audit's closed-form pool algebra (the shared kernel in
+:mod:`repro.schemes.deviation`) computes every player's deviation payoff
+for a whole population batch in a few numpy passes, where the scalar
+oracle walks an :class:`AlgorandGame` one ``payoff`` call at a time.  The
+two paths must agree to float tolerance (that is the audit's own
+correctness check); this benchmark records how much the vectorization
+buys and writes the measurement to ``BENCH_schemes.json`` at the repo
+root — only when the record passes :func:`guard_violations`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import platform
 import time
 from pathlib import Path
+from typing import Dict, List
 
 import numpy as np
 
@@ -39,12 +41,38 @@ _CONFIG = AuditConfig(
 
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_schemes.json"
 
+#: The vectorized gains must match the oracle to this tolerance...
+RTOL, ATOL = 1e-9, 1e-15
+
+#: ...and beat it by at least this factor (recorded: ~90x).
+MIN_SPEEDUP = 10.0
+
 
 def _machine() -> str:
     return (
         f"{os.cpu_count()}-core {platform.system()} container, "
         f"Python {platform.python_version()}, numpy {np.__version__}"
     )
+
+
+def guard_violations(payload: Dict[str, object]) -> List[str]:
+    """Every acceptance invariant a ``BENCH_schemes.json`` payload breaks.
+
+    The vectorized gains agree with the scalar oracle (same ``nan``
+    marks, values within tolerance) and the speedup clears its floor.  A
+    payload this returns problems for is never written.
+    """
+    problems = []
+    if payload["oracle_agrees"] is not True:
+        problems.append(
+            f"vectorized gains diverge from the scalar oracle "
+            f"(max |diff| {payload['max_abs_diff']:.3e})"
+        )
+    if not payload["speedup"] >= MIN_SPEEDUP:
+        problems.append(
+            f"speedup {payload['speedup']}x is below the {MIN_SPEEDUP:g}x floor"
+        )
+    return problems
 
 
 def test_bench_vectorized_audit_vs_scalar_oracle(benchmark, report):
@@ -70,7 +98,10 @@ def test_bench_vectorized_audit_vs_scalar_oracle(benchmark, report):
     _vectorized_gains(scheme, cell)
     vector_seconds = time.perf_counter() - start
 
-    np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-15, equal_nan=True)
+    agrees = bool(
+        np.array_equal(np.isnan(fast), np.isnan(slow))
+        and np.allclose(fast, slow, rtol=RTOL, atol=ATOL, equal_nan=True)
+    )
     max_diff = float(np.nanmax(np.abs(fast - slow)))
     speedup = scalar_seconds / vector_seconds
 
@@ -96,8 +127,14 @@ def test_bench_vectorized_audit_vs_scalar_oracle(benchmark, report):
         "vectorized_s": vector_seconds,
         "speedup": round(speedup, 1),
         "max_abs_diff": max_diff,
+        "oracle_agrees": agrees,
         "schemes_registered": scheme_names(),
     }
+    violations = guard_violations(payload)
+    if violations:
+        raise AssertionError(
+            "not writing BENCH_schemes.json: " + "; ".join(violations)
+        )
     _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     report(

@@ -316,29 +316,21 @@ def _run_scenarios(options: RunOptions) -> ExperimentOutcome:
 
 def _run_tournament(options: RunOptions) -> ExperimentOutcome:
     from repro.schemes.tournament import (
-        TOURNAMENT_AUDIT,
         TournamentConfig,
         run_tournament,
+        tournament_audit,
     )
 
     n_players, n_epochs, n_replications, simulate_rounds = _SCALES[options.scale][
         "tournament"
     ]
-    # Grid flags widen the league's audit operating points: every scheme
-    # must stay epsilon-IC at *all* requested (budget, cost-scale) cells
-    # to keep its IC margin.
-    audit = TOURNAMENT_AUDIT
-    if options.budget_multipliers:
-        audit = replace(audit, budget_multipliers=tuple(options.budget_multipliers))
-    if options.cost_scales:
-        audit = replace(audit, cost_scales=tuple(options.cost_scales))
     config = TournamentConfig(
         n_replications=n_replications,
         n_players=n_players,
         n_epochs=n_epochs,
         simulate_rounds=simulate_rounds,
         backend=options.backend,
-        audit=audit,
+        audit=tournament_audit(options.budget_multipliers, options.cost_scales),
     )
     if options.seed is not None:
         config = replace(config, seed=options.seed)

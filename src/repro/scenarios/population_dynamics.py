@@ -22,7 +22,8 @@ so dynamics and audits share one streaming substrate:
    and emits an :class:`~repro.scenarios.dynamics.EpochRecord`.  The
    *update* pass reads that profile back and evaluates each crowd
    agent's **counterfactual** payoffs — what it would earn if it alone
-   played C (resp. D) — with the audit's closed-form pool algebra; a
+   played C (resp. D) — through the audit's deviation kernel
+   (:mod:`repro.schemes.deviation`); a
    :class:`~repro.core.dynamics.ReplicatorAccumulator` folds the sums and
    steps the crowd share once per epoch, while the selected agents revise
    by exact synchronous best response in both update modes (they are the
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -88,17 +88,23 @@ from repro.populations.arrays import (
 from repro.populations.generators import resolve_sampler
 from repro.populations.spec import PopulationSpec
 from repro.scenarios.dynamics import EpochRecord, ScenarioTrajectory
-from repro.schemes.audit import _COMMITTEE, _LEADER, _ONLINE
+from repro.schemes.deviation import (
+    COMMITTEE,
+    LEADER,
+    ONLINE,
+    Agents,
+    PoolTables,
+    fold_rewards,
+    membership,
+    pool_weights,
+    role_costs,
+)
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _build_structure,
+    _check_oracle_fit,
     _chunk_context,
     _chunks,
-    _ChunkContext,
-    _membership,
-    _PaymentFold,
-    _pool_weight,
-    _pool_weights,
     _Structure,
     _sync_mask,
 )
@@ -291,11 +297,9 @@ class _Engine:
 
     spec: PopulationDynamicsSpec
     config: PopulationAuditConfig
-    scheme_name: str
     structure: _Structure
+    table: PoolTables  # the scheme's pools at the calibrated split
     slice_budget: np.ndarray  # (P,) pool budgets at the calibrated split
-    cost_vec: np.ndarray  # (3,) role cooperation costs
-    selected_weights: np.ndarray  # (P, k) pinned selected pool weights
     n_crowd: int
     n_sync: int  # strong-synchrony crowd agents
     n_nonsync: int
@@ -304,11 +308,6 @@ class _Engine:
     chunks: Iterable[PopulationArrays]
     sync: np.ndarray  # (N,) pre-selection strong-synchrony draws, held
     profile: np.ndarray  # (N,) int8 realized profile (0=C, 1=D), held
-
-    @property
-    def table(self):
-        """The scheme's expanded pool tables."""
-        return self.structure.tables[self.scheme_name]
 
 
 @dataclass
@@ -349,9 +348,6 @@ def _build_engine(
     )
     n_crowd = pop.size - config.n_selected
     table = structure.tables[scheme_name]
-    cost_vec = np.array(
-        [structure.costs.leader, structure.costs.committee, structure.costs.online]
-    )
     churn_sampler = None
     if spec.churn_rate > 0.0:
         churn_sampler = resolve_sampler(
@@ -361,17 +357,9 @@ def _build_engine(
     return _Engine(
         spec=spec,
         config=config,
-        scheme_name=scheme_name,
         structure=structure,
+        table=table,
         slice_budget=table.fractions * structure.b_i,
-        cost_vec=cost_vec,
-        selected_weights=_pool_weights(
-            table,
-            structure.selected_stake,
-            structure.selected_cost,
-            structure.selected_role,
-            cost_vec,
-        ),
         n_crowd=n_crowd,
         n_sync=n_sync,
         n_nonsync=n_crowd - n_sync,
@@ -460,7 +448,7 @@ def _churned_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.n
 
 def _epoch_context(
     engine: _Engine, chunk: PopulationArrays, epoch: int
-) -> _ChunkContext:
+) -> Agents:
     """One chunk's context at a given epoch under the held profile.
 
     Actions are the chunk's slice of :attr:`_Engine.profile` (selected
@@ -528,11 +516,9 @@ def _measure_pass(
     for chunk in engine.chunks:
         _realize(engine, chunk, epoch, thresholds, sel_action)
         ctx = _epoch_context(engine, chunk, epoch)
-        contribution = _pool_weights(
-            table, ctx.stake, ctx.cost_multiplier, ctx.roles, engine.cost_vec
-        )
+        contribution = pool_weights(table, ctx.stake, ctx.coop_cost)
         for p in range(P):
-            contribution[p] *= _membership(table.lookup[p], ctx)
+            contribution[p] *= membership(table.lookup[p], ctx)
         weight_coop = blockwise_row_sums(
             np.where(ctx.coop, contribution, 0.0), start=weight_coop
         )
@@ -556,13 +542,13 @@ def _measure_pass(
     assert weight_coop is not None and weight_defect is not None
     leader_coop = int(
         np.count_nonzero(
-            (structure.selected_role == _LEADER) & (sel_action == 0)
+            (structure.selected_role == LEADER) & (sel_action == 0)
         )
     )
     committee_tally = float(
         np.add.reduce(
             np.where(
-                (structure.selected_role == _COMMITTEE) & (sel_action == 0),
+                (structure.selected_role == COMMITTEE) & (sel_action == 0),
                 structure.selected_stake,
                 0.0,
             )
@@ -576,9 +562,7 @@ def _measure_pass(
     totals = weight_coop + weight_defect
     rates = np.zeros(P, dtype=np.float64)
     if block_success:
-        for p in range(P):
-            if totals[p] > 0:
-                rates[p] = engine.slice_budget[p] / totals[p]
+        np.divide(engine.slice_budget, totals, out=rates, where=totals > 0)
     reward_coop = float(np.dot(rates, weight_coop))
     reward_defect = float(np.dot(rates, weight_defect))
 
@@ -615,15 +599,14 @@ def _measure_pass(
 
 
 def _chunk_counterfactuals(
-    engine: _Engine, ctx: _ChunkContext, aggregates: _EpochAggregates
+    engine: _Engine, ctx: Agents, aggregates: _EpochAggregates
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-agent counterfactual payoffs ``(u_C, u_D)`` for one chunk.
 
     ``u_C[j]`` / ``u_D[j]`` are agent ``offset + j``'s payoffs if it
-    *alone* played C (resp. D) against the realized profile — the same
-    closed form as the audit's
-    :func:`~repro.schemes.population_audit._chunk_gains`, generalized
-    from the fixed target profile to an arbitrary realized one:
+    *alone* played C (resp. D) against the realized profile, from the
+    shared kernel (:func:`~repro.schemes.deviation.fold_rewards`) under
+    this driver's block rule:
 
     * **block produced** — a crowd cooperator's exit breaks the block
       only when it sits in the strong-synchrony set; everyone else's
@@ -633,30 +616,20 @@ def _chunk_counterfactuals(
       leaders and quorum are otherwise fine), whose return to C restores
       the block.
 
-    Valid for online-crowd rows; selected rows are handled scalar-side
-    by :func:`_selected_best_responses` and masked out by the caller.
-    The pools fold pool-major through the audit's :class:`_PaymentFold`.
+    Valid for online-crowd rows; selected rows are handled by
+    :func:`_selected_best_responses` and masked out by the caller.
     """
-    table = engine.table
-    totals = aggregates.totals
-    n = ctx.n
     block = aggregates.block_success
     sole = aggregates.sole_sync_defector
-    restore = aggregates.restorable and 0 <= sole - ctx.offset < n
-    rewards_c = np.zeros(n)
-    rewards_d = np.zeros(n)
-    if block or restore:
-        deviations = [(0, rewards_c), (1, rewards_d)] if block else [(0, rewards_c)]
-        contribution = np.empty(n)
-        fold = _PaymentFold(n)
-        for p in range(len(table.kinds)):
-            weight = _pool_weight(table, p, ctx.stake, ctx.coop_cost)
-            lookup = table.lookup[p]
-            np.multiply(weight, _membership(lookup, ctx), out=contribution)
-            budget = (engine.slice_budget[p],)
-            for action, rewards in deviations:
-                member = _membership(lookup, ctx, action)
-                fold.add(totals[p], contribution, weight, member, budget, (rewards,))
+    restore = aggregates.restorable and 0 <= sole - ctx.offset < ctx.n
+    _, (rewards_c,), (rewards_d,) = fold_rewards(
+        engine.table,
+        ctx,
+        aggregates.totals,
+        [engine.slice_budget],
+        base=False,
+        deviations=(0, 1) if block else (0,) if restore else (),
+    )
     if block:
         utility_c = rewards_c - ctx.coop_cost
         rewards_d[ctx.sync] = 0.0  # a sync cooperator's exit breaks the block
@@ -670,65 +643,67 @@ def _chunk_counterfactuals(
     return utility_c, utility_d
 
 
+def _best_responses(
+    coop: np.ndarray, utility_c: np.ndarray, utility_d: np.ndarray
+) -> np.ndarray:
+    """Best-response actions (0=C, 1=D): switch only on a strict improvement."""
+    return np.where(
+        coop,
+        np.where(utility_d > utility_c + _BR_TOLERANCE, 1, 0),
+        np.where(utility_c > utility_d + _BR_TOLERANCE, 0, 1),
+    ).astype(np.int8)
+
+
 def _selected_best_responses(
     engine: _Engine, aggregates: _EpochAggregates, sel_action: np.ndarray
 ) -> np.ndarray:
     """Exact synchronous best responses of the selected agents.
 
-    Scalar-side pool algebra: each leader/committee member's deviation
-    moves its own pinned pool weight and recomputes the block transition
-    (leader count / quorum tally) exactly, matching
+    The k leaders/committee members fold through the shared kernel as
+    one batch at their pinned stakes, each deviation's block transition
+    (leader count / quorum tally) exact; matching
     :func:`repro.core.equilibrium.synchronous_best_responses` — strict
     ``> 1e-15`` improvement to switch, ties keep the current action, and
     O is dominated by D (``rewards - c_so >= -c_so``), so only {C, D}
     are compared.
     """
     structure = engine.structure
-    table = engine.table
-    P = len(table.kinds)
-    k = sel_action.size
-    new_actions = sel_action.copy()
-    for j in range(k):
-        role = int(structure.selected_role[j])
-        current = int(sel_action[j])
-        stake = float(structure.selected_stake[j])
-        multiplier = float(structure.selected_cost[j])
-        coop_now = 1 if current == 0 else 0
-        utilities = []
-        for target in (0, 1):
-            coop_new = 1 if target == 0 else 0
-            leaders_after = aggregates.leader_coop
-            tally_after = aggregates.committee_tally
-            if role == _LEADER:
-                leaders_after += coop_new - coop_now
-            else:
-                tally_after += (coop_new - coop_now) * stake
-            block_after = (
-                leaders_after >= 1
-                and tally_after > structure.quorum_threshold
-                and aggregates.sync_defectors == 0
-            )
-            reward = 0.0
-            if block_after:
-                for p in range(P):
-                    weight = float(engine.selected_weights[p, j])
-                    now = weight if table.lookup[p, role, current] else 0.0
-                    new = weight if table.lookup[p, role, target] else 0.0
-                    new_total = aggregates.totals[p] - now + new
-                    if new > 0 and new_total > 0:
-                        reward += engine.slice_budget[p] * new / new_total
-            cost = (
-                engine.cost_vec[role]
-                if target == 0
-                else structure.costs.sortition
-            ) * multiplier
-            utilities.append(reward - cost)
-        utility_c, utility_d = utilities
-        if current == 0:
-            new_actions[j] = 1 if utility_d > utility_c + _BR_TOLERANCE else 0
-        else:
-            new_actions[j] = 0 if utility_c > utility_d + _BR_TOLERANCE else 1
-    return new_actions
+    roles = structure.selected_role
+    stake = structure.selected_stake
+    coop = sel_action == 0
+    agents = Agents(
+        stake=stake,
+        roles=roles,
+        selected_rows=np.arange(sel_action.size),
+        coop=coop,
+        action=sel_action,
+        coop_cost=role_costs(structure.costs).take(roles) * structure.selected_cost,
+        sortition_cost=structure.costs.sortition * structure.selected_cost,
+    )
+    _, (rewards_c,), (rewards_d,) = fold_rewards(
+        engine.table,
+        agents,
+        aggregates.totals,
+        [engine.slice_budget],
+        base=False,
+        deviations=(0, 1),
+    )
+    leader = roles == LEADER
+    utilities = []
+    for joins, rewards, cost in (
+        (1, rewards_c, agents.coop_cost),
+        (0, rewards_d, agents.sortition_cost),
+    ):
+        delta = joins - coop.astype(np.int64)
+        leaders_after = aggregates.leader_coop + np.where(leader, delta, 0)
+        tally_after = aggregates.committee_tally + np.where(leader, 0.0, delta * stake)
+        block_after = (
+            (leaders_after >= 1)
+            & (tally_after > structure.quorum_threshold)
+            & (aggregates.sync_defectors == 0)
+        )
+        utilities.append(np.where(block_after, rewards, 0.0) - cost)
+    return _best_responses(coop, *utilities)
 
 
 def _update_pass(
@@ -755,15 +730,11 @@ def _update_pass(
     for chunk in engine.chunks:
         ctx = _epoch_context(engine, chunk, prev_epoch)
         utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates)
-        crowd = ctx.roles == _ONLINE
+        crowd = ctx.roles == ONLINE
         if spec.update_rule == "replicator":
             accumulator.fold(utility_c, utility_d, include=crowd)
         else:
-            switched = np.where(
-                ctx.coop,
-                np.where(utility_d > utility_c + _BR_TOLERANCE, 1, 0),
-                np.where(utility_c > utility_d + _BR_TOLERANCE, 0, 1),
-            ).astype(np.int8)
+            switched = _best_responses(ctx.coop, utility_c, utility_d)
             if telemetry:
                 crowd_revisions += int(np.sum(crowd & (switched != ctx.action)))
             rows = slice(chunk.offset, chunk.offset + ctx.n)
@@ -872,32 +843,14 @@ def oracle_population_dynamics(
     fit (``max_agents``; every pass is O(n^2)) and carry no per-agent
     cost jitter (the scalar game models uniform role costs).
     """
-    from repro.core.dynamics import (
-        mean_payoff_by_strategy,
-        replicator_step,
-    )
+    from repro.core.dynamics import replicator_step
     from repro.core.equilibrium import synchronous_best_responses
-    from repro.core.game import (
-        AlgorandGame,
-        BlockSuccessModel,
-        Player,
-        PlayerRole,
-        Strategy,
-        with_deviation,
-    )
+    from repro.core.game import AlgorandGame, Strategy, with_deviation
     from repro.scenarios.dynamics import _measure
+    from repro.schemes.audit import _oracle_game
 
     pop = spec.population
-    if pop.size > max_agents:
-        raise ConfigurationError(
-            f"the dynamics oracle is O(n^2) per epoch; population of "
-            f"{pop.size} exceeds the limit of {max_agents}"
-        )
-    if pop.cost_jitter != 0.0:
-        raise ConfigurationError(
-            "the dynamics oracle models uniform role costs; use "
-            "cost_jitter=0 populations to cross-check"
-        )
+    _check_oracle_fit(pop, max_agents, "dynamics oracle is O(n^2) per epoch")
     resolved = resolve_scheme(scheme)
     config = spec.audit_config()
     chunks = _chunks(pop, config)
@@ -907,30 +860,13 @@ def oracle_population_dynamics(
     n = population.n_agents
     base_ctx = _chunk_context(structure, pop, population)
     roles, sync = base_ctx.roles, base_ctx.sync
-    crowd = np.flatnonzero(roles == _ONLINE)
+    crowd = np.flatnonzero(roles == ONLINE)
     selected = [int(j) for j in structure.selected_index]
 
-    role_of = {
-        _LEADER: PlayerRole.LEADER,
-        _COMMITTEE: PlayerRole.COMMITTEE,
-        _ONLINE: PlayerRole.ONLINE,
-    }
-
     def build_game(stake: np.ndarray) -> AlgorandGame:
-        players = {
-            j: Player(
-                node_id=j, stake=float(stake[j]), role=role_of[int(roles[j])]
-            )
-            for j in range(n)
-        }
-        return AlgorandGame(
-            players=players,
-            costs=structure.costs,
-            reward_rule=resolved.make_rule(structure.b_i, structure.split),
-            success_model=BlockSuccessModel(
-                committee_quorum=config.committee_quorum,
-                synchrony_set=frozenset(int(j) for j in np.flatnonzero(sync)),
-            ),
+        rule = resolved.make_rule(structure.b_i, structure.split)
+        return _oracle_game(
+            stake, roles, sync, structure.costs, rule, config.committee_quorum
         )
 
     def realize(epoch: int, share: float, sel_actions: Dict[int, Strategy]):
@@ -940,7 +876,7 @@ def oracle_population_dynamics(
         )
         profile: Dict[int, Strategy] = {}
         for j in range(n):
-            if roles[j] != _ONLINE:
+            if roles[j] != ONLINE:
                 profile[j] = sel_actions[j]
             else:
                 level = p_sync if sync[j] else p_nonsync

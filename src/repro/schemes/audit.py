@@ -17,12 +17,10 @@ epsilon-incentive-compatible under population Y?* — by brute force, fast:
    paired comparison.
 2. **Deviation payoffs, closed form.**  The target profile (Theorem 3's
    "L, M and Y cooperate, the rest defect", or All-C) always produces a
-   block; a unilateral deviation moves exactly one player between a
-   scheme's pools and can at most flip the block-success predicate.  Both
-   effects have closed forms in the pool totals, so the payoff of *every*
-   player's deviation to *every* alternative strategy is computed in a
-   handful of ``(n_populations, n_players)`` numpy operations — no game
-   object, no per-player loop.
+   block, so every player's deviation payoff comes from the shared kernel
+   (:mod:`repro.schemes.deviation`), the whole batch flattened into one
+   agent batch; this engine adds only the per-population pool totals and
+   the block-break mask — no game object, no per-player loop.
 3. **Certification.**  A cell is certified ``epsilon``-IC when no checked
    deviation gains more than ``epsilon``; otherwise the report carries the
    most profitable deviation as a concrete witness (population, player,
@@ -51,20 +49,31 @@ from repro.core.game import (
     BlockSuccessModel,
     Player,
     PlayerRole,
+    RewardRule,
     Strategy,
     with_deviation,
 )
 from repro.core.optimizer import minimize_reward_analytic
 from repro.errors import AuditError, ConfigurationError
-from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
+from repro.schemes.base import RewardScheme, SchemeSplit
+from repro.schemes.deviation import (
+    COMMITTEE,
+    LEADER,
+    ONLINE,
+    ROLE_NAMES,
+    TARGETS,
+    Agents,
+    deviation_gains,
+    fold_rewards,
+    membership,
+    pool_tables,
+    pool_weights,
+    role_costs,
+    scaled_costs,
+    split_fractions,
+)
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.sim.rng import derive_seed
-
-#: Role codes used throughout the batched arrays.
-_LEADER, _COMMITTEE, _ONLINE = 0, 1, 2
-
-#: Deviation target order in the gains tensor: to-C, to-D, to-O.
-_TARGETS: Tuple[str, ...] = ("C", "D", "O")
 
 #: Stake distributions the audit grid may reference.
 STAKE_KINDS: Tuple[str, ...] = ("uniform", "normal", "whale_mix")
@@ -117,12 +126,18 @@ class AuditConfig:
             )
         if not self.stake_kinds or not self.cost_scales or not self.budget_multipliers:
             raise ConfigurationError("every grid axis needs at least one value")
-        if any(scale <= 0 for scale in self.cost_scales):
-            raise ConfigurationError("cost scales must be positive")
-        if any(mult <= 0 for mult in self.budget_multipliers):
-            raise ConfigurationError("budget multipliers must be positive")
-        if self.epsilon < 0:
-            raise ConfigurationError("epsilon must be >= 0")
+        for label, axis in (
+            ("cost scales", self.cost_scales),
+            ("budget multipliers", self.budget_multipliers),
+        ):
+            if not all(math.isfinite(value) and value > 0 for value in axis):
+                raise ConfigurationError(
+                    f"{label} must be positive and finite, got {axis}"
+                )
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigurationError(
+                f"epsilon must be finite and >= 0, got {self.epsilon}"
+            )
         if self.target not in ("theorem3", "all_c"):
             raise ConfigurationError(
                 f"unknown target profile {self.target!r}; "
@@ -373,16 +388,16 @@ def _build_cell(
     # sample without replacement (leaders first, then the committee).
     keys = rng.exponential(1.0, (B, N)) / stakes
     order = np.argsort(keys, axis=1, kind="stable")
-    roles = np.full((B, N), _ONLINE, dtype=np.int8)
+    roles = np.full((B, N), ONLINE, dtype=np.int8)
     rows = np.arange(B)[:, None]
-    roles[rows, order[:, : config.n_leaders]] = _LEADER
+    roles[rows, order[:, : config.n_leaders]] = LEADER
     roles[
         rows, order[:, config.n_leaders : config.n_leaders + config.committee_size]
-    ] = _COMMITTEE
+    ] = COMMITTEE
 
     # Strong synchrony set: a uniform draw among the online players.
     sync_keys = rng.random((B, N))
-    sync_keys[roles != _ONLINE] = np.inf
+    sync_keys[roles != ONLINE] = np.inf
     sync_order = np.argsort(sync_keys, axis=1, kind="stable")
     sync = np.zeros((B, N), dtype=bool)
     sync[rows, sync_order[:, : config.synchrony_size()]] = True
@@ -390,24 +405,18 @@ def _build_cell(
     coop = (
         np.ones((B, N), dtype=bool)
         if config.target == "all_c"
-        else (roles != _ONLINE) | sync
+        else (roles != ONLINE) | sync
     )
 
-    base = RoleCosts.paper_defaults()
-    costs = RoleCosts(
-        leader=base.leader * cost_scale,
-        committee=base.committee * cost_scale,
-        online=base.online * cost_scale,
-        sortition=base.sortition * cost_scale,
-    )
+    costs = scaled_costs(cost_scale)
 
     alphas = np.empty(B)
     betas = np.empty(B)
     b_i = np.empty(B)
     for b in range(B):
-        leader_stakes = stakes[b][roles[b] == _LEADER]
-        committee_stakes = stakes[b][roles[b] == _COMMITTEE]
-        online_stakes = stakes[b][roles[b] == _ONLINE]
+        leader_stakes = stakes[b][roles[b] == LEADER]
+        committee_stakes = stakes[b][roles[b] == COMMITTEE]
+        online_stakes = stakes[b][roles[b] == ONLINE]
         sync_stakes = stakes[b][sync[b]]
         aggregates = RoleAggregates(
             stake_leaders=float(leader_stakes.sum()),
@@ -448,201 +457,136 @@ def _build_cell(
 # -- the vectorized deviation-gain kernel -------------------------------------------
 
 
-def _pool_tables(
-    scheme: RewardScheme, cell: _Cell
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand a scheme's pools over one cell's populations.
-
-    Returns ``(fractions, lookup, weights)``: per-population pool
-    fractions ``(B, P)`` (splits differ across populations), a membership
-    lookup table ``(P, 3 roles, 2 actions)``, and within-pool weights
-    ``(P, B, N)``.  The pool *structure* (names, members, weight kinds)
-    must not depend on the split — only the fractions may.
-    """
-    B, N = cell.stakes.shape
-    reference = scheme.pools(SchemeSplit(cell.alphas[0], cell.betas[0]))
-    P = len(reference)
-    fractions = np.empty((B, P))
-    for b in range(B):
-        pools = scheme.pools(SchemeSplit(cell.alphas[b], cell.betas[b]))
-        if len(pools) != P or any(
-            p.name != r.name
-            or p.members != r.members
-            or p.weight != r.weight
-            or p.exponent != r.exponent
-            for p, r in zip(pools, reference)
-        ):
-            raise AuditError(
-                f"scheme {scheme.name!r} changes pool structure with the split; "
-                "only pool fractions may depend on (alpha, beta)"
-            )
-        fractions[b] = [pool.fraction for pool in pools]
-
-    lookup = np.zeros((P, 3, 2), dtype=bool)
-    role_index = {"leader": _LEADER, "committee": _COMMITTEE, "online": _ONLINE}
-    action_index = {"C": 0, "D": 1}
-    for p, pool in enumerate(reference):
-        for role, action in pool.members:
-            lookup[p, role_index[role], action_index[action]] = True
-
-    cost_vec = np.array(
-        [cell.costs.leader, cell.costs.committee, cell.costs.online]
-    )
-    weights = np.empty((P, B, N))
-    for p, pool in enumerate(reference):
-        if pool.weight is WeightKind.STAKE:
-            weights[p] = cell.stakes
-        elif pool.weight is WeightKind.EQUAL:
-            weights[p] = 1.0
-        elif pool.weight is WeightKind.STAKE_POWER:
-            weights[p] = cell.stakes**pool.exponent
-        else:  # COST — the cooperation cost of the member's role
-            weights[p] = cost_vec[cell.roles]
-    return fractions, lookup, weights
-
-
 def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
     """Deviation gains for every player and alternative, shape (3, B, N).
 
     Entry ``[t, b, j]`` is the payoff gain of player ``j`` in population
-    ``b`` unilaterally switching to ``_TARGETS[t]``; ``nan`` marks the
-    player's current strategy (not a deviation).
+    ``b`` unilaterally switching to ``TARGETS[t]`` (``nan``: its current
+    strategy).  The batch runs through the shared kernel flattened, each
+    population's pool totals and slice budgets repeated per player.
     """
     B, N = cell.stakes.shape
-    fractions, lookup, weights = _pool_tables(scheme, cell)
-    P = fractions.shape[1]
+    tables = pool_tables(scheme, SchemeSplit(cell.alphas[0], cell.betas[0]))
+    splits = [SchemeSplit(alpha, beta) for alpha, beta in zip(cell.alphas, cell.betas)]
+    fractions = split_fractions(scheme, tables, splits)  # (B, P): splits differ
 
-    action = (~cell.coop).astype(np.int8)  # 0 = C, 1 = D
-    slice_budget = fractions * cell.b_i[:, None]  # (B, P)
-
-    member = np.empty((P, B, N), dtype=bool)
-    for p in range(P):
-        member[p] = lookup[p, cell.roles, action]
-    contribution = weights * member  # (P, B, N)
-    totals = contribution.sum(axis=2)  # (P, B)
-
-    def pool_payments(member_new: np.ndarray) -> np.ndarray:
-        """Per-player rewards if each player *alone* played the new action.
-
-        ``member_new[p]`` is the membership mask the deviator would have;
-        the pool total is adjusted by that single player's move only
-        (everyone else stays put — a unilateral deviation).
-        """
-        rewards = np.zeros((B, N))
-        for p in range(P):
-            new_contribution = weights[p] * member_new[p]
-            new_totals = totals[p][:, None] - contribution[p] + new_contribution
-            payable = (new_contribution > 0) & (new_totals > 0)
-            pool_reward = np.zeros((B, N))
-            np.divide(
-                slice_budget[:, p][:, None] * new_contribution,
-                new_totals,
-                out=pool_reward,
-                where=payable,
-            )
-            rewards += pool_reward
-        return rewards
-
-    # Base rewards: "deviating" to the current action changes nothing.
-    base_rewards = np.zeros((B, N))
-    for p in range(P):
-        rate = np.zeros(B)
-        np.divide(slice_budget[:, p], totals[p], out=rate, where=totals[p] > 0)
-        base_rewards += rate[:, None] * contribution[p]
-
-    cost_vec = np.array(
-        [cell.costs.leader, cell.costs.committee, cell.costs.online]
+    roles = cell.roles.ravel()
+    coop = cell.coop.ravel()
+    agents = Agents(
+        stake=cell.stakes.ravel(),
+        roles=roles,
+        selected_rows=np.flatnonzero(roles != ONLINE),
+        coop=coop,
+        action=(~coop).astype(np.int8),
+        coop_cost=role_costs(cell.costs).take(roles),
+        sortition_cost=np.full(B * N, cell.costs.sortition),
     )
-    coop_cost = cost_vec[cell.roles]  # (B, N)
-    current_cost = np.where(cell.coop, coop_cost, cell.costs.sortition)
-    base_utility = base_rewards - current_cost
+    # Per-population pool totals, then repeated per player.
+    weights = pool_weights(tables, agents.stake, agents.coop_cost)
+    members = [membership(lookup, agents) for lookup in tables.lookup]
+    totals = (weights * members).reshape(-1, B, N).sum(axis=2)  # (P, B)
+    slice_budget = (fractions * cell.b_i[:, None]).T  # (P, B)
+    base, rewards_c, rewards_d = fold_rewards(
+        tables,
+        agents,
+        np.repeat(totals, N, axis=1),
+        [np.repeat(slice_budget, N, axis=1)],
+        base=True,
+        deviations=(0, 1),
+        weights=weights,
+    )
 
     # Does a cooperator's withdrawal (to D or O) break the block?
-    coop_leaders = ((cell.roles == _LEADER) & cell.coop).sum(axis=1)  # (B,)
-    sole_leader = (
-        (cell.roles == _LEADER) & cell.coop & (coop_leaders == 1)[:, None]
-    )
-    committee_stake = np.where(cell.roles == _COMMITTEE, cell.stakes, 0.0)
+    coop_leader = (cell.roles == LEADER) & cell.coop
+    sole_leader = coop_leader & (coop_leader.sum(axis=1) == 1)[:, None]
+    committee = cell.roles == COMMITTEE
+    committee_stake = np.where(committee, cell.stakes, 0.0)
     committee_coop = (committee_stake * cell.coop).sum(axis=1)
     quorum_threshold = cell.quorum * committee_stake.sum(axis=1)
     quorum_break = (
-        (cell.roles == _COMMITTEE)
+        committee
         & cell.coop
         & ((committee_coop[:, None] - cell.stakes) <= quorum_threshold[:, None])
     )
     breaks = sole_leader | quorum_break | (cell.sync & cell.coop)
+    rewards_d[0][breaks.ravel()] = 0.0
 
-    gains = np.full((3, B, N), np.nan)
-
-    member_c = np.empty((P, B, N), dtype=bool)
-    member_d = np.empty((P, B, N), dtype=bool)
-    for p in range(P):
-        member_c[p] = lookup[p, cell.roles, 0]
-        member_d[p] = lookup[p, cell.roles, 1]
-
-    # To C (only defectors deviate; their joining never breaks the block).
-    rewards_c = pool_payments(member_c)
-    utility_c = rewards_c - coop_cost
-    gains[0] = np.where(~cell.coop, utility_c - base_utility, np.nan)
-
-    # To D (only cooperators deviate; may break the block).
-    rewards_d = np.where(breaks, 0.0, pool_payments(member_d))
-    utility_d = rewards_d - cell.costs.sortition
-    gains[1] = np.where(cell.coop, utility_d - base_utility, np.nan)
-
-    # To O (anyone; an offline player forfeits all rewards).
-    gains[2] = -cell.costs.sortition - base_utility
-    return gains
+    (gains,) = deviation_gains(agents, base, rewards_c, rewards_d)
+    return np.concatenate((gains.to_c, gains.to_d, gains.to_o)).reshape(3, B, N)
 
 
 # -- the scalar oracle --------------------------------------------------------------
 
 
+#: Role code -> the scalar game's role.
+_PLAYER_ROLES = {
+    LEADER: PlayerRole.LEADER,
+    COMMITTEE: PlayerRole.COMMITTEE,
+    ONLINE: PlayerRole.ONLINE,
+}
+
+
+def _oracle_game(
+    stakes: np.ndarray,
+    roles: np.ndarray,
+    sync: np.ndarray,
+    costs: RoleCosts,
+    rule: RewardRule,
+    quorum: float,
+) -> AlgorandGame:
+    """One population as a scalar :class:`AlgorandGame` (the oracles' path)."""
+    return AlgorandGame(
+        players={
+            j: Player(
+                node_id=j, stake=float(stakes[j]), role=_PLAYER_ROLES[int(roles[j])]
+            )
+            for j in range(stakes.size)
+        },
+        costs=costs,
+        reward_rule=rule,
+        success_model=BlockSuccessModel(
+            committee_quorum=quorum,
+            synchrony_set=frozenset(int(j) for j in np.flatnonzero(sync)),
+        ),
+    )
+
+
+def _game_gains(game: AlgorandGame, coop: np.ndarray) -> np.ndarray:
+    """The (3, n) gain tensor of one population via exact game payoffs.
+
+    Measures every unilateral deviation from the C/D profile ``coop``
+    with exact ``payoff`` calls under the scheme's own scalar rule —
+    sharing no code with the vectorized kernel.  Both audit engines'
+    oracles run through here.
+    """
+    n = coop.size
+    profile = {j: Strategy.COOPERATE if coop[j] else Strategy.DEFECT for j in range(n)}
+    base = game.payoffs(profile)
+    gains = np.full((3, n), np.nan)
+    alternatives = (Strategy.COOPERATE, Strategy.DEFECT, Strategy.OFFLINE)
+    for t, alternative in enumerate(alternatives):
+        for j in range(n):
+            if profile[j] is not alternative:
+                deviation = with_deviation(profile, j, alternative)
+                gains[t, j] = game.payoff(j, deviation) - base[j]
+    return gains
+
+
 def _oracle_gains(
     scheme: RewardScheme, cell: _Cell, population: int
 ) -> np.ndarray:
-    """The (3, N) gain tensor for one population via the game engine.
-
-    Builds an :class:`AlgorandGame` with the scheme's own scalar rule and
-    measures every unilateral deviation with exact ``payoff`` calls —
-    sharing no code with the vectorized kernel.
-    """
+    """The (3, N) gain tensor for one population via the game engine."""
     b = population
-    N = cell.stakes.shape[1]
-    role_of = {_LEADER: PlayerRole.LEADER, _COMMITTEE: PlayerRole.COMMITTEE, _ONLINE: PlayerRole.ONLINE}
-    players = {
-        j: Player(
-            node_id=j, stake=float(cell.stakes[b, j]), role=role_of[int(cell.roles[b, j])]
-        )
-        for j in range(N)
-    }
-    game = AlgorandGame(
-        players=players,
-        costs=cell.costs,
-        reward_rule=scheme.make_rule(
-            float(cell.b_i[b]), SchemeSplit(float(cell.alphas[b]), float(cell.betas[b]))
-        ),
-        success_model=BlockSuccessModel(
-            committee_quorum=cell.quorum,
-            synchrony_set=frozenset(int(j) for j in np.flatnonzero(cell.sync[b])),
-        ),
+    split = SchemeSplit(float(cell.alphas[b]), float(cell.betas[b]))
+    game = _oracle_game(
+        cell.stakes[b],
+        cell.roles[b],
+        cell.sync[b],
+        cell.costs,
+        scheme.make_rule(float(cell.b_i[b]), split),
+        cell.quorum,
     )
-    profile = {
-        j: Strategy.COOPERATE if cell.coop[b, j] else Strategy.DEFECT
-        for j in range(N)
-    }
-    base = game.payoffs(profile)
-    strategy_of = {"C": Strategy.COOPERATE, "D": Strategy.DEFECT, "O": Strategy.OFFLINE}
-    gains = np.full((3, N), np.nan)
-    for t, target in enumerate(_TARGETS):
-        alternative = strategy_of[target]
-        for j in range(N):
-            if profile[j] is alternative:
-                continue
-            gains[t, j] = (
-                game.payoff(j, with_deviation(profile, j, alternative)) - base[j]
-            )
-    return gains
+    return _game_gains(game, cell.coop[b])
 
 
 # -- entry points -------------------------------------------------------------------
@@ -679,16 +623,13 @@ def _audit_cell(scheme: RewardScheme, cell: _Cell, config: AuditConfig) -> CellA
     witness: Optional[DeviationWitness] = None
     if max_gain > config.epsilon:
         t, b, j = np.unravel_index(int(np.nanargmax(gains)), gains.shape)
-        role_name = {_LEADER: "leader", _COMMITTEE: "committee", _ONLINE: "online"}[
-            int(cell.roles[b, j])
-        ]
         witness = DeviationWitness(
             population=int(b),
             player=int(j),
-            role=role_name,
+            role=ROLE_NAMES[int(cell.roles[b, j])],
             stake=float(cell.stakes[b, j]),
             from_strategy="C" if cell.coop[b, j] else "D",
-            to_strategy=_TARGETS[t],
+            to_strategy=TARGETS[t],
             gain=max_gain,
         )
     return CellAudit(

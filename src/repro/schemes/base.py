@@ -23,8 +23,9 @@ Both mechanism code paths are derived from the same declaration:
   :class:`~repro.core.game.RewardRule` for :class:`~repro.core.game.AlgorandGame`
   — dictionary loops over players, one at a time.  This is the audit
   engine's **correctness oracle**.
-* :mod:`repro.schemes.audit` interprets the same pools as batched numpy
-  algebra over whole populations of players at once — the fast path.
+* :mod:`repro.schemes.deviation` interprets the same pools as batched
+  numpy algebra over whole populations of players at once — the fast
+  path every audit and the streamed dynamics share.
 
 Because a unilateral deviation moves exactly one player between pools,
 deviation payoffs have a closed form in the pool totals; that is what

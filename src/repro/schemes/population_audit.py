@@ -17,13 +17,13 @@ population** (10^6–10^7 agents from a
    (a paired comparison), and every chunk size sees identical draws.
    The same pass accumulates the scheme's pool totals with the
    block-stable reduction and the Theorem 3 calibration aggregates.
-2. **Gain pass.**  With pool totals and the calibrated split in hand, a
-   unilateral deviation has the same closed form as in the batch engine;
+2. **Gain pass.**  With pool totals and the calibrated split in hand,
    the second pass iterates the population again (re-synthesized above
    :data:`~repro.populations.spec.RESIDENT_BYTES`, held resident below
-   it) and evaluates every agent's
-   deviation to C, D and O chunk by chunk, tracking the running maximum
-   gain and its witness.
+   it) and folds every agent's deviation to C, D and O chunk by chunk
+   through the kernel the batch engine shares
+   (:mod:`repro.schemes.deviation`), tracking the running maximum gain
+   and its witness.
 
 Because chunks always span whole seed blocks and all reductions are
 blockwise, the chunked path is **bit-identical to the monolithic path**
@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +55,7 @@ import numpy as np
 from repro.core.bounds import RoleAggregates
 from repro.core.costs import RoleCosts
 from repro.core.optimizer import minimize_reward_analytic
-from repro.errors import AuditError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.populations.arrays import (
     BEHAVIOR_COOPERATE,
     BEHAVIOR_OFFLINE,
@@ -65,8 +64,25 @@ from repro.populations.arrays import (
     blockwise_sum,
 )
 from repro.populations.spec import PopulationSpec
-from repro.schemes.audit import _COMMITTEE, _LEADER, _ONLINE, _TARGETS, DeviationWitness
+from repro.schemes.audit import DeviationWitness, _game_gains, _oracle_game
 from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
+from repro.schemes.deviation import (
+    COMMITTEE,
+    LEADER,
+    ONLINE,
+    ROLE_NAMES,
+    TARGETS,
+    Agents,
+    Gains,
+    PoolTables,
+    deviation_gains,
+    fold_rewards,
+    pool_tables,
+    pool_weights,
+    role_costs,
+    scaled_costs,
+    split_fractions,
+)
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS
 from repro.telemetry.runtime import get_registry
@@ -131,12 +147,15 @@ class PopulationAuditConfig:
             )
         if not 0.0 < self.committee_quorum < 1.0:
             raise ConfigurationError("committee quorum must be in (0, 1)")
-        if self.cost_scale <= 0 or self.budget_multiplier <= 0:
+        if not all(
+            math.isfinite(value) and value > 0
+            for value in (self.cost_scale, self.budget_multiplier)
+        ):
             raise ConfigurationError(
-                "cost scale and budget multiplier must be positive"
+                "cost scale and budget multiplier must be positive and finite"
             )
-        if self.epsilon < 0:
-            raise ConfigurationError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigurationError("epsilon must be finite and >= 0")
         if self.target not in POPULATION_TARGETS:
             raise ConfigurationError(
                 f"unknown target profile {self.target!r}; "
@@ -233,16 +252,6 @@ class PopulationAuditReport:
 
 
 @dataclass
-class _PoolTables:
-    """A scheme's pool structure expanded for the streaming kernel."""
-
-    fractions: np.ndarray  # (P,)
-    lookup: np.ndarray  # (P, 3 roles, 2 actions) membership
-    kinds: List[WeightKind]
-    exponents: np.ndarray  # (P,)
-
-
-@dataclass
 class _Structure:
     """Everything pass 2 needs: selection, calibration, global totals."""
 
@@ -257,7 +266,7 @@ class _Structure:
     total_stake: float
     total_stake_units: int  # exact integer sum of floored stakes
     pool_totals: Dict[str, np.ndarray]  # scheme name -> (P,)
-    tables: Dict[str, _PoolTables]
+    tables: Dict[str, PoolTables]
     committee_stake_total: float
     quorum_threshold: float
     #: Strong-synchrony agents whose target-profile action is defect
@@ -272,62 +281,6 @@ class _Structure:
     def base_block_fails(self) -> bool:
         """Whether the target profile itself fails to produce a block."""
         return self.sync_defectors > 0
-
-
-def _pool_tables(scheme: RewardScheme, split: SchemeSplit) -> _PoolTables:
-    """Expand one scheme's pools at the calibrated split."""
-    pools = scheme.pools(split)
-    P = len(pools)
-    lookup = np.zeros((P, 3, 2), dtype=bool)
-    role_index = {"leader": _LEADER, "committee": _COMMITTEE, "online": _ONLINE}
-    action_index = {"C": 0, "D": 1}
-    for p, pool in enumerate(pools):
-        for role, action in pool.members:
-            lookup[p, role_index[role], action_index[action]] = True
-    return _PoolTables(
-        fractions=np.array([pool.fraction for pool in pools], dtype=np.float64),
-        lookup=lookup,
-        kinds=[pool.weight for pool in pools],
-        exponents=np.array([pool.exponent for pool in pools], dtype=np.float64),
-    )
-
-
-def _pool_weights(
-    tables: _PoolTables,
-    stake: np.ndarray,
-    cost_multiplier: np.ndarray,
-    roles: np.ndarray,
-    cost_vec: np.ndarray,
-) -> np.ndarray:
-    """Within-pool weights ``(P, n)`` for one chunk (float64)."""
-    coop_cost = (
-        cost_vec[roles] * cost_multiplier if WeightKind.COST in tables.kinds else None
-    )
-    weights = np.empty((len(tables.kinds), stake.size), dtype=np.float64)
-    for p in range(len(tables.kinds)):
-        weights[p] = _pool_weight(tables, p, stake, coop_cost)
-    return weights
-
-
-def _pool_weight(
-    tables: _PoolTables,
-    p: int,
-    stake: np.ndarray,
-    coop_cost: Optional[np.ndarray],
-) -> np.ndarray:
-    """Within-pool weights of pool ``p`` for one chunk (may alias an input).
-
-    ``coop_cost`` is each agent's cooperation cost of its role (the COST
-    kind's weight).
-    """
-    kind = tables.kinds[p]
-    if kind is WeightKind.STAKE:
-        return stake
-    if kind is WeightKind.EQUAL:
-        return np.ones(stake.size)
-    if kind is WeightKind.STAKE_POWER:
-        return stake ** tables.exponents[p]
-    return coop_cost
 
 
 def _online_actions(
@@ -389,17 +342,6 @@ def _sync_mask(
     return draws < config.synchrony_rate
 
 
-def _scaled_costs(config: PopulationAuditConfig, cost_scale: float) -> RoleCosts:
-    """Paper-default role costs scaled by one grid cell's ``cost_scale``."""
-    base = RoleCosts.paper_defaults()
-    return RoleCosts(
-        leader=base.leader * cost_scale,
-        committee=base.committee * cost_scale,
-        online=base.online * cost_scale,
-        sortition=base.sortition * cost_scale,
-    )
-
-
 def _cell_config(
     config: PopulationAuditConfig, budget_multiplier: float, cost_scale: float
 ) -> PopulationAuditConfig:
@@ -443,11 +385,8 @@ def _build_structure_grid(
             f"leaders and a committee of {config.committee_size}"
         )
     k = config.n_selected
-    costs_by = {cs: _scaled_costs(config, cs) for cs in cost_scales}
-    cost_vec_by = {
-        cs: np.array([costs.leader, costs.committee, costs.online])
-        for cs, costs in costs_by.items()
-    }
+    costs_by = {cs: scaled_costs(cs) for cs in cost_scales}
+    cost_vec_by = {cs: role_costs(costs) for cs, costs in costs_by.items()}
 
     total_stake = 0.0
     race_carry: Optional[Tuple[np.ndarray, ...]] = None
@@ -463,14 +402,10 @@ def _build_structure_grid(
     # once and fan out below.
     raw_totals: Dict[Tuple[str, float], np.ndarray] = {}
 
-    # The split is needed for pool *fractions* only; membership and
-    # weights may not depend on it (same contract as the batch engine).
-    # Use a placeholder split to expand structure, then recompute
-    # fractions at the calibrated split below.
+    # Only pool *fractions* may depend on the split: expand the structure
+    # at a placeholder split, and take the calibrated fractions below.
     placeholder = SchemeSplit(1.0 / 3.0, 1.0 / 3.0)
-    reference_tables = {
-        scheme.name: _pool_tables(scheme, placeholder) for scheme in schemes
-    }
+    reference_tables = {s.name: pool_tables(s, placeholder) for s in schemes}
     cost_scaled = {
         name: any(kind is WeightKind.COST for kind in table.kinds)
         for name, table in reference_tables.items()
@@ -543,33 +478,29 @@ def _build_structure_grid(
                 k + 1,
             )
 
-        roles_online = np.full(chunk.n_agents, _ONLINE, dtype=np.int8)
         for scheme in schemes:
             table = reference_tables[scheme.name]
-            member = table.lookup[:, _ONLINE, :][:, actions]  # (P, n)
+            member = table.lookup[:, ONLINE, :][:, actions]  # (P, n)
             # Cost-independent schemes total once (first scale's slot).
-            scales = cost_scales if cost_scaled[scheme.name] else cost_scales[:1]
-            for cs in scales:
-                weights = _pool_weights(
-                    table, stake, cost_multiplier, roles_online, cost_vec_by[cs]
-                )
+            scaled = cost_scaled[scheme.name]
+            for cs in cost_scales if scaled else cost_scales[:1]:
+                online = cost_vec_by[cs][ONLINE] * cost_multiplier if scaled else None
+                weights = pool_weights(table, stake, online)
                 raw_totals[(scheme.name, cs)] = blockwise_row_sums(
                     weights * member, start=raw_totals.get((scheme.name, cs))
                 )
 
     # Fan cost-independent schemes' totals out to every scale's slot
     # (fresh copies: the correction below mutates them in place).
-    for scheme in schemes:
-        if not cost_scaled[scheme.name]:
-            for cs in cost_scales[1:]:
-                raw_totals[(scheme.name, cs)] = raw_totals[
-                    (scheme.name, cost_scales[0])
-                ].copy()
+    for scheme in (s for s in schemes if not cost_scaled[s.name]):
+        first = raw_totals[(scheme.name, cost_scales[0])]
+        for cs in cost_scales[1:]:
+            raw_totals[(scheme.name, cs)] = first.copy()
 
     assert race_carry is not None
     _keys, sel_index, sel_stake, sel_cost, sel_sync, sel_action = race_carry
-    selected_role = np.full(k, _COMMITTEE, dtype=np.int8)
-    selected_role[: config.n_leaders] = _LEADER
+    selected_role = np.full(k, COMMITTEE, dtype=np.int8)
+    selected_role[: config.n_leaders] = LEADER
 
     # Correct the pool totals: selected agents leave the online crowd
     # (with the action they would have played there) and join as
@@ -588,11 +519,11 @@ def _build_structure_grid(
                     elif kind is WeightKind.STAKE_POWER:
                         old_w = new_w = float(sel_stake[j] ** table.exponents[p])
                     else:
-                        old_w = float(cost_vec[_ONLINE] * sel_cost[j])
+                        old_w = float(cost_vec[ONLINE] * sel_cost[j])
                         new_w = float(
                             cost_vec[int(selected_role[j])] * sel_cost[j]
                         )
-                    if table.lookup[p, _ONLINE, int(sel_action[j])]:
+                    if table.lookup[p, ONLINE, int(sel_action[j])]:
                         totals[p] -= old_w
                     if table.lookup[p, int(selected_role[j]), 0]:
                         totals[p] += new_w
@@ -651,24 +582,15 @@ def _build_structure_grid(
         optimum = minimize_reward_analytic(costs_by[cs], aggregates)
         split = SchemeSplit(optimum.alpha, optimum.beta)
 
-        # Swap in each scheme's fractions at the calibrated split,
-        # verifying the structure did not change shape underneath us.
+        # Swap in each scheme's fractions at the calibrated split
+        # (split_fractions verifies the structure did not change shape).
         pool_totals: Dict[str, np.ndarray] = {}
-        tables: Dict[str, _PoolTables] = {}
+        tables: Dict[str, PoolTables] = {}
         for scheme in schemes:
-            calibrated = _pool_tables(scheme, split)
             reference = reference_tables[scheme.name]
-            if (
-                len(calibrated.kinds) != len(reference.kinds)
-                or not np.array_equal(calibrated.lookup, reference.lookup)
-                or calibrated.kinds != reference.kinds
-                or not np.array_equal(calibrated.exponents, reference.exponents)
-            ):
-                raise AuditError(
-                    f"scheme {scheme.name!r} changes pool structure with the "
-                    "split; only pool fractions may depend on (alpha, beta)"
-                )
-            tables[scheme.name] = calibrated
+            tables[scheme.name] = replace(
+                reference, fractions=split_fractions(scheme, reference, [split])[0]
+            )
             pool_totals[scheme.name] = raw_totals[(scheme.name, cs)]
 
         # Budget cells share everything but the b_i scalar: the selection
@@ -720,46 +642,6 @@ def _build_structure(
 # -- pass 2: streamed deviation gains -----------------------------------------
 
 
-@dataclass
-class _ChunkContext:
-    """One chunk's scheme-independent realized state.
-
-    Built once per chunk by :func:`_chunk_context` (RNG draws, role
-    reconstruction and dtype widening are the expensive parts) and
-    shared by every scheme's :func:`_chunk_gains` evaluation in the
-    chunk-major gain pass.
-    """
-
-    offset: int
-    n: int
-    stake: np.ndarray  # float64
-    cost_multiplier: np.ndarray  # float64
-    roles: np.ndarray  # int8 role codes
-    selected_rows: np.ndarray  # local indices of in-chunk leaders/committee
-    sync: np.ndarray  # bool, online agents only
-    coop: np.ndarray  # bool — target-profile cooperation
-    action: np.ndarray  # int8: 0=C, 1=D
-    coop_cost: np.ndarray  # per-agent cooperation cost of the held role
-    sortition_cost: np.ndarray  # per-agent cost of playing D or O
-
-    # Scheme-independent gain-kernel inputs, built on first use only.
-
-    @cached_property
-    def current_cost(self) -> np.ndarray:
-        """Each agent's cost under its target-profile action."""
-        return np.where(self.coop, self.coop_cost, self.sortition_cost)
-
-    @cached_property
-    def nan_unless_defect(self) -> np.ndarray:
-        """``0.0`` for defectors, ``nan`` for cooperators (an additive mark)."""
-        return np.where(self.coop, np.nan, 0.0)
-
-    @cached_property
-    def nan_unless_coop(self) -> np.ndarray:
-        """``0.0`` for cooperators, ``nan`` for defectors (an additive mark)."""
-        return np.where(self.coop, 0.0, np.nan)
-
-
 def _chunk_context(
     structure: _Structure,
     spec: PopulationSpec,
@@ -767,31 +649,23 @@ def _chunk_context(
     stake: Optional[np.ndarray] = None,
     actions: Optional[np.ndarray] = None,
     sync: Optional[np.ndarray] = None,
-) -> _ChunkContext:
+) -> Agents:
     """Realize one chunk's roles, synchrony and target-profile actions.
 
-    The audit calls this with defaults: stakes come from the chunk and
-    actions from the configured target profile (selected agents forced to
-    cooperate).  The streamed dynamics driver shares the same pass but
-    overrides ``stake`` (churned stakes) and ``actions`` (the epoch's
-    realized strategy profile, 0=C / 1=D for *every* position including
-    the selected agents, which revise by best response there instead of
-    performing unconditionally).  The fused grid pass and the dynamics
-    driver override ``sync`` with pre-selection Bernoulli draws so one
-    :func:`_sync_mask` evaluation serves every grid cell (every epoch);
-    the draws are copied before the selection mask is applied, so a
-    shared array is never mutated.
+    The audit passes defaults: the chunk's stakes and the configured
+    target profile (selected agents cooperate).  The dynamics driver
+    overrides ``stake`` (churned) and ``actions`` (the epoch's realized
+    0=C / 1=D profile, selected agents included).  The fused grid pass
+    and the dynamics driver override ``sync`` with held pre-selection
+    draws, copied before the selection mask is applied.
     """
     config = structure.config
     n = chunk.n_agents
     stake = chunk.stake64() if stake is None else np.asarray(stake, dtype=np.float64)
     cost_multiplier = chunk.cost64()
-    cost_vec = np.array(
-        [structure.costs.leader, structure.costs.committee, structure.costs.online]
-    )
 
     # Roles: online crowd except the selected agents that fall in-chunk.
-    roles = np.full(n, _ONLINE, dtype=np.int8)
+    roles = np.full(n, ONLINE, dtype=np.int8)
     in_chunk = (structure.selected_index >= chunk.offset) & (
         structure.selected_index < chunk.offset + n
     )
@@ -804,129 +678,37 @@ def _chunk_context(
         sync = _sync_mask(spec, config, chunk)
     else:
         sync = np.array(sync, dtype=bool, copy=True)
-    sync[roles != _ONLINE] = False
+    sync[roles != ONLINE] = False
     if actions is None:
         actions = _online_actions(config, chunk, sync)
         coop = actions == 0
-        coop[roles != _ONLINE] = True  # the selected always perform their role
+        coop[roles != ONLINE] = True  # the selected always perform their role
     else:
         actions = np.asarray(actions, dtype=np.int8)
         coop = actions == 0
-    return _ChunkContext(
+    return Agents(
         offset=chunk.offset,
-        n=n,
         stake=stake,
-        cost_multiplier=cost_multiplier,
         roles=roles,
         selected_rows=local_selected,
         sync=sync,
         coop=coop,
         action=(~coop).astype(np.int8),
-        coop_cost=cost_vec[roles] * cost_multiplier,
+        coop_cost=role_costs(structure.costs).take(roles) * cost_multiplier,
         sortition_cost=structure.costs.sortition * cost_multiplier,
     )
 
 
-def _membership(
-    lookup: np.ndarray, ctx: _ChunkContext, action: Optional[int] = None
-) -> np.ndarray:
-    """``lookup[role, action]`` for every agent of the chunk, as a bool mask.
-
-    ``lookup`` is one pool's ``(3 roles, 2 actions)`` membership table and
-    ``action`` a fixed action code (``None``: each agent's target-profile
-    action).  Nearly every agent is online crowd, so the mask starts from
-    the online row — a constant or the cooperation mask — and patches the
-    few selected agents, instead of gathering per agent.
-    """
-    online_c, online_d = lookup[_ONLINE]
-    if action is not None:
-        mask = np.full(ctx.n, lookup[_ONLINE, action])
-    elif online_c == online_d:
-        mask = np.full(ctx.n, online_c)
-    else:
-        mask = ctx.coop.copy() if online_c else ~ctx.coop
-    rows = ctx.selected_rows
-    mask[rows] = lookup[ctx.roles[rows], ctx.action[rows] if action is None else action]
-    return mask
-
-
-class _PaymentFold:
-    """Pool-major unilateral-switch payments through reused ``out=`` buffers.
-
-    Shared by the audit's gain kernel and the dynamics' counterfactuals.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.new_contribution = np.empty(n)
-        self.new_totals = np.empty(n)
-        self.scratch = np.empty(n)
-        self.payable = np.empty(n, dtype=bool)
-        self.positive = np.empty(n, dtype=bool)
-
-    def add(
-        self,
-        total: float,
-        contribution: np.ndarray,
-        weight: np.ndarray,
-        member_new: np.ndarray,
-        slice_budgets: Sequence[float],
-        rewards: Sequence[np.ndarray],
-    ) -> None:
-        """Add a pool's payment per budget if each agent *alone* switched."""
-        new_contribution, new_totals = self.new_contribution, self.new_totals
-        scratch, payable = self.scratch, self.payable
-        np.multiply(weight, member_new, out=new_contribution)
-        np.subtract(total, contribution, out=new_totals)
-        np.add(new_totals, new_contribution, out=new_totals)
-        np.greater(new_contribution, 0, out=payable)
-        np.greater(new_totals, 0, out=self.positive)
-        np.logical_and(payable, self.positive, out=payable)
-        for acc, slice_budget in zip(rewards, slice_budgets):
-            np.multiply(slice_budget, new_contribution, out=scratch)
-            np.divide(scratch, new_totals, out=scratch, where=payable)
-            # Rewards are >= +0.0, so skipping a +0.0 add is exact.
-            np.add(acc, scratch, out=acc, where=payable)
-
-
-@dataclass
-class _CellGains:
-    """One budget cell's per-agent deviation gains over one chunk.
-
-    Entry ``j`` of each column is agent ``ctx.offset + j``'s payoff gain
-    for a unilateral switch to C, D or O; ``nan`` marks the agent's
-    current strategy (C for cooperators, D for defectors).
-    """
-
-    to_c: np.ndarray
-    to_d: np.ndarray
-    to_o: np.ndarray
-
-    def tensor(self, ctx: _ChunkContext) -> np.ndarray:
-        """The agent-major ``(n, 3)`` form, with canonical ``nan`` marks."""
-        gains = np.full((ctx.n, 3), np.nan)
-        gains[:, 0] = np.where(ctx.coop, np.nan, self.to_c)
-        gains[:, 1] = np.where(ctx.coop, self.to_d, np.nan)
-        gains[:, 2] = self.to_o
-        return gains
-
-
 def _chunk_gains(
-    scheme_name: str, cells: Sequence[_Structure], ctx: _ChunkContext
-) -> List[_CellGains]:
+    scheme_name: str, cells: Sequence[_Structure], ctx: Agents
+) -> List[Gains]:
     """Deviation gains of one chunk for every budget cell of one cost scale.
 
     ``cells`` are the budget cells of one cost scale: they share tables,
     pool totals and the calibrated split by reference and differ only in
     ``b_i``, which enters solely through each pool's ``slice_budget =
-    fraction * b_i``.  Weights, membership, post-deviation pool totals
-    and the block-break masks are computed once; only the
-    ``slice_budget[p] * new_contribution / new_totals`` divide-and-sum
-    runs per budget.  The loop is pool-major: each pool is folded into
-    per-budget accumulators through reused ``out=`` buffers and dropped
-    before the next, so the working set is a few ``(n,)`` arrays per
-    budget whatever the pool count.  Every element sees the same
-    floating-point expressions in the same order for any number of
-    cells, so each cell is bit-identical to a one-cell call.
+    fraction * b_i`` — so one pool-major :func:`fold_rewards` call serves
+    them all, and each cell is bit-identical to a one-cell call.
 
     When the base profile fails to produce a block
     (:attr:`_Structure.base_block_fails` — sync-set defectors under the
@@ -936,42 +718,23 @@ def _chunk_gains(
     """
     head = cells[0]
     table = head.tables[scheme_name]
-    totals = head.pool_totals[scheme_name]
-    n = ctx.n
-    slice_budgets = [table.fractions * cell.b_i for cell in cells]  # (P,) each
-    base = [np.zeros(n) for _ in cells]
-    rewards_c = [np.zeros(n) for _ in cells]
-    rewards_d = [np.zeros(n) for _ in cells]
-    contribution = np.empty(n)
-    fold = _PaymentFold(n)
-    scratch = fold.scratch  # free whenever no fold.add is in progress
-
+    fails = head.base_block_fails
     sole_local: Optional[int] = None
     sole = head.sole_sync_defector
-    if head.base_block_fails and sole is not None and 0 <= sole - ctx.offset < n:
+    if fails and sole is not None and 0 <= sole - ctx.offset < ctx.n:
         sole_local = sole - ctx.offset
 
-    # Deviations to fold: C and D, or only the sole defector's C.
-    if not head.base_block_fails:
-        deviations = [(0, rewards_c), (1, rewards_d)]
-    else:
-        deviations = [(0, rewards_c)] if sole_local is not None else []
+    base, rewards_c, rewards_d = fold_rewards(
+        table,
+        ctx,
+        head.pool_totals[scheme_name],
+        [table.fractions * cell.b_i for cell in cells],
+        base=not fails,
+        # C and D, or only the sole defector's C.
+        deviations=(0, 1) if not fails else (0,) if sole_local is not None else (),
+    )
 
-    for p in range(len(table.kinds)):
-        weight = _pool_weight(table, p, ctx.stake, ctx.coop_cost)
-        lookup = table.lookup[p]
-        np.multiply(weight, _membership(lookup, ctx), out=contribution)
-        budgets = [slice_budget[p] for slice_budget in slice_budgets]
-        if not head.base_block_fails:
-            for acc, budget in zip(base, budgets):
-                rate = budget / totals[p] if totals[p] > 0 else 0.0
-                np.multiply(rate, contribution, out=scratch)
-                acc += scratch
-        for action, rewards in deviations:
-            member_new = _membership(lookup, ctx, action)
-            fold.add(totals[p], contribution, weight, member_new, budgets, rewards)
-
-    if head.base_block_fails:
+    if fails:
         # No block, no rewards — in the base profile and after any
         # unilateral deviation except the sole defector's return to C.
         if sole_local is not None:
@@ -987,8 +750,8 @@ def _chunk_gains(
         # members are all among the selected rows.
         rows = ctx.selected_rows
         roles = ctx.roles[rows]
-        sole_leader = (roles == _LEADER) & (head.config.n_leaders == 1)
-        quorum_break = (roles == _COMMITTEE) & (
+        sole_leader = (roles == LEADER) & (head.config.n_leaders == 1)
+        quorum_break = (roles == COMMITTEE) & (
             (head.committee_stake_total - ctx.stake[rows]) <= head.quorum_threshold
         )
         sync_breaks = np.flatnonzero(ctx.sync & ctx.coop)
@@ -996,22 +759,7 @@ def _chunk_gains(
         for acc in rewards_d:
             acc[sync_breaks] = 0.0
             acc[role_breaks] = 0.0
-
-    neg_sortition = np.negative(ctx.sortition_cost, out=scratch)
-    gains: List[_CellGains] = []
-    for base_utility, to_c, to_d in zip(base, rewards_c, rewards_d):
-        base_utility -= ctx.current_cost
-        to_c -= ctx.coop_cost
-        to_c -= base_utility
-        to_d -= ctx.sortition_cost
-        to_d -= base_utility
-        np.subtract(neg_sortition, base_utility, out=base_utility)
-        # Gains are never -0.0 (rewards are >= +0.0 and costs positive),
-        # so adding a 0.0 mark is exact; a nan mark hides the entry.
-        to_c += ctx.nan_unless_defect
-        to_d += ctx.nan_unless_coop
-        gains.append(_CellGains(to_c=to_c, to_d=to_d, to_o=base_utility))
-    return gains
+    return deviation_gains(ctx, base, rewards_c, rewards_d)
 
 
 def iter_population_gains(
@@ -1036,7 +784,7 @@ def iter_population_gains(
     for chunk in chunks:
         ctx = _chunk_context(structure, spec, chunk)
         (gains,) = _chunk_gains(resolved.name, [structure], ctx)
-        yield chunk, gains.tensor(ctx), ctx.coop
+        yield chunk, np.column_stack((gains.to_c, gains.to_d, gains.to_o)), ctx.coop
 
 
 def _nan_peak(values: np.ndarray) -> Tuple[float, int]:
@@ -1055,8 +803,6 @@ class _GainReducer:
     in any order gives the same maximum bits.
     """
 
-    _ROLE_NAMES = {_LEADER: "leader", _COMMITTEE: "committee", _ONLINE: "online"}
-
     def __init__(self, structure: _Structure) -> None:
         self._structure = structure
         self.max_gain = -math.inf
@@ -1064,7 +810,7 @@ class _GainReducer:
         self.n_deviations = 0
         self.witness: Optional[DeviationWitness] = None
 
-    def update(self, gains: _CellGains, ctx: _ChunkContext) -> None:
+    def update(self, gains: Gains, ctx: Agents) -> None:
         """Fold one chunk's gains, column by column (no ``(n, 3)`` tensor)."""
         to_c, n_c = _nan_peak(gains.to_c)
         to_d, n_d = _nan_peak(gains.to_d)
@@ -1080,33 +826,22 @@ class _GainReducer:
             self.max_shirk = max(self.max_shirk, shirk)
 
     def _witness(
-        self, gains: _CellGains, ctx: _ChunkContext, gain: float
+        self, gains: Gains, ctx: Agents, gain: float
     ) -> DeviationWitness:
         """The first ``(agent, target)`` pair in agent-major order at ``gain``."""
-        best: Optional[Tuple[int, int]] = None
+        firsts = []
         for t, column in enumerate((gains.to_c, gains.to_d, gains.to_o)):
             hits = column == gain
-            j = int(np.argmax(hits))
-            if hits[j] and (best is None or j < best[0]):
-                best = (j, t)
-        assert best is not None
-        j, t = best
-        structure = self._structure
-        in_chunk = (structure.selected_index >= ctx.offset) & (
-            structure.selected_index < ctx.offset + ctx.n
-        )
-        local = structure.selected_index[in_chunk] - ctx.offset
-        role = _ONLINE
-        matches = np.flatnonzero(local == j)
-        if matches.size:
-            role = int(structure.selected_role[in_chunk][matches[0]])
+            if hits.any():
+                firsts.append((int(np.argmax(hits)), t))
+        j, t = min(firsts)
         return DeviationWitness(
             population=0,
             player=int(ctx.offset + j),
-            role=self._ROLE_NAMES[role],
+            role=ROLE_NAMES[int(ctx.roles[j])],
             stake=float(ctx.stake[j]),
             from_strategy="C" if ctx.coop[j] else "D",
-            to_strategy=_TARGETS[t],
+            to_strategy=TARGETS[t],
             gain=gain,
         )
 
@@ -1186,37 +921,26 @@ class PopulationAuditGridResult:
                 for cs in self.cost_scales:
                     yield (scheme, b, cs)
 
-    def max_gain_tensor(self) -> np.ndarray:
-        """Best deviation gain per cell, shape ``(S, B, C)`` float64."""
+    def _tensor(self, field: str, dtype: type) -> np.ndarray:
+        """One report field per cell, shape ``(S, B, C)``."""
         return np.array(
             [
                 [
-                    [
-                        self.reports[(scheme, b, cs)].max_gain
-                        for cs in self.cost_scales
-                    ]
+                    [getattr(self.reports[(s, b, c)], field) for c in self.cost_scales]
                     for b in self.budget_multipliers
                 ]
-                for scheme in self.schemes
+                for s in self.schemes
             ],
-            dtype=np.float64,
+            dtype=dtype,
         )
+
+    def max_gain_tensor(self) -> np.ndarray:
+        """Best deviation gain per cell, shape ``(S, B, C)`` float64."""
+        return self._tensor("max_gain", np.float64)
 
     def certified_tensor(self) -> np.ndarray:
         """Epsilon-IC verdict per cell, shape ``(S, B, C)`` bool."""
-        return np.array(
-            [
-                [
-                    [
-                        self.reports[(scheme, b, cs)].certified
-                        for cs in self.cost_scales
-                    ]
-                    for b in self.budget_multipliers
-                ]
-                for scheme in self.schemes
-            ],
-            dtype=bool,
-        )
+        return self._tensor("certified", bool)
 
     def witnesses(self) -> Dict[Tuple[str, float, float], DeviationWitness]:
         """The profitable-deviation witness for every non-certified cell."""
@@ -1469,6 +1193,20 @@ def audit_population(
 # -- the scalar oracle --------------------------------------------------------
 
 
+def _check_oracle_fit(spec: PopulationSpec, max_agents: int, oracle: str) -> None:
+    """The game oracles' guards: the population fits and has uniform costs."""
+    if spec.size > max_agents:
+        raise ConfigurationError(
+            f"the {oracle}; population of {spec.size} exceeds the limit of "
+            f"{max_agents}"
+        )
+    if spec.cost_jitter != 0.0:
+        raise ConfigurationError(
+            "the game oracles model uniform role costs; use cost_jitter=0 "
+            "populations to cross-check"
+        )
+
+
 def oracle_population_gains(
     scheme: SchemeLike,
     spec: PopulationSpec,
@@ -1485,73 +1223,17 @@ def oracle_population_gains(
     and carry no per-agent cost jitter (the scalar game models uniform
     role costs).
     """
-    from repro.core.game import (
-        AlgorandGame,
-        BlockSuccessModel,
-        Player,
-        PlayerRole,
-        Strategy,
-        with_deviation,
-    )
-
-    if spec.size > max_agents:
-        raise ConfigurationError(
-            f"the scalar oracle is O(n^2); population of {spec.size} exceeds "
-            f"the limit of {max_agents}"
-        )
-    if spec.cost_jitter != 0.0:
-        raise ConfigurationError(
-            "the scalar oracle models uniform role costs; audit populations "
-            "with cost_jitter=0 to cross-check"
-        )
+    _check_oracle_fit(spec, max_agents, "scalar oracle is O(n^2)")
     resolved = resolve_scheme(scheme)
     structure = _build_structure([resolved], spec, config)
     population = spec.materialize()
-    stake = population.stake64()
-    n = population.n_agents
-
-    roles = np.full(n, _ONLINE, dtype=np.int8)
-    roles[structure.selected_index] = structure.selected_role
-    sync = _sync_mask(spec, config, population)
-    sync[roles != _ONLINE] = False
-    actions = _online_actions(config, population, sync)
-    coop = actions == 0
-    coop[roles != _ONLINE] = True
-
-    role_of = {
-        _LEADER: PlayerRole.LEADER,
-        _COMMITTEE: PlayerRole.COMMITTEE,
-        _ONLINE: PlayerRole.ONLINE,
-    }
-    players = {
-        j: Player(node_id=j, stake=float(stake[j]), role=role_of[int(roles[j])])
-        for j in range(n)
-    }
-    game = AlgorandGame(
-        players=players,
-        costs=structure.costs,
-        reward_rule=resolved.make_rule(structure.b_i, structure.split),
-        success_model=BlockSuccessModel(
-            committee_quorum=config.committee_quorum,
-            synchrony_set=frozenset(int(j) for j in np.flatnonzero(sync)),
-        ),
+    ctx = _chunk_context(structure, spec, population)
+    game = _oracle_game(
+        ctx.stake,
+        ctx.roles,
+        ctx.sync,
+        structure.costs,
+        resolved.make_rule(structure.b_i, structure.split),
+        config.committee_quorum,
     )
-    profile = {
-        j: Strategy.COOPERATE if coop[j] else Strategy.DEFECT for j in range(n)
-    }
-    base = game.payoffs(profile)
-    strategy_of = {
-        "C": Strategy.COOPERATE,
-        "D": Strategy.DEFECT,
-        "O": Strategy.OFFLINE,
-    }
-    gains = np.full((n, 3), np.nan)
-    for t, target in enumerate(_TARGETS):
-        alternative = strategy_of[target]
-        for j in range(n):
-            if profile[j] is alternative:
-                continue
-            gains[j, t] = (
-                game.payoff(j, with_deviation(profile, j, alternative)) - base[j]
-            )
-    return gains
+    return _game_gains(game, ctx.coop).T

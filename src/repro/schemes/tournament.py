@@ -25,7 +25,7 @@ reproducible artifact like every figure in this repo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -51,6 +51,22 @@ TOURNAMENT_AUDIT = AuditConfig(
     budget_multipliers=(1.5,),
     oracle_samples=2,
 )
+
+
+def tournament_audit(
+    budget_multipliers: Tuple[float, ...] = (), cost_scales: Tuple[float, ...] = ()
+) -> AuditConfig:
+    """:data:`TOURNAMENT_AUDIT` widened by the grid flags (empty keeps an axis).
+
+    A scheme keeps its IC margin only if epsilon-IC at *all* requested
+    cells.  The CLI and the service both build their audit here.
+    """
+    audit = TOURNAMENT_AUDIT
+    if budget_multipliers:
+        audit = replace(audit, budget_multipliers=tuple(budget_multipliers))
+    if cost_scales:
+        audit = replace(audit, cost_scales=tuple(cost_scales))
+    return audit
 
 
 @dataclass(frozen=True)

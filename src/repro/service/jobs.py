@@ -361,6 +361,12 @@ _TOURNAMENT_FIELDS = _SCENARIOS_FIELDS + ("budget_multipliers", "cost_scales")
 
 def _prepare_tournament(raw: Mapping[str, Any]) -> PreparedJob:
     """The ``tournament`` kind: the cross-scheme ranked league."""
+    from repro.schemes.tournament import (
+        TournamentConfig,
+        run_tournament,
+        tournament_audit,
+    )
+
     _reject_unknown("tournament", raw, _TOURNAMENT_FIELDS)
     params = {
         "players": _int(raw, "players", 24),
@@ -372,33 +378,19 @@ def _prepare_tournament(raw: Mapping[str, Any]) -> PreparedJob:
         "budget_multipliers": list(_float_tuple(raw, "budget_multipliers")),
         "cost_scales": list(_float_tuple(raw, "cost_scales")),
     }
+    # Built here, not in ``run``: a bad audit axis (NaN, <= 0) is a 400.
+    config = TournamentConfig(
+        n_replications=params["replications"],
+        n_players=params["players"],
+        n_epochs=params["epochs"],
+        simulate_rounds=params["simulate_rounds"],
+        backend=params["backend"],
+        seed=params["seed"],
+        audit=tournament_audit(params["budget_multipliers"], params["cost_scales"]),
+    )
 
     def run(context: JobContext) -> Dict[str, Any]:
         """Run the league; payload is the ranked standings table."""
-        from dataclasses import replace
-
-        from repro.schemes.tournament import (
-            TOURNAMENT_AUDIT,
-            TournamentConfig,
-            run_tournament,
-        )
-
-        audit = TOURNAMENT_AUDIT
-        if params["budget_multipliers"]:
-            audit = replace(
-                audit, budget_multipliers=tuple(params["budget_multipliers"])
-            )
-        if params["cost_scales"]:
-            audit = replace(audit, cost_scales=tuple(params["cost_scales"]))
-        config = TournamentConfig(
-            n_replications=params["replications"],
-            n_players=params["players"],
-            n_epochs=params["epochs"],
-            simulate_rounds=params["simulate_rounds"],
-            backend=params["backend"],
-            seed=params["seed"],
-            audit=audit,
-        )
         result = run_tournament(
             config,
             workers=context.workers,

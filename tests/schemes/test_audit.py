@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import AuditError, ConfigurationError
+from repro.populations import PopulationSpec
 from repro.schemes import (
     AuditConfig,
     audit_scheme,
@@ -13,6 +16,7 @@ from repro.schemes import (
     get_scheme,
 )
 from repro.schemes.audit import _build_cell, _oracle_gains, _vectorized_gains
+from repro.schemes.population_audit import audit_population
 
 #: A small grid: one cell above the Theorem 3 bound, one below.
 _CONFIG = AuditConfig(
@@ -44,6 +48,26 @@ class TestConfigValidation:
     def test_rejects_nonpositive_multipliers(self):
         with pytest.raises(ConfigurationError):
             AuditConfig(budget_multipliers=(0.0,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget_multipliers", (math.nan,)),
+            ("budget_multipliers", (math.inf,)),
+            ("budget_multipliers", (1.0, -1.0)),
+            ("cost_scales", (math.nan,)),
+            ("cost_scales", (math.inf,)),
+            ("cost_scales", (-1.0,)),
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("epsilon", -1e-12),
+        ],
+    )
+    def test_rejects_non_finite_or_nonpositive_grid_values(self, field, value):
+        """Rejected up front, not as nan verdicts or a bogus oracle error."""
+        label = field.replace("_", " ")
+        with pytest.raises(ConfigurationError, match=label):
+            AuditConfig(**{field: value})
 
 
 class TestPaperVerdicts:
@@ -138,9 +162,22 @@ class TestVectorizedAgainstOracle:
         with pytest.raises(AuditError):
             audit_scheme(LyingScheme(), _CONFIG)
 
-    def test_split_dependent_pool_structure_rejected(self):
+    @pytest.mark.parametrize(
+        "audit",
+        [
+            pytest.param(lambda scheme: audit_scheme(scheme, _CONFIG), id="sampled"),
+            pytest.param(
+                lambda scheme: audit_population(
+                    scheme, PopulationSpec(family="uniform", size=200, seed=0)
+                ),
+                id="streamed",
+            ),
+        ],
+    )
+    def test_split_dependent_pool_structure_rejected(self, audit):
         """Only pool *fractions* may vary with the split — a per-split
-        exponent would silently be audited with population 0's value."""
+        exponent would silently be audited with population 0's value.
+        Both engines reach the kernel's one structure check."""
         from repro.schemes.base import PoolSpec, RewardScheme, WeightKind
 
         class SplitExponent(RewardScheme):
@@ -158,8 +195,8 @@ class TestVectorizedAgainstOracle:
                     ),
                 )
 
-        with pytest.raises(AuditError):
-            audit_scheme(SplitExponent(), _CONFIG)
+        with pytest.raises(AuditError, match="changes pool structure"):
+            audit(SplitExponent())
 
     def test_oracle_metadata_recorded(self):
         report = audit_scheme("role_based", _CONFIG)

@@ -41,6 +41,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             PopulationAuditConfig(chunk_agents=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cost_scale", float("nan")),
+            ("budget_multiplier", float("inf")),
+            ("budget_multiplier", -1.0),
+            ("epsilon", float("nan")),
+            ("epsilon", float("inf")),
+        ],
+    )
+    def test_non_finite_or_nonpositive_values_raise(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PopulationAuditConfig(**{field: value})
+
     def test_population_too_small_raises(self):
         tiny = PopulationSpec(family="uniform", size=5, seed=0)
         with pytest.raises(ConfigurationError, match="cannot host"):

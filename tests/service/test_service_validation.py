@@ -16,6 +16,8 @@ import pytest
 
 from harness import ServiceHarness
 
+from repro.service import prepare_job
+
 
 @pytest.fixture(scope="module")
 def harness():
@@ -92,6 +94,32 @@ class TestMalformedParameters:
         _submit_error(harness, "audit", {"schemes": "foundation"})
         _submit_error(harness, "audit", {"budget_multipliers": [True]})
         _submit_error(harness, "audit", {"family_params": "exponent=2"})
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"cost_scales": [-1]},
+            {"cost_scales": [float("nan")]},
+            {"budget_multipliers": [0]},
+            {"budget_multipliers": [float("inf")]},
+        ],
+    )
+    def test_bad_tournament_audit_axes_are_rejected(self, harness, params):
+        """The tournament's audit config is built at admission, so a bad
+        axis (``NaN`` passes ``json.loads``) is a 400, not a failed job."""
+        error = _submit_error(harness, "tournament", params)
+        assert error["type"] == "ConfigurationError"
+        assert "positive and finite" in error["message"]
+
+    def test_tournament_job_keys_are_unchanged(self):
+        """Admission-time validation must not move the memoization keys."""
+        assert prepare_job("tournament", {}).key == (
+            "69002dca0279e30716f132d09e252d1952e51f2efb7a36302d552370c6663887"
+        )
+        widened = {"budget_multipliers": [1.25], "cost_scales": [2.0]}
+        assert prepare_job("tournament", widened).key == (
+            "08a6d05ddc389aaaada21dd7af08ac515b1ff69669405dae7d5195935a39aa64"
+        )
 
     def test_missing_kind_is_rejected(self, harness):
         status, _, body = harness.request(
