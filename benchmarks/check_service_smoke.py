@@ -9,6 +9,8 @@ API surface end to end —
 3. polling ``GET /v1/jobs/{id}`` reaches ``done``;
 4. ``GET /v1/jobs/{id}/result`` returns the payload, byte-identical to
    the same spec run through the CLI path (``scale.audit.json``);
+   a small ``tournament`` job, which runs through the sweep orchestrator,
+   must likewise equal the CLI's ``tournament.json``;
 5. a **repeat submission answers 200 with ``memoized: true``** and
    serves the same bytes — the memo cache works across requests;
 6. bad requests (unknown scheme, malformed JSON) answer structured
@@ -41,6 +43,12 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The audit spec the session submits (and the CLI comparison runs).
 AUDIT_PARAMS = {"agents": 2000, "schemes": ["foundation", "role_based"]}
 
+#: A small tournament: every scheme, every scenario family, sharded.
+TOURNAMENT_PARAMS = {"players": 8, "epochs": 2, "replications": 1, "simulate_rounds": 1}
+
+#: The service's tournament seed (the CLI defaults to 2021).
+TOURNAMENT_SERVICE_SEED = 11
+
 
 def fail(message: str) -> None:
     """Print the failure and exit non-zero (fails the CI job)."""
@@ -69,13 +77,15 @@ def request(
         conn.close()
 
 
-def submit(port: int, params: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
-    """POST one audit job; return (status, decoded body)."""
+def submit(
+    port: int, params: Dict[str, object], kind: str = "audit"
+) -> Tuple[int, Dict[str, object]]:
+    """POST one job; return (status, decoded body)."""
     status, _, body = request(
         port,
         "POST",
         "/v1/jobs",
-        body=json.dumps({"kind": "audit", "params": params}).encode(),
+        body=json.dumps({"kind": kind, "params": params}).encode(),
         headers={"Content-Type": "application/json", "X-Client-Id": "ci-smoke"},
     )
     return status, json.loads(body)
@@ -96,20 +106,13 @@ def poll(port: int, job_id: str, timeout_s: float = 120.0) -> Dict[str, object]:
         time.sleep(0.2)
 
 
-def cli_reference_bytes() -> bytes:
-    """Run the same spec through the CLI path; return scale.audit.json."""
+def cli_reference_bytes(experiment: str, payload_file: str, **fields) -> bytes:
+    """Run the same settings through the CLI path; return its payload file."""
     from repro.analysis.runner import run_experiment
 
     with tempfile.TemporaryDirectory() as tmp:
-        run_experiment(
-            "scale",
-            scale="small",
-            out=Path(tmp),
-            workers=1,
-            agents=AUDIT_PARAMS["agents"],
-            schemes=tuple(AUDIT_PARAMS["schemes"]),
-        )
-        return (Path(tmp) / "scale.audit.json").read_bytes()
+        run_experiment(experiment, scale="small", out=Path(tmp), workers=1, **fields)
+        return (Path(tmp) / payload_file).read_bytes()
 
 
 def main() -> int:
@@ -158,7 +161,12 @@ def main() -> int:
             fail(f"result fetch answered {status}")
         print(f"audit served: {len(served)} bytes")
 
-        reference = cli_reference_bytes()
+        reference = cli_reference_bytes(
+            "scale",
+            "scale.audit.json",
+            agents=AUDIT_PARAMS["agents"],
+            schemes=AUDIT_PARAMS["schemes"],
+        )
         if served != reference:
             fail(
                 "served result differs from the CLI's scale.audit.json "
@@ -175,6 +183,28 @@ def main() -> int:
         if repeat_bytes != served:
             fail("memoized result differs from the original bytes")
         print("memo cache on repeat submission: ok")
+
+        status, body = submit(port, TOURNAMENT_PARAMS, kind="tournament")
+        if status != 202:
+            fail(f"tournament submission answered {status}: {body}")
+        job = poll(port, body["job"]["id"])
+        if job["state"] != "done":
+            fail(f"tournament job failed: {job.get('error')}")
+        status, _, served = request(port, "GET", f"/v1/jobs/{job['id']}/result")
+        if status != 200:
+            fail(f"tournament result fetch answered {status}")
+        reference = cli_reference_bytes(
+            "tournament",
+            "tournament.json",
+            seed=TOURNAMENT_SERVICE_SEED,
+            **TOURNAMENT_PARAMS,
+        )
+        if served != reference:
+            fail(
+                "served tournament differs from the CLI's tournament.json "
+                f"({len(served)} vs {len(reference)} bytes)"
+            )
+        print(f"tournament served: {len(served)} bytes, byte-identical to the CLI")
 
         status, error_body = submit(port, {"schemes": ["bogus_scheme"]})
         if status != 400 or error_body["error"]["type"] != "SchemeError":

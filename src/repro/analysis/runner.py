@@ -19,18 +19,27 @@ underlying data as CSV.  ``--scale`` trades fidelity for runtime:
 ``small`` for smoke runs, ``bench`` (default) for benchmark-sized runs,
 ``paper`` for publication-sized runs (slow for fig3).
 
+Experiment flags are generated from the specs in
+:mod:`repro.analysis.experiments`, the ones the job service validates
+against: one flag per field (``--agents``, ``--chunk-agents``,
+``--players``, ...; repeatable ``--scheme``, ``--family-param``,
+``--budget-multiplier``, ``--cost-scale``), defaulting to the ``--scale``
+preset.  A bad value, or a flag the selected experiment does not take,
+is a usage error (exit 2) before any work starts; ``all`` takes every
+flag and hands each experiment its own.  Under ``--out`` the served
+experiments also write their service payload (``scale.audit.json``,
+``dynamics.json``, ``scenarios.json``, ``tournament.json``; see
+``docs/service.md``).
+
 ``scenarios`` runs the strategic-participation campaign: every scenario
-family under naive and role-based rewards, producing the defection-share
-convergence trajectories (see :mod:`repro.scenarios`).  ``tournament``
-widens that to *every registered reward scheme* — the built-in five plus
-anything user-registered — and emits a ranked league table of equilibrium
-cooperation share, budget efficiency and epsilon-IC margin (with
-``--out``, both ``tournament.csv`` and ``tournament.md``; see
-:mod:`repro.schemes.tournament`).  ``dynamics`` streams Section V's
-evolutionary epochs over a million-agent population in O(chunk) memory —
-foundation unravels, role-based sharing stabilizes — with
-``--family/--agents/--chunk-agents/--epochs/--scheme`` knobs (see
-:mod:`repro.scenarios.population_dynamics`).
+family under naive and role-based rewards (see :mod:`repro.scenarios`).
+``tournament`` widens that to every registered reward scheme and ranks
+them by cooperation share, budget efficiency and epsilon-IC margin
+(``tournament.csv`` and ``tournament.md``; see
+:mod:`repro.schemes.tournament`).  ``scale`` audits a streamed
+population for every scheme (:mod:`repro.analysis.scale`), and
+``dynamics`` streams Section V's evolutionary epochs over it in O(chunk)
+memory (:mod:`repro.scenarios.population_dynamics`).
 
 The simulation-heavy experiments (fig3, fig5, fig6, fig7c, scenarios,
 tournament) shard through the sweep orchestrator: ``--workers N`` fans
@@ -75,23 +84,21 @@ import json
 import signal
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.analysis.defection import DefectionExperimentConfig, run_defection_experiment
+from repro.analysis.experiments import (
+    _SCALES,
+    EXPERIMENTS,
+    FIELDS,
+    ExperimentSpec,
+    dump_payload,
+)
 from repro.analysis.orchestrator import configure_progress_logging
 from repro.analysis.retry import ON_ERROR_MODES, ExecutionPolicy, RetryPolicy
-from repro.analysis.reward_comparison import (
-    RewardComparisonConfig,
-    run_reward_comparison,
-    run_truncation_experiment,
-)
-from repro.analysis.reward_surface import RewardSurfaceConfig, run_reward_surface
-from repro.analysis.tables import table2, table3
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
-from repro.sim.config import SIMULATION_BACKENDS
 from repro.telemetry import (
     enable as _telemetry_enable,
     get_registry,
@@ -99,84 +106,6 @@ from repro.telemetry import (
     span,
     to_prometheus_text,
 )
-
-#: Per-scale experiment parameters: (fig3 runs/rounds/nodes, fig6 instances,
-#: scenario campaign shape (players, epochs, replications, simulated rounds),
-#: tournament shape (players, epochs, replications, simulated rounds),
-#: population-scale audit size (agents)).
-_SCALES = {
-    "small": {
-        "fig3": (2, 6, 40),
-        "instances": 2,
-        "surface_nodes": 50_000,
-        "scenarios": (28, 10, 2, 2),
-        "tournament": (24, 8, 1, 1),
-        "scale_agents": 20_000,
-        "dynamics": (24_576, 6),
-    },
-    "bench": {
-        "fig3": (3, 12, 60),
-        "instances": 8,
-        "surface_nodes": 500_000,
-        "scenarios": (48, 16, 4, 2),
-        "tournament": (32, 12, 2, 2),
-        "scale_agents": 1_000_000,
-        "dynamics": (1_000_000, 20),
-    },
-    "paper": {
-        "fig3": (100, 60, 100),
-        "instances": 200,
-        "surface_nodes": 500_000,
-        "scenarios": (80, 30, 10, 4),
-        "tournament": (64, 24, 6, 2),
-        "scale_agents": 10_000_000,
-        "dynamics": (10_000_000, 30),
-    },
-}
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Cross-cutting execution options shared by every experiment.
-
-    ``backend`` overrides the simulation engine of the simulator-backed
-    experiments (fig3, scenarios, tournament): ``"fast"`` for the
-    vectorized round-level kernel, ``"des"`` for the per-message
-    discrete-event oracle, ``None`` for each experiment's own default
-    (the fast kernel).  Analytic experiments ignore it.
-    """
-
-    scale: str = "bench"
-    out: Optional[Path] = None
-    workers: Union[int, str] = 1
-    seed: Optional[int] = None
-    cache_dir: Optional[Path] = None
-    progress: bool = False
-    backend: Optional[str] = None
-    #: Population-scale (``scale`` experiment) knobs; other experiments
-    #: ignore them.  ``agents=None`` uses the ``--scale`` preset;
-    #: ``family_params`` holds raw ``key=value`` strings from
-    #: ``--family-param`` (values parsed as JSON where possible).
-    family: str = "zipf"
-    family_params: tuple = ()
-    agents: Optional[int] = None
-    chunk_agents: Optional[int] = None
-    dtype: str = "float64"
-    schemes: tuple = ()
-    #: Epoch count for the ``dynamics`` experiment (``None`` = preset).
-    epochs: Optional[int] = None
-    #: Audit grid axes for the ``scale`` (fused verdict tensor) and
-    #: ``tournament`` (league audit operating points) experiments,
-    #: from repeatable ``--budget-multiplier`` / ``--cost-scale`` flags;
-    #: empty means each experiment's single default cell.
-    budget_multipliers: tuple = ()
-    cost_scales: tuple = ()
-    #: Robustness envelope for the sharded experiments — retries,
-    #: per-shard timeout, sweep deadline, partial mode, fault injection
-    #: (from ``--max-retries`` / ``--shard-timeout`` / ``--deadline`` /
-    #: ``--on-error`` / ``--inject-faults``).  ``None`` keeps the
-    #: fail-fast default; the analytic experiments ignore it.
-    policy: Optional[ExecutionPolicy] = None
 
 
 @dataclass
@@ -188,315 +117,27 @@ class ExperimentOutcome:
     csv_path: Optional[Path] = None
 
 
-def _csv_path(options: RunOptions, filename: str) -> Optional[Path]:
-    if options.out is None:
-        return None
-    return options.out / filename
-
-
-def _run_table2(options: RunOptions) -> ExperimentOutcome:
-    result = table2()
-    csv_path = _csv_path(options, "table2.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    return ExperimentOutcome("table2", result.render(), csv_path)
-
-
-def _run_table3(options: RunOptions) -> ExperimentOutcome:
-    result = table3()
-    csv_path = _csv_path(options, "table3.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    return ExperimentOutcome("table3", result.render(), csv_path)
-
-
-def _run_fig3(options: RunOptions) -> ExperimentOutcome:
-    runs, rounds, nodes = _SCALES[options.scale]["fig3"]
-    config = DefectionExperimentConfig(n_runs=runs, n_rounds=rounds, n_nodes=nodes)
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    if options.backend is not None:
-        config = replace(config, backend=options.backend)
-    result = run_defection_experiment(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
+def _execute(
+    spec: ExperimentSpec,
+    config: Any,
+    out: Optional[Path],
+    workers: Union[int, str],
+    cache_dir: Optional[Path],
+    progress: bool,
+    policy: Optional[ExecutionPolicy],
+) -> ExperimentOutcome:
+    """Run a built config; with ``out``, write the CSV and the payload."""
+    result = spec.run(
+        config, workers=workers, cache_dir=cache_dir, progress=progress, policy=policy
     )
-    csv_path = _csv_path(options, "fig3.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    return ExperimentOutcome("fig3", result.render(), csv_path)
-
-
-def _run_fig5(options: RunOptions) -> ExperimentOutcome:
-    config = RewardSurfaceConfig(n_nodes=_SCALES[options.scale]["surface_nodes"])
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_reward_surface(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "fig5.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    return ExperimentOutcome("fig5", result.render(), csv_path)
-
-
-def _run_fig6(options: RunOptions) -> ExperimentOutcome:
-    config = RewardComparisonConfig(n_instances=_SCALES[options.scale]["instances"])
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_reward_comparison(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "fig6.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    rendered = "\n\n".join(
-        [result.render_figure6(), result.render_figure7a(), result.render_figure7b()]
-    )
-    return ExperimentOutcome("fig6", rendered, csv_path)
-
-
-def _run_fig7c(options: RunOptions) -> ExperimentOutcome:
-    config = RewardComparisonConfig(
-        n_instances=max(2, _SCALES[options.scale]["instances"] // 2), n_rounds=3
-    )
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_truncation_experiment(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "fig7c.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    return ExperimentOutcome("fig7c", result.render(), csv_path)
-
-
-def _run_scenarios(options: RunOptions) -> ExperimentOutcome:
-    from repro.scenarios import ScenarioCampaignConfig, run_scenarios_campaign
-
-    n_players, n_epochs, n_replications, simulate_rounds = _SCALES[options.scale][
-        "scenarios"
-    ]
-    config = ScenarioCampaignConfig(
-        n_replications=n_replications,
-        n_players=n_players,
-        n_epochs=n_epochs,
-        simulate_rounds=simulate_rounds,
-        backend=options.backend,
-    )
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_scenarios_campaign(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "scenarios.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    return ExperimentOutcome("scenarios", result.render(), csv_path)
-
-
-def _run_tournament(options: RunOptions) -> ExperimentOutcome:
-    from repro.schemes.tournament import (
-        TournamentConfig,
-        run_tournament,
-        tournament_audit,
-    )
-
-    n_players, n_epochs, n_replications, simulate_rounds = _SCALES[options.scale][
-        "tournament"
-    ]
-    config = TournamentConfig(
-        n_replications=n_replications,
-        n_players=n_players,
-        n_epochs=n_epochs,
-        simulate_rounds=simulate_rounds,
-        backend=options.backend,
-        audit=tournament_audit(options.budget_multipliers, options.cost_scales),
-    )
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_tournament(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "tournament.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-        result.to_markdown(csv_path.with_suffix(".md"))
-    return ExperimentOutcome("tournament", result.render(), csv_path)
-
-
-def _parse_family_params(raw: tuple) -> Dict[str, object]:
-    """Parse ``--family-param key=value`` pairs into a parameter dict.
-
-    Values are decoded as JSON when possible (numbers, booleans) and
-    kept as strings otherwise (e.g. ``path=snap.txt`` for the
-    ``exchange_snapshot`` family).
-    """
-    params: Dict[str, object] = {}
-    for token in raw:
-        key, separator, value = token.partition("=")
-        if not separator or not key:
-            raise ConfigurationError(
-                f"--family-param expects KEY=VALUE, got {token!r}"
-            )
-        try:
-            params[key] = json.loads(value)
-        except json.JSONDecodeError:
-            params[key] = value
-    return params
-
-
-def _run_scale(options: RunOptions) -> ExperimentOutcome:
-    """The ``scale`` experiment: population-scale audits of every scheme.
-
-    Streams a population of ``--agents`` agents (default: the ``--scale``
-    preset — 20k small, 10^6 bench, 10^7 paper) from the ``--family``
-    generator, audits each requested scheme chunk by chunk in O(chunk)
-    memory, samples a sortition committee from the same stream, and
-    renders the BENCH_scale-style table.  Repeatable
-    ``--budget-multiplier`` / ``--cost-scale`` flags widen the audit
-    into a fused grid: one streamed pass emits the whole
-    (scheme x budget x cost-scale) verdict tensor.  With ``--out``,
-    writes ``scale.csv``, the machine-readable ``scale.json``, and
-    ``scale.audit.json`` — the timing-free audit payload that is
-    byte-identical to what the audit service serves for the same spec
-    (see ``docs/service.md``).
-    """
-    from repro.analysis.scale import ScaleConfig, run_scale
-
-    config = ScaleConfig(
-        family=options.family,
-        family_params=_parse_family_params(options.family_params),
-        n_agents=(
-            options.agents
-            if options.agents is not None
-            else _SCALES[options.scale]["scale_agents"]
-        ),
-        schemes=tuple(options.schemes),
-        chunk_agents=options.chunk_agents,
-        dtype=options.dtype,
-        budget_multipliers=tuple(options.budget_multipliers),
-        cost_scales=tuple(options.cost_scales),
-    )
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_scale(config)
-    csv_path = _csv_path(options, "scale.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-        csv_path.with_suffix(".json").write_text(
-            json.dumps(result.to_payload(), indent=2, sort_keys=True)
-        )
-        csv_path.with_name("scale.audit.json").write_text(
-            json.dumps(result.audit_payload(), indent=2, sort_keys=True)
-        )
-    return ExperimentOutcome("scale", result.render(), csv_path)
-
-
-def _run_dynamics(options: RunOptions) -> ExperimentOutcome:
-    """The ``dynamics`` experiment: streamed Section V epochs at scale.
-
-    Evolves one ``--agents``-sized population (default: the ``--scale``
-    preset — 24576 small, 10^6 bench, 10^7 paper) through ``--epochs``
-    streamed replicator epochs under each requested scheme (default:
-    foundation vs role_based), in O(chunk) memory, and renders the
-    defection-share trajectories plus a stability verdict table.  With
-    ``--out``, writes ``dynamics.csv`` and the machine-readable
-    ``dynamics.json`` (the trajectory payloads, byte-identical at any
-    ``--chunk-agents`` value).
-    """
-    from repro.populations.arrays import DEFAULT_CHUNK_AGENTS
-    from repro.populations.spec import PopulationSpec
-    from repro.scenarios.population_dynamics import (
-        PopulationDynamicsSpec,
-        dynamics_to_csv,
-        render_dynamics_trajectories,
-        run_population_dynamics_campaign,
-    )
-
-    agents, epochs = _SCALES[options.scale]["dynamics"]
-    seed = options.seed if options.seed is not None else 2021
-    population = PopulationSpec(
-        family=options.family,
-        size=options.agents if options.agents is not None else agents,
-        params=_parse_family_params(options.family_params),
-        cooperation=0.9,
-        dtype=options.dtype,
-        seed=seed,
-    )
-    spec = PopulationDynamicsSpec(
-        name=f"dynamics-{options.scale}",
-        population=population,
-        n_epochs=options.epochs if options.epochs is not None else epochs,
-        chunk_agents=(
-            options.chunk_agents
-            if options.chunk_agents is not None
-            else DEFAULT_CHUNK_AGENTS
-        ),
-    )
-    schemes = tuple(options.schemes) or ("foundation", "role_based")
-    trajectories = run_population_dynamics_campaign(
-        [spec],
-        schemes,
-        seed=seed,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "dynamics.csv")
-    if csv_path is not None:
-        dynamics_to_csv(trajectories, csv_path)
-        csv_path.with_suffix(".json").write_text(
-            json.dumps(
-                {
-                    f"{name}/{scheme}": trajectory.to_payload()
-                    for (name, scheme), trajectory in trajectories.items()
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    return ExperimentOutcome(
-        "dynamics", render_dynamics_trajectories(trajectories), csv_path
-    )
-
-
-EXPERIMENTS: Dict[str, Callable[[RunOptions], ExperimentOutcome]] = {
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "fig3": _run_fig3,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7c": _run_fig7c,
-    "scenarios": _run_scenarios,
-    "tournament": _run_tournament,
-    "scale": _run_scale,
-    "dynamics": _run_dynamics,
-}
+    csv_path = None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        csv_path = out / f"{spec.name}.csv"
+        spec.write(result, csv_path)
+        if spec.payload is not None:
+            (out / spec.payload_file).write_text(dump_payload(spec.payload(result)))
+    return ExperimentOutcome(spec.name, spec.render(result), csv_path)
 
 
 def run_experiment(
@@ -504,64 +145,34 @@ def run_experiment(
     scale: str = "bench",
     out: Optional[Path] = None,
     workers: Union[int, str] = 1,
-    seed: Optional[int] = None,
     cache_dir: Optional[Path] = None,
     progress: bool = False,
-    backend: Optional[str] = None,
-    family: str = "zipf",
-    family_params: tuple = (),
-    agents: Optional[int] = None,
-    chunk_agents: Optional[int] = None,
-    dtype: str = "float64",
-    schemes: tuple = (),
-    epochs: Optional[int] = None,
-    budget_multipliers: tuple = (),
-    cost_scales: tuple = (),
     policy: Optional[ExecutionPolicy] = None,
+    **fields: Any,
 ) -> ExperimentOutcome:
-    """Run one registered experiment by name."""
+    """Run one registered experiment by name.
+
+    ``fields`` are the experiment's spec fields (``seed``, ``agents``,
+    ``schemes``, ...); a field left out or passed as ``None`` takes its
+    ``scale`` preset.  Every field is validated, and the config built,
+    before any work starts.
+    """
     if name not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)} or 'all'"
         )
-    if scale not in _SCALES:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; choose from {sorted(_SCALES)}"
-        )
-    if backend is not None and backend not in SIMULATION_BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {sorted(SIMULATION_BACKENDS)}"
-        )
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    options = RunOptions(
-        scale=scale,
-        out=out,
-        workers=workers,
-        seed=seed,
-        cache_dir=cache_dir,
-        progress=progress,
-        backend=backend,
-        family=family,
-        family_params=family_params,
-        agents=agents,
-        chunk_agents=chunk_agents,
-        dtype=dtype,
-        schemes=schemes,
-        epochs=epochs,
-        budget_multipliers=budget_multipliers,
-        cost_scales=cost_scales,
-        policy=policy,
-    )
-    return EXPERIMENTS[name](options)
+    spec = EXPERIMENTS[name]
+    given = {key: value for key, value in fields.items() if value is not None}
+    config = spec.configure(scale, given)
+    return _execute(spec, config, out, workers, cache_dir, progress, policy)
 
 
 def profile_experiment(
     name: str,
     scale: str = "small",
     workers: Union[int, str] = 1,
-    backend: Optional[str] = None,
     top_n: int = 25,
+    **fields: Any,
 ) -> str:
     """Run one experiment under cProfile and render the top-N hot spots.
 
@@ -569,6 +180,8 @@ def profile_experiment(
     profile <figure>``: runs the experiment in-process (serial workers,
     so the profile sees the actual compute, not pool plumbing) and
     returns a cumulative-time table of the ``top_n`` dominant functions.
+    ``fields`` are the experiment's spec fields, as for
+    :func:`run_experiment`.
     """
     import cProfile
     import io
@@ -578,18 +191,19 @@ def profile_experiment(
     profiler.enable()
     started = time.perf_counter()
     try:
-        run_experiment(name, scale=scale, workers=workers, backend=backend)
+        run_experiment(name, scale=scale, workers=workers, **fields)
     finally:
         profiler.disable()
     elapsed = time.perf_counter() - started
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top_n)
-    header = (
-        f"profile: {name} --scale {scale}"
-        + (f" --backend {backend}" if backend else "")
-        + f" ({elapsed:.2f}s wall)"
+    settings = "".join(
+        f" {FIELDS[key].flag} {value}"
+        for key, value in fields.items()
+        if value is not None
     )
+    header = f"profile: {name} --scale {scale}{settings} ({elapsed:.2f}s wall)"
     return header + "\n" + stream.getvalue()
 
 
@@ -661,8 +275,65 @@ def _parse_workers(value: str) -> Union[int, str]:
     return count
 
 
-def main(argv=None) -> int:
-    """Command-line entry point (the ``repro-runner`` console script)."""
+def _add_field_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per spec field; its help names the experiments using it."""
+    for field in FIELDS.values():
+        users = [name for name, spec in EXPERIMENTS.items() if field.name in spec.fields]
+        parser.add_argument(
+            field.flag,
+            dest=field.name,
+            default=None,
+            type=field.parse,
+            action="append" if field.repeated else "store",
+            choices=[choice for choice in field.choices if choice is not None] or None,
+            metavar=field.metavar,
+            help=f"{field.help} [{', '.join(users)}]",
+        )
+
+
+def _plan(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, names: List[str]
+) -> Tuple[Dict[str, Any], List[Tuple[ExperimentSpec, Any]]]:
+    """The field flags given, and each selected experiment's built config.
+
+    A flag that no selected experiment declares, or a value that a
+    field validator or ``build`` rejects, is a usage error (exit 2)
+    before any work starts.
+    """
+    given = {
+        name: getattr(args, name)
+        for name in FIELDS
+        if getattr(args, name) is not None
+    }
+    specs = [EXPERIMENTS[name] for name in names]
+    stray = [
+        FIELDS[name].flag
+        for name in given
+        if not any(name in spec.fields for spec in specs)
+    ]
+    if stray:
+        parser.error(
+            f"{', '.join(stray)} not accepted by "
+            f"{' '.join(filter(None, (args.experiment, args.target)))}"
+        )
+    try:
+        plans = [
+            (
+                spec,
+                spec.configure(
+                    args.scale,
+                    {name: value for name, value in given.items() if name in spec.fields},
+                    flags=True,
+                ),
+            )
+            for spec in specs
+        ]
+    except ConfigurationError as error:
+        parser.error(str(error))
+    return given, plans
+
+
+def _parser() -> argparse.ArgumentParser:
     import repro
 
     parser = argparse.ArgumentParser(
@@ -691,95 +362,13 @@ def main(argv=None) -> int:
         help="the experiment to profile (only with 'profile')",
     )
     parser.add_argument("--scale", default="bench", choices=sorted(_SCALES))
-    parser.add_argument("--out", type=Path, default=None, help="CSV output directory")
     parser.add_argument(
-        "--backend",
+        "--out",
+        type=Path,
         default=None,
-        choices=sorted(SIMULATION_BACKENDS),
-        help="simulation engine for the simulator-backed experiments "
-        "(fig3, scenarios, tournament): 'fast' for the vectorized "
-        "round-level kernel (their default), 'des' for the per-message "
-        "discrete-event oracle; analytic experiments ignore it",
+        help="output directory for the CSV artifacts and JSON payloads",
     )
-    parser.add_argument(
-        "--family",
-        default="zipf",
-        help="population generator family for the 'scale' and 'dynamics' "
-        "experiments (zipf, pareto, lognormal, uniform, normal, "
-        "exchange_snapshot); other experiments ignore it",
-    )
-    parser.add_argument(
-        "--family-param",
-        action="append",
-        default=None,
-        dest="family_params",
-        metavar="KEY=VALUE",
-        help="generator-family parameter for the 'scale' and 'dynamics' "
-        "experiments (repeatable), e.g. --family-param exponent=1.8 or "
-        "--family-param path=snapshot.txt for exchange_snapshot; values "
-        "parse as JSON where possible, else strings",
-    )
-    parser.add_argument(
-        "--agents",
-        type=int,
-        default=None,
-        help="population size for the 'scale' and 'dynamics' experiments "
-        "(default: the --scale preset)",
-    )
-    parser.add_argument(
-        "--chunk-agents",
-        type=int,
-        default=None,
-        help="streaming window of the 'scale' and 'dynamics' experiments: "
-        "agents held in memory at once (rounded up to whole seed blocks; "
-        "default 131072); results are identical at any value",
-    )
-    parser.add_argument(
-        "--epochs",
-        type=int,
-        default=None,
-        help="epoch count for the 'dynamics' experiment (default: the "
-        "--scale preset — 6 small, 20 bench, 30 paper)",
-    )
-    parser.add_argument(
-        "--dtype",
-        default="float64",
-        choices=["float64", "float32"],
-        help="stake/cost storage dtype for the 'scale' and 'dynamics' "
-        "experiments (float32 halves memory; arithmetic stays float64)",
-    )
-    parser.add_argument(
-        "--scheme",
-        action="append",
-        default=None,
-        dest="schemes",
-        help="restrict the 'scale' or 'dynamics' experiment to one scheme "
-        "(repeatable; defaults: every registered scheme for 'scale', "
-        "foundation + role_based for 'dynamics')",
-    )
-    parser.add_argument(
-        "--budget-multiplier",
-        action="append",
-        type=float,
-        default=None,
-        dest="budget_multipliers",
-        metavar="X",
-        help="audit-grid budget axis for the 'scale' and 'tournament' "
-        "experiments (repeatable): multiples of the Theorem 3 bound to "
-        "audit at; 'scale' fuses all cells into one streamed verdict "
-        "tensor (default: 1.5)",
-    )
-    parser.add_argument(
-        "--cost-scale",
-        action="append",
-        type=float,
-        default=None,
-        dest="cost_scales",
-        metavar="X",
-        help="audit-grid cost axis for the 'scale' and 'tournament' "
-        "experiments (repeatable): role-cost scale factors to audit at "
-        "(default: 1.0)",
-    )
+    _add_field_flags(parser)
     parser.add_argument(
         "--timings-json",
         type=Path,
@@ -817,13 +406,6 @@ def main(argv=None) -> int:
         help="worker processes for sharded experiments: a count, or 'auto' "
         "for one per CPU (default: auto); results are identical at any "
         "worker count",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the experiment's root seed (default: each "
-        "experiment's paper-matching seed)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -924,7 +506,24 @@ def main(argv=None) -> int:
         "workers inherit the plan under every multiprocessing start "
         "method",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    """Command-line entry point (the ``repro-runner`` console script)."""
+    parser = _parser()
     args = parser.parse_args(argv)
+    if args.experiment == "profile" and args.target is None:
+        parser.error("profile needs a target experiment, e.g. 'profile fig3'")
+    if args.experiment != "profile" and args.target is not None:
+        parser.error("a target experiment is only valid with 'profile'")
+    if args.experiment == "all":
+        names = sorted(EXPERIMENTS)
+    elif args.experiment == "serve":
+        names = []
+    else:
+        names = [args.target or args.experiment]
+    given, plans = _plan(parser, args, names)
 
     configure_progress_logging(enabled=not args.no_progress)
     telemetry_on = args.telemetry_json is not None or args.metrics_text is not None
@@ -954,12 +553,8 @@ def main(argv=None) -> int:
         )
 
     if args.experiment == "serve":
-        if args.target is not None:
-            parser.error("a target experiment is only valid with 'profile'")
         return _run_serve(args, policy)
     if args.experiment == "profile":
-        if args.target is None:
-            parser.error("profile needs a target experiment, e.g. 'profile fig3'")
         # Default to serial workers: with a process pool the shard compute
         # happens in children invisible to the parent's cProfile, and the
         # table would show only pool plumbing.  An explicit --workers N is
@@ -970,15 +565,12 @@ def main(argv=None) -> int:
                 args.target,
                 scale=args.scale,
                 workers=workers,
-                backend=args.backend,
                 top_n=args.profile_top,
+                **given,
             )
         )
         return 0
-    if args.target is not None:
-        parser.error("a target experiment is only valid with 'profile'")
 
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     timings: Dict[str, float] = {}
 
     def _on_sigterm(_signum, _frame):
@@ -990,37 +582,20 @@ def main(argv=None) -> int:
         previous_sigterm = None  # embedded in a non-main thread: SIGINT only
     current: Optional[str] = None
     try:
-        for name in names:
-            current = name
+        for spec, config in plans:
+            current = spec.name
             started = time.perf_counter()
-            with span(f"runner.{name}"):
-                outcome = run_experiment(
-                    name,
-                    scale=args.scale,
-                    out=args.out,
-                    workers=args.workers,
-                    seed=args.seed,
-                    cache_dir=args.cache_dir,
-                    progress=not args.no_progress,
-                    backend=args.backend,
-                    family=args.family,
-                    family_params=(
-                        tuple(args.family_params) if args.family_params else ()
-                    ),
-                    agents=args.agents,
-                    chunk_agents=args.chunk_agents,
-                    dtype=args.dtype,
-                    schemes=tuple(args.schemes) if args.schemes else (),
-                    epochs=args.epochs,
-                    budget_multipliers=(
-                        tuple(args.budget_multipliers)
-                        if args.budget_multipliers
-                        else ()
-                    ),
-                    cost_scales=tuple(args.cost_scales) if args.cost_scales else (),
-                    policy=policy,
+            with span(f"runner.{spec.name}"):
+                outcome = _execute(
+                    spec,
+                    config,
+                    args.out,
+                    args.workers,
+                    args.cache_dir,
+                    not args.no_progress,
+                    policy,
                 )
-            timings[name] = time.perf_counter() - started
+            timings[spec.name] = time.perf_counter() - started
             print(f"=== {outcome.name} ===")
             print(outcome.rendered)
             if outcome.csv_path is not None:

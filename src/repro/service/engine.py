@@ -19,9 +19,10 @@ healthy under concurrent load:
   result bytes.  A key currently queued or running is a **dedup hit** —
   the new record attaches to the in-flight execution, so N concurrent
   identical requests cost exactly one computation.  Result bytes are
-  rendered once per execution (``json.dumps(..., indent=2,
-  sort_keys=True)``, the CLI's serialization), so every record sharing
-  a key serves byte-identical payloads.  Failures are **never**
+  rendered once per execution (by
+  :func:`~repro.analysis.experiments.dump_payload`, the CLI's
+  serialization), so every record sharing a key serves byte-identical
+  payloads.  Failures are **never**
   memoized: a failed execution is dropped from the key table the
   moment it finishes (its records keep answering status queries), so
   resubmitting after a transient failure — a shard timeout, a worker
@@ -41,7 +42,6 @@ one ``repro_service_jobs_executed_total`` increment.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import uuid
@@ -49,6 +49,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
+from repro.analysis.experiments import dump_payload
 from repro.errors import AdmissionError, JobNotFoundError
 from repro.service.jobs import JobContext, PreparedJob, prepare_job
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS
@@ -438,7 +439,7 @@ class JobEngine:
         started = time.perf_counter()
         try:
             payload = job.run(self.config.context)
-            payload_json = json.dumps(payload, indent=2, sort_keys=True)
+            payload_json = dump_payload(payload)
         except Exception as error:  # noqa: BLE001 — a job must never kill a worker
             self._m_job_seconds.labels(kind=job.kind).observe(
                 time.perf_counter() - started

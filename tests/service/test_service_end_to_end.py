@@ -1,9 +1,10 @@
 """Black-box end-to-end: the served result is byte-identical to the CLI's.
 
-The acceptance criterion of the service layer: submitting an audit spec
-over HTTP and running the same spec through ``repro-runner scale`` must
-produce **the same bytes** — same deterministic payload, same
-serialization.  Plus the plain functional loop every client performs:
+The acceptance criterion of the service layer: submitting a job over
+HTTP and running the same settings through ``repro-runner`` must produce
+**the same bytes** as the payload the CLI writes under ``--out``
+(``scale.audit.json``, ``dynamics.json``, ``scenarios.json``,
+``tournament.json``) — same deterministic payload, same serialization.  Plus the plain functional loop every client performs:
 submit -> 202, poll -> done, fetch result, scrape ``/metrics`` (linted)
 and ``/healthz``.
 """
@@ -87,6 +88,29 @@ class TestByteIdentity:
         assert served["float32"] == cli_bytes
         # The cast is real: continuous stakes round differently.
         assert served["float64"] != served["float32"]
+
+    @pytest.mark.parametrize(
+        ("kind", "service_seed"), [("scenarios", 7), ("tournament", 11)]
+    )
+    def test_served_campaign_equals_cli_payload(
+        self, harness, tmp_path, kind, service_seed
+    ):
+        """The sharded kinds serve the bytes of the CLI's ``<kind>.json``;
+        the CLI run names the seed the service defaults to."""
+        from repro.analysis.runner import run_experiment
+
+        params = {"players": 8, "epochs": 2, "replications": 1, "simulate_rounds": 1}
+        run_experiment(
+            kind, scale="small", out=tmp_path, workers=1, seed=service_seed, **params
+        )
+        cli_bytes = (tmp_path / f"{kind}.json").read_bytes()
+
+        status, body = harness.submit(kind, params)
+        assert status in (200, 202)
+        assert body["job"]["params"]["seed"] == service_seed
+        job = harness.poll(body["job"]["id"])
+        assert job["state"] == "done"
+        assert harness.result(job["id"]) == cli_bytes
 
     def test_repeat_submission_serves_identical_bytes(self, harness):
         first_status, first = harness.submit("audit", AUDIT_PARAMS)

@@ -96,6 +96,14 @@ class TestJobKey:
         explicit = prepare_job("audit", {"agents": 2000, "seed": 2021})
         assert implicit.key == explicit.key
 
+    def test_default_chunk_agents_shares_the_explicit_key(self):
+        """An omitted ``chunk_agents`` is the default window, not a second
+        key for a computation whose payload echoes ``chunk_agents: 131072``."""
+        implicit = prepare_job("audit", {"agents": 2000})
+        explicit = prepare_job("audit", {"agents": 2000, "chunk_agents": 131072})
+        assert implicit.params["chunk_agents"] == 131072
+        assert implicit.key == explicit.key
+
 
 class TestSubmission:
     def test_echo_job_round_trips(self, engine, echo_kind):
