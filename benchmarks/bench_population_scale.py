@@ -16,6 +16,11 @@ x cost-scale) grid over the 10^7 population in **one** streamed pass
 the per-cell baseline that re-streams the population for every
 (budget, cost-scale) cell — same verdicts, one pass, flat RSS.
 
+The audit runs on in-call threads
+(:data:`repro.populations.threads.THREADS`, derived from the CPUs the
+process may use); the record also re-runs one streamed size serially and
+requires the identical audit payload.
+
 Run via ``pytest benchmarks/bench_population_scale.py`` (the full
 sweep plus the grid comparison, a few minutes of which the per-cell
 baseline is most), or directly::
@@ -55,17 +60,30 @@ GRID_AGENTS = 10_000_000
 GRID_BUDGETS = (1.0, 1.5, 2.0)
 GRID_COST_SCALES = (0.5, 1.0, 2.0)
 
+#: The streamed size (above ``RESIDENT_BYTES``) re-run at one thread:
+#: its audit payload must equal the threaded run's.
+SERIAL_CHECK_AGENTS = 1_000_000
+
 #: O(chunk) memory: the largest size's (and the fused grid's) peak RSS
 #: stays below this multiple of the smallest size's, while the
 #: population grows 1000x.
 RSS_GROWTH_LIMIT = 6
 
 
-def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
-    """Run one size's audit in-process and return its payload."""
+def _child_payload(
+    size: int, chunk_agents: int, serial: bool = False
+) -> Dict[str, object]:
+    """Run one size's audit in-process and return its payload.
+
+    ``serial`` pins the audit to one thread (the derived thread count is
+    a module value, patched here as the tests patch it).
+    """
     from repro.analysis.scale import ScaleConfig, run_scale
+    from repro.populations import threads
     from repro.telemetry import capture
 
+    if serial:
+        threads.THREADS = 1
     with capture() as registry:
         result = run_scale(
             ScaleConfig(
@@ -77,6 +95,7 @@ def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
             )
         )
     payload = dict(result.to_payload())
+    payload["threads"] = threads.THREADS
     payload["telemetry"] = registry.snapshot()
     return payload
 
@@ -131,7 +150,7 @@ def _grid_child_payload(size: int, chunk_agents: int, mode: str) -> Dict[str, ob
 
 
 def _run_child(
-    size: int, chunk_agents: int, grid_mode: str = ""
+    size: int, chunk_agents: int, grid_mode: str = "", serial: bool = False
 ) -> Dict[str, object]:
     """Measure one size in a fresh subprocess (honest per-size peak RSS)."""
     env = dict(os.environ)
@@ -143,6 +162,8 @@ def _run_child(
             "--chunk-agents", str(chunk_agents)]
     if grid_mode:
         argv += ["--grid-mode", grid_mode]
+    if serial:
+        argv.append("--serial")
     completed = subprocess.run(
         argv,
         capture_output=True,
@@ -180,13 +201,19 @@ def _monolithic_match(size: int = 10_000) -> bool:
 def guard_violations(payload: Dict[str, object]) -> List[str]:
     """Every acceptance invariant a ``BENCH_scale.json`` payload breaks.
 
-    Chunked == monolithic verdicts, fused grid verdicts == per-cell
-    verdicts (and the fused pass faster), and the O(chunk) RSS envelope.
-    A payload this returns problems for is never written.
+    Chunked == monolithic verdicts, serial == threaded audit payloads,
+    fused grid verdicts == per-cell verdicts (and the fused pass
+    faster), and the O(chunk) RSS envelope.  A payload this returns
+    problems for is never written.
     """
     problems = []
     if payload["monolithic_match_at_10k"] is not True:
         problems.append("chunked verdicts differ from the monolithic path")
+    if payload["threads"]["serial_match"] is not True:
+        problems.append(
+            "the serial audit payload differs from the threaded one at "
+            f"{payload['threads']['n_agents']} agents"
+        )
     grid = payload["fused_grid"]
     if grid["verdicts_match"] is not True:
         problems.append("fused grid verdicts diverged from the per-cell baseline")
@@ -220,9 +247,12 @@ def run_benchmark(
 
     rows: List[Dict[str, object]] = []
     snapshots: List[Dict[str, object]] = []
+    audits: Dict[int, object] = {}
     for size in sizes:
         payload = _run_child(size, chunk_agents)
         snapshots.append(payload.pop("telemetry"))
+        audits[size] = payload["audit"]
+        derived_threads = payload["threads"]
         schemes = payload["schemes"]
         mean_throughput = sum(
             entry["agents_per_second"] for entry in schemes.values()
@@ -239,6 +269,11 @@ def run_benchmark(
                 },
             }
         )
+    serial_size = max(
+        (size for size in sizes if size <= SERIAL_CHECK_AGENTS), default=sizes[0]
+    )
+    serial = _run_child(serial_size, chunk_agents, serial=True)
+    serial.pop("telemetry")
     fused = _run_child(grid_agents, chunk_agents, grid_mode="fused")
     per_cell = _run_child(grid_agents, chunk_agents, grid_mode="percell")
     # Child order is deterministic (sweep order, then fused, then per-cell),
@@ -258,7 +293,13 @@ def run_benchmark(
             "per-size (fresh subprocess per size) and stays O(chunk) while "
             "population size grows 1000x.  monolithic_match asserts the "
             "chunked path reproduces the monolithic path's verdicts "
-            "bit-identically at 10^4 agents.  fused_grid times the one-pass "
+            "bit-identically at 10^4 agents.  The audit runs on the "
+            "derived in-call thread count (threads.derived); threads."
+            "serial_match asserts a one-thread re-run at threads.n_agents "
+            "produces the identical audit payload.  The committee is drawn "
+            "inside the audit's gain pass, so committee_agents_per_second "
+            "divides the population by the accumulated time of those "
+            "per-chunk committee steps.  fused_grid times the one-pass "
             "(scheme x budget x cost-scale) verdict tensor against the "
             "per-cell baseline that re-streams the population per cell."
         ),
@@ -267,6 +308,11 @@ def run_benchmark(
         "chunk_agents": chunk_agents,
         "schemes": sorted(rows[0]["certified"]) if rows else [],
         "monolithic_match_at_10k": _monolithic_match(),
+        "threads": {
+            "derived": derived_threads,
+            "n_agents": serial_size,
+            "serial_match": serial["audit"] == audits[serial_size],
+        },
         "sizes": rows,
         "fused_grid": {
             "n_agents": grid_agents,
@@ -305,6 +351,11 @@ def _format_report(payload: Dict[str, object]) -> str:
     lines.append(
         f"chunked == monolithic at 10^4: {payload['monolithic_match_at_10k']}"
     )
+    threads = payload["threads"]
+    lines.append(
+        f"serial == {threads['derived']}-thread audit payload at "
+        f"{threads['n_agents']:,}: {threads['serial_match']}"
+    )
     grid = payload["fused_grid"]
     lines.append(
         f"fused verdict tensor at {grid['n_agents']:,} agents x "
@@ -331,6 +382,8 @@ def main(argv=None) -> int:
                         help="internal: run one size in-process, print JSON")
     parser.add_argument("--grid-mode", choices=("fused", "percell"), default="",
                         help="internal: with --child, run the grid comparison")
+    parser.add_argument("--serial", action="store_true",
+                        help="internal: with --child, audit on one thread")
     parser.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
                         help="comma-separated population sizes to sweep")
     parser.add_argument("--chunk-agents", type=int, default=CHUNK_AGENTS)
@@ -341,7 +394,7 @@ def main(argv=None) -> int:
         if args.grid_mode:
             payload = _grid_child_payload(args.child, args.chunk_agents, args.grid_mode)
         else:
-            payload = _child_payload(args.child, args.chunk_agents)
+            payload = _child_payload(args.child, args.chunk_agents, args.serial)
         json.dump(payload, sys.stdout)
         return 0
     sizes = tuple(int(token) for token in args.sizes.split(","))

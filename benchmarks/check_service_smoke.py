@@ -10,7 +10,9 @@ API surface end to end —
 4. ``GET /v1/jobs/{id}/result`` returns the payload, byte-identical to
    the same spec run through the CLI path (``scale.audit.json``);
    a small ``tournament`` job, which runs through the sweep orchestrator,
-   must likewise equal the CLI's ``tournament.json``;
+   must likewise equal the CLI's ``tournament.json`` (the server runs
+   ``--workers 2``, so its shards go through the process pool, started
+   from a job-engine thread);
 5. a **repeat submission answers 200 with ``memoized: true``** and
    serves the same bytes — the memo cache works across requests;
 6. bad requests (unknown scheme, malformed JSON) answer structured
@@ -128,7 +130,7 @@ def main() -> int:
             "--port",
             "0",
             "--workers",
-            "1",
+            "2",
             "--no-progress",
         ],
         stdout=subprocess.PIPE,

@@ -452,7 +452,9 @@ class Orchestrator:
         or a callable ``(done, total, n_cached, elapsed) -> None``.
     mp_context:
         ``multiprocessing`` start-method name (default: the platform
-        default, ``fork`` on Linux — cheapest for read-only shared code).
+        default, ``fork`` on Linux — cheapest for read-only shared code;
+        ``forkserver`` when the sweep runs off the main thread, where a
+        fork could copy another thread's held lock into the child).
     policy:
         The :class:`~repro.analysis.retry.ExecutionPolicy` governing
         retries, timeouts, the sweep deadline, partial-result mode, and

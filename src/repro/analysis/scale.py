@@ -1,9 +1,10 @@
 """The ``scale`` experiment: population-scale audits as a runner artifact.
 
 Drives the chunked audit engine
-(:mod:`repro.schemes.population_audit`) and the streamed committee
-sampler (:func:`repro.sim.fastpath.sample_committee_stream`) over a
-:class:`~repro.populations.spec.PopulationSpec`, and renders the
+(:mod:`repro.schemes.population_audit`) over a
+:class:`~repro.populations.spec.PopulationSpec`, draws a sortition
+committee inside its gain pass
+(:func:`repro.sim.fastpath.committee_step`), and renders the
 BENCH_scale-style table: per-scheme epsilon-IC verdicts, audit
 throughput (agents/second) and peak RSS versus population size —
 "millions of users" as a routine command-line parameter::
@@ -319,14 +320,35 @@ def run_scale(config: ScaleConfig = ScaleConfig()) -> ScaleResult:
 
     Grid axes or not, the population is streamed exactly twice: the
     fused engine broadcasts selection and synchrony across every
-    (budget, cost-scale) cell.  The legacy per-scheme ``reports`` view
-    is the grid's first cell, so single-cell payloads are unchanged.
+    (budget, cost-scale) cell, and the sortition committee is drawn
+    chunk by chunk inside the audit's gain pass (the structure pass has
+    totalled the integer stake units by then), so it costs no pass of
+    its own.  ``committee_agents_per_s`` divides the population by the
+    accumulated time of those per-chunk committee steps.  The legacy
+    per-scheme ``reports`` view is the grid's first cell, so
+    single-cell payloads are unchanged.
     """
-    from repro.sim.fastpath import sample_committee_stream
+    from repro.sim.fastpath import (
+        assemble_committee,
+        committee_probability,
+        committee_step,
+    )
 
     spec = config.population_spec()
     audit_config = config.audit_config()
     budgets, scales = config.grid_axes()
+    parts = []
+    committee_s = 0.0
+
+    def draw_committee(chunk, total_stake_units: int) -> None:
+        nonlocal committee_s
+        step_started = time.perf_counter()
+        probability = committee_probability(
+            config.committee_expected_size, total_stake_units
+        )
+        parts.append(committee_step(spec, chunk, probability))
+        committee_s += time.perf_counter() - step_started
+
     started = time.perf_counter()
     grid = audit_population_grid(
         config.scheme_list(),
@@ -334,6 +356,7 @@ def run_scale(config: ScaleConfig = ScaleConfig()) -> ScaleResult:
         audit_config,
         budget_multipliers=budgets,
         cost_scales=scales,
+        on_chunk=draw_committee,
     )
     reports = {
         name: grid.reports[
@@ -341,27 +364,17 @@ def run_scale(config: ScaleConfig = ScaleConfig()) -> ScaleResult:
         ]
         for name in grid.schemes
     }
-
-    committee_started = time.perf_counter()
-    # The audit's selection pass already totalled the integer stake
-    # units; passing them in saves the sampler a whole generation pass.
     any_report = next(iter(reports.values()))
-    committee = sample_committee_stream(
-        spec,
-        config.committee_expected_size,
-        chunk_agents=audit_config.chunk_agents,
-        total_stake_units=any_report.total_stake_units,
+    committee = assemble_committee(
+        config.committee_expected_size, any_report.total_stake_units, parts
     )
-    committee_elapsed = time.perf_counter() - committee_started
     return ScaleResult(
         config=config,
         reports=reports,
         grid=grid,
         committee_members=committee.n_selected,
         committee_weight=committee.total_weight,
-        committee_agents_per_s=(
-            spec.size / committee_elapsed if committee_elapsed > 0 else 0.0
-        ),
+        committee_agents_per_s=spec.size / committee_s if committee_s > 0 else 0.0,
         elapsed_s=time.perf_counter() - started,
         peak_rss_mb=peak_rss_mb(),
     )

@@ -39,6 +39,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import signal
+import threading
 import time
 from collections import deque
 from multiprocessing import connection as _mp_connection
@@ -188,6 +189,23 @@ def _worker_main(task: ShardTask, conn: Any, parent_end: Any, instrument: bool) 
             pass
 
 
+def _default_start_method() -> Optional[str]:
+    """The start method a pool uses when the caller names none.
+
+    ``None`` (the platform default) on the main thread.  Off it — a
+    service job-engine thread running a sweep while the event loop and
+    sibling workers hold locks — ``fork`` would copy a lock another
+    thread holds (a metrics registry's, logging's) into the child
+    locked, and the child would hang on first use; ``forkserver``
+    children start from a clean single-threaded server instead.
+    """
+    if threading.current_thread() is threading.main_thread():
+        return None
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        return "forkserver"
+    return None
+
+
 class _PoolWorker:
     """Parent-side handle of one tracked worker process.
 
@@ -265,7 +283,9 @@ class ShardScheduler:
         ``None`` keeps the fail-fast default.
     mp_context:
         ``multiprocessing`` start-method name (default: the platform
-        default, ``fork`` on Linux).
+        default, ``fork`` on Linux, except ``forkserver`` when the pool
+        is started off the main thread — see
+        :func:`_default_start_method`).
 
     The scheduler owns the recovery telemetry families (retries,
     backoff, timeouts, worker deaths, failed shards, injected faults);
@@ -482,10 +502,8 @@ class ShardScheduler:
         * the sweep deadline.
         """
         policy = self.policy
-        context = (
-            multiprocessing.get_context(self._mp_context)
-            if self._mp_context
-            else multiprocessing.get_context()
+        context = multiprocessing.get_context(
+            self._mp_context or _default_start_method()
         )
         n_procs = min(self.workers, len(pending))
         deadline_at = (

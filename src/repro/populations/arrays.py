@@ -201,6 +201,19 @@ class PopulationArrays:
         instance.offset = offset
         return instance
 
+    def rows(self, start: int, stop: int) -> "PopulationArrays":
+        """Agents ``[start, stop)`` of this chunk as a view chunk.
+
+        The columns are views, and ``offset`` moves by ``start``, so a
+        block-aligned ``start`` yields a block-aligned chunk.
+        """
+        return PopulationArrays._trusted(
+            stake=self.stake[start:stop],
+            cost=self.cost[start:stop],
+            behavior=self.behavior[start:stop],
+            offset=self.offset + start,
+        )
+
     @classmethod
     def concat(cls, chunks: Sequence["PopulationArrays"]) -> "PopulationArrays":
         """Stitch consecutive chunks back into one contiguous population.

@@ -48,7 +48,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -56,14 +65,17 @@ from repro.core.bounds import RoleAggregates
 from repro.core.costs import RoleCosts
 from repro.core.optimizer import minimize_reward_analytic
 from repro.errors import ConfigurationError
+from repro.populations import threads
 from repro.populations.arrays import (
     BEHAVIOR_COOPERATE,
     BEHAVIOR_OFFLINE,
+    SEED_BLOCK,
     PopulationArrays,
     blockwise_row_sums,
     blockwise_sum,
 )
 from repro.populations.spec import PopulationSpec
+from repro.populations.threads import call_pool, prefetch, submit
 from repro.schemes.audit import DeviationWitness, _game_gains, _oracle_game
 from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
 from repro.schemes.deviation import (
@@ -93,6 +105,12 @@ from repro.telemetry.spans import span
 #: the online crowd's strategy from the population's ``behavior`` column
 #: (selected leaders/committee members always perform their role).
 POPULATION_TARGETS: Tuple[str, ...] = ("theorem3", "all_c", "population")
+
+#: Fewest seed blocks a gain-pass slice spans.  On smaller slices the
+#: kernel's per-call Python work and the GIL hand-offs between threads
+#: cost more than the second thread wins (a 4-block chunk folds faster
+#: whole than as two 2-block slices on a 2-vCPU host).
+MIN_SLICE_BLOCKS = 3
 
 #: Consumer column labels in the population's seed-block stream tree.
 _RACE_COLUMN = "audit.race"
@@ -775,16 +793,36 @@ def iter_population_gains(
     The raw generator behind the audit's kernel (:func:`_chunk_gains`
     with one budget cell) — used directly by the differential tests that
     compare chunked gains against the monolithic path and the scalar
-    game oracle.
+    game oracle.  The structure pass prefetches chunks like the audit's;
+    the gains are yielded from the calling thread.
     """
     resolved = resolve_scheme(scheme)
     chunks = _chunks(spec, config)
     if structure is None:
-        structure = _build_structure([resolved], spec, config, chunks)
+        with call_pool(threads.THREADS) as pool:
+            structure = _build_structure(
+                [resolved], spec, config, prefetch(chunks, pool)
+            )
     for chunk in chunks:
         ctx = _chunk_context(structure, spec, chunk)
         (gains,) = _chunk_gains(resolved.name, [structure], ctx)
         yield chunk, np.column_stack((gains.to_c, gains.to_d, gains.to_o)), ctx.coop
+
+
+def _slices(chunk: PopulationArrays, n: int) -> List[PopulationArrays]:
+    """Split a chunk into at most ``n`` block-aligned slices of near-equal size.
+
+    Every slice spans at least :data:`MIN_SLICE_BLOCKS` seed blocks, so a
+    small chunk (or ``n == 1``) comes back whole.
+    """
+    blocks = -(-chunk.n_agents // SEED_BLOCK)
+    n = max(1, min(n, blocks // MIN_SLICE_BLOCKS))
+    edges = sorted(
+        {min(chunk.n_agents, blocks * i // n * SEED_BLOCK) for i in range(n + 1)}
+    )
+    if len(edges) <= 2:
+        return [chunk]
+    return [chunk.rows(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 def _nan_peak(values: np.ndarray) -> Tuple[float, int]:
@@ -824,6 +862,19 @@ class _GainReducer:
         shirk = float(np.fmax(to_d, np.fmax.reduce(gains.to_o + ctx.nan_unless_coop)))
         if not math.isnan(shirk):
             self.max_shirk = max(self.max_shirk, shirk)
+
+    def merge(self, later: "_GainReducer") -> None:
+        """Fold in a reducer that saw the agents right after this one's.
+
+        The same comparisons :meth:`update` makes, so folding a chunk's
+        slices separately and merging them in population order gives
+        the bits folding the whole chunk gives.
+        """
+        self.n_deviations += later.n_deviations
+        if later.max_gain > self.max_gain:
+            self.max_gain = later.max_gain
+            self.witness = later.witness
+        self.max_shirk = max(self.max_shirk, later.max_shirk)
 
     def _witness(
         self, gains: Gains, ctx: Agents, gain: float
@@ -1027,6 +1078,7 @@ def audit_population_grid(
     config: PopulationAuditConfig = PopulationAuditConfig(),
     budget_multipliers: Optional[Sequence[float]] = None,
     cost_scales: Optional[Sequence[float]] = None,
+    on_chunk: Optional[Callable[[PopulationArrays, int], None]] = None,
 ) -> PopulationAuditGridResult:
     """Audit a (scheme x budget x cost-scale) grid in one fused stream.
 
@@ -1043,6 +1095,20 @@ def audit_population_grid(
     Both passes iterate one :func:`_chunks` source, so a population
     within :data:`~repro.populations.spec.RESIDENT_BYTES` is synthesized
     once per call rather than once per pass.
+
+    The call uses :data:`repro.populations.threads.THREADS` threads: a
+    pool thread synthesizes the next chunk while the current one is
+    worked on (both passes), and the gain pass splits each chunk into
+    block-aligned slices, folds them concurrently and merges them in
+    population order (:meth:`_GainReducer.merge`).  Pass 1 stays on the
+    calling thread: its blockwise pool totals are order-sensitive float
+    sums.  The output is byte-identical at every thread count.
+
+    ``on_chunk(chunk, total_stake_units)``, when given, is called on
+    the calling thread with every gain-pass chunk in population order,
+    once pass 1 has totalled the integer stake units — ``run_scale``
+    draws its sortition committee there instead of streaming the
+    population a third time.
 
     ``budget_multipliers`` / ``cost_scales`` default to the single value
     in ``config``; both axes are validated positive/finite and deduped
@@ -1080,22 +1146,12 @@ def audit_population_grid(
         agents=spec.size,
         cells=len(resolved) * len(budgets) * len(scales),
     ):
-        chunks = _chunks(spec, config)
-        structures = _build_structure_grid(
-            resolved, spec, config, budgets, scales, chunks
-        )
-        reducers = {
-            (item.name, b, cs): _GainReducer(structures[(b, cs)])
-            for item in resolved
-            for b in budgets
-            for cs in scales
-        }
-
         def fold_scale(
             chunk: PopulationArrays,
             stake: np.ndarray,
             sync_draws: np.ndarray,
             cs: float,
+            into: Dict[Tuple[str, float, float], _GainReducer],
         ) -> None:
             """Fold one chunk into every cell of one cost scale.
 
@@ -1107,7 +1163,7 @@ def audit_population_grid(
             for item in resolved:
                 call_started = time.perf_counter() if telemetry else 0.0
                 for b, gains in zip(budgets, _chunk_gains(item.name, cells, ctx)):
-                    reducers[(item.name, b, cs)].update(gains, ctx)
+                    into[(item.name, b, cs)].update(gains, ctx)
                 if telemetry:
                     # One fused call serves every budget cell: split its
                     # time evenly so each cell keeps its series.
@@ -1119,19 +1175,57 @@ def audit_population_grid(
                             cost_scale=repr(float(cs)),
                         ).inc(share)
 
-        for chunk in chunks:
-            chunk_started = time.perf_counter() if telemetry else 0.0
-            # Draw the chunk's synchrony Bernoullis and widen its stakes
-            # once; every cost scale re-derives its context (costs differ),
-            # and every budget cell shares that scale's context.
+        def fold(
+            chunk: PopulationArrays,
+            into: Dict[Tuple[str, float, float], _GainReducer],
+        ) -> Dict[Tuple[str, float, float], _GainReducer]:
+            """Fold one chunk (or slice) into every cell; returns ``into``.
+
+            Draws the synchrony Bernoullis and widens the stakes once;
+            every cost scale re-derives its context (costs differ), and
+            every budget cell shares that scale's context.
+            """
             stake = chunk.stake64()
             sync_draws = _sync_mask(spec, config, chunk)
             for cs in scales:
-                fold_scale(chunk, stake, sync_draws, cs)
-            if telemetry:
-                m_chunks.inc()
-                m_agents.inc(float(chunk.n_agents))
-                m_chunk_seconds.observe(time.perf_counter() - chunk_started)
+                fold_scale(chunk, stake, sync_draws, cs, into)
+            return into
+
+        def new_reducers() -> Dict[Tuple[str, float, float], _GainReducer]:
+            """One empty reducer per cell."""
+            return {
+                (item.name, b, cs): _GainReducer(structures[(b, cs)])
+                for item in resolved
+                for b in budgets
+                for cs in scales
+            }
+
+        n_threads = threads.THREADS
+        with call_pool(n_threads) as pool:
+            chunks = _chunks(spec, config)
+            structures = _build_structure_grid(
+                resolved, spec, config, budgets, scales, prefetch(chunks, pool)
+            )
+            reducers = new_reducers()
+            total_stake_units = structures[(budgets[0], scales[0])].total_stake_units
+            for chunk in prefetch(chunks, pool):
+                chunk_started = time.perf_counter() if telemetry else 0.0
+                # Block-aligned slices are finer chunks: pool workers fold
+                # slices 1.. into fresh reducers while this thread folds
+                # slice 0 into the running ones, then the partials merge
+                # in population order.
+                first, *rest = _slices(chunk, n_threads)
+                pending = [submit(pool, fold, part, new_reducers()) for part in rest]
+                fold(first, reducers)
+                if on_chunk is not None:
+                    on_chunk(chunk, total_stake_units)
+                for future in pending:
+                    for cell, partial in future.result().items():
+                        reducers[cell].merge(partial)
+                if telemetry:
+                    m_chunks.inc()
+                    m_agents.inc(float(chunk.n_agents))
+                    m_chunk_seconds.observe(time.perf_counter() - chunk_started)
     # All cells are fused work; per-report throughput is the honest
     # amortized figure (total wall-clock split evenly across cells).
     elapsed = time.perf_counter() - started

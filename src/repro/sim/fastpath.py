@@ -1148,6 +1148,65 @@ class StreamedCommittee:
         return int(self.weights.sum())
 
 
+def committee_probability(expected_size: float, total_stake_units: int) -> float:
+    """Per-sub-user selection probability ``min(1, expected_size / W)``."""
+    if expected_size <= 0:
+        raise ConfigurationError(
+            f"expected committee size must be positive, got {expected_size}"
+        )
+    if total_stake_units <= 0:
+        raise ConfigurationError(
+            "population has zero integer stake units; scale stakes up "
+            "(sub-user sortition floors stakes to whole Algos)"
+        )
+    return min(1.0, expected_size / total_stake_units)
+
+
+def committee_step(
+    spec, chunk, probability: float, column: str = "committee.vrf"
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk's sortition: ``(indices, weights, stakes)`` of its selected.
+
+    Draws the chunk's idealized-VRF uniforms from the population's own
+    seed-block streams (``column`` names the substream, so several
+    committees per population stay independent), inverts the binomial
+    CDF with the batched :func:`~repro.sim.sortition.binomial_weights`
+    primitive, and keeps only the selected agents.  Per-agent draws are
+    chunk-independent, so any block-aligned chunking selects the same
+    agents.  :func:`sample_committee_stream` and ``run_scale``'s fused
+    gain pass both draw through here.
+    """
+    stake = chunk.stake64()
+    values = spec.chunk_draws(
+        chunk.offset, chunk.n_agents, column, lambda rng, n: rng.random(n)
+    )
+    selected_weights = binomial_weights(values, stake.astype(np.int64), probability)
+    rows = np.flatnonzero(selected_weights > 0)
+    return (chunk.offset + rows).astype(np.int64), selected_weights[rows], stake[rows]
+
+
+def assemble_committee(
+    expected_size: float,
+    total_stake_units: int,
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> StreamedCommittee:
+    """Concatenate :func:`committee_step` outputs, in population order."""
+    kept = [part for part in parts if part[0].size]
+    empty_i = np.empty(0, dtype=np.int64)
+    return StreamedCommittee(
+        expected_size=float(expected_size),
+        probability=float(committee_probability(expected_size, total_stake_units)),
+        total_stake_units=int(total_stake_units),
+        indices=np.concatenate([p[0] for p in kept]) if kept else empty_i,
+        weights=np.concatenate([p[1] for p in kept]) if kept else empty_i,
+        stakes=(
+            np.concatenate([p[2] for p in kept])
+            if kept
+            else np.empty(0, dtype=np.float64)
+        ),
+    )
+
+
 def sample_committee_stream(
     spec,
     expected_size: float,
@@ -1158,61 +1217,28 @@ def sample_committee_stream(
     """Sample one sortition committee from a streamed stake population.
 
     Streams a :class:`~repro.populations.spec.PopulationSpec` in O(chunk)
-    memory: each chunk draws idealized-VRF uniforms from the population's
-    own seed-block streams (``column`` names the substream, so several
-    committees per population stay independent), inverts the binomial CDF
-    with the batched :func:`~repro.sim.sortition.binomial_weights`
-    primitive, and keeps only the selected agents.  Per-agent draws and
-    integer stake totals are chunk-independent, so the committee is
-    **bit-identical at every ``chunk_agents``** — the same contract as
-    the population audit.
+    memory, one :func:`committee_step` per chunk, and assembles the
+    selected agents.  Per-agent draws and integer stake totals are
+    chunk-independent, so the committee is **bit-identical at every
+    ``chunk_agents``** — the same contract as the population audit.
 
     ``total_stake_units`` (the integer stake total that fixes the
     selection probability ``expected_size / W``) is computed with an
     extra streaming pass when not supplied; callers auditing the same
     population repeatedly should compute it once and pass it in.
     """
-    if expected_size <= 0:
-        raise ConfigurationError(
-            f"expected committee size must be positive, got {expected_size}"
-        )
     if total_stake_units is None:
         total = 0
         for chunk in spec.iter_chunks(chunk_agents):
             # Integer accumulation is exact, hence order-independent.
             total += int(chunk.stake64().astype(np.int64).sum())
         total_stake_units = total
-    if total_stake_units <= 0:
-        raise ConfigurationError(
-            "population has zero integer stake units; scale stakes up "
-            "(sub-user sortition floors stakes to whole Algos)"
-        )
-    probability = min(1.0, expected_size / total_stake_units)
-
-    indices: List[np.ndarray] = []
-    weights: List[np.ndarray] = []
-    stakes: List[np.ndarray] = []
-    for chunk in spec.iter_chunks(chunk_agents):
-        stake = chunk.stake64()
-        units = stake.astype(np.int64)
-        values = spec.chunk_draws(
-            chunk.offset, chunk.n_agents, column, lambda rng, n: rng.random(n)
-        )
-        selected_weights = binomial_weights(values, units, probability)
-        rows = np.flatnonzero(selected_weights > 0)
-        if rows.size:
-            indices.append((chunk.offset + rows).astype(np.int64))
-            weights.append(selected_weights[rows])
-            stakes.append(stake[rows])
-    empty_i = np.empty(0, dtype=np.int64)
-    return StreamedCommittee(
-        expected_size=float(expected_size),
-        probability=float(probability),
-        total_stake_units=int(total_stake_units),
-        indices=np.concatenate(indices) if indices else empty_i,
-        weights=np.concatenate(weights) if weights else empty_i,
-        stakes=np.concatenate(stakes) if stakes else np.empty(0, dtype=np.float64),
-    )
+    probability = committee_probability(expected_size, total_stake_units)
+    parts = [
+        committee_step(spec, chunk, probability, column)
+        for chunk in spec.iter_chunks(chunk_agents)
+    ]
+    return assemble_committee(expected_size, total_stake_units, parts)
 
 
 def make_simulation(

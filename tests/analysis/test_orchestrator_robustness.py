@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -34,7 +35,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.sim.rng import RngStreams
-from repro.telemetry import capture, disable
+from repro.telemetry import MetricsRegistry, capture, disable
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +52,16 @@ def seeded_task(params, seed):
 
 def slow_task(params, seed):
     time.sleep(0.25)
+    return params["x"]
+
+
+#: A registry a helper thread holds locked while a pool starts (below).
+_HELD_REGISTRY = MetricsRegistry()
+
+
+def registry_task(params, seed):
+    """A shard that touches ``_HELD_REGISTRY`` — a held lock hangs it."""
+    _HELD_REGISTRY.counter("repro_test_touches_total", "Shard touches").inc()
     return params["x"]
 
 
@@ -353,3 +364,66 @@ class TestProgressReporting:
             configure_progress_logging(enabled=False)
         assert calls and calls[-1] == 4
         assert stream.getvalue().endswith("\n")
+
+
+class TestForkFromThreads:
+    def test_pool_started_off_the_main_thread_survives_a_held_lock(self):
+        """A pool started from a non-main thread does not fork held locks.
+
+        A helper thread holds a registry's lock while another thread runs
+        a pooled sweep whose shards take that lock.  A ``fork`` child
+        would inherit the lock held by a thread it does not have and
+        hang; the scheduler's off-main-thread default (``forkserver``)
+        starts children that import the registry afresh.
+        """
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with _HELD_REGISTRY._lock:
+                held.set()
+                release.wait(120)
+
+        outcome = {}
+
+        def sweep():
+            outcome["results"] = run_sweep(
+                spec_of(), registry_task, workers=2
+            ).results()
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert held.wait(10)
+        runner = threading.Thread(target=sweep, daemon=True)
+        try:
+            runner.start()
+            runner.join(60)
+            assert not runner.is_alive(), "the pooled sweep hung on a forked lock"
+        finally:
+            release.set()
+            holder.join(10)
+        assert outcome["results"] == [0, 1, 2, 3]
+
+    def test_start_method_follows_the_thread_unless_named(self, monkeypatch):
+        import multiprocessing
+
+        from repro.analysis import scheduler
+
+        requested = []
+        real = multiprocessing.get_context
+
+        def spy(method=None):
+            requested.append(method)
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+
+        def pooled(mp_context):
+            run = scheduler.ShardScheduler(workers=2, mp_context=mp_context)
+            list(run.execute(seeded_task, spec_of(2).shards()))
+
+        pooled(None)  # main thread: the platform default
+        for mp_context in (None, "fork"):
+            thread = threading.Thread(target=pooled, args=(mp_context,))
+            thread.start()
+            thread.join(60)
+        assert requested == [None, "forkserver", "fork"]

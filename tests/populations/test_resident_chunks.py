@@ -5,21 +5,27 @@ fit in ``RESIDENT_BYTES`` and re-synthesizes it on every iteration above
 that.  These tests pin the two modes, the read-only guard that keeps one
 pass from corrupting the next, the ``iter_chunks`` contract (fresh,
 writable arrays every time) and the synthesis counter that proves a
-dynamics run synthesizes each block once per call.
+dynamics run synthesizes each block once per call and a streamed
+``run_scale`` twice.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.analysis.scale import ScaleConfig, run_scale
 from repro.errors import ConfigurationError
 from repro.populations import SEED_BLOCK, PopulationArrays, PopulationSpec
 from repro.populations import spec as spec_module
+from repro.populations import threads as threads_module
 from repro.scenarios.population_dynamics import (
     PopulationDynamicsSpec,
     run_population_dynamics,
 )
+from repro.schemes import population_audit
 from repro.telemetry.runtime import capture
 
 SYNTHESIZED = "repro_population_blocks_synthesized_total"
@@ -38,7 +44,11 @@ def small_spec(**overrides) -> PopulationSpec:
 
 
 def synthesized(snapshot) -> float:
-    family = snapshot["metrics"].get(SYNTHESIZED, {"samples": []})
+    return counted(snapshot, SYNTHESIZED)
+
+
+def counted(snapshot, name: str) -> float:
+    family = snapshot["metrics"].get(name, {"samples": []})
     return sum(sample["value"] for sample in family["samples"])
 
 
@@ -160,3 +170,41 @@ class TestSynthesisCounter:
         passes = 3 + 2 * spec.n_epochs
         assert passes == 23
         assert synthesized(registry.snapshot()) == passes * spec.population.n_blocks
+
+
+class TestScaleAuditPasses:
+    """``run_scale`` streams a population twice: structure, then gains.
+
+    The sortition committee is drawn inside the gain pass, so it costs
+    no third synthesis pass.  Pool threads run in a copy of the caller's
+    context, so everything they record lands in the captured registry:
+    the counts must not depend on the thread count.
+    """
+
+    def test_streamed_run_scale_synthesizes_two_passes(self, monkeypatch):
+        monkeypatch.setattr(spec_module, "RESIDENT_BYTES", 0)
+        monkeypatch.setattr(population_audit, "MIN_SLICE_BLOCKS", 1)
+        config = ScaleConfig(
+            n_agents=4 * SEED_BLOCK + 321,
+            chunk_agents=2 * SEED_BLOCK,
+            schemes=("foundation", "role_based"),
+            committee_expected_size=200.0,
+            budget_multipliers=(1.0, 2.0),
+        )
+        n_blocks = config.population_spec().n_blocks
+        counts = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(threads_module, "THREADS", threads)
+            alive = threading.active_count()
+            with capture() as registry:
+                result = run_scale(config)
+            snapshot = registry.snapshot()
+            assert threading.active_count() == alive  # no thread outlives it
+            assert synthesized(snapshot) == 2 * n_blocks
+            counts[threads] = (
+                counted(snapshot, "repro_audit_chunks_total"),
+                counted(snapshot, "repro_audit_agents_total"),
+                result.audit_payload(),
+            )
+        assert counts[1] == counts[2]
+        assert counts[1][:2] == (3, config.n_agents)

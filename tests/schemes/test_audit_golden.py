@@ -11,7 +11,7 @@ rewrite:
   and the sole strong-synchrony defector who can restore it);
 - the fused grid payload for 3 budget multipliers x 2 cost scales on a
   multi-block 20k-agent zipf population, at a streamed and the
-  monolithic chunk size.
+  monolithic chunk size, serial and on in-call threads.
 
 Regenerate (only when a change is *meant* to move audit bytes) with::
 
@@ -30,6 +30,8 @@ import numpy as np
 import pytest
 
 from repro.populations import SEED_BLOCK, PopulationSpec
+from repro.populations import threads as threads_module
+from repro.schemes import population_audit
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _build_structure,
@@ -142,6 +144,13 @@ class TestGoldenAuditBytes:
     @pytest.mark.parametrize("chunk_agents", GRID_CHUNKS)
     def test_grid_payload_matches_golden(self, chunk_agents):
         assert grid_digest(chunk_agents) == _golden()[f"grid/chunk={chunk_agents}"]
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_grid_payload_matches_golden_at_thread_count(self, threads, monkeypatch):
+        monkeypatch.setattr(threads_module, "THREADS", threads)
+        monkeypatch.setattr(population_audit, "MIN_SLICE_BLOCKS", 1)
+        for chunk_agents in GRID_CHUNKS:
+            assert grid_digest(chunk_agents) == _golden()[f"grid/chunk={chunk_agents}"]
 
 
 if __name__ == "__main__":
