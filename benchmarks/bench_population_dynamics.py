@@ -8,11 +8,16 @@ invariants: the trajectories are byte-identical across chunk sizes, the
 foundation scheme unravels toward All-D, and role-based sharing keeps
 cooperation stable with blocks produced.  Each size runs in a fresh
 subprocess so its peak RSS is honest (``ru_maxrss`` is a process
-lifetime maximum).  Results land in ``BENCH_dynamics.json`` at the repo
-root — only when every invariant holds (:func:`guard_violations`).
+lifetime maximum).  The driver runs on in-call threads
+(:data:`repro.populations.threads.THREADS`, derived from the CPUs the
+process may use); the record also re-runs one streamed size serially and
+requires the identical trajectories.  Results land in
+``BENCH_dynamics.json`` at the repo root — only when every invariant
+holds (:func:`guard_violations`).
 
 Run via ``pytest benchmarks/bench_population_dynamics.py`` (the full
-sweep, under a minute of which 10^6 is most), or directly::
+sweep, about a minute, most of it the threaded and the serial 10^6
+runs), or directly::
 
     PYTHONPATH=src python benchmarks/bench_population_dynamics.py --sizes 100000
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import platform
@@ -50,6 +56,10 @@ SCHEMES = ("foundation", "role_based")
 #: at 10^6 agents.
 MAX_PEAK_RSS_MB = 248.0
 
+#: The streamed size (above ``RESIDENT_BYTES``) re-run at one thread:
+#: its trajectories must equal the threaded run's.
+SERIAL_CHECK_AGENTS = 1_000_000
+
 
 def _dynamics_spec(size: int, chunk_agents, epochs: int = EPOCHS):
     """The benchmark's dynamics spec at one population size."""
@@ -70,11 +80,22 @@ def _dynamics_spec(size: int, chunk_agents, epochs: int = EPOCHS):
     )
 
 
-def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
-    """Run one size's two-scheme evolution in-process; return its payload."""
+def _child_payload(
+    size: int, chunk_agents: int, serial: bool = False
+) -> Dict[str, object]:
+    """Run one size's two-scheme evolution in-process; return its payload.
+
+    ``serial`` pins the driver to one thread (the derived thread count is
+    a module value, patched here as the tests patch it).  Each scheme
+    reports the SHA-256 of its canonical trajectory payload, so runs can
+    be compared without shipping the trajectories.
+    """
+    from repro.populations import threads
     from repro.scenarios.population_dynamics import run_population_dynamics
     from repro.telemetry import capture, span
 
+    if serial:
+        threads.THREADS = 1
     spec = _dynamics_spec(size, chunk_agents)
     schemes: Dict[str, Dict[str, object]] = {}
     with capture() as registry:
@@ -88,6 +109,9 @@ def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
                     "block_rate": sum(blocks) / len(blocks),
                     "final_block": final.block_success,
                     "budget_efficiency": final.budget_efficiency,
+                    "trajectory_sha256": hashlib.sha256(
+                        json.dumps(trajectory.to_payload(), sort_keys=True).encode()
+                    ).hexdigest(),
                 }
     elapsed = timer.elapsed_s
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -97,21 +121,25 @@ def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
         "elapsed_s": elapsed,
         "peak_rss_mb": peak_rss_mb,
         "agent_epochs_per_second": size * EPOCHS * len(SCHEMES) / elapsed,
+        "threads": threads.THREADS,
         "schemes": schemes,
         "telemetry": registry.snapshot(),
     }
 
 
-def _run_child(size: int, chunk_agents: int) -> Dict[str, object]:
+def _run_child(size: int, chunk_agents: int, serial: bool = False) -> Dict[str, object]:
     """Measure one size in a fresh subprocess (honest per-size peak RSS)."""
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(size),
+            "--chunk-agents", str(chunk_agents)]
+    if serial:
+        argv.append("--serial")
     completed = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", str(size),
-         "--chunk-agents", str(chunk_agents)],
+        argv,
         capture_output=True,
         text=True,
         env=env,
@@ -138,14 +166,19 @@ def _chunk_invariance(size: int = 20_000) -> bool:
 def guard_violations(payload: Dict[str, object]) -> List[str]:
     """Every acceptance invariant a ``BENCH_dynamics.json`` payload breaks.
 
-    Chunk invariance, the Section V verdicts at every size (naive
-    sharing unravels, role-based stabilizes with blocks produced) and
-    the peak-RSS envelope.  A payload this returns problems for is never
-    written.
+    Chunk invariance, serial == threaded trajectories, the Section V
+    verdicts at every size (naive sharing unravels, role-based
+    stabilizes with blocks produced) and the peak-RSS envelope.  A
+    payload this returns problems for is never written.
     """
     problems = []
     if payload["chunk_invariance_at_20k"] is not True:
         problems.append("trajectories differ across chunk sizes at 2*10^4")
+    if payload["threads"]["serial_match"] is not True:
+        problems.append(
+            "the serial trajectories differ from the threaded ones at "
+            f"{payload['threads']['n_agents']} agents"
+        )
     for row in payload["sizes"]:
         size = row["n_agents"]
         schemes = row["schemes"]
@@ -180,6 +213,11 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
         row = _run_child(size, chunk_agents)
         snapshots.append(row.pop("telemetry"))
         rows.append(row)
+    serial_size = max(
+        (size for size in sizes if size <= SERIAL_CHECK_AGENTS), default=sizes[0]
+    )
+    serial = _run_child(serial_size, chunk_agents, serial=True)
+    threaded = next(row for row in rows if row["n_agents"] == serial_size)
     payload = {
         "benchmark": "population-dynamics-streamed-epochs",
         "date": datetime.date.today().isoformat(),
@@ -195,13 +233,25 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
             "per-size (fresh subprocess per size): O(chunk) plus ~2 bytes "
             "per agent (held synchrony draws and realized profile).  "
             "chunk_invariance_at_20k asserts the trajectories are "
-            "byte-identical at four chunk sizes."
+            "byte-identical at four chunk sizes.  The driver runs on the "
+            "derived in-call thread count (threads.derived); "
+            "threads.serial_match asserts a one-thread re-run at "
+            "threads.n_agents produces the identical trajectories."
         ),
         "family": FAMILY,
         "family_params": FAMILY_PARAMS,
         "chunk_agents": chunk_agents,
         "schemes": list(SCHEMES),
         "chunk_invariance_at_20k": _chunk_invariance(),
+        "threads": {
+            "derived": threaded["threads"],
+            "n_agents": serial_size,
+            "serial_match": all(
+                serial["schemes"][scheme]["trajectory_sha256"]
+                == threaded["schemes"][scheme]["trajectory_sha256"]
+                for scheme in SCHEMES
+            ),
+        },
         "sizes": rows,
         "telemetry": merge_snapshots(snapshots),
     }
@@ -236,6 +286,11 @@ def _format_report(payload: Dict[str, object]) -> str:
         f"byte-identical across chunk sizes at 2*10^4: "
         f"{payload['chunk_invariance_at_20k']}"
     )
+    threads = payload["threads"]
+    lines.append(
+        f"serial == {threads['derived']}-thread trajectories at "
+        f"{threads['n_agents']:,}: {threads['serial_match']}"
+    )
     lines.append(f"[written to {_BENCH_JSON}]")
     return "\n".join(lines)
 
@@ -253,9 +308,13 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
                         help="comma-separated population sizes to sweep")
     parser.add_argument("--chunk-agents", type=int, default=CHUNK_AGENTS)
+    parser.add_argument("--serial", action="store_true",
+                        help="internal: run the child on one thread")
     args = parser.parse_args(argv)
     if args.child is not None:
-        json.dump(_child_payload(args.child, args.chunk_agents), sys.stdout)
+        json.dump(
+            _child_payload(args.child, args.chunk_agents, args.serial), sys.stdout
+        )
         return 0
     sizes = tuple(int(token) for token in args.sizes.split(","))
     payload = run_benchmark(sizes, args.chunk_agents)

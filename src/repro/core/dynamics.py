@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.equilibrium import synchronous_best_responses
 from repro.core.game import AlgorandGame, Strategy, StrategyProfile
 from repro.errors import GameError
-from repro.populations.arrays import blockwise_sum
+from repro.populations.arrays import add_blocks, block_sums
 
 #: A rule producing the game for round ``t`` (roles may churn between
 #: rounds); receives the round index and returns the game to be played.
@@ -264,6 +264,48 @@ class ReplicatorAccumulator:
         """Number of agents folded so far this epoch."""
         return self._count
 
+    @staticmethod
+    def partials(
+        payoff_cooperate: np.ndarray,
+        payoff_defect: np.ndarray,
+        include: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """One chunk's fold as ``(cooperate block sums, defect block sums, count)``.
+
+        The per-block partials (:func:`~repro.populations.arrays.block_sums`)
+        :meth:`fold` adds in.  Stateless, so slices of a chunk can compute
+        theirs on different threads and :meth:`absorb` them in population
+        order.
+        """
+        payoff_cooperate = np.asarray(payoff_cooperate, dtype=np.float64)
+        payoff_defect = np.asarray(payoff_defect, dtype=np.float64)
+        if payoff_cooperate.shape != payoff_defect.shape:
+            raise GameError(
+                f"payoff arrays disagree in shape: {payoff_cooperate.shape} "
+                f"vs {payoff_defect.shape}"
+            )
+        if include is None:
+            count = int(payoff_cooperate.size)
+        else:
+            include = np.asarray(include, dtype=bool)
+            if include.shape != payoff_cooperate.shape:
+                raise GameError(
+                    f"include mask shape {include.shape} does not match "
+                    f"payoff shape {payoff_cooperate.shape}"
+                )
+            payoff_cooperate = np.where(include, payoff_cooperate, 0.0)
+            payoff_defect = np.where(include, payoff_defect, 0.0)
+            count = int(np.count_nonzero(include))
+        return block_sums(payoff_cooperate), block_sums(payoff_defect), count
+
+    def absorb(
+        self, sums_cooperate: np.ndarray, sums_defect: np.ndarray, count: int
+    ) -> None:
+        """Add one chunk's :meth:`partials` to the epoch's sums, in block order."""
+        self._sum_cooperate = float(add_blocks(self._sum_cooperate, sums_cooperate))
+        self._sum_defect = float(add_blocks(self._sum_defect, sums_defect))
+        self._count += count
+
     def fold(
         self,
         payoff_cooperate: np.ndarray,
@@ -277,29 +319,7 @@ class ReplicatorAccumulator:
         profile; ``include`` restricts the fold to a boolean subset (the
         revising crowd) without disturbing block alignment.
         """
-        payoff_cooperate = np.asarray(payoff_cooperate, dtype=np.float64)
-        payoff_defect = np.asarray(payoff_defect, dtype=np.float64)
-        if payoff_cooperate.shape != payoff_defect.shape:
-            raise GameError(
-                f"payoff arrays disagree in shape: {payoff_cooperate.shape} "
-                f"vs {payoff_defect.shape}"
-            )
-        if include is None:
-            self._count += int(payoff_cooperate.size)
-        else:
-            include = np.asarray(include, dtype=bool)
-            if include.shape != payoff_cooperate.shape:
-                raise GameError(
-                    f"include mask shape {include.shape} does not match "
-                    f"payoff shape {payoff_cooperate.shape}"
-                )
-            payoff_cooperate = np.where(include, payoff_cooperate, 0.0)
-            payoff_defect = np.where(include, payoff_defect, 0.0)
-            self._count += int(np.count_nonzero(include))
-        self._sum_cooperate = blockwise_sum(
-            payoff_cooperate, start=self._sum_cooperate
-        )
-        self._sum_defect = blockwise_sum(payoff_defect, start=self._sum_defect)
+        self.absorb(*self.partials(payoff_cooperate, payoff_defect, include))
 
     def mean_payoffs(self) -> Tuple[float, float]:
         """The epoch's (mean cooperate, mean defect) counterfactual payoffs.

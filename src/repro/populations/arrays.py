@@ -22,7 +22,10 @@ The module also defines the **seed-block discipline** shared by every
 streaming consumer: populations are generated and reduced in fixed blocks
 of :data:`SEED_BLOCK` agents, so any result computed through
 :func:`blockwise_sum` / :func:`blockwise_row_sums` is bit-identical no
-matter how the stream was chunked (chunks always span whole blocks).
+matter how the stream was chunked (chunks always span whole blocks).  A
+reduction split across slices returns per-block partials
+(:func:`block_sums` / :func:`block_row_sums`) that the caller replays in
+block order (:func:`add_blocks`), with the same bits.
 """
 
 from __future__ import annotations
@@ -244,6 +247,50 @@ class PopulationArrays:
 # -- chunk-stable reductions -------------------------------------------------
 
 
+def block_sums(values: np.ndarray) -> np.ndarray:
+    """Per-block sums of a 1-D array: one float64 per :data:`SEED_BLOCK` segment.
+
+    The partial-sum form of :func:`blockwise_sum`.  A reduction split
+    across threads or slices (each spanning whole blocks) returns these
+    partials, and the caller replays them in block order with
+    :func:`add_blocks`: the same float additions, so the same bits.
+    """
+    return np.array(
+        [
+            np.sum(values[begin : begin + SEED_BLOCK], dtype=np.float64)
+            for begin in range(0, len(values), SEED_BLOCK)
+        ],
+        dtype=np.float64,
+    )
+
+
+def block_row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Per-block row sums of a ``(rows, agents)`` matrix, shape ``(blocks, rows)``.
+
+    Row ``b`` of the result sums block ``b``'s columns of every row: the
+    partial-sum form of :func:`blockwise_row_sums`.
+    """
+    sums = [
+        matrix[:, begin : begin + SEED_BLOCK].sum(axis=1, dtype=np.float64)
+        for begin in range(0, matrix.shape[1], SEED_BLOCK)
+    ]
+    return np.array(sums, dtype=np.float64).reshape(len(sums), matrix.shape[0])
+
+
+def add_blocks(start, partials: np.ndarray):
+    """Add per-block partials to a running total, one block at a time, in order.
+
+    ``start`` is a float (with :func:`block_sums` partials) or a
+    ``(rows,)`` vector (with :func:`block_row_sums` partials); the
+    result has the same form.  Left-to-right addition in block order is
+    the one summation order every chunk-stable reduction uses.
+    """
+    total = start
+    for partial in partials:
+        total = total + partial
+    return total
+
+
 def blockwise_sum(values: np.ndarray, start: float = 0.0) -> float:
     """Sum a 1-D array in fixed :data:`SEED_BLOCK` segments, in order.
 
@@ -257,12 +304,7 @@ def blockwise_sum(values: np.ndarray, start: float = 0.0) -> float:
     ``start`` carries the running total across chunks; pass the previous
     chunk's return value to continue a streaming reduction.
     """
-    total = float(start)
-    for begin in range(0, len(values), SEED_BLOCK):
-        total = total + float(
-            np.sum(values[begin : begin + SEED_BLOCK], dtype=np.float64)
-        )
-    return total
+    return float(add_blocks(float(start), block_sums(values)))
 
 
 def blockwise_row_sums(
@@ -279,8 +321,4 @@ def blockwise_row_sums(
         if start is None
         else np.asarray(start, dtype=np.float64).copy()
     )
-    for begin in range(0, matrix.shape[1], SEED_BLOCK):
-        totals = totals + matrix[:, begin : begin + SEED_BLOCK].sum(
-            axis=1, dtype=np.float64
-        )
-    return totals
+    return add_blocks(totals, block_row_sums(matrix))

@@ -2,7 +2,7 @@
 
 A streamed pass spends its time in numpy kernels and in the seed-block
 samplers, and both release the GIL, so a second thread inside one call
-overlaps real work.  This module holds the three pieces a streaming
+overlaps real work.  This module holds the four pieces a streaming
 consumer needs for that, and nothing consumer-specific:
 
 * :data:`THREADS` — how many threads one call may use, derived from the
@@ -13,10 +13,16 @@ consumer needs for that, and nothing consumer-specific:
 * :func:`submit` and :func:`prefetch` — run work on that pool inside a
   copy of the caller's :mod:`contextvars` context, so metrics recorded
   by pool threads reach the caller's
-  :func:`~repro.telemetry.runtime.capture` registry.
+  :func:`~repro.telemetry.runtime.capture` registry;
+* :func:`sliced` — the one slice loop: cut every chunk into block-aligned
+  :func:`slices`, fold slice 0 on the calling thread and the others on
+  the pool, and hand the partial results back in population order.
 
 Callers fold results back in a fixed order, so output never depends on
-the thread count; :mod:`repro.schemes.population_audit` is the user.
+the thread count; the population audit's gain pass
+(:mod:`repro.schemes.population_audit`) and the streamed dynamics'
+measure and update passes
+(:mod:`repro.scenarios.population_dynamics`) are the users.
 """
 
 from __future__ import annotations
@@ -25,7 +31,18 @@ import contextvars
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+from repro.populations.arrays import SEED_BLOCK, PopulationArrays
 
 T = TypeVar("T")
 
@@ -46,6 +63,12 @@ def usable_cpus() -> int:
 #: Threads one streamed call uses: the main thread plus ``THREADS - 1``
 #: pool workers.  Derived once per process; ``taskset -c 0`` gives 1.
 THREADS = max(1, min(MAX_THREADS, usable_cpus()))
+
+#: Fewest seed blocks a slice spans.  On smaller slices the kernels'
+#: per-call Python work and the GIL hand-offs between threads cost more
+#: than the second thread wins (a 4-block chunk folds faster whole than
+#: as two 2-block slices on a 2-vCPU host).
+MIN_SLICE_BLOCKS = 3
 
 
 @contextmanager
@@ -95,3 +118,58 @@ def prefetch(iterable: Iterable[T], pool: Optional[ThreadPoolExecutor]) -> Itera
             return
         pending = submit(pool, next, iterator, _DONE)
         yield item
+
+
+def slices(chunk: PopulationArrays, n: int) -> List[PopulationArrays]:
+    """Split a chunk into at most ``n`` block-aligned slices of near-equal size.
+
+    Every slice spans at least :data:`MIN_SLICE_BLOCKS` seed blocks, so a
+    small chunk (or ``n == 1``) comes back whole.
+    """
+    blocks = -(-chunk.n_agents // SEED_BLOCK)
+    n = max(1, min(n, blocks // MIN_SLICE_BLOCKS))
+    edges = sorted(
+        {min(chunk.n_agents, blocks * i // n * SEED_BLOCK) for i in range(n + 1)}
+    )
+    if len(edges) <= 2:
+        return [chunk]
+    return [chunk.rows(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def sliced(
+    chunks: Iterable[PopulationArrays],
+    pool: Optional[ThreadPoolExecutor],
+    fold: Callable[[PopulationArrays], T],
+) -> Iterator[Tuple[PopulationArrays, Iterator[T]]]:
+    """Yield ``(chunk, partials)`` for every chunk, in population order.
+
+    ``pool`` is a :func:`call_pool` ``(THREADS)`` pool (or ``None``).
+    Chunks are prefetched on it and each is cut into :data:`THREADS`
+    block-aligned :func:`slices`; slices 1.. are submitted to the pool
+    workers when the chunk is yielded.  ``partials`` yields the slices'
+    results in population order: reading the first runs ``fold`` on
+    slice 0 on the calling thread, the others are waited for, so the
+    caller can work on the chunk before reading.  Read every partial
+    before advancing: a worker's exception surfaces there.  (Slice 0
+    runs on read, not before the yield, so no fold of one chunk runs
+    while the caller still holds the previous chunk.)
+
+    ``fold`` must touch only its slice's rows of any shared array, since
+    slices of one chunk run concurrently.
+    """
+    n = THREADS if pool is not None else 1
+    for chunk in prefetch(chunks, pool):
+        first, *rest = slices(chunk, n)
+        pending = [submit(pool, fold, part) for part in rest]
+        yield chunk, _in_order(fold, first, pending)
+
+
+def _in_order(
+    fold: Callable[[PopulationArrays], T],
+    first: PopulationArrays,
+    pending: Sequence["Future[T]"],
+) -> Iterator[T]:
+    """``fold(first)``, then each pending future's result, in order."""
+    yield fold(first)
+    for future in pending:
+        yield future.result()

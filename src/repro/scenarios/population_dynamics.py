@@ -40,6 +40,18 @@ within :data:`~repro.populations.spec.RESIDENT_BYTES` is synthesized
 once and held read-only for the run, a larger one is re-synthesized per
 pass in O(chunk) memory.
 
+Each call runs on :data:`repro.populations.threads.THREADS` in-call
+threads.  A streamed source prefetches its next chunk on the call's pool
+in every pass.  The measure and update passes go through
+:func:`repro.populations.threads.sliced`: each chunk is cut into
+block-aligned slices that realize, reduce and revise concurrently (each
+writes only its own rows of the held profile), and every slice returns
+**per-block** partial sums (:func:`~repro.populations.arrays.block_sums`)
+that the calling thread adds in population order — the additions a
+one-thread fold makes, so trajectories are byte-identical at every
+thread count.  The structure pass, the census and the selected agents'
+best responses stay on the calling thread.
+
 Counterfactual (unilateral-deviation) crowd fitness is the load-bearing
 choice: both schemes pay crowd *defectors* from stake-proportional pools,
 so realized class means cannot distinguish foundation from role-based
@@ -56,6 +68,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -80,13 +93,16 @@ from repro.analysis.retry import ExecutionPolicy
 from repro.analysis.sweep import SweepSpec
 from repro.core.dynamics import ReplicatorAccumulator
 from repro.errors import ConfigurationError
+from repro.populations import threads
 from repro.populations.arrays import (
     PopulationArrays,
-    blockwise_row_sums,
-    blockwise_sum,
+    add_blocks,
+    block_row_sums,
+    block_sums,
 )
 from repro.populations.generators import resolve_sampler
 from repro.populations.spec import PopulationSpec
+from repro.populations.threads import call_pool, prefetch
 from repro.scenarios.dynamics import EpochRecord, ScenarioTrajectory
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -306,6 +322,8 @@ class _Engine:
     churn_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]]
     #: The run's chunk source, iterated once per pass (see ``_chunks``).
     chunks: Iterable[PopulationArrays]
+    #: The call's in-call thread pool (``None`` when serial).
+    pool: Optional[ThreadPoolExecutor]
     sync: np.ndarray  # (N,) pre-selection strong-synchrony draws, held
     profile: np.ndarray  # (N,) int8 realized profile (0=C, 1=D), held
 
@@ -337,11 +355,14 @@ def _build_engine(
     scheme_name: str,
     structure: _Structure,
     chunks: Iterable[PopulationArrays],
+    pool: Optional[ThreadPoolExecutor] = None,
 ) -> _Engine:
     """Census pass: draw synchrony once and count the online crowd's split."""
     config = structure.config
     pop = spec.population
-    sync = np.concatenate([_sync_mask(pop, config, chunk) for chunk in chunks])
+    sync = np.concatenate(
+        [_sync_mask(pop, config, chunk) for chunk in prefetch(chunks, pool)]
+    )
     # The selected agents perform their role: they are not sync crowd.
     n_sync = int(np.count_nonzero(sync)) - int(
         np.count_nonzero(sync[structure.selected_index])
@@ -365,6 +386,7 @@ def _build_engine(
         n_nonsync=n_crowd - n_sync,
         churn_sampler=churn_sampler,
         chunks=chunks,
+        pool=pool,
         sync=sync,
         profile=np.zeros(pop.size, dtype=np.int8),
     )
@@ -495,51 +517,83 @@ def _realize(
     _pin_selected(engine, chunk, profile, sel_action)
 
 
+@dataclass
+class _MeasureSlice:
+    """One slice's share of the measure pass: per-block sums and counts."""
+
+    weight_coop: np.ndarray  # (blocks, P) cooperators' pool weights
+    weight_defect: np.ndarray  # (blocks, P) defectors' pool weights
+    coop_cost: np.ndarray  # (blocks,) cooperators' role costs
+    defect_cost: np.ndarray  # (blocks,) defectors' sortition costs
+    n_coop: int
+    sync_defectors: int
+    first_sync_defector: Optional[int]  # global index, None if no defector
+
+
+def _measure_slice(
+    engine: _Engine,
+    epoch: int,
+    thresholds: Optional[Tuple[float, float]],
+    sel_action: np.ndarray,
+    part: PopulationArrays,
+) -> _MeasureSlice:
+    """Realize one block-aligned slice's profile and reduce it per block."""
+    _realize(engine, part, epoch, thresholds, sel_action)
+    ctx = _epoch_context(engine, part, epoch)
+    table = engine.table
+    contribution = pool_weights(table, ctx.stake, ctx.coop_cost)
+    for p in range(len(table.kinds)):
+        contribution[p] *= membership(table.lookup[p], ctx)
+    sync_defect = np.flatnonzero(ctx.sync & (ctx.action == 1))
+    return _MeasureSlice(
+        weight_coop=block_row_sums(np.where(ctx.coop, contribution, 0.0)),
+        weight_defect=block_row_sums(np.where(~ctx.coop, contribution, 0.0)),
+        coop_cost=block_sums(np.where(ctx.coop, ctx.coop_cost, 0.0)),
+        defect_cost=block_sums(np.where(~ctx.coop, ctx.sortition_cost, 0.0)),
+        n_coop=int(np.count_nonzero(ctx.coop)),
+        sync_defectors=int(sync_defect.size),
+        first_sync_defector=(
+            part.offset + int(sync_defect[0]) if sync_defect.size else None
+        ),
+    )
+
+
 def _measure_pass(
     engine: _Engine,
     epoch: int,
     thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
 ) -> _EpochAggregates:
-    """Realize the epoch's profile, hold it, and fold its aggregates."""
+    """Realize the epoch's profile, hold it, and fold its aggregates.
+
+    Slices realize and reduce concurrently (:func:`_measure_slice`);
+    their per-block sums are replayed here in population order, the
+    additions :func:`~repro.populations.arrays.blockwise_sum` makes.
+    """
     structure = engine.structure
-    table = engine.table
-    P = len(table.kinds)
-    weight_coop: Optional[np.ndarray] = None
-    weight_defect: Optional[np.ndarray] = None
+    P = len(engine.table.kinds)
+    weight_coop = np.zeros(P, dtype=np.float64)
+    weight_defect = np.zeros(P, dtype=np.float64)
     n_coop = 0
     coop_cost_sum = 0.0
     defect_cost_sum = 0.0
     sync_defectors = 0
-    sole_candidates: List[int] = []
+    first_sync_defector: Optional[int] = None
 
-    for chunk in engine.chunks:
-        _realize(engine, chunk, epoch, thresholds, sel_action)
-        ctx = _epoch_context(engine, chunk, epoch)
-        contribution = pool_weights(table, ctx.stake, ctx.coop_cost)
-        for p in range(P):
-            contribution[p] *= membership(table.lookup[p], ctx)
-        weight_coop = blockwise_row_sums(
-            np.where(ctx.coop, contribution, 0.0), start=weight_coop
-        )
-        weight_defect = blockwise_row_sums(
-            np.where(~ctx.coop, contribution, 0.0), start=weight_defect
-        )
-        n_coop += int(np.count_nonzero(ctx.coop))
-        coop_cost_sum = blockwise_sum(
-            np.where(ctx.coop, ctx.coop_cost, 0.0), start=coop_cost_sum
-        )
-        defect_cost_sum = blockwise_sum(
-            np.where(~ctx.coop, ctx.sortition_cost, 0.0), start=defect_cost_sum
-        )
-        sync_defect = ctx.sync & (ctx.action == 1)
-        count = int(np.count_nonzero(sync_defect))
-        if count and len(sole_candidates) < 2:
-            rows = np.flatnonzero(sync_defect)[:2]
-            sole_candidates.extend(chunk.offset + int(row) for row in rows)
-        sync_defectors += count
+    def measure(part: PopulationArrays) -> _MeasureSlice:
+        return _measure_slice(engine, epoch, thresholds, sel_action, part)
 
-    assert weight_coop is not None and weight_defect is not None
+    for _chunk, partials in threads.sliced(engine.chunks, engine.pool, measure):
+        for part in partials:
+            weight_coop = add_blocks(weight_coop, part.weight_coop)
+            weight_defect = add_blocks(weight_defect, part.weight_defect)
+            coop_cost_sum = float(add_blocks(coop_cost_sum, part.coop_cost))
+            defect_cost_sum = float(add_blocks(defect_cost_sum, part.defect_cost))
+            n_coop += part.n_coop
+            sync_defectors += part.sync_defectors
+            if first_sync_defector is None:
+                first_sync_defector = part.first_sync_defector
+
     leader_coop = int(
         np.count_nonzero(
             (structure.selected_role == LEADER) & (sel_action == 0)
@@ -586,7 +640,7 @@ def _measure_pass(
         realized_final_fraction=None,
         budget_efficiency=efficiency,
     )
-    sole = sole_candidates[0] if sync_defectors == 1 else None
+    sole = first_sync_defector if sync_defectors == 1 else None
     return _EpochAggregates(
         totals=totals,
         block_success=block_success,
@@ -717,28 +771,40 @@ def _update_pass(
 
     Returns ``(next crowd share, next selected actions)``; in
     best-response mode the crowd's new actions are written back into the
-    held profile in place (each chunk reads its slice before writing it,
-    so the synchronous semantics hold).
+    held profile in place (each slice reads its rows before writing
+    them, and no slice touches another's rows, so the synchronous
+    semantics hold).  Slices run concurrently; replicator partials
+    (per-block payoff sums) and revision counts are folded here in
+    population order.  The selected agents' best responses stay on the
+    calling thread: they are one small batch.
     """
     spec = engine.spec
     registry = get_registry()
     telemetry = registry.enabled
+    replicator = spec.update_rule == "replicator"
     crowd_revisions = 0
     accumulator = ReplicatorAccumulator(
         intensity=spec.replicator_intensity, mutation=spec.replicator_mutation
     )
-    for chunk in engine.chunks:
-        ctx = _epoch_context(engine, chunk, prev_epoch)
+
+    def revise(part: PopulationArrays):
+        """Replicator partials, or the slice's crowd revision count."""
+        ctx = _epoch_context(engine, part, prev_epoch)
         utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates)
         crowd = ctx.roles == ONLINE
-        if spec.update_rule == "replicator":
-            accumulator.fold(utility_c, utility_d, include=crowd)
-        else:
-            switched = _best_responses(ctx.coop, utility_c, utility_d)
-            if telemetry:
-                crowd_revisions += int(np.sum(crowd & (switched != ctx.action)))
-            rows = slice(chunk.offset, chunk.offset + ctx.n)
-            np.copyto(engine.profile[rows], switched, where=crowd)
+        if replicator:
+            return ReplicatorAccumulator.partials(utility_c, utility_d, crowd)
+        switched = _best_responses(ctx.coop, utility_c, utility_d)
+        rows = slice(part.offset, part.offset + ctx.n)
+        np.copyto(engine.profile[rows], switched, where=crowd)
+        return int(np.sum(crowd & (switched != ctx.action))) if telemetry else 0
+
+    for _chunk, partials in threads.sliced(engine.chunks, engine.pool, revise):
+        for partial in partials:
+            if replicator:
+                accumulator.absorb(*partial)
+            else:
+                crowd_revisions += partial
     next_selected = _selected_best_responses(engine, aggregates, sel_action)
     if telemetry:
         revisions = registry.counter(
@@ -750,9 +816,7 @@ def _update_pass(
         revisions.labels(kind="selected").inc(
             float(int(np.sum(next_selected != sel_action)))
         )
-    next_share = (
-        accumulator.step(share) if spec.update_rule == "replicator" else share
-    )
+    next_share = accumulator.step(share) if replicator else share
     return next_share, next_selected
 
 
@@ -764,26 +828,16 @@ def run_population_dynamics(
     Every random stream (sortition race, synchrony, realization uniforms,
     churn) comes from the population's seed-block tree, so the trajectory
     is a pure function of ``(spec, scheme)`` — and bit-identical at every
-    ``chunk_agents`` value.  Returns a
+    ``chunk_agents`` value and every in-call thread count.  The call
+    opens one :func:`~repro.populations.threads.call_pool` for all its
+    passes (no thread outlives it); the measure and update passes fold
+    block-aligned slices of each chunk on it and replay their per-block
+    partials in population order.  Returns a
     :class:`~repro.scenarios.dynamics.ScenarioTrajectory` whose scenario
     field carries ``spec.name`` (epoch 0 is the seeded initial state).
     """
     resolved = resolve_scheme(scheme)
     config = spec.audit_config()
-    # One source for all 3 + 2 * n_epochs passes: a population within
-    # RESIDENT_BYTES is synthesized once per call, not once per pass.
-    chunks = _chunks(spec.population, config)
-    structure = _build_structure([resolved], spec.population, config, chunks)
-    engine = _build_engine(spec, resolved.name, structure, chunks)
-    sel_action = np.zeros(engine.config.n_selected, dtype=np.int8)
-    share = _initial_share(spec, engine)
-    trajectory = ScenarioTrajectory(
-        scenario=spec.name,
-        scheme=resolved.name,
-        b_i=structure.b_i,
-        alpha=structure.split.alpha,
-        beta=structure.split.beta,
-    )
     registry = get_registry()
     telemetry = registry.enabled
     m_epoch_seconds = registry.histogram(
@@ -797,28 +851,45 @@ def run_population_dynamics(
         "Streamed dynamics epochs evolved",
         labels=("scheme",),
     )
-    with span(
-        "dynamics.run", agents=spec.population.size, epochs=spec.n_epochs
-    ):
-        thresholds: Optional[Tuple[float, float]] = _thresholds(engine, share)
-        aggregates = _measure_pass(engine, 0, thresholds, sel_action)
-        trajectory.records.append(aggregates.record)
-        for epoch in range(1, spec.n_epochs + 1):
-            epoch_started = time.perf_counter() if telemetry else 0.0
-            share, sel_action = _update_pass(
-                engine, aggregates, epoch - 1, sel_action, share
-            )
-            if spec.update_rule == "replicator":
-                thresholds = _thresholds(engine, share)
-            else:
-                thresholds = None
-            aggregates = _measure_pass(engine, epoch, thresholds, sel_action)
+    # One source for all 3 + 2 * n_epochs passes: a population within
+    # RESIDENT_BYTES is synthesized once per call, not once per pass.
+    chunks = _chunks(spec.population, config)
+    with call_pool(threads.THREADS) as pool:
+        structure = _build_structure(
+            [resolved], spec.population, config, prefetch(chunks, pool)
+        )
+        engine = _build_engine(spec, resolved.name, structure, chunks, pool)
+        sel_action = np.zeros(engine.config.n_selected, dtype=np.int8)
+        share = _initial_share(spec, engine)
+        trajectory = ScenarioTrajectory(
+            scenario=spec.name,
+            scheme=resolved.name,
+            b_i=structure.b_i,
+            alpha=structure.split.alpha,
+            beta=structure.split.beta,
+        )
+        with span(
+            "dynamics.run", agents=spec.population.size, epochs=spec.n_epochs
+        ):
+            thresholds: Optional[Tuple[float, float]] = _thresholds(engine, share)
+            aggregates = _measure_pass(engine, 0, thresholds, sel_action)
             trajectory.records.append(aggregates.record)
-            if telemetry:
-                m_epochs.labels(scheme=resolved.name).inc()
-                m_epoch_seconds.labels(scheme=resolved.name).observe(
-                    time.perf_counter() - epoch_started
+            for epoch in range(1, spec.n_epochs + 1):
+                epoch_started = time.perf_counter() if telemetry else 0.0
+                share, sel_action = _update_pass(
+                    engine, aggregates, epoch - 1, sel_action, share
                 )
+                if spec.update_rule == "replicator":
+                    thresholds = _thresholds(engine, share)
+                else:
+                    thresholds = None
+                aggregates = _measure_pass(engine, epoch, thresholds, sel_action)
+                trajectory.records.append(aggregates.record)
+                if telemetry:
+                    m_epochs.labels(scheme=resolved.name).inc()
+                    m_epoch_seconds.labels(scheme=resolved.name).observe(
+                        time.perf_counter() - epoch_started
+                    )
     return trajectory
 
 

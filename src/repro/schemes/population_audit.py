@@ -69,13 +69,12 @@ from repro.populations import threads
 from repro.populations.arrays import (
     BEHAVIOR_COOPERATE,
     BEHAVIOR_OFFLINE,
-    SEED_BLOCK,
     PopulationArrays,
     blockwise_row_sums,
     blockwise_sum,
 )
 from repro.populations.spec import PopulationSpec
-from repro.populations.threads import call_pool, prefetch, submit
+from repro.populations.threads import call_pool, prefetch
 from repro.schemes.audit import DeviationWitness, _game_gains, _oracle_game
 from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
 from repro.schemes.deviation import (
@@ -105,12 +104,6 @@ from repro.telemetry.spans import span
 #: the online crowd's strategy from the population's ``behavior`` column
 #: (selected leaders/committee members always perform their role).
 POPULATION_TARGETS: Tuple[str, ...] = ("theorem3", "all_c", "population")
-
-#: Fewest seed blocks a gain-pass slice spans.  On smaller slices the
-#: kernel's per-call Python work and the GIL hand-offs between threads
-#: cost more than the second thread wins (a 4-block chunk folds faster
-#: whole than as two 2-block slices on a 2-vCPU host).
-MIN_SLICE_BLOCKS = 3
 
 #: Consumer column labels in the population's seed-block stream tree.
 _RACE_COLUMN = "audit.race"
@@ -809,22 +802,6 @@ def iter_population_gains(
         yield chunk, np.column_stack((gains.to_c, gains.to_d, gains.to_o)), ctx.coop
 
 
-def _slices(chunk: PopulationArrays, n: int) -> List[PopulationArrays]:
-    """Split a chunk into at most ``n`` block-aligned slices of near-equal size.
-
-    Every slice spans at least :data:`MIN_SLICE_BLOCKS` seed blocks, so a
-    small chunk (or ``n == 1``) comes back whole.
-    """
-    blocks = -(-chunk.n_agents // SEED_BLOCK)
-    n = max(1, min(n, blocks // MIN_SLICE_BLOCKS))
-    edges = sorted(
-        {min(chunk.n_agents, blocks * i // n * SEED_BLOCK) for i in range(n + 1)}
-    )
-    if len(edges) <= 2:
-        return [chunk]
-    return [chunk.rows(start, stop) for start, stop in zip(edges, edges[1:])]
-
-
 def _nan_peak(values: np.ndarray) -> Tuple[float, int]:
     """``(max, count)`` over the non-``nan`` entries (``nan`` if none)."""
     return float(np.fmax.reduce(values)), int(values.size - np.isnan(values).sum())
@@ -1100,7 +1077,8 @@ def audit_population_grid(
     pool thread synthesizes the next chunk while the current one is
     worked on (both passes), and the gain pass splits each chunk into
     block-aligned slices, folds them concurrently and merges them in
-    population order (:meth:`_GainReducer.merge`).  Pass 1 stays on the
+    population order (:func:`repro.populations.threads.sliced`,
+    :meth:`_GainReducer.merge`).  Pass 1 stays on the
     calling thread: its blockwise pool totals are order-sensitive float
     sums.  The output is byte-identical at every thread count.
 
@@ -1175,22 +1153,6 @@ def audit_population_grid(
                             cost_scale=repr(float(cs)),
                         ).inc(share)
 
-        def fold(
-            chunk: PopulationArrays,
-            into: Dict[Tuple[str, float, float], _GainReducer],
-        ) -> Dict[Tuple[str, float, float], _GainReducer]:
-            """Fold one chunk (or slice) into every cell; returns ``into``.
-
-            Draws the synchrony Bernoullis and widens the stakes once;
-            every cost scale re-derives its context (costs differ), and
-            every budget cell shares that scale's context.
-            """
-            stake = chunk.stake64()
-            sync_draws = _sync_mask(spec, config, chunk)
-            for cs in scales:
-                fold_scale(chunk, stake, sync_draws, cs, into)
-            return into
-
         def new_reducers() -> Dict[Tuple[str, float, float], _GainReducer]:
             """One empty reducer per cell."""
             return {
@@ -1200,28 +1162,39 @@ def audit_population_grid(
                 for cs in scales
             }
 
-        n_threads = threads.THREADS
-        with call_pool(n_threads) as pool:
+        def fold(
+            chunk: PopulationArrays,
+        ) -> Dict[Tuple[str, float, float], _GainReducer]:
+            """Fold one chunk (or slice) into fresh reducers for every cell.
+
+            Draws the synchrony Bernoullis and widens the stakes once;
+            every cost scale re-derives its context (costs differ), and
+            every budget cell shares that scale's context.
+            """
+            into = new_reducers()
+            stake = chunk.stake64()
+            sync_draws = _sync_mask(spec, config, chunk)
+            for cs in scales:
+                fold_scale(chunk, stake, sync_draws, cs, into)
+            return into
+
+        with call_pool(threads.THREADS) as pool:
             chunks = _chunks(spec, config)
             structures = _build_structure_grid(
                 resolved, spec, config, budgets, scales, prefetch(chunks, pool)
             )
             reducers = new_reducers()
             total_stake_units = structures[(budgets[0], scales[0])].total_stake_units
-            for chunk in prefetch(chunks, pool):
+            # Block-aligned slices are finer chunks: each folds into fresh
+            # reducers, which merge into the running ones in population
+            # order.  The committee step overlaps the pool's slices.
+            for chunk, partials in threads.sliced(chunks, pool, fold):
                 chunk_started = time.perf_counter() if telemetry else 0.0
-                # Block-aligned slices are finer chunks: pool workers fold
-                # slices 1.. into fresh reducers while this thread folds
-                # slice 0 into the running ones, then the partials merge
-                # in population order.
-                first, *rest = _slices(chunk, n_threads)
-                pending = [submit(pool, fold, part, new_reducers()) for part in rest]
-                fold(first, reducers)
                 if on_chunk is not None:
                     on_chunk(chunk, total_stake_units)
-                for future in pending:
-                    for cell, partial in future.result().items():
-                        reducers[cell].merge(partial)
+                for partial in partials:
+                    for cell, reducer in partial.items():
+                        reducers[cell].merge(reducer)
                 if telemetry:
                     m_chunks.inc()
                     m_agents.inc(float(chunk.n_agents))

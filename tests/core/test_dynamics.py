@@ -338,6 +338,20 @@ class TestReplicatorAccumulator:
         assert chunked.count == whole.count
         assert chunked.mean_payoffs() == whole.mean_payoffs()
         assert chunked.step(0.37) == whole.step(0.37)
+        # Slices' partials may be computed in any order (on any thread);
+        # absorbed in population order they give the same bits.
+        starts = range(0, n, SEED_BLOCK)
+        partials = {
+            start: ReplicatorAccumulator.partials(
+                u_c[start:start + SEED_BLOCK], u_d[start:start + SEED_BLOCK]
+            )
+            for start in reversed(starts)
+        }
+        absorbed = ReplicatorAccumulator()
+        for start in starts:
+            absorbed.absorb(*partials[start])
+        assert absorbed.count == whole.count
+        assert absorbed.mean_payoffs() == whole.mean_payoffs()
 
     def test_include_mask_restricts_the_population(self):
         import numpy as np

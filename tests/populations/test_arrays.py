@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.populations import (
@@ -13,6 +15,7 @@ from repro.populations import (
     blockwise_sum,
     resolve_dtype,
 )
+from repro.populations.arrays import add_blocks, block_row_sums, block_sums
 
 
 def _population(n: int = 10, dtype=np.float64) -> PopulationArrays:
@@ -124,3 +127,67 @@ class TestBlockwiseSums:
                 matrix[:, start : start + SEED_BLOCK], start=running
             )
         assert np.array_equal(running, whole)
+
+
+def _loop_sum(values: np.ndarray) -> float:
+    """Reference: the seed-block loop written out, one float add per block."""
+    total = 0.0
+    for begin in range(0, len(values), SEED_BLOCK):
+        total = total + float(
+            np.sum(values[begin : begin + SEED_BLOCK], dtype=np.float64)
+        )
+    return total
+
+
+def _loop_row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Reference: the row-wise seed-block loop written out."""
+    totals = np.zeros(matrix.shape[0], dtype=np.float64)
+    for begin in range(0, matrix.shape[1], SEED_BLOCK):
+        totals = totals + matrix[:, begin : begin + SEED_BLOCK].sum(
+            axis=1, dtype=np.float64
+        )
+    return totals
+
+
+@st.composite
+def _cut_population(draw):
+    """``(values, block-aligned cut points)`` spanning a few seed blocks.
+
+    Values mix signs and sixteen decades, so any change in the order of
+    the float additions shows in the last bits.
+    """
+    blocks = draw(st.integers(min_value=1, max_value=6))
+    size = (blocks - 1) * SEED_BLOCK + draw(st.integers(min_value=1, max_value=SEED_BLOCK))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    inner = draw(st.sets(st.integers(min_value=1, max_value=blocks - 1))) if blocks > 1 else set()
+    cuts = [0] + [block * SEED_BLOCK for block in sorted(inner)] + [size]
+    return values, cuts
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cut_population())
+def test_block_partials_of_cut_pieces_replay_the_blockwise_sum(case):
+    """Folding each block-aligned piece's partials in order gives the bits
+    of the whole-array reduction, and of the written-out loop."""
+    values, cuts = case
+    running = 0.0
+    for start, stop in zip(cuts, cuts[1:]):
+        running = add_blocks(running, block_sums(values[start:stop]))
+    assert float(running) == blockwise_sum(values) == _loop_sum(values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_cut_population(), rows=st.integers(min_value=1, max_value=4))
+def test_block_row_partials_of_cut_pieces_replay_the_row_sums(case, rows):
+    """The ``(P, n)`` form: per-block row sums of the pieces, folded in
+    order, equal :func:`blockwise_row_sums` bit for bit."""
+    values, cuts = case
+    matrix = np.stack([np.roll(values, shift) * (1 + shift) for shift in range(rows)])
+    running = np.zeros(rows, dtype=np.float64)
+    for start, stop in zip(cuts, cuts[1:]):
+        partials = block_row_sums(matrix[:, start:stop])
+        assert partials.shape == (-(-(stop - start) // SEED_BLOCK), rows)
+        running = add_blocks(running, partials)
+    whole = blockwise_row_sums(matrix)
+    assert running.tobytes() == whole.tobytes() == _loop_row_sums(matrix).tobytes()

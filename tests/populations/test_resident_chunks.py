@@ -25,7 +25,6 @@ from repro.scenarios.population_dynamics import (
     PopulationDynamicsSpec,
     run_population_dynamics,
 )
-from repro.schemes import population_audit
 from repro.telemetry.runtime import capture
 
 SYNTHESIZED = "repro_population_blocks_synthesized_total"
@@ -160,10 +159,14 @@ class TestSynthesisCounter:
             run_population_dynamics(spec, "role_based")
         assert synthesized(registry.snapshot()) == spec.population.n_blocks
 
-    def test_streamed_dynamics_synthesizes_every_pass(self, monkeypatch):
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_streamed_dynamics_synthesizes_every_pass(self, monkeypatch, threads):
         """Structure, census and the epoch-0 measure pass, then an update
-        and a measure pass per epoch: 3 + 2 * 10 = 23 streams."""
+        and a measure pass per epoch: 3 + 2 * 10 = 23 streams.  At two
+        threads every pass prefetches its chunks on the pool, whose
+        syntheses still count in the captured registry."""
         monkeypatch.setattr(spec_module, "RESIDENT_BYTES", 0)
+        monkeypatch.setattr(threads_module, "THREADS", threads)
         spec = self._spec()
         with capture() as registry:
             run_population_dynamics(spec, "role_based")
@@ -183,7 +186,7 @@ class TestScaleAuditPasses:
 
     def test_streamed_run_scale_synthesizes_two_passes(self, monkeypatch):
         monkeypatch.setattr(spec_module, "RESIDENT_BYTES", 0)
-        monkeypatch.setattr(population_audit, "MIN_SLICE_BLOCKS", 1)
+        monkeypatch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
         config = ScaleConfig(
             n_agents=4 * SEED_BLOCK + 321,
             chunk_agents=2 * SEED_BLOCK,

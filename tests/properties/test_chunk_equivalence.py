@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.populations import SEED_BLOCK, PopulationArrays, PopulationSpec
 from repro.populations import spec as spec_module
 from repro.populations import threads as threads_module
-from repro.schemes import population_audit
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     audit_population,
@@ -77,7 +76,7 @@ def _at_threads(patch, count):
     are really split across threads.
     """
     patch.setattr(threads_module, "THREADS", count)
-    patch.setattr(population_audit, "MIN_SLICE_BLOCKS", 1)
+    patch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
 
 
 @given(family=_FAMILIES, size=_SIZES, chunk=_CHUNKS, dtype=_DTYPES,

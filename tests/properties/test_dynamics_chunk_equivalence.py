@@ -4,9 +4,10 @@ Companion of ``test_chunk_equivalence.py`` (the PR 5 audit suite) for the
 evolutionary layer:
 
 * **chunk equivalence** — any ``chunk_agents`` (including pathological
-  values like 1 and 7 that split every seed block) yields byte-identical
-  epoch trajectories, with the population held resident across passes
-  or re-streamed per pass, under replicator, best-response and churn,
+  values like 1 and 7 that split every seed block) and any in-call
+  thread count yields byte-identical epoch trajectories, with the
+  population held resident across passes or re-streamed per pass, under
+  replicator, best-response and churn,
 * **simplex conservation** — every epoch record partitions the
   population exactly (cooperating + defecting + offline == players),
 * **payoff-monotone share growth** — ``replicator_step`` moves the share
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from repro.core.dynamics import replicator_step
 from repro.populations import SEED_BLOCK, PopulationSpec
 from repro.populations import spec as spec_module
+from repro.populations import threads as threads_module
 from repro.scenarios.population_dynamics import (
     PopulationDynamicsSpec,
     run_population_dynamics,
@@ -45,6 +47,20 @@ _RESIDENCY_BUDGETS = (0, 1 << 40)
 
 #: Update modes: the two rules, plus replicator under per-epoch churn.
 _MODES = ("replicator", "best_response", "churn")
+
+#: The thread axis: in-call thread counts the driver is run at (the
+#: derived ``THREADS`` value is patched; it is not a user option).
+_THREAD_COUNTS = (1, 2, 4)
+
+
+def _at_threads(patch, count):
+    """Run the streamed driver at ``count`` in-call threads.
+
+    Slices may be a single seed block, so the multi-block chunks here
+    (16384 and monolithic) are really split across threads.
+    """
+    patch.setattr(threads_module, "THREADS", count)
+    patch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
 
 
 def _spec(seed: int, mode: str, chunk_agents) -> PopulationDynamicsSpec:
@@ -69,26 +85,31 @@ def _spec(seed: int, mode: str, chunk_agents) -> PopulationDynamicsSpec:
 
 @functools.lru_cache(maxsize=None)
 def _reference_payload(seed: int, mode: str, scheme: str) -> str:
-    """The monolithic (single-chunk) trajectory, serialized canonically."""
-    trajectory = run_population_dynamics(_spec(seed, mode, None), scheme)
+    """The serial monolithic (single-chunk) trajectory, serialized canonically."""
+    with pytest.MonkeyPatch.context() as patch:
+        _at_threads(patch, 1)
+        trajectory = run_population_dynamics(_spec(seed, mode, None), scheme)
     return json.dumps(trajectory.to_payload(), sort_keys=True)
 
 
 @settings(max_examples=16, deadline=None)
 @given(
-    chunk_agents=st.sampled_from(_CHUNK_SIZES),
+    chunk_agents=st.sampled_from(_CHUNK_SIZES + (None,)),
     resident_bytes=st.sampled_from(_RESIDENCY_BUDGETS),
+    threads=st.sampled_from(_THREAD_COUNTS),
     scheme=st.sampled_from(["foundation", "role_based"]),
     mode=st.sampled_from(_MODES),
     seed=st.integers(min_value=0, max_value=2),
 )
 def test_epoch_records_are_byte_identical_at_any_chunk_size(
-    chunk_agents, resident_bytes, scheme, mode, seed
+    chunk_agents, resident_bytes, threads, scheme, mode, seed
 ):
-    """Chunked trajectory payloads equal the monolithic payload, bitwise,
-    whether the population is held resident or re-streamed per pass."""
+    """Chunked, threaded trajectory payloads equal the serial monolithic
+    payload, bitwise, whether the population is held resident or
+    re-streamed per pass."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spec_module, "RESIDENT_BYTES", resident_bytes)
+        _at_threads(patch, threads)
         trajectory = run_population_dynamics(
             _spec(seed, mode, chunk_agents), scheme
         )
@@ -98,17 +119,24 @@ def test_epoch_records_are_byte_identical_at_any_chunk_size(
 
 @pytest.mark.parametrize("mode", _MODES)
 def test_residency_never_changes_a_trajectory(mode):
-    """The full {resident, streamed} x chunk-size grid for one seed and
-    scheme per mode: every cell serializes to one byte string."""
+    """The full {resident, streamed} x chunk-size x thread-count grid for
+    one seed and scheme per mode: every cell serializes to one byte
+    string.  Only chunks of two or more blocks split, so the thread axis
+    runs on those."""
     payloads = set()
     for resident_bytes in _RESIDENCY_BUDGETS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spec_module, "RESIDENT_BYTES", resident_bytes)
-            for chunk_agents in _CHUNK_SIZES + (None,):
-                trajectory = run_population_dynamics(
-                    _spec(1, mode, chunk_agents), "foundation"
-                )
-                payloads.add(json.dumps(trajectory.to_payload(), sort_keys=True))
+        for threads in _THREAD_COUNTS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spec_module, "RESIDENT_BYTES", resident_bytes)
+                _at_threads(patch, threads)
+                chunk_sizes = (16_384, None) if threads > 1 else _CHUNK_SIZES + (None,)
+                for chunk_agents in chunk_sizes:
+                    trajectory = run_population_dynamics(
+                        _spec(1, mode, chunk_agents), "foundation"
+                    )
+                    payloads.add(
+                        json.dumps(trajectory.to_payload(), sort_keys=True)
+                    )
     assert len(payloads) == 1
 
 

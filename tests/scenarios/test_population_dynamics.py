@@ -9,12 +9,15 @@ selected-agent pinning, the campaign/orchestrator integration, and the
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.populations import PopulationSpec
+from repro.populations import threads as threads_module
 from repro.scenarios.population_dynamics import (
     UPDATE_RULES,
     PopulationDynamicsSpec,
@@ -24,8 +27,21 @@ from repro.scenarios.population_dynamics import (
     run_population_dynamics,
     run_population_dynamics_campaign,
 )
+from repro.telemetry.runtime import capture
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture(params=(1, 2), ids=lambda count: f"T{count}")
+def at_threads(request, monkeypatch):
+    """Run the driver at 1 and 2 in-call threads.
+
+    Slices may be a single seed block, so the two- and three-block
+    populations here really split when a chunk holds more than one.
+    """
+    monkeypatch.setattr(threads_module, "THREADS", request.param)
+    monkeypatch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
+    return request.param
 
 
 def _population(**overrides) -> PopulationSpec:
@@ -104,10 +120,16 @@ class TestSpecValidation:
 
 
 class TestGoldenTrajectories:
-    """Refactors cannot silently change the Section V conclusions."""
+    """Refactors cannot silently change the Section V conclusions.
 
+    Replays run at T = 1 and T = 2 in-call threads, each at the golden's
+    one-block chunks and monolithically (one chunk, split across the
+    threads at T = 2).
+    """
+
+    @pytest.mark.parametrize("chunk_agents", [8_192, None])
     @pytest.mark.parametrize("scheme", ["foundation", "role_based"])
-    def test_golden_replay_is_bit_identical(self, scheme):
+    def test_golden_replay_is_bit_identical(self, scheme, chunk_agents, at_threads):
         golden_path = _GOLDEN_DIR / f"population_dynamics_{scheme}.json"
         golden = golden_path.read_text()
         spec = PopulationDynamicsSpec(
@@ -120,7 +142,7 @@ class TestGoldenTrajectories:
                 seed=2021,
             ),
             n_epochs=8,
-            chunk_agents=8_192,
+            chunk_agents=chunk_agents,
         )
         replayed = (
             json.dumps(
@@ -155,10 +177,13 @@ class TestGoldenTrajectories:
         ],
         ids=lambda path: path.stem[len("population_dynamics_") :],
     )
-    def test_case_golden_replay_is_bit_identical(self, path):
+    @pytest.mark.parametrize("monolithic", [False, True], ids=["chunked", "whole"])
+    def test_case_golden_replay_is_bit_identical(self, path, monolithic, at_threads):
         """Self-describing fixtures: rule, churn, scheme and dtype paths."""
         golden = json.loads(path.read_text())
         spec = PopulationDynamicsSpec.from_params(golden["spec"])
+        if monolithic:
+            spec = spec.with_overrides(chunk_agents=None)
         replayed = run_population_dynamics(spec, golden["scheme"]).to_payload()
         assert json.dumps(replayed, sort_keys=True) == json.dumps(
             golden["trajectory"], sort_keys=True
@@ -200,6 +225,111 @@ class TestGoldenTrajectories:
             PopulationDynamicsSpec.from_params(golden["spec"]), golden["scheme"]
         )
         assert any(restorable)
+
+    def test_sole_sync_defector_outside_the_first_slice(self, monkeypatch):
+        """The in-order merge finds a sole defector that slice 0 does not hold.
+
+        The golden's shape at seed 2020, run as one three-block chunk: at
+        T = 2 with one-block slices, slice 0 is block 0 and the epoch-1
+        sole defector lies in the pool worker's slice.  Its index, the
+        restore branch and the trajectory match the one-thread run.
+        """
+        from repro.scenarios import population_dynamics
+
+        golden = json.loads(
+            (_GOLDEN_DIR / "population_dynamics_sole_sync_defector.json").read_text()
+        )
+        spec = PopulationDynamicsSpec.from_params(golden["spec"])
+        spec = spec.with_overrides(
+            population=spec.population.with_overrides(seed=2020),
+            chunk_agents=None,
+            n_epochs=2,
+        )
+        measure = population_dynamics._measure_pass
+        monkeypatch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
+        runs = {}
+        for count in (1, 2):
+            monkeypatch.setattr(threads_module, "THREADS", count)
+            soles = []
+
+            def recording(*args, **kwargs):
+                aggregates = measure(*args, **kwargs)
+                if aggregates.restorable:
+                    soles.append(aggregates.sole_sync_defector)
+                return aggregates
+
+            monkeypatch.setattr(population_dynamics, "_measure_pass", recording)
+            trajectory = run_population_dynamics(spec, golden["scheme"])
+            runs[count] = (soles, trajectory.to_payload())
+        (whole,) = spec.population.chunks(spec.population.size)
+        first_slice = threads_module.slices(whole, 2)[0]
+        soles, payload = runs[2]
+        assert len(soles) == 1
+        assert soles[0] >= first_slice.offset + first_slice.n_agents
+        assert runs[1] == (soles, payload)
+
+
+class TestInCallThreads:
+    """Threads change neither the telemetry a run records nor its lifetime."""
+
+    @pytest.mark.parametrize("update_rule", ["replicator", "best_response"])
+    def test_counters_match_and_no_thread_outlives_the_call(
+        self, monkeypatch, update_rule
+    ):
+        monkeypatch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
+        spec = _spec(
+            population=_population(size=3 * 8192 - 100, cooperation=0.8),
+            update_rule=update_rule,
+            n_epochs=3,
+        )
+        counts = {}
+        for count in (1, 2):
+            monkeypatch.setattr(threads_module, "THREADS", count)
+            alive = threading.active_count()
+            with capture() as registry:
+                trajectory = run_population_dynamics(spec, "role_based")
+            assert threading.active_count() == alive
+            metrics = registry.snapshot()["metrics"]
+            counts[count] = (
+                {
+                    name: sorted(
+                        (tuple(sorted(sample["labels"].items())), sample["value"])
+                        for sample in metrics[name]["samples"]
+                    )
+                    for name in (
+                        "repro_dynamics_revisions_total",
+                        "repro_dynamics_epochs_total",
+                    )
+                },
+                trajectory.to_payload(),
+            )
+        assert counts[1] == counts[2]
+        revisions = dict(counts[2][0]["repro_dynamics_revisions_total"])
+        if update_rule == "best_response":
+            assert revisions[(("kind", "crowd"),)] > 0
+
+    def test_concurrent_profile_writes_under_fast_thread_switching(
+        self, monkeypatch
+    ):
+        """Four threads (more than the host's cores) and a 1 us switch
+        interval: best-response slices write the held profile at once,
+        and the trajectory still equals the serial one byte for byte."""
+        monkeypatch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
+        spec = _spec(
+            population=_population(size=4 * 8192 - 50, cooperation=0.8),
+            update_rule="best_response",
+            n_epochs=3,
+        )
+        monkeypatch.setattr(threads_module, "THREADS", 1)
+        serial = run_population_dynamics(spec, "role_based").to_payload()
+        monkeypatch.setattr(threads_module, "THREADS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_population_dynamics(spec, "role_based").to_payload()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestEngineBehavior:

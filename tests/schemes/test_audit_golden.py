@@ -31,7 +31,6 @@ import pytest
 
 from repro.populations import SEED_BLOCK, PopulationSpec
 from repro.populations import threads as threads_module
-from repro.schemes import population_audit
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _build_structure,
@@ -148,7 +147,7 @@ class TestGoldenAuditBytes:
     @pytest.mark.parametrize("threads", (1, 2))
     def test_grid_payload_matches_golden_at_thread_count(self, threads, monkeypatch):
         monkeypatch.setattr(threads_module, "THREADS", threads)
-        monkeypatch.setattr(population_audit, "MIN_SLICE_BLOCKS", 1)
+        monkeypatch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
         for chunk_agents in GRID_CHUNKS:
             assert grid_digest(chunk_agents) == _golden()[f"grid/chunk={chunk_agents}"]
 
