@@ -676,7 +676,7 @@ def _chunk_counterfactuals(
     block = aggregates.block_success
     sole = aggregates.sole_sync_defector
     restore = aggregates.restorable and 0 <= sole - ctx.offset < ctx.n
-    _, (rewards_c,), (rewards_d,) = fold_rewards(
+    _, *rewards = fold_rewards(
         engine.table,
         ctx,
         aggregates.totals,
@@ -685,6 +685,7 @@ def _chunk_counterfactuals(
         deviations=(0, 1) if block else (0,) if restore else (),
     )
     if block:
+        (rewards_c,), (rewards_d,) = rewards
         utility_c = rewards_c - ctx.coop_cost
         rewards_d[ctx.sync] = 0.0  # a sync cooperator's exit breaks the block
         utility_d = rewards_d - ctx.sortition_cost
@@ -692,6 +693,7 @@ def _chunk_counterfactuals(
         utility_c = -ctx.coop_cost
         utility_d = -ctx.sortition_cost
         if restore:
+            ((rewards_c,),) = rewards
             local = sole - ctx.offset
             utility_c[local] = rewards_c[local] - ctx.coop_cost[local]
     return utility_c, utility_d

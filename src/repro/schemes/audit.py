@@ -61,6 +61,7 @@ from repro.schemes.deviation import (
     LEADER,
     ONLINE,
     ROLE_NAMES,
+    SWITCH,
     TARGETS,
     Agents,
     deviation_gains,
@@ -486,13 +487,13 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
     members = [membership(lookup, agents) for lookup in tables.lookup]
     totals = (weights * members).reshape(-1, B, N).sum(axis=2)  # (P, B)
     slice_budget = (fractions * cell.b_i[:, None]).T  # (P, B)
-    base, rewards_c, rewards_d = fold_rewards(
+    base, switch = fold_rewards(
         tables,
         agents,
         np.repeat(totals, N, axis=1),
         [np.repeat(slice_budget, N, axis=1)],
         base=True,
-        deviations=(0, 1),
+        deviations=(SWITCH,),
         weights=weights,
     )
 
@@ -508,11 +509,12 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
         & cell.coop
         & ((committee_coop[:, None] - cell.stakes) <= quorum_threshold[:, None])
     )
+    # Every break is a cooperator's, whose switch is to D.
     breaks = sole_leader | quorum_break | (cell.sync & cell.coop)
-    rewards_d[0][breaks.ravel()] = 0.0
+    switch[0][breaks.ravel()] = 0.0
 
-    (gains,) = deviation_gains(agents, base, rewards_c, rewards_d)
-    return np.concatenate((gains.to_c, gains.to_d, gains.to_o)).reshape(3, B, N)
+    (gains,) = deviation_gains(agents, base, switch)
+    return np.concatenate(gains.targets(agents)).reshape(3, B, N)
 
 
 # -- the scalar oracle --------------------------------------------------------------

@@ -9,6 +9,18 @@ the streamed audit (:mod:`repro.schemes.population_audit`) and the
 streamed dynamics (:mod:`repro.scenarios.population_dynamics`).  Callers
 keep only their totals reduction, their block-break mask and their
 block-failure rule.
+
+:func:`fold_rewards` folds only what its caller reads.  An IC verdict
+needs each agent's *switch* — the payment for the action it does not
+play (C for defectors, D for cooperators; :data:`SWITCH`) — plus the
+closed-form O gain, so both audits fold one switch payment per agent
+and rebuild the ``nan``-marked to-C/to-D view (:meth:`Gains.targets`)
+only where a caller wants the full tensor.  The dynamics keep the two
+fixed-action folds ``(0, 1)``: the replicator and the best response read
+both payoffs of every agent, the one it plays included.
+
+Pools are folded one at a time, each the cheapest way its crowd (online
+agents) allows; see :class:`PaymentFold`.
 """
 
 from __future__ import annotations
@@ -32,6 +44,10 @@ ROLE_NAMES: Dict[int, str] = dict(enumerate(("leader", "committee", "online")))
 
 #: Deviation target order in every gains tensor: to-C, to-D, to-O.
 TARGETS: Tuple[str, ...] = ("C", "D", "O")
+
+#: Deviation code for "each agent switches to the action it does not
+#: play"; the codes 0 and 1 fix the action (C, D) for every agent.
+SWITCH = 2
 
 _ROLE_INDEX = {name: code for code, name in ROLE_NAMES.items()}
 _ACTION_INDEX = {"C": 0, "D": 1}
@@ -162,9 +178,33 @@ class Agents:
         return self.roles.astype(np.intp) * 2 + self.action
 
     @cached_property
+    def switch_index(self) -> np.ndarray:
+        """Flat ``(role, other action)`` index: the lookup entry of a switch."""
+        return self.lookup_index ^ 1
+
+    @cached_property
     def current_cost(self) -> np.ndarray:
         """Each agent's cost under its profile action."""
         return np.where(self.coop, self.coop_cost, self.sortition_cost)
+
+    @cached_property
+    def switch_cost(self) -> np.ndarray:
+        """Each agent's cost under the action it does not play."""
+        return np.where(self.coop, self.sortition_cost, self.coop_cost)
+
+    @cached_property
+    def selected(self) -> "Agents":
+        """The batch's selected rows alone, as a batch of their own."""
+        rows = self.selected_rows
+        return Agents(
+            stake=self.stake[rows],
+            roles=self.roles[rows],
+            selected_rows=np.arange(rows.size),
+            coop=self.coop[rows],
+            action=self.action[rows],
+            coop_cost=self.coop_cost[rows],
+            sortition_cost=self.sortition_cost[rows],
+        )
 
     @cached_property
     def nan_unless_defect(self) -> np.ndarray:
@@ -183,25 +223,35 @@ def membership(
     """``lookup[role, action]`` for every agent of the batch, as a bool mask.
 
     ``lookup`` is one pool's ``(3 roles, 2 actions)`` membership table and
-    ``action`` a fixed action code (``None``: each agent's profile
-    action).  A streamed chunk is nearly all online crowd, so its mask
-    starts from the online row — a constant or the cooperation mask —
-    and patches the selected rows; a dense batch (sampled populations,
-    the selected agents) gathers per agent.
+    ``action`` a fixed action code, :data:`SWITCH` (each agent's other
+    action) or ``None`` (each agent's profile action).  A streamed chunk
+    is nearly all online crowd, so its mask starts from the online row —
+    a constant, the cooperation mask or its complement — and patches the
+    selected rows; a dense batch (sampled populations, the selected
+    agents) gathers per agent.
     """
     if agents.dense:
         if action is None:
             return lookup.ravel().take(agents.lookup_index)
+        if action == SWITCH:
+            return lookup.ravel().take(agents.switch_index)
         return lookup[:, action].take(agents.roles)
     online_c, online_d = lookup[ONLINE]
-    if action is not None:
+    if action is not None and action != SWITCH:
         mask = np.full(agents.n, lookup[ONLINE, action])
     elif online_c == online_d:
         mask = np.full(agents.n, online_c)
-    else:
+    elif action is None:
         mask = agents.coop.copy() if online_c else ~agents.coop
+    else:  # a switch: the crowd joins with its other action
+        mask = ~agents.coop if online_c else agents.coop.copy()
     rows = agents.selected_rows
-    actions = agents.action[rows] if action is None else action
+    if action is None:
+        actions = agents.action[rows]
+    elif action == SWITCH:
+        actions = agents.action[rows] ^ 1
+    else:
+        actions = action
     mask[rows] = lookup[agents.roles[rows], actions]
     return mask
 
@@ -209,38 +259,118 @@ def membership(
 class PaymentFold:
     """Pool-major unilateral-switch payments through reused ``out=`` buffers.
 
-    Masked (``where=``) ufuncs skip work on a streamed chunk's long uniform
-    runs but crawl on a ``dense`` batch's mixed masks, so a dense batch
-    zeroes unpayable numerators and folds unmasked: the same bits, as
-    numerators and rewards are >= +0.0.
+    Each pool is folded the cheapest way its online row (``lookup[ONLINE]``)
+    allows, with the same per-element float expressions every way:
+
+    * **no online member** — the crowd's payments from the pool are all
+      zero, so the pool is folded over the batch's selected rows alone:
+      they are gathered, folded, and scattered back before the next pool
+      (pool order is the summation order);
+    * **a uniform deviation mask** on the crowd (a fixed action, or a
+      switch under a pool that takes both crowd actions) — masked
+      (``where=``) ufuncs, which skip a streamed chunk's long runs of
+      agents the pool cannot pay;
+    * **a mixed mask** (a switch under a pool that takes one crowd action
+      only, like the cooperators-only pools of IRS and stake^tau, or any
+      ``dense`` batch) — masked ufuncs crawl on mixed masks, so unpayable
+      numerators are zeroed and the fold runs unmasked: the same bits,
+      as numerators and rewards are >= +0.0.
     """
 
-    def __init__(self, n: int, dense: bool) -> None:
-        self.dense = dense
+    def __init__(
+        self,
+        tables: PoolTables,
+        agents: Agents,
+        deviations: Sequence[int],
+        weights: Optional[np.ndarray] = None,
+    ) -> None:
+        self.tables = tables
+        self.agents = agents
+        self.deviations = deviations
+        self.weights = weights
+        n = agents.n
+        self.contribution = np.empty(n)
         self.new_contribution = np.empty(n)
         self.new_totals = np.empty(n)
         self.scratch = np.empty(n)
         self.payable = np.empty(n, dtype=bool)
         self.positive = np.empty(n, dtype=bool)
+        self._selected: Optional[PaymentFold] = None
 
-    def add(self, total, contribution, weight, member_new, slice_budgets, rewards):
+    def pool(self, p, total, pool_budgets, pool_rates, base_rewards, rewards):
+        """Fold pool ``p``: base payments at ``pool_rates``, then each deviation.
+
+        ``total``, each budget and each rate are scalars or per-agent
+        arrays; ``rewards[i]`` holds the per-budget accumulators of
+        deviation ``deviations[i]``.
+        """
+        rows = self.agents.selected_rows
+        if self.tables.lookup[p, ONLINE].any() or rows.size == self.agents.n:
+            self._pool(p, total, pool_budgets, pool_rates, base_rewards, rewards)
+            return
+        if not rows.size:
+            return
+        if self._selected is None:
+            weights = None if self.weights is None else self.weights[:, rows]
+            self._selected = PaymentFold(
+                self.tables, self.agents.selected, self.deviations, weights
+            )
+
+        def gather(values):
+            return values[rows] if np.ndim(values) else values
+
+        accumulators = [base_rewards, *rewards]
+        gathered = [[acc[rows] for acc in accs] for accs in accumulators]
+        self._selected._pool(
+            p,
+            gather(total),
+            [gather(budget) for budget in pool_budgets],
+            [gather(rate) for rate in pool_rates],
+            gathered[0],
+            gathered[1:],
+        )
+        for accs, sub in zip(accumulators, gathered):
+            for acc, values in zip(accs, sub):
+                acc[rows] = values
+
+    def _pool(self, p, total, pool_budgets, pool_rates, base_rewards, rewards):
+        agents, tables = self.agents, self.tables
+        lookup = tables.lookup[p]
+        weight = (
+            pool_weight(tables, p, agents.stake, agents.coop_cost)
+            if self.weights is None
+            else self.weights[p]
+        )
+        contribution, scratch = self.contribution, self.scratch
+        np.multiply(weight, membership(lookup, agents), out=contribution)
+        for acc, rate in zip(base_rewards, pool_rates):
+            np.multiply(rate, contribution, out=scratch)
+            acc += scratch
+        online_c, online_d = lookup[ONLINE]
+        for action, accs in zip(self.deviations, rewards):
+            masked = not agents.dense and (action != SWITCH or online_c == online_d)
+            member_new = membership(lookup, agents, action)
+            self.add(total, weight, member_new, pool_budgets, accs, masked)
+
+    def add(self, total, weight, member_new, slice_budgets, rewards, masked):
         """Add a pool's payment per budget if each agent *alone* switched.
 
-        ``total`` and each slice budget are scalars or per-agent arrays.
+        ``total`` and each slice budget are scalars or per-agent arrays;
+        :attr:`contribution` holds each agent's current weight in the pool.
         """
         new_contribution, new_totals = self.new_contribution, self.new_totals
         scratch, payable = self.scratch, self.payable
         np.multiply(weight, member_new, out=new_contribution)
-        np.subtract(total, contribution, out=new_totals)
+        np.subtract(total, self.contribution, out=new_totals)
         np.add(new_totals, new_contribution, out=new_totals)
         np.greater(new_totals, 0, out=payable)  # a pool left empty pays nobody
-        if self.dense:
+        if masked:
+            positive = np.greater(new_contribution, 0, out=self.positive)
+            np.logical_and(payable, positive, out=payable)
+        else:
             np.multiply(new_contribution, payable, out=new_contribution)
             np.putmask(new_totals, np.logical_not(payable, out=payable), 1.0)
             payable = True
-        else:
-            positive = np.greater(new_contribution, 0, out=self.positive)
-            np.logical_and(payable, positive, out=payable)
         for acc, slice_budget in zip(rewards, slice_budgets):
             np.multiply(slice_budget, new_contribution, out=scratch)
             np.divide(scratch, new_totals, out=scratch, where=payable)
@@ -255,48 +385,40 @@ def fold_rewards(
     base: bool,
     deviations: Sequence[int],
     weights: Optional[np.ndarray] = None,
-) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
-    """Fold base rewards and unilateral C/D payments, pool by pool.
+) -> Tuple[List[np.ndarray], ...]:
+    """Fold base rewards and unilateral deviation payments, pool by pool.
 
     ``totals[p]`` is pool ``p``'s profile weight and ``budgets[i][p]`` its
     slice budget in budget cell ``i`` (shape ``(P,)``, or ``(P, n)`` when
     the batch mixes populations); ``weights`` optionally pins the
-    ``(P, n)`` within-pool weights.  Returns per-budget ``(base, to_c,
-    to_d)`` rewards: base (zeros unless ``base``) and, per action in
-    ``deviations`` (else zeros), if each agent *alone* played it.  Block
-    effects are the caller's rule.  Each element sees the same float
-    expressions in the same order for any number of budgets.
+    ``(P, n)`` within-pool weights.  Returns the per-budget base rewards
+    (zeros unless ``base``), then, per code in ``deviations`` (0=C, 1=D,
+    :data:`SWITCH`), the per-budget rewards if each agent *alone* played
+    it.  Block effects are the caller's rule.  Each element sees the
+    same float expressions in the same order for any number of budgets
+    and whichever way (:class:`PaymentFold`) its pools are folded.
     """
     n = agents.n
-    base_rewards, *rewards = [[np.zeros(n) for _ in budgets] for _ in range(3)]
+    base_rewards = [np.zeros(n) for _ in budgets]
+    rewards = [[np.zeros(n) for _ in budgets] for _ in deviations]
     if not base and not deviations:
-        return base_rewards, *rewards
+        return (base_rewards, *rewards)
     if base:
         # A pool with no weight pays nobody: rate 0 (budget / 1.0 * False).
         positive = totals > 0
         divisor = np.where(positive, totals, 1.0)
         rates = [budget / divisor * positive for budget in budgets]
-    contribution = np.empty(n)
-    fold = PaymentFold(n, dense=agents.dense)
-    scratch = fold.scratch  # free whenever no fold.add is in progress
+    fold = PaymentFold(tables, agents, deviations, weights)
     for p in range(len(tables.kinds)):
-        weight = (
-            pool_weight(tables, p, agents.stake, agents.coop_cost)
-            if weights is None
-            else weights[p]
+        fold.pool(
+            p,
+            totals[p],
+            [budget[p] for budget in budgets],
+            [rate[p] for rate in rates] if base else [],
+            base_rewards,
+            rewards,
         )
-        lookup = tables.lookup[p]
-        np.multiply(weight, membership(lookup, agents), out=contribution)
-        if base:
-            for acc, rate in zip(base_rewards, rates):
-                np.multiply(rate[p], contribution, out=scratch)
-                acc += scratch
-        pool_budgets = [budget[p] for budget in budgets]
-        for action in deviations:
-            member_new = membership(lookup, agents, action)
-            acc = rewards[action]
-            fold.add(totals[p], contribution, weight, member_new, pool_budgets, acc)
-    return base_rewards, *rewards
+    return (base_rewards, *rewards)
 
 
 # -- gains --------------------------------------------------------------------
@@ -304,36 +426,42 @@ def fold_rewards(
 
 @dataclass
 class Gains:
-    """One budget cell's gains for a switch to C, D or O (``nan``: no switch)."""
+    """One budget cell's gains for each agent's switch and for going offline.
 
-    to_c: np.ndarray
-    to_d: np.ndarray
+    ``switch`` is the gain of the action the agent does not play (to C
+    for defectors, to D for cooperators); ``to_o`` the gain of going
+    offline.  Neither holds a ``nan``.
+    """
+
+    switch: np.ndarray
     to_o: np.ndarray
+
+    def targets(self, agents: Agents) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(to_c, to_d, to_o)`` view, ``nan`` marking the current action.
+
+        Gains are never -0.0 (rewards are >= +0.0 and costs positive), so
+        adding a 0.0 mark is exact; a ``nan`` mark hides the entry.
+        """
+        to_c = self.switch + agents.nan_unless_defect
+        to_d = self.switch + agents.nan_unless_coop
+        return to_c, to_d, self.to_o
 
 
 def deviation_gains(
-    agents: Agents,
-    base: Sequence[np.ndarray],
-    rewards_c: Sequence[np.ndarray],
-    rewards_d: Sequence[np.ndarray],
+    agents: Agents, base: Sequence[np.ndarray], switch: Sequence[np.ndarray]
 ) -> List[Gains]:
     """Per-budget gains from folded rewards (consumes the reward buffers).
 
-    ``rewards_d`` must already carry the caller's block-break rule; an
-    agent going offline forfeits every reward.
+    ``switch`` holds the :data:`SWITCH` fold's rewards and must already
+    carry the caller's block-break rule; an agent going offline forfeits
+    every reward.
     """
     neg_sortition = np.negative(agents.sortition_cost)
     gains: List[Gains] = []
-    for base_utility, to_c, to_d in zip(base, rewards_c, rewards_d):
+    for base_utility, gain in zip(base, switch):
         base_utility -= agents.current_cost
-        to_c -= agents.coop_cost
-        to_c -= base_utility
-        to_d -= agents.sortition_cost
-        to_d -= base_utility
+        gain -= agents.switch_cost
+        gain -= base_utility
         np.subtract(neg_sortition, base_utility, out=base_utility)
-        # Gains are never -0.0 (rewards are >= +0.0 and costs positive),
-        # so adding a 0.0 mark is exact; a nan mark hides the entry.
-        to_c += agents.nan_unless_defect
-        to_d += agents.nan_unless_coop
-        gains.append(Gains(to_c=to_c, to_d=to_d, to_o=base_utility))
+        gains.append(Gains(switch=gain, to_o=base_utility))
     return gains

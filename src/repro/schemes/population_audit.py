@@ -20,10 +20,10 @@ population** (10^6–10^7 agents from a
 2. **Gain pass.**  With pool totals and the calibrated split in hand,
    the second pass iterates the population again (re-synthesized above
    :data:`~repro.populations.spec.RESIDENT_BYTES`, held resident below
-   it) and folds every agent's deviation to C, D and O chunk by chunk
-   through the kernel the batch engine shares
-   (:mod:`repro.schemes.deviation`), tracking the running maximum gain
-   and its witness.
+   it) and folds every agent's deviations chunk by chunk — its switch to
+   the action it does not play, and O — through the kernel the batch
+   engine shares (:mod:`repro.schemes.deviation`), tracking the running
+   maximum gain and its witness.
 
 Because chunks always span whole seed blocks and all reductions are
 blockwise, the chunked path is **bit-identical to the monolithic path**
@@ -69,8 +69,10 @@ from repro.populations import threads
 from repro.populations.arrays import (
     BEHAVIOR_COOPERATE,
     BEHAVIOR_OFFLINE,
+    SEED_BLOCK,
     PopulationArrays,
-    blockwise_row_sums,
+    add_blocks,
+    block_sums,
     blockwise_sum,
 )
 from repro.populations.spec import PopulationSpec
@@ -82,14 +84,14 @@ from repro.schemes.deviation import (
     LEADER,
     ONLINE,
     ROLE_NAMES,
-    TARGETS,
+    SWITCH,
     Agents,
     Gains,
     PoolTables,
     deviation_gains,
     fold_rewards,
     pool_tables,
-    pool_weights,
+    pool_weight,
     role_costs,
     scaled_costs,
     split_fractions,
@@ -367,6 +369,64 @@ def _cell_config(
     )
 
 
+def _crowd_partials(
+    tables: Dict[str, PoolTables],
+    cost_vecs: Dict[float, np.ndarray],
+    stake: np.ndarray,
+    cost_multiplier: np.ndarray,
+    actions: np.ndarray,
+) -> Dict[Tuple[str, float], np.ndarray]:
+    """Per-block crowd pool totals of one chunk, ``(blocks, P)`` per (scheme, scale).
+
+    Every agent counts as online crowd playing ``actions``.  A pool's
+    crowd row is its weight times its online membership, so it depends
+    only on the weight kind, the exponent (STAKE_POWER), the online row
+    ``lookup[p, ONLINE]`` and, for COST rows, the cost scale: each
+    distinct row is block-summed once (:func:`block_sums`) and shared
+    by every scheme and scale that uses it.  A pool with no online
+    member has an exactly zero row and is skipped.  Bit-identical to
+    :func:`~repro.populations.arrays.block_row_sums` over each scheme's
+    ``pool_weights(...) * member`` matrix.
+    """
+    rows: Dict[Tuple[object, ...], np.ndarray] = {}
+
+    def row_partials(table: PoolTables, p: int, cs: float) -> Optional[np.ndarray]:
+        online_c, online_d = (bool(x) for x in table.lookup[p, ONLINE])
+        if not (online_c or online_d):
+            return None
+        kind = table.kinds[p]
+        key = (
+            kind,
+            float(table.exponents[p]) if kind is WeightKind.STAKE_POWER else None,
+            online_c,
+            online_d,
+            cs if kind is WeightKind.COST else None,
+        )
+        if key not in rows:
+            crowd_cost = (
+                cost_vecs[cs][ONLINE] * cost_multiplier
+                if kind is WeightKind.COST
+                else None
+            )
+            weight = pool_weight(table, p, stake, crowd_cost)
+            if not online_c or not online_d:
+                weight = weight * (actions == (0 if online_c else 1))
+            rows[key] = block_sums(weight)
+        return rows[key]
+
+    blocks = -(-stake.size // SEED_BLOCK)
+    partials: Dict[Tuple[str, float], np.ndarray] = {}
+    for name, table in tables.items():
+        for cs in cost_vecs:
+            matrix = np.zeros((blocks, len(table.kinds)))
+            for p in range(len(table.kinds)):
+                row = row_partials(table, p, cs)
+                if row is not None:
+                    matrix[:, p] = row
+            partials[(name, cs)] = matrix
+    return partials
+
+
 def _build_structure_grid(
     schemes: Sequence[RewardScheme],
     spec: PopulationSpec,
@@ -380,8 +440,9 @@ def _build_structure_grid(
     Selection (the exponential race and its top-k merge), synchrony
     draws, the defect census and the stake totals are cell-independent
     and computed once.  Pool totals and the Theorem 3 calibration depend
-    on ``cost_scale`` only — they are accumulated per cost scale (and,
-    for schemes with no COST-kind pool, shared) — while
+    on ``cost_scale`` only — they are accumulated per cost scale, from
+    crowd rows shared by every scheme and scale that has them
+    (:func:`_crowd_partials`) — while
     ``budget_multiplier`` enters only through the final
     ``b_i = multiplier x optimum`` scalar.  Each returned
     ``(budget_multiplier, cost_scale)`` cell is therefore bit-identical
@@ -409,17 +470,15 @@ def _build_structure_grid(
     # keyed (scheme, cost_scale): COST-kind pool weights scale with the
     # cell's role costs, and float multiplication does not distribute
     # over the blockwise sums, so sharing raw totals across scales would
-    # break per-cell bit-identity.  Schemes with no COST pool accumulate
-    # once and fan out below.
-    raw_totals: Dict[Tuple[str, float], np.ndarray] = {}
-
-    # Only pool *fractions* may depend on the split: expand the structure
-    # at a placeholder split, and take the calibrated fractions below.
+    # break per-cell bit-identity.  Only pool *fractions* may depend on
+    # the split: expand the structure at a placeholder split, and take
+    # the calibrated fractions below.
     placeholder = SchemeSplit(1.0 / 3.0, 1.0 / 3.0)
     reference_tables = {s.name: pool_tables(s, placeholder) for s in schemes}
-    cost_scaled = {
-        name: any(kind is WeightKind.COST for kind in table.kinds)
-        for name, table in reference_tables.items()
+    raw_totals = {
+        (s.name, cs): np.zeros(len(reference_tables[s.name].kinds))
+        for s in schemes
+        for cs in cost_scales
     }
 
     total_stake_units = 0
@@ -489,24 +548,11 @@ def _build_structure_grid(
                 k + 1,
             )
 
-        for scheme in schemes:
-            table = reference_tables[scheme.name]
-            member = table.lookup[:, ONLINE, :][:, actions]  # (P, n)
-            # Cost-independent schemes total once (first scale's slot).
-            scaled = cost_scaled[scheme.name]
-            for cs in cost_scales if scaled else cost_scales[:1]:
-                online = cost_vec_by[cs][ONLINE] * cost_multiplier if scaled else None
-                weights = pool_weights(table, stake, online)
-                raw_totals[(scheme.name, cs)] = blockwise_row_sums(
-                    weights * member, start=raw_totals.get((scheme.name, cs))
-                )
-
-    # Fan cost-independent schemes' totals out to every scale's slot
-    # (fresh copies: the correction below mutates them in place).
-    for scheme in (s for s in schemes if not cost_scaled[s.name]):
-        first = raw_totals[(scheme.name, cost_scales[0])]
-        for cs in cost_scales[1:]:
-            raw_totals[(scheme.name, cs)] = first.copy()
+        crowd = _crowd_partials(
+            reference_tables, cost_vec_by, stake, cost_multiplier, actions
+        )
+        for key, partials in crowd.items():
+            raw_totals[key] = add_blocks(raw_totals[key], partials)
 
     assert race_carry is not None
     _keys, sel_index, sel_stake, sel_cost, sel_sync, sel_action = race_carry
@@ -735,30 +781,34 @@ def _chunk_gains(
     if fails and sole is not None and 0 <= sole - ctx.offset < ctx.n:
         sole_local = sole - ctx.offset
 
-    base, rewards_c, rewards_d = fold_rewards(
-        table,
-        ctx,
-        head.pool_totals[scheme_name],
-        [table.fractions * cell.b_i for cell in cells],
-        base=not fails,
-        # C and D, or only the sole defector's C.
-        deviations=(0, 1) if not fails else (0,) if sole_local is not None else (),
-    )
+    if not fails or sole_local is not None:
+        # Everyone's switch, or (no block) only the sole defector's C.
+        base, switch = fold_rewards(
+            table,
+            ctx,
+            head.pool_totals[scheme_name],
+            [table.fractions * cell.b_i for cell in cells],
+            base=not fails,
+            deviations=(SWITCH,),
+        )
+    else:
+        base, switch = [[np.zeros(ctx.n) for _ in cells] for _ in range(2)]
 
     if fails:
         # No block, no rewards — in the base profile and after any
         # unilateral deviation except the sole defector's return to C.
         if sole_local is not None:
-            for acc in rewards_c:
+            for acc in switch:
                 kept = acc[sole_local]
                 acc.fill(0.0)
                 acc[sole_local] = kept
     else:
-        # Withdrawal block-breaks: a sole cooperating leader, a committee
-        # member whose exit drops the tally below quorum, or any
-        # strong-synchrony cooperator (all leaders/committee cooperate
-        # by construction of the target profile).  Leaders and committee
-        # members are all among the selected rows.
+        # Withdrawal block-breaks (a cooperator's switch is to D): a sole
+        # cooperating leader, a committee member whose exit drops the
+        # tally below quorum, or any strong-synchrony cooperator (all
+        # leaders/committee cooperate by construction of the target
+        # profile).  Leaders and committee members are all among the
+        # selected rows.
         rows = ctx.selected_rows
         roles = ctx.roles[rows]
         sole_leader = (roles == LEADER) & (head.config.n_leaders == 1)
@@ -766,11 +816,11 @@ def _chunk_gains(
             (head.committee_stake_total - ctx.stake[rows]) <= head.quorum_threshold
         )
         sync_breaks = np.flatnonzero(ctx.sync & ctx.coop)
-        role_breaks = rows[sole_leader | quorum_break]
-        for acc in rewards_d:
+        role_breaks = rows[(sole_leader | quorum_break) & ctx.coop[rows]]
+        for acc in switch:
             acc[sync_breaks] = 0.0
             acc[role_breaks] = 0.0
-    return deviation_gains(ctx, base, rewards_c, rewards_d)
+    return deviation_gains(ctx, base, switch)
 
 
 def iter_population_gains(
@@ -799,12 +849,21 @@ def iter_population_gains(
     for chunk in chunks:
         ctx = _chunk_context(structure, spec, chunk)
         (gains,) = _chunk_gains(resolved.name, [structure], ctx)
-        yield chunk, np.column_stack((gains.to_c, gains.to_d, gains.to_o)), ctx.coop
+        yield chunk, np.column_stack(gains.targets(ctx)), ctx.coop
 
 
 def _nan_peak(values: np.ndarray) -> Tuple[float, int]:
-    """``(max, count)`` over the non-``nan`` entries (``nan`` if none)."""
-    return float(np.fmax.reduce(values)), int(values.size - np.isnan(values).sum())
+    """``(max, count)`` over the non-``nan`` entries (``nan`` if none).
+
+    ``np.maximum`` propagates ``nan``, so one pass settles a column with
+    none (every entry counts, the same maximum bits); only a column
+    holding a ``nan`` pays for the ``nan``-skipping max and the count.
+    """
+    peak = float(np.maximum.reduce(values))
+    if not math.isnan(peak):
+        return peak, values.size
+    peak = float(np.fmax.reduce(values))
+    return peak, values.size - int(np.count_nonzero(np.isnan(values)))
 
 
 class _GainReducer:
@@ -812,10 +871,11 @@ class _GainReducer:
 
     Chunks must arrive in population order: the ``>`` max update keeps
     the *first* maximizing deviation, and within a chunk the witness is
-    the smallest agent index, then target order C, D, O — a
-    chunking-independent tie-break.  The kernel yields no ``-0.0`` gain
-    (rewards are ``>= +0.0`` and costs positive), so folding the columns
-    in any order gives the same maximum bits.
+    the smallest agent index, then target order C, D, O (an agent's
+    switch comes before its O) — a chunking-independent tie-break.  The
+    kernel yields no ``-0.0`` gain (rewards are ``>= +0.0`` and costs
+    positive), so folding the columns in any order gives the same
+    maximum bits.
     """
 
     def __init__(self, structure: _Structure) -> None:
@@ -826,17 +886,18 @@ class _GainReducer:
         self.witness: Optional[DeviationWitness] = None
 
     def update(self, gains: Gains, ctx: Agents) -> None:
-        """Fold one chunk's gains, column by column (no ``(n, 3)`` tensor)."""
-        to_c, n_c = _nan_peak(gains.to_c)
-        to_d, n_d = _nan_peak(gains.to_d)
+        """Fold one chunk's switch and O columns (no ``(n, 3)`` tensor)."""
+        switch, n_switch = _nan_peak(gains.switch)
         to_o, n_o = _nan_peak(gains.to_o)
-        self.n_deviations += n_c + n_d + n_o
-        chunk_max = float(np.fmax.reduce([to_c, to_d, to_o]))
+        self.n_deviations += n_switch + n_o
+        chunk_max = float(np.fmax(switch, to_o))
         if chunk_max > self.max_gain:
             self.max_gain = chunk_max
             self.witness = self._witness(gains, ctx, chunk_max)
-        # Cooperators' work-reducing deviations: D, and O among cooperators.
-        shirk = float(np.fmax(to_d, np.fmax.reduce(gains.to_o + ctx.nan_unless_coop)))
+        # Cooperators' work-reducing deviations: their switch (to D) and O.
+        coop_best = np.fmax(gains.switch, gains.to_o)
+        coop_best += ctx.nan_unless_coop
+        shirk = float(np.fmax.reduce(coop_best))
         if not math.isnan(shirk):
             self.max_shirk = max(self.max_shirk, shirk)
 
@@ -858,18 +919,19 @@ class _GainReducer:
     ) -> DeviationWitness:
         """The first ``(agent, target)`` pair in agent-major order at ``gain``."""
         firsts = []
-        for t, column in enumerate((gains.to_c, gains.to_d, gains.to_o)):
+        for is_o, column in enumerate((gains.switch, gains.to_o)):
             hits = column == gain
             if hits.any():
-                firsts.append((int(np.argmax(hits)), t))
-        j, t = min(firsts)
+                firsts.append((int(np.argmax(hits)), is_o))
+        j, is_o = min(firsts)
+        coop = bool(ctx.coop[j])
         return DeviationWitness(
             population=0,
             player=int(ctx.offset + j),
             role=ROLE_NAMES[int(ctx.roles[j])],
             stake=float(ctx.stake[j]),
-            from_strategy="C" if ctx.coop[j] else "D",
-            to_strategy=TARGETS[t],
+            from_strategy="C" if coop else "D",
+            to_strategy="O" if is_o else "D" if coop else "C",
             gain=gain,
         )
 

@@ -365,7 +365,7 @@ class FastSimulation:
         ]
         self._private_keys = [keypair.private for keypair in self._keypairs]
         # Per-key SHA-256 states pre-absorbed with the constant payload
-        # prefix ("'vrf'\x1f<private>"); _vrf_values copies a state and
+        # prefix ("'vrf'\x1f<private>"); _vrf_digests copies a state and
         # appends only the per-(round, step) suffix, saving the prefix
         # hashing and bytes construction on every sortition evaluation.
         self._vrf_states = [
@@ -652,6 +652,7 @@ class FastSimulation:
         round_seed: int,
         stake_units: np.ndarray,
         total_stake: float,
+        digests: Optional[bytes] = None,
     ) -> np.ndarray:
         """Exact per-node sortition weights for one role at several steps.
 
@@ -660,6 +661,8 @@ class FastSimulation:
         CDF for every (step, node) in one batched call, so the
         ``(len(steps), n)`` result matches the DES bit-for-bit on paired
         seeds: every element runs the scalar float sequence.
+        ``digests`` passes in the batch's :meth:`_vrf_digests` when the
+        caller also reads the proofs.
         """
         base = {Role.PROPOSER: 0, Role.STEP: 1_000, Role.FINAL: 2_000}[role]
         expected = {
@@ -667,7 +670,8 @@ class FastSimulation:
             Role.STEP: self.config.tau_step,
             Role.FINAL: self.config.tau_final,
         }[role]
-        values = self._vrf_values(round_seed, round_index, [base + s for s in steps])
+        tags = [base + s for s in steps]
+        values = self._vrf_values(round_seed, round_index, tags, digests)
         probability = min(1.0, expected / total_stake)
         # Flat (step-major) operands: element for element the same
         # inversion as a 2-D broadcast, and the batch's length is its
@@ -686,35 +690,32 @@ class FastSimulation:
         round_seed: int,
         stake_units: np.ndarray,
         total_stake: float,
+        digests: Optional[bytes] = None,
     ) -> np.ndarray:
         """Sortition weights for one (role, step), observed as used."""
         weights = self._sortition(
-            role, (step,), round_index, round_seed, stake_units, total_stake
+            role, (step,), round_index, round_seed, stake_units, total_stake, digests
         )[0]
         if self._telemetry:
             self._m_committee[role].observe(float(weights.sum()))
         return weights
 
-    def _vrf_values(
+    def _vrf_digests(
         self, round_seed: int, round_index: int, tags: Sequence[int]
-    ) -> np.ndarray:
-        """Population VRF outputs for several (round, role-step) domains.
+    ) -> bytes:
+        """Population VRF digests for several (round, role-step) domains.
 
-        Batched specialization of ``crypto.vrf_evaluate(...).value``: it
-        hashes the *identical* canonical payload (``repr`` of an int is
-        its decimal string; ``repr("vrf")`` keeps its quotes) in
-        counter-ish mode — every key's pre-absorbed prefix state is
-        copied and fed each domain's shared ``(round, step)`` suffix —
-        then all digests are joined into one contiguous byte block and
-        the top-53-bit fractions extracted with a single strided
-        ``np.frombuffer`` pass: byte-reversing the leading big-endian
-        uint64 of each digest and shifting out the low 11 bits is
-        exactly ``digest[:7]`` dropped to its top 53 bits, and dividing
-        by 2^53 is exact.  Returns a ``(len(tags), n)`` array,
-        bit-identical to the crypto helper — asserted by the
-        differential suite — while skipping per-key bytes construction,
-        Python int conversion and the per-part ``repr``/join machinery
-        that dominates profiles at population x steps x rounds scale.
+        Batched specialization of ``crypto.vrf_evaluate``: it hashes the
+        *identical* canonical payload (``repr`` of an int is its decimal
+        string; ``repr("vrf")`` keeps its quotes) in counter-ish mode —
+        every key's pre-absorbed prefix state is copied and fed each
+        domain's shared ``(round, step)`` suffix — and joins all digests
+        into one contiguous block, tag-major: digest ``t * n + i`` is key
+        ``i``'s under ``tags[t]``, whose big-endian integer is
+        ``vrf_evaluate(...).proof``.  This skips the per-key bytes
+        construction, Python int conversion and per-part ``repr``/join
+        machinery that dominates profiles at population x steps x rounds
+        scale.
         """
         batch_started = time.perf_counter() if self._telemetry else 0.0
         digests: List[bytes] = []
@@ -726,12 +727,32 @@ class FastSimulation:
                 hasher.update(suffix)
                 append(hasher.digest())
         block = b"".join(digests)
-        # One 32-byte digest per (tag, key): take word 0 of each row.
-        words = np.frombuffer(block, dtype=">u8").reshape(-1, 4)[:, 0]
-        values = (words.astype(np.uint64) >> np.uint64(11)) / float(2**53)
         if self._telemetry:
             self._m_vrf_keys.inc(self._n_keys * len(tags))
             self._m_vrf_seconds.observe(time.perf_counter() - batch_started)
+        return block
+
+    def _vrf_values(
+        self,
+        round_seed: int,
+        round_index: int,
+        tags: Sequence[int],
+        digests: Optional[bytes] = None,
+    ) -> np.ndarray:
+        """Population VRF outputs ``vrf_evaluate(...).value``, shape ``(len(tags), n)``.
+
+        From the :meth:`_vrf_digests` block (``digests``, or hashed
+        here), in a single strided ``np.frombuffer`` pass: byte-reversing
+        the leading big-endian uint64 of each digest and shifting out the
+        low 11 bits is exactly ``digest[:7]`` dropped to its top 53 bits,
+        and dividing by 2^53 is exact — bit-identical to the crypto
+        helper, as the differential suite asserts.
+        """
+        if digests is None:
+            digests = self._vrf_digests(round_seed, round_index, tags)
+        # One 32-byte digest per (tag, key): take word 0 of each row.
+        words = np.frombuffer(digests, dtype=">u8").reshape(-1, 4)[:, 0]
+        values = (words.astype(np.uint64) >> np.uint64(11)) / float(2**53)
         return values.reshape(len(tags), -1)
 
     # -- proposals ------------------------------------------------------------
@@ -740,8 +761,15 @@ class FastSimulation:
         self, ctx: RoundContext, stake_units: np.ndarray, total_stake: float
     ) -> List[_Proposal]:
         config = self.config
+        digests = self._vrf_digests(ctx.sortition_seed, ctx.round_index, (0,))
         weights = self._role_weights(
-            Role.PROPOSER, 0, ctx.round_index, ctx.sortition_seed, stake_units, total_stake
+            Role.PROPOSER,
+            0,
+            ctx.round_index,
+            ctx.sortition_seed,
+            stake_units,
+            total_stake,
+            digests,
         )
         pending = (
             self.transaction_source(ctx.round_index) if self.transaction_source else []
@@ -760,12 +788,11 @@ class FastSimulation:
             subusers = int(weights[i])
             if subusers < 1:
                 continue
-            vrf = crypto.vrf_evaluate(
-                self._keypairs[i], ctx.sortition_seed, ctx.round_index, 0
-            )
+            # Key i's proposer-domain VRF proof, already hashed for the
+            # sortition batch.
+            proof = int.from_bytes(digests[32 * i : 32 * (i + 1)], "big")
             priority = min(
-                crypto.subuser_priority(vrf.proof, index)
-                for index in range(subusers)
+                crypto.subuser_priority(proof, index) for index in range(subusers)
             )
             payload = self._validated_payload(pending)
             block = Block(

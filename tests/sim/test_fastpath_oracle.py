@@ -134,6 +134,20 @@ class TestVrfHotLoopExact:
             ]
             assert row.tolist() == reference
 
+    def test_batch_digests_are_the_crypto_proofs(self):
+        """Proposers read their VRF proof from the batch: digest ``t * n + i``
+        is key ``i``'s ``vrf_evaluate(...).proof`` under ``tags[t]``."""
+        simulation = FastSimulation(_paired_config(backend="fast"))
+        tags = (0, 2_000 + 10_000)
+        digests = simulation._vrf_digests(987_654_321, 5, tags)
+        n = simulation.config.n_nodes
+        assert len(digests) == 32 * n * len(tags)
+        for t, tag in enumerate(tags):
+            for i, keypair in enumerate(simulation._keypairs):
+                k = t * n + i
+                proof = int.from_bytes(digests[32 * k : 32 * (k + 1)], "big")
+                assert proof == crypto.vrf_evaluate(keypair, 987_654_321, 5, tag).proof
+
 
 class TestBatchedStepSortition:
     """One batch of step domains equals per-node scalar sortition."""
