@@ -852,20 +852,6 @@ def iter_population_gains(
         yield chunk, np.column_stack(gains.targets(ctx)), ctx.coop
 
 
-def _nan_peak(values: np.ndarray) -> Tuple[float, int]:
-    """``(max, count)`` over the non-``nan`` entries (``nan`` if none).
-
-    ``np.maximum`` propagates ``nan``, so one pass settles a column with
-    none (every entry counts, the same maximum bits); only a column
-    holding a ``nan`` pays for the ``nan``-skipping max and the count.
-    """
-    peak = float(np.maximum.reduce(values))
-    if not math.isnan(peak):
-        return peak, values.size
-    peak = float(np.fmax.reduce(values))
-    return peak, values.size - int(np.count_nonzero(np.isnan(values)))
-
-
 class _GainReducer:
     """Folds one cell's streamed gain chunks into the audit verdict.
 
@@ -887,10 +873,8 @@ class _GainReducer:
 
     def update(self, gains: Gains, ctx: Agents) -> None:
         """Fold one chunk's switch and O columns (no ``(n, 3)`` tensor)."""
-        switch, n_switch = _nan_peak(gains.switch)
-        to_o, n_o = _nan_peak(gains.to_o)
-        self.n_deviations += n_switch + n_o
-        chunk_max = float(np.fmax(switch, to_o))
+        self.n_deviations += 2 * ctx.n
+        chunk_max = max(float(gains.switch.max()), float(gains.to_o.max()))
         if chunk_max > self.max_gain:
             self.max_gain = chunk_max
             self.witness = self._witness(gains, ctx, chunk_max)

@@ -12,7 +12,6 @@ from repro.populations import SEED_BLOCK, PopulationSpec
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _merge_top_k,
-    _nan_peak,
     audit_population,
     audit_population_grid,
     audit_populations,
@@ -245,18 +244,6 @@ class TestPairedAudits:
     def test_empty_scheme_list_rejected(self):
         with pytest.raises(ConfigurationError, match="no schemes"):
             audit_populations([], SPEC, CHUNKED)
-
-
-class TestNanPeak:
-    def test_column_without_nan_counts_every_entry(self):
-        assert _nan_peak(np.array([1.5, -2.0, 3.25])) == (3.25, 3)
-
-    def test_nan_entries_are_skipped_and_not_counted(self):
-        assert _nan_peak(np.array([np.nan, -2.0, np.nan, 0.5])) == (0.5, 2)
-
-    def test_all_nan_column_peaks_at_nan(self):
-        peak, count = _nan_peak(np.full(4, np.nan))
-        assert np.isnan(peak) and count == 0
 
 
 class TestMergeTopK:
