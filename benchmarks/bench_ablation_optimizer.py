@@ -7,17 +7,20 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.analysis.plotting import format_table
 from repro.core import RoleCosts, paper_aggregates, reward_bounds
-from repro.core.optimizer import (
-    minimize_reward_analytic,
-    minimize_reward_grid,
-    minimize_reward_scipy,
-)
+from repro.core.optimizer import minimize_reward_analytic, minimize_reward_grid
 from repro.stakes.distributions import truncated_normal
+
+# The scipy cross-check is a test oracle: it lives with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import minimize_reward_scipy  # noqa: E402
 
 _COSTS = RoleCosts.paper_defaults()
 

@@ -17,6 +17,8 @@ from setuptools import find_packages, setup
 
 _HERE = Path(__file__).parent
 _README = _HERE / "README.md"
+# numpy is the whole runtime; scipy and networkx are the test suite's oracles.
+_TEST = ["pytest", "hypothesis", "scipy>=1.8", "networkx>=2.6"]
 
 setup(
     name="algorand-role-rewards-repro",
@@ -35,13 +37,10 @@ setup(
     # 3.10 floor: the event engine uses @dataclass(slots=True) on its hot
     # Event type (a measurable win at millions of events per run).
     python_requires=">=3.10",
-    install_requires=[
-        "numpy>=1.22",
-        "scipy>=1.8",
-        "networkx>=2.6",
-    ],
+    install_requires=["numpy>=1.22"],
     extras_require={
-        "dev": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": _TEST,
+        "dev": _TEST + ["pytest-benchmark"],
     },
     entry_points={
         "console_scripts": [

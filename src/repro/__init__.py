@@ -74,9 +74,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing aid only
     from repro.telemetry import MetricsRegistry, capture, get_registry, span
 
 #: Registry re-exports resolved lazily (PEP 562): the scenario and scheme
-#: packages pull in numpy/scipy and the experiment drivers, which light
+#: packages pull in numpy and the experiment drivers, which light
 #: consumers of ``repro.__version__`` (e.g. ``repro-runner --version``)
-#: should not pay ~0.7s of import time for.
+#: should not pay ~0.4s of import time for.
 _LAZY_EXPORTS = {
     "PopulationArrays": "repro.populations",
     "PopulationSpec": "repro.populations",

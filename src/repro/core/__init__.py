@@ -58,7 +58,6 @@ from repro.core.optimizer import (
     OptimalSplit,
     minimize_reward_analytic,
     minimize_reward_grid,
-    minimize_reward_scipy,
 )
 from repro.core.rewards import (
     FOUNDATION_CEILING_ALGOS,
@@ -107,7 +106,6 @@ __all__ = [
     "lemma1_offline_dominated",
     "minimize_reward_analytic",
     "minimize_reward_grid",
-    "minimize_reward_scipy",
     "minimum_feasible_reward",
     "paper_aggregates",
     "random_profile",

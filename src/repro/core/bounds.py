@@ -261,8 +261,8 @@ def paper_aggregates(
 
     This is the per-round hot path of the Figure 6/7 experiments (one call
     per simulated round over a 500k-node stake vector), so the reduction
-    runs vectorized in numpy; :func:`paper_aggregates_scalar` keeps the
-    original pure-Python reduction as the correctness oracle.
+    runs vectorized in numpy; the test suite keeps the original
+    pure-Python reduction as its correctness oracle.
     """
     population = np.asarray(stakes, dtype=float)
     total = float(population.sum())
@@ -278,43 +278,6 @@ def paper_aggregates(
         min_other = k_floor
     else:
         min_other = float(population.min())
-    return RoleAggregates(
-        stake_leaders=stake_leaders,
-        stake_committee=stake_committee,
-        stake_others=stake_others,
-        min_leader=min_leader,
-        min_committee=min_committee,
-        min_other=min_other,
-    )
-
-
-def paper_aggregates_scalar(
-    stakes: Sequence[float],
-    k_floor: float = 10.0,
-    stake_leaders: float = 26.0,
-    stake_committee: float = 13_000.0,
-    min_leader: float = 1.0,
-    min_committee: float = 1.0,
-) -> RoleAggregates:
-    """Pure-Python reference implementation of :func:`paper_aggregates`.
-
-    Kept as the correctness oracle for the vectorized path (the two may
-    differ by float-summation order only); also handles arbitrary
-    non-numpy iterables.
-    """
-    total = float(sum(stakes))
-    stake_others = total - stake_leaders - stake_committee
-    if stake_others <= 0:
-        raise MechanismError(
-            "role stakes exceed the total population stake: "
-            f"total={total}, S_L={stake_leaders}, S_M={stake_committee}"
-        )
-    if k_floor > 0:
-        if not any(s >= k_floor for s in stakes):
-            raise MechanismError(f"no stakes at or above the k_floor {k_floor}")
-        min_other = k_floor
-    else:
-        min_other = min(stakes)
     return RoleAggregates(
         stake_leaders=stake_leaders,
         stake_committee=stake_committee,

@@ -1,7 +1,7 @@
 """Minimizing the per-round reward over the split (Algorithm 1, line 12).
 
 Algorithm 1 asks for the ``(alpha, beta)`` that minimizes ``B_i`` subject
-to the three Theorem 3 bounds.  This module offers three solvers:
+to the three Theorem 3 bounds.  This module offers two solvers:
 
 * :func:`minimize_reward_grid` — the paper's approach: evaluate the bound
   surface on an ``(alpha, beta)`` grid and take the argmin.  This also
@@ -18,8 +18,11 @@ to the three Theorem 3 bounds.  This module offers three solvers:
   ``g(B) = alpha_min + beta_min + gamma`` is strictly decreasing in ``B``,
   so the minimal feasible reward is the unique root of ``g(B) = 1``,
   found with Brent's method.
-* :func:`minimize_reward_scipy` — a Nelder-Mead refinement used as an
-  independent cross-check in the test suite.
+
+The root solve is :func:`_brentq`, a step-for-step port of scipy's
+``brentq.c`` (same iterates, same stop, same errors), so the runtime needs
+numpy only; the test suite holds it to ``scipy.optimize.brentq`` bit for
+bit and keeps a Nelder-Mead cross-check of the whole minimization.
 
 The paper's own numbers are consistent with the grid approach: with the
 Section V-A parameters the grid argmin lands at ``(alpha, beta) =
@@ -32,10 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.bounds import RoleAggregates, minimum_feasible_reward, reward_bounds
 from repro.core.costs import RoleCosts
@@ -176,7 +178,7 @@ def minimize_reward_analytic(
         raise InfeasibleRewardError(
             "no finite reward satisfies the Theorem 3 bounds for these aggregates"
         )
-    b_star = optimize.brentq(slack, lo, hi, xtol=1e-15, rtol=1e-14)
+    b_star = _brentq(slack, lo, hi, xtol=1e-15, rtol=1e-14)
     gamma = c_k / b_star
     alpha = _alpha_min(costs, aggregates, gamma, b_star)
     beta = _beta_min(costs, aggregates, gamma, b_star)
@@ -209,42 +211,69 @@ def _minimize_without_online_bound(
     return OptimalSplit(alpha=alpha, beta=beta, b_i=b_i, method="analytic")
 
 
-def minimize_reward_scipy(
-    costs: RoleCosts,
-    aggregates: RoleAggregates,
-    start: Optional[Tuple[float, float]] = None,
-) -> OptimalSplit:
-    """Nelder-Mead refinement of the bound minimization (cross-check).
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+) -> float:
+    """A root of ``f`` in the sign-changing bracket ``[xa, xb]`` (Brent).
 
-    Works in logit space so the simplex constraints hold by construction.
+    Follows scipy's ``brentq.c`` step for step — the same bracket swap,
+    inverse-quadratic or secant step, bisection fallback and stop at
+    ``|sbis| < (xtol + rtol*|x|)/2`` — so every iterate, and the root, is
+    the same double.  As in scipy, a same-sign bracket or a ``nan`` value
+    raises ``ValueError`` and ``maxiter`` steps without convergence raise
+    ``RuntimeError``.
     """
 
-    def unpack(z: np.ndarray) -> Tuple[float, float]:
-        # Map R^2 to the open simplex {alpha, beta > 0, alpha + beta < 1}.
-        expz = np.exp(z - np.max(z))
-        weights = expz / (expz.sum() + math.exp(-np.max(z)))
-        return float(weights[0]), float(weights[1])
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
 
-    def objective(z: np.ndarray) -> float:
-        alpha, beta = unpack(z)
-        if alpha <= 0 or beta <= 0 or alpha + beta >= 1:
-            return math.inf
-        value = minimum_feasible_reward(costs, aggregates, alpha, beta)
-        return value if math.isfinite(value) else 1e30
-
-    if start is None:
-        seed = minimize_reward_analytic(costs, aggregates)
-        start = (max(seed.alpha, 1e-12), max(seed.beta, 1e-12))
-    gamma0 = max(1.0 - start[0] - start[1], 1e-12)
-    z0 = np.log(np.array([start[0], start[1]]) / gamma0)
-    result = optimize.minimize(objective, z0, method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000})
-    alpha, beta = unpack(result.x)
-    return OptimalSplit(
-        alpha=alpha,
-        beta=beta,
-        b_i=minimum_feasible_reward(costs, aggregates, alpha, beta),
-        method="scipy",
-    )
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations")
 
 
 def verify_split(

@@ -27,7 +27,6 @@ from repro.scenarios.population_dynamics import (
     PopulationDynamicsSpec,
     dynamics_sweep_spec,
     dynamics_to_csv,
-    oracle_population_dynamics,
     render_dynamics_trajectories,
     run_population_dynamics,
     run_population_dynamics_campaign,
@@ -61,7 +60,6 @@ __all__ = [
     "dynamics_sweep_spec",
     "dynamics_to_csv",
     "get_scenario",
-    "oracle_population_dynamics",
     "register_scenario",
     "render_dynamics_trajectories",
     "run_population_dynamics",

@@ -59,8 +59,7 @@ sharing at scale — but the deviation payoffs can, and they are exactly
 what the audit layer already certifies.  Because every reduction is
 blockwise and every mask position-preserving, trajectories are
 **bit-identical at any** ``chunk_agents``; the differential suite pins
-small populations to the in-memory game oracle
-(:func:`oracle_population_dynamics`).
+small populations to the in-memory game oracle.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ from repro.schemes.deviation import (
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _build_structure,
-    _check_oracle_fit,
     _chunk_context,
     _chunks,
     _Structure,
@@ -892,113 +890,6 @@ def run_population_dynamics(
                     m_epoch_seconds.labels(scheme=resolved.name).observe(
                         time.perf_counter() - epoch_started
                     )
-    return trajectory
-
-
-# -- the in-memory oracle -----------------------------------------------------
-
-
-def oracle_population_dynamics(
-    spec: PopulationDynamicsSpec,
-    scheme: SchemeLike,
-    max_agents: int = 2000,
-) -> ScenarioTrajectory:
-    """The streamed driver's semantics on the exact game engine (small n).
-
-    Rebuilds the same realized structure (selection, synchrony,
-    calibration, realization draws) as an in-memory
-    :class:`~repro.core.game.AlgorandGame` and evolves it with the
-    existing scalar pipeline — per-agent ``game.payoff`` deviations,
-    :func:`~repro.core.equilibrium.synchronous_best_responses` and
-    :func:`~repro.core.dynamics.replicator_step` — sharing no pool
-    algebra with the chunked kernel.  The differential suite asserts the
-    two trajectories agree epoch by epoch.  Guards: the population must
-    fit (``max_agents``; every pass is O(n^2)) and carry no per-agent
-    cost jitter (the scalar game models uniform role costs).
-    """
-    from repro.core.dynamics import replicator_step
-    from repro.core.equilibrium import synchronous_best_responses
-    from repro.core.game import AlgorandGame, Strategy, with_deviation
-    from repro.scenarios.dynamics import _measure
-    from repro.schemes.audit import _oracle_game
-
-    pop = spec.population
-    _check_oracle_fit(pop, max_agents, "dynamics oracle is O(n^2) per epoch")
-    resolved = resolve_scheme(scheme)
-    config = spec.audit_config()
-    chunks = _chunks(pop, config)
-    structure = _build_structure([resolved], pop, config, chunks)
-    engine = _build_engine(spec, resolved.name, structure, chunks)
-    population = pop.materialize()
-    n = population.n_agents
-    base_ctx = _chunk_context(structure, pop, population)
-    roles, sync = base_ctx.roles, base_ctx.sync
-    crowd = np.flatnonzero(roles == ONLINE)
-    selected = [int(j) for j in structure.selected_index]
-
-    def build_game(stake: np.ndarray) -> AlgorandGame:
-        rule = resolved.make_rule(structure.b_i, structure.split)
-        return _oracle_game(
-            stake, roles, sync, structure.costs, rule, config.committee_quorum
-        )
-
-    def realize(epoch: int, share: float, sel_actions: Dict[int, Strategy]):
-        p_nonsync, p_sync = _thresholds(engine, share)
-        uniforms = pop.chunk_draws(
-            0, n, f"{_REALIZE_COLUMN}.{epoch}", lambda rng, count: rng.random(count)
-        )
-        profile: Dict[int, Strategy] = {}
-        for j in range(n):
-            if roles[j] != ONLINE:
-                profile[j] = sel_actions[j]
-            else:
-                level = p_sync if sync[j] else p_nonsync
-                profile[j] = (
-                    Strategy.DEFECT if uniforms[j] < level else Strategy.COOPERATE
-                )
-        return profile
-
-    share = _initial_share(spec, engine)
-    sel_actions = {j: Strategy.COOPERATE for j in selected}
-    game = build_game(_churned_stake(engine, population, 0))
-    profile = realize(0, share, sel_actions)
-    trajectory = ScenarioTrajectory(
-        scenario=spec.name,
-        scheme=resolved.name,
-        b_i=structure.b_i,
-        alpha=structure.split.alpha,
-        beta=structure.split.beta,
-    )
-    trajectory.records.append(_measure(0, game, profile, None))
-    for epoch in range(1, spec.n_epochs + 1):
-        responses = synchronous_best_responses(game, profile, selected)
-        if spec.update_rule == "replicator":
-            total_c = total_d = 0.0
-            for j in crowd:
-                total_c += game.payoff(
-                    j, with_deviation(profile, int(j), Strategy.COOPERATE)
-                )
-                total_d += game.payoff(
-                    j, with_deviation(profile, int(j), Strategy.DEFECT)
-                )
-            share = replicator_step(
-                share,
-                total_c / crowd.size,
-                total_d / crowd.size,
-                intensity=spec.replicator_intensity,
-                mutation=spec.replicator_mutation,
-            )
-            sel_actions = dict(responses)
-            game = build_game(_churned_stake(engine, population, epoch))
-            profile = realize(epoch, share, sel_actions)
-        else:
-            revised = dict(
-                synchronous_best_responses(game, profile, list(range(n)))
-            )
-            revised.update(responses)
-            game = build_game(_churned_stake(engine, population, epoch))
-            profile = revised
-        trajectory.records.append(_measure(epoch, game, profile, None))
     return trajectory
 
 

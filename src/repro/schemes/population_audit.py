@@ -28,9 +28,9 @@ population** (10^6–10^7 agents from a
 Because chunks always span whole seed blocks and all reductions are
 blockwise, the chunked path is **bit-identical to the monolithic path**
 (``chunk_agents=None`` — one chunk covering the population) at any chunk
-size; ``tests/properties/test_chunk_equivalence.py`` asserts it, and
-:func:`oracle_population_gains` cross-checks small populations against
-the scalar :class:`~repro.core.game.AlgorandGame` oracle.
+size; ``tests/properties/test_chunk_equivalence.py`` asserts it, and the
+test suite cross-checks small populations against the scalar
+:class:`~repro.core.game.AlgorandGame` oracle.
 
 **Grid audits are fused.**  :func:`audit_population_grid` evaluates the
 whole (scheme x budget-multiplier x cost-scale) verdict tensor in the
@@ -77,7 +77,7 @@ from repro.populations.arrays import (
 )
 from repro.populations.spec import PopulationSpec
 from repro.populations.threads import call_pool, prefetch
-from repro.schemes.audit import DeviationWitness, _game_gains, _oracle_game
+from repro.schemes.audit import DeviationWitness
 from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -1301,52 +1301,3 @@ def audit_population(
     """Audit one scheme over one streamed population."""
     resolved = resolve_scheme(scheme)
     return audit_populations([resolved], spec, config)[resolved.name]
-
-
-# -- the scalar oracle --------------------------------------------------------
-
-
-def _check_oracle_fit(spec: PopulationSpec, max_agents: int, oracle: str) -> None:
-    """The game oracles' guards: the population fits and has uniform costs."""
-    if spec.size > max_agents:
-        raise ConfigurationError(
-            f"the {oracle}; population of {spec.size} exceeds the limit of "
-            f"{max_agents}"
-        )
-    if spec.cost_jitter != 0.0:
-        raise ConfigurationError(
-            "the game oracles model uniform role costs; use cost_jitter=0 "
-            "populations to cross-check"
-        )
-
-
-def oracle_population_gains(
-    scheme: SchemeLike,
-    spec: PopulationSpec,
-    config: PopulationAuditConfig = PopulationAuditConfig(),
-    max_agents: int = 2000,
-) -> np.ndarray:
-    """Per-agent gains ``(n, 3)`` via the exact game engine (small n only).
-
-    Rebuilds the streamed audit's realized structure (selection,
-    synchrony, calibration) as an
-    :class:`~repro.core.game.AlgorandGame` and measures every unilateral
-    deviation with exact ``payoff`` calls — sharing no arithmetic with
-    the chunked kernel.  Guards: the population must fit (``max_agents``)
-    and carry no per-agent cost jitter (the scalar game models uniform
-    role costs).
-    """
-    _check_oracle_fit(spec, max_agents, "scalar oracle is O(n^2)")
-    resolved = resolve_scheme(scheme)
-    structure = _build_structure([resolved], spec, config)
-    population = spec.materialize()
-    ctx = _chunk_context(structure, spec, population)
-    game = _oracle_game(
-        ctx.stake,
-        ctx.roles,
-        ctx.sync,
-        structure.costs,
-        resolved.make_rule(structure.b_i, structure.split),
-        config.committee_quorum,
-    )
-    return _game_gains(game, ctx.coop).T

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Set
 
-import networkx as nx
-
 from repro.errors import NetworkError
 from repro.sim.engine import EventEngine
 from repro.sim.messages import BlockProposalMessage, CredentialMessage, Message
@@ -94,13 +92,22 @@ def build_random_overlay(
             for target in targets:
                 neighbors[source].add(target)
                 neighbors[target].add(source)
-        graph = nx.Graph()
-        graph.add_nodes_from(ids)
-        for source, targets in neighbors.items():
-            graph.add_edges_from((source, target) for target in targets)
-        if nx.is_connected(graph):
+        if _connected(neighbors):
             return {node_id: sorted(peers) for node_id, peers in neighbors.items()}
     raise NetworkError("failed to build a connected overlay in 100 attempts")
+
+
+def _connected(neighbors: Dict[int, Set[int]]) -> bool:
+    """Whether the undirected overlay is one component (a stack walk)."""
+    start = next(iter(neighbors))
+    reached = {start}
+    stack = [start]
+    while stack:
+        for peer in neighbors[stack.pop()]:
+            if peer not in reached:
+                reached.add(peer)
+                stack.append(peer)
+    return len(reached) == len(neighbors)
 
 
 class GossipNetwork:
@@ -262,28 +269,3 @@ class GossipNetwork:
         if isinstance(message, (BlockProposalMessage, CredentialMessage)):
             return message.priority
         return None
-
-    # -- diagnostics ----------------------------------------------------------
-
-    def as_networkx(self) -> nx.DiGraph:
-        """Return the overlay as a networkx digraph (for topology analysis)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._neighbors)
-        for source, targets in self._neighbors.items():
-            graph.add_edges_from((source, target) for target in targets)
-        return graph
-
-    def honest_subgraph(self) -> nx.DiGraph:
-        """The overlay restricted to nodes that relay gossip.
-
-        Defective nodes stop relaying, which thins this graph; its
-        connectivity governs whether votes still reach everyone — the
-        mechanism behind the Figure 3 collapse.
-        """
-        graph = self.as_networkx()
-        relaying = [
-            node_id
-            for node_id, participant in self._participants.items()
-            if participant.relays_gossip and participant.is_online
-        ]
-        return graph.subgraph(relaying).copy()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bounds import paper_aggregates, paper_aggregates_scalar
+from repro.core.bounds import paper_aggregates
 from repro.core.rewards import RewardSchedule
 from repro.errors import MechanismError, SortitionError
 from repro.sim.sortition import (
@@ -20,6 +20,8 @@ from repro.sim.sortition import (
     binomial_weights,
     sample_population_weights,
 )
+
+from oracles import paper_aggregates_scalar
 
 
 class TestBinomialWeightsEquivalence:

@@ -15,10 +15,11 @@ from repro.core.optimizer import (
     default_beta_grid,
     minimize_reward_analytic,
     minimize_reward_grid,
-    minimize_reward_scipy,
     verify_split,
 )
 from repro.errors import InfeasibleRewardError
+
+from oracles import minimize_reward_scipy
 
 
 def _aggregates(**overrides) -> RoleAggregates:

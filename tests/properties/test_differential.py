@@ -10,7 +10,7 @@ and validation cases).
 Covered pairs:
 
 * ``sortition.binomial_weights``        vs ``sortition.binomial_weight``
-* ``bounds.paper_aggregates``           vs ``bounds.paper_aggregates_scalar``
+* ``bounds.paper_aggregates``           vs ``oracles.paper_aggregates_scalar``
 * ``RewardSchedule.per_round_rewards``/``cumulative_rewards``
                                         vs their scalar counterparts
 """
@@ -24,10 +24,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bounds import paper_aggregates, paper_aggregates_scalar
+from repro.core.bounds import paper_aggregates
 from repro.core.rewards import RewardSchedule
 from repro.errors import MechanismError, SortitionError
 from repro.sim.sortition import binomial_weight, binomial_weights
+
+from oracles import paper_aggregates_scalar
 
 #: Idealized VRF outputs live in [0, 1).
 _VRF = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)

@@ -19,10 +19,11 @@ import pytest
 from repro.populations import PopulationSpec
 from repro.scenarios.population_dynamics import (
     PopulationDynamicsSpec,
-    oracle_population_dynamics,
     run_population_dynamics,
 )
 from repro.schemes.registry import scheme_names
+
+from oracles import oracle_population_dynamics
 
 #: Summation-order slack per epoch; everything else must be exact.
 _MEAN_TOLERANCE = 1e-12

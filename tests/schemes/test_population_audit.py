@@ -16,9 +16,10 @@ from repro.schemes.population_audit import (
     audit_population_grid,
     audit_populations,
     iter_population_gains,
-    oracle_population_gains,
 )
 from repro.schemes.registry import scheme_names
+
+from oracles import oracle_population_gains
 
 SPEC = PopulationSpec(
     family="zipf", size=2 * SEED_BLOCK + 321, params={"exponent": 1.9, "scale": 3.0},

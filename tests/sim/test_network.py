@@ -11,9 +11,12 @@ import pytest
 from repro.errors import NetworkError
 from repro.sim.engine import EventEngine
 from repro.sim.messages import BlockProposalMessage, CredentialMessage, VoteMessage
+from repro.sim import network as network_module
 from repro.sim.network import GossipNetwork, build_random_overlay
 from repro.sim.sortition import Role, SortitionProof
 from repro.sim.crypto import VrfOutput
+
+from oracles import honest_subgraph
 
 
 @dataclass
@@ -96,6 +99,30 @@ class TestOverlay:
             (a, b) for a, peers in overlay.items() for b in peers
         )
         assert nx.is_connected(graph)
+
+    def test_connectivity_check_agrees_with_networkx(self, monkeypatch):
+        """Every attempt, kept or retried, gets ``nx.is_connected``'s verdict."""
+        import networkx as nx
+
+        walk = network_module._connected
+        verdicts = []
+
+        def checked(neighbors):
+            graph = nx.Graph()
+            graph.add_nodes_from(neighbors)
+            graph.add_edges_from((a, b) for a, peers in neighbors.items() for b in peers)
+            verdict = walk(neighbors)
+            assert verdict == nx.is_connected(graph)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(network_module, "_connected", checked)
+        for seed in range(40):
+            build_random_overlay(list(range(12)), 1, random.Random(seed))
+        assert True in verdicts and False in verdicts
+
+    def test_single_node_overlay_is_connected(self):
+        assert build_random_overlay([7], 0, random.Random(0)) == {7: []}
 
     def test_fanout_must_be_below_node_count(self):
         with pytest.raises(NetworkError):
@@ -221,7 +248,7 @@ class TestRegistration:
         engine, network, nodes = _make_network(n=8, fanout=3)
         nodes[2].relays = False
         nodes[5].online = False
-        subgraph = network.honest_subgraph()
+        subgraph = honest_subgraph(network)
         assert 2 not in subgraph.nodes
         assert 5 not in subgraph.nodes
         assert 0 in subgraph.nodes
