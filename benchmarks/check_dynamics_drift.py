@@ -10,8 +10,9 @@ fixed-seed populations:
   payloads);
 * the paths those two leave unpinned — the ``best_response`` rule, stake
   churn, the ``irs`` and ``axiomatic_tau`` schemes, a float32 population
-  and a run whose epoch 1 fails on a *restorable* sole strong-synchrony
-  defector (``population_dynamics_<case>.json``, each carrying its own
+  and a run whose epoch 1 fails on a sole strong-synchrony defector
+  whose return to C the block rule counts as restoring the block
+  (``population_dynamics_<case>.json``, each carrying its own
   ``spec`` and ``scheme`` next to the ``trajectory`` so the replay test
   needs no copy of the case table).
 

@@ -108,8 +108,9 @@ from repro.schemes.deviation import (
     LEADER,
     ONLINE,
     Agents,
+    Census,
     PoolTables,
-    fold_rewards,
+    block_fold,
     membership,
     pool_weights,
     role_costs,
@@ -328,24 +329,11 @@ class _Engine:
 
 @dataclass
 class _EpochAggregates:
-    """One measured epoch: realized pool totals, census and record."""
+    """One measured epoch: realized pool totals, block census and record."""
 
     totals: np.ndarray  # (P,) realized pool weight totals
-    block_success: bool
-    leader_coop: int
-    committee_tally: float
-    sync_defectors: int
-    sole_sync_defector: Optional[int]
+    census: Census
     record: EpochRecord
-
-    @property
-    def restorable(self) -> bool:
-        """Whether the sole sync defector's switch to C restores the block."""
-        return (
-            self.sync_defectors == 1
-            and self.sole_sync_defector is not None
-            and self.leader_coop >= 1
-        )
 
 
 def _build_engine(
@@ -525,7 +513,6 @@ class _MeasureSlice:
     defect_cost: np.ndarray  # (blocks,) defectors' sortition costs
     n_coop: int
     sync_defectors: int
-    first_sync_defector: Optional[int]  # global index, None if no defector
 
 
 def _measure_slice(
@@ -542,17 +529,13 @@ def _measure_slice(
     contribution = pool_weights(table, ctx.stake, ctx.coop_cost)
     for p in range(len(table.kinds)):
         contribution[p] *= membership(table.lookup[p], ctx)
-    sync_defect = np.flatnonzero(ctx.sync & (ctx.action == 1))
     return _MeasureSlice(
         weight_coop=block_row_sums(np.where(ctx.coop, contribution, 0.0)),
         weight_defect=block_row_sums(np.where(~ctx.coop, contribution, 0.0)),
         coop_cost=block_sums(np.where(ctx.coop, ctx.coop_cost, 0.0)),
         defect_cost=block_sums(np.where(~ctx.coop, ctx.sortition_cost, 0.0)),
         n_coop=int(np.count_nonzero(ctx.coop)),
-        sync_defectors=int(sync_defect.size),
-        first_sync_defector=(
-            part.offset + int(sync_defect[0]) if sync_defect.size else None
-        ),
+        sync_defectors=int(np.count_nonzero(ctx.sync & (ctx.action == 1))),
     )
 
 
@@ -576,7 +559,6 @@ def _measure_pass(
     coop_cost_sum = 0.0
     defect_cost_sum = 0.0
     sync_defectors = 0
-    first_sync_defector: Optional[int] = None
 
     def measure(part: PopulationArrays) -> _MeasureSlice:
         return _measure_slice(engine, epoch, thresholds, sel_action, part)
@@ -589,28 +571,16 @@ def _measure_pass(
             defect_cost_sum = float(add_blocks(defect_cost_sum, part.defect_cost))
             n_coop += part.n_coop
             sync_defectors += part.sync_defectors
-            if first_sync_defector is None:
-                first_sync_defector = part.first_sync_defector
 
-    leader_coop = int(
-        np.count_nonzero(
-            (structure.selected_role == LEADER) & (sel_action == 0)
-        )
+    roles, sel_coop = structure.selected_role, sel_action == 0
+    committee = np.where(sel_coop & (roles == COMMITTEE), structure.selected_stake, 0.0)
+    census = Census(
+        leaders=int(np.count_nonzero(sel_coop & (roles == LEADER))),
+        tally=float(np.add.reduce(committee)),
+        threshold=structure.census.threshold,
+        sync_defectors=sync_defectors,
     )
-    committee_tally = float(
-        np.add.reduce(
-            np.where(
-                (structure.selected_role == COMMITTEE) & (sel_action == 0),
-                structure.selected_stake,
-                0.0,
-            )
-        )
-    )
-    block_success = (
-        leader_coop >= 1
-        and committee_tally > structure.quorum_threshold
-        and sync_defectors == 0
-    )
+    block_success = bool(census.holds)
     totals = weight_coop + weight_defect
     rates = np.zeros(P, dtype=np.float64)
     if block_success:
@@ -638,63 +608,33 @@ def _measure_pass(
         realized_final_fraction=None,
         budget_efficiency=efficiency,
     )
-    sole = first_sync_defector if sync_defectors == 1 else None
-    return _EpochAggregates(
-        totals=totals,
-        block_success=block_success,
-        leader_coop=leader_coop,
-        committee_tally=committee_tally,
-        sync_defectors=sync_defectors,
-        sole_sync_defector=sole,
-        record=record,
-    )
+    return _EpochAggregates(totals=totals, census=census, record=record)
 
 
 def _chunk_counterfactuals(
-    engine: _Engine, ctx: Agents, aggregates: _EpochAggregates
+    engine: _Engine, agents: Agents, aggregates: _EpochAggregates
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-agent counterfactual payoffs ``(u_C, u_D)`` for one chunk.
+    """Per-agent counterfactual payoffs ``(u_C, u_D)`` for one batch.
 
-    ``u_C[j]`` / ``u_D[j]`` are agent ``offset + j``'s payoffs if it
-    *alone* played C (resp. D) against the realized profile, from the
-    shared kernel (:func:`~repro.schemes.deviation.fold_rewards`) under
-    this driver's block rule:
-
-    * **block produced** — a crowd cooperator's exit breaks the block
-      only when it sits in the strong-synchrony set; everyone else's
-      deviation just moves pool weight;
-    * **block failed** — nobody earns rewards, in the profile or after
-      any unilateral deviation, except the *sole* sync defector (when
-      leaders and quorum are otherwise fine), whose return to C restores
-      the block.
-
-    Valid for online-crowd rows; selected rows are handled by
-    :func:`_selected_best_responses` and masked out by the caller.
+    ``u_C[j]`` / ``u_D[j]`` are agent ``j``'s payoffs if it *alone*
+    played C (resp. D) against the realized profile, from the shared
+    kernel under its block rule
+    (:func:`~repro.schemes.deviation.block_fold`): a move earns rewards
+    only if the block holds after it.  The batch is a chunk of the
+    crowd or the selected agents (:func:`_selected_best_responses`).
     """
-    block = aggregates.block_success
-    sole = aggregates.sole_sync_defector
-    restore = aggregates.restorable and 0 <= sole - ctx.offset < ctx.n
-    _, *rewards = fold_rewards(
+    _, (rewards_c,), (rewards_d,) = block_fold(
         engine.table,
-        ctx,
+        agents,
+        aggregates.census,
         aggregates.totals,
         [engine.slice_budget],
         base=False,
-        deviations=(0, 1) if block else (0,) if restore else (),
+        deviations=(0, 1),
     )
-    if block:
-        (rewards_c,), (rewards_d,) = rewards
-        utility_c = rewards_c - ctx.coop_cost
-        rewards_d[ctx.sync] = 0.0  # a sync cooperator's exit breaks the block
-        utility_d = rewards_d - ctx.sortition_cost
-    else:
-        utility_c = -ctx.coop_cost
-        utility_d = -ctx.sortition_cost
-        if restore:
-            ((rewards_c,),) = rewards
-            local = sole - ctx.offset
-            utility_c[local] = rewards_c[local] - ctx.coop_cost[local]
-    return utility_c, utility_d
+    rewards_c -= agents.coop_cost
+    rewards_d -= agents.sortition_cost
+    return rewards_c, rewards_d
 
 
 def _best_responses(
@@ -714,8 +654,9 @@ def _selected_best_responses(
     """Exact synchronous best responses of the selected agents.
 
     The k leaders/committee members fold through the shared kernel as
-    one batch at their pinned stakes, each deviation's block transition
-    (leader count / quorum tally) exact; matching
+    one batch at their pinned stakes (:func:`_chunk_counterfactuals`),
+    each deviation's block transition (leader count / quorum tally)
+    exact; matching
     :func:`repro.core.equilibrium.synchronous_best_responses` — strict
     ``> 1e-15`` improvement to switch, ties keep the current action, and
     O is dominated by D (``rewards - c_so >= -c_so``), so only {C, D}
@@ -723,10 +664,9 @@ def _selected_best_responses(
     """
     structure = engine.structure
     roles = structure.selected_role
-    stake = structure.selected_stake
     coop = sel_action == 0
     agents = Agents(
-        stake=stake,
+        stake=structure.selected_stake,
         roles=roles,
         selected_rows=np.arange(sel_action.size),
         coop=coop,
@@ -734,30 +674,7 @@ def _selected_best_responses(
         coop_cost=role_costs(structure.costs).take(roles) * structure.selected_cost,
         sortition_cost=structure.costs.sortition * structure.selected_cost,
     )
-    _, (rewards_c,), (rewards_d,) = fold_rewards(
-        engine.table,
-        agents,
-        aggregates.totals,
-        [engine.slice_budget],
-        base=False,
-        deviations=(0, 1),
-    )
-    leader = roles == LEADER
-    utilities = []
-    for joins, rewards, cost in (
-        (1, rewards_c, agents.coop_cost),
-        (0, rewards_d, agents.sortition_cost),
-    ):
-        delta = joins - coop.astype(np.int64)
-        leaders_after = aggregates.leader_coop + np.where(leader, delta, 0)
-        tally_after = aggregates.committee_tally + np.where(leader, 0.0, delta * stake)
-        block_after = (
-            (leaders_after >= 1)
-            & (tally_after > structure.quorum_threshold)
-            & (aggregates.sync_defectors == 0)
-        )
-        utilities.append(np.where(block_after, rewards, 0.0) - cost)
-    return _best_responses(coop, *utilities)
+    return _best_responses(coop, *_chunk_counterfactuals(engine, agents, aggregates))
 
 
 def _update_pass(

@@ -20,7 +20,8 @@ epsilon-incentive-compatible under population Y?* — by brute force, fast:
    block, so every player's deviation payoff comes from the shared kernel
    (:mod:`repro.schemes.deviation`), the whole batch flattened into one
    agent batch; this engine adds only the per-population pool totals and
-   the block-break mask — no game object, no per-player loop.
+   block census (the kernel's block rule zeroes the withdrawals that
+   break the block) — no game object, no per-player loop.
 3. **Certification.**  A cell is certified ``epsilon``-IC when no checked
    deviation gains more than ``epsilon``; otherwise the report carries the
    most profitable deviation as a concrete witness (population, player,
@@ -64,8 +65,9 @@ from repro.schemes.deviation import (
     SWITCH,
     TARGETS,
     Agents,
+    Census,
+    block_fold,
     deviation_gains,
-    fold_rewards,
     membership,
     pool_tables,
     pool_weights,
@@ -481,38 +483,30 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
         action=(~coop).astype(np.int8),
         coop_cost=role_costs(cell.costs).take(roles),
         sortition_cost=np.full(B * N, cell.costs.sortition),
+        sync=cell.sync.ravel(),
     )
-    # Per-population pool totals, then repeated per player.
+    # Per-population pool totals and block census, then repeated per player.
     weights = pool_weights(tables, agents.stake, agents.coop_cost)
     members = [membership(lookup, agents) for lookup in tables.lookup]
     totals = (weights * members).reshape(-1, B, N).sum(axis=2)  # (P, B)
     slice_budget = (fractions * cell.b_i[:, None]).T  # (P, B)
-    base, switch = fold_rewards(
+    committee_stake = np.where(cell.roles == COMMITTEE, cell.stakes, 0.0)
+    census = Census(
+        leaders=np.repeat(((cell.roles == LEADER) & cell.coop).sum(axis=1), N),
+        tally=np.repeat((committee_stake * cell.coop).sum(axis=1), N),
+        threshold=np.repeat(cell.quorum * committee_stake.sum(axis=1), N),
+        sync_defectors=np.repeat((cell.sync & ~cell.coop).sum(axis=1), N),
+    )
+    base, switch = block_fold(
         tables,
         agents,
+        census,
         np.repeat(totals, N, axis=1),
         [np.repeat(slice_budget, N, axis=1)],
         base=True,
         deviations=(SWITCH,),
         weights=weights,
     )
-
-    # Does a cooperator's withdrawal (to D or O) break the block?
-    coop_leader = (cell.roles == LEADER) & cell.coop
-    sole_leader = coop_leader & (coop_leader.sum(axis=1) == 1)[:, None]
-    committee = cell.roles == COMMITTEE
-    committee_stake = np.where(committee, cell.stakes, 0.0)
-    committee_coop = (committee_stake * cell.coop).sum(axis=1)
-    quorum_threshold = cell.quorum * committee_stake.sum(axis=1)
-    quorum_break = (
-        committee
-        & cell.coop
-        & ((committee_coop[:, None] - cell.stakes) <= quorum_threshold[:, None])
-    )
-    # Every break is a cooperator's, whose switch is to D.
-    breaks = sole_leader | quorum_break | (cell.sync & cell.coop)
-    switch[0][breaks.ravel()] = 0.0
-
     (gains,) = deviation_gains(agents, base, switch)
     return np.concatenate(gains.targets(agents)).reshape(3, B, N)
 

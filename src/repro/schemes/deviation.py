@@ -6,9 +6,10 @@ closed form in the pool totals (Theorems 2-3, for any pooled scheme).
 This module holds that algebra once for the sampled audit
 (:mod:`repro.schemes.audit`, its populations flattened into one batch),
 the streamed audit (:mod:`repro.schemes.population_audit`) and the
-streamed dynamics (:mod:`repro.scenarios.population_dynamics`).  Callers
-keep only their totals reduction, their block-break mask and their
-block-failure rule.
+streamed dynamics (:mod:`repro.scenarios.population_dynamics`), and with
+it the block rule of Definitions 2-4 (:func:`block_holds`): a profile's
+:class:`Census` says whether it produces a block and which agents' moves
+flip that.  Callers keep only their totals and census reductions.
 
 :func:`fold_rewards` folds only what its caller reads.  An IC verdict
 needs each agent's *switch* — the payment for the action it does not
@@ -18,6 +19,9 @@ and rebuild the ``nan``-marked to-C/to-D view (:meth:`Gains.targets`)
 only where a caller wants the full tensor.  The dynamics keep the two
 fixed-action folds ``(0, 1)``: the replicator and the best response read
 both payoffs of every agent, the one it plays included.
+:func:`block_fold` applies the block rule to either: it folds the whole
+batch when the profile produces a block, and only the agents whose move
+restores it when it does not.
 
 Pools are folded one at a time, each the cheapest way its crowd (online
 agents) allows; see :class:`PaymentFold`.
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,7 +164,7 @@ class Agents:
     coop_cost: np.ndarray  # per-agent cooperation cost of the held role
     sortition_cost: np.ndarray  # per-agent cost of playing D or O
     offset: int = 0  # global index of row 0 (streamed chunks)
-    sync: Optional[np.ndarray] = None  # strong-synchrony online agents (streamed)
+    sync: Optional[np.ndarray] = None  # strong-synchrony membership
 
     @property
     def n(self) -> int:
@@ -192,19 +196,23 @@ class Agents:
         """Each agent's cost under the action it does not play."""
         return np.where(self.coop, self.sortition_cost, self.coop_cost)
 
-    @cached_property
-    def selected(self) -> "Agents":
-        """The batch's selected rows alone, as a batch of their own."""
-        rows = self.selected_rows
+    def subset(self, rows: np.ndarray) -> "Agents":
+        """The batch's ``rows`` alone, as a batch of their own."""
+        roles = self.roles[rows]
         return Agents(
             stake=self.stake[rows],
-            roles=self.roles[rows],
-            selected_rows=np.arange(rows.size),
+            roles=roles,
+            selected_rows=np.flatnonzero(roles != ONLINE),
             coop=self.coop[rows],
             action=self.action[rows],
             coop_cost=self.coop_cost[rows],
             sortition_cost=self.sortition_cost[rows],
         )
+
+    @cached_property
+    def selected(self) -> "Agents":
+        """The batch's selected rows alone, as a batch of their own."""
+        return self.subset(self.selected_rows)
 
     @cached_property
     def nan_unless_defect(self) -> np.ndarray:
@@ -394,9 +402,10 @@ def fold_rewards(
     ``(P, n)`` within-pool weights.  Returns the per-budget base rewards
     (zeros unless ``base``), then, per code in ``deviations`` (0=C, 1=D,
     :data:`SWITCH`), the per-budget rewards if each agent *alone* played
-    it.  Block effects are the caller's rule.  Each element sees the
-    same float expressions in the same order for any number of budgets
-    and whichever way (:class:`PaymentFold`) its pools are folded.
+    it, block or no block (:func:`block_fold` applies the block rule).
+    Each element sees the same float expressions in the same order for
+    any number of budgets, whichever way (:class:`PaymentFold`) its
+    pools are folded and whichever rows the batch holds.
     """
     n = agents.n
     base_rewards = [np.zeros(n) for _ in budgets]
@@ -419,6 +428,123 @@ def fold_rewards(
             rewards,
         )
     return (base_rewards, *rewards)
+
+
+# -- the block rule -----------------------------------------------------------
+
+
+def block_holds(leaders, tally, threshold, sync_defectors):
+    """Definitions 2-4: a cooperating leader, a quorum, no sync defector.
+
+    The cooperating committee stake must exceed the quorum threshold
+    strictly.  Elementwise on arrays.
+    """
+    return (leaders >= 1) & (tally > threshold) & (sync_defectors == 0)
+
+
+@dataclass(frozen=True)
+class Census:
+    """One profile's counts for :func:`block_holds`.
+
+    Scalars describe one population (the streamed paths); per-row arrays
+    give each row of a batch its own population's (the sampled audit).
+    """
+
+    leaders: Any  # cooperating leaders
+    tally: Any  # cooperating committee stake
+    threshold: Any  # quorum x total committee stake
+    sync_defectors: Any  # strong-synchrony members playing D
+
+    @property
+    def holds(self):
+        """Whether the profile itself yields a block."""
+        return block_holds(
+            self.leaders, self.tally, self.threshold, self.sync_defectors
+        )
+
+    def flips(self, agents: Agents, to: int) -> np.ndarray:
+        """Rows whose lone move to ``to`` (0=C, 1=D, SWITCH) flips the block.
+
+        A move to D takes the agent out of its role's count and, for a
+        synchrony member, adds a defector; a move to C does the reverse.
+        Crowd rows move the synchrony count alone, so the rule is asked
+        at one defector more and one fewer, and the crowd is scanned
+        only for a move that flips it.  Selected rows get exact counts.
+        """
+        held, rows = self.holds, agents.selected_rows
+        crowd = None
+        for step, moves in (
+            (1, to != 0),  # a cooperator's move to D
+            (-1, to != 1 and np.any(self.sync_defectors)),  # a defector's to C
+        ):
+            flip = held != block_holds(
+                self.leaders, self.tally, self.threshold, self.sync_defectors + step
+            )
+            if agents.sync is None or not moves or not np.any(flip):
+                continue
+            mask = agents.sync & (agents.coop if step > 0 else ~agents.coop) & flip
+            crowd = mask if crowd is None else crowd | mask
+
+        def at(values):
+            return values[rows] if np.ndim(values) else values
+
+        action = agents.action[rows].astype(np.int64)
+        step = (action ^ 1 if to == SWITCH else to) - action
+        roles = agents.roles[rows]
+        committee_step = np.where(roles == COMMITTEE, step * agents.stake[rows], 0.0)
+        sync = 0 if agents.sync is None else agents.sync[rows]
+        flipped = at(held) != block_holds(
+            at(self.leaders) - (roles == LEADER) * step,
+            at(self.tally) - committee_step,
+            at(self.threshold),
+            at(self.sync_defectors) + sync * step,
+        )
+        if crowd is None:
+            return rows[flipped]
+        crowd[rows] = flipped
+        return np.flatnonzero(crowd)
+
+
+def block_fold(
+    tables: PoolTables,
+    agents: Agents,
+    census: Census,
+    totals,
+    budgets: Sequence,
+    base: bool,
+    deviations: Sequence[int],
+    weights: Optional[np.ndarray] = None,
+    flips: Optional[Sequence[np.ndarray]] = None,
+) -> Tuple[List[np.ndarray], ...]:
+    """:func:`fold_rewards` under the block rule: no block, no rewards.
+
+    If ``census`` holds, the batch is folded whole and each deviation's
+    payments are zeroed where the move breaks the block; if it fails,
+    base rewards are zero and only the rows whose move restores the
+    block are folded (:meth:`Agents.subset`), at the pool totals of
+    one population.  ``flips`` may pass :meth:`Census.flips` per
+    deviation, shared by several folds of one batch.
+    """
+    held = np.all(census.holds)
+    if held:
+        folded = fold_rewards(
+            tables, agents, totals, budgets, base, deviations, weights
+        )
+    else:
+        folded = tuple(
+            [np.zeros(agents.n) for _ in budgets] for _ in range(len(deviations) + 1)
+        )
+    for i, (to, accs) in enumerate(zip(deviations, folded[1:])):
+        rows = census.flips(agents, to) if flips is None else flips[i]
+        if held:
+            for acc in accs:
+                acc[rows] = 0.0
+        elif rows.size:
+            subset = agents.subset(rows)
+            _, restored = fold_rewards(tables, subset, totals, budgets, False, (to,))
+            for acc, values in zip(accs, restored):
+                acc[rows] = values
+    return folded
 
 
 # -- gains --------------------------------------------------------------------
@@ -452,9 +578,9 @@ def deviation_gains(
 ) -> List[Gains]:
     """Per-budget gains from folded rewards (consumes the reward buffers).
 
-    ``switch`` holds the :data:`SWITCH` fold's rewards and must already
-    carry the caller's block-break rule; an agent going offline forfeits
-    every reward.
+    ``base`` and ``switch`` hold the base and :data:`SWITCH` rewards of
+    :func:`block_fold`, the block rule already applied; an agent going
+    offline forfeits every reward.
     """
     neg_sortition = np.negative(agents.sortition_cost)
     gains: List[Gains] = []

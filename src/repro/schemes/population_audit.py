@@ -86,10 +86,11 @@ from repro.schemes.deviation import (
     ROLE_NAMES,
     SWITCH,
     Agents,
+    Census,
     Gains,
     PoolTables,
+    block_fold,
     deviation_gains,
-    fold_rewards,
     pool_tables,
     pool_weight,
     role_costs,
@@ -280,20 +281,10 @@ class _Structure:
     total_stake_units: int  # exact integer sum of floored stakes
     pool_totals: Dict[str, np.ndarray]  # scheme name -> (P,)
     tables: Dict[str, PoolTables]
-    committee_stake_total: float
-    quorum_threshold: float
-    #: Strong-synchrony agents whose target-profile action is defect
-    #: (only possible under the ``population`` target).  One or more
-    #: means the base profile produces **no block**: nobody earns
-    #: rewards, and only the sole defector (when there is exactly one)
-    #: can restore the block by unilaterally switching to C.
-    sync_defectors: int = 0
-    sole_sync_defector: Optional[int] = None
-
-    @property
-    def base_block_fails(self) -> bool:
-        """Whether the target profile itself fails to produce a block."""
-        return self.sync_defectors > 0
+    #: The target profile's block census: every selected agent
+    #: cooperates; strong-synchrony defectors (``population`` target
+    #: only) fail the block.
+    census: Census
 
 
 def _online_actions(
@@ -463,7 +454,6 @@ def _build_structure_grid(
     total_stake = 0.0
     race_carry: Optional[Tuple[np.ndarray, ...]] = None
     sync_carry: Optional[Tuple[np.ndarray, ...]] = None
-    defect_carry: Optional[Tuple[np.ndarray, ...]] = None
     defect_count = 0
     # Raw per-pool totals treat every agent as online crowd; the k
     # selected agents are corrected afterwards (k is tiny).  Totals are
@@ -533,20 +523,8 @@ def _build_structure_grid(
             )
 
         # Sync-set defectors break the base block ('population' target
-        # only; the other targets force sync agents to cooperate).  Keep
-        # the exact count plus the k+1 smallest indices so the sole
-        # defector survives the selection correction below.
-        defect_rows = np.flatnonzero(sync & (actions == 1))
-        if defect_rows.size:
-            defect_count += int(defect_rows.size)
-            keep = defect_rows[: k + 1]
-            defect_carry = _merge_top_k(
-                defect_carry,
-                index[keep].astype(np.float64),
-                index[keep],
-                (),
-                k + 1,
-            )
+        # only; the other targets force sync agents to cooperate).
+        defect_count += int(np.count_nonzero(sync & (actions == 1)))
 
         crowd = _crowd_partials(
             reference_tables, cost_vec_by, stake, cost_multiplier, actions
@@ -612,24 +590,16 @@ def _build_structure_grid(
         min_other=min_other,
     )
 
-    # Correct the sync-defector census: selected agents perform their
-    # role, so a selected agent's as-if-online defection does not break
-    # the block.  With k+1 candidate indices kept and at most k of them
-    # selected, the sole survivor (when the corrected count is 1) is
-    # guaranteed to be among the candidates.
-    selected_set = set(int(i) for i in sel_index)
-    sync_defectors = defect_count - int(
-        np.count_nonzero(sel_sync & (sel_action == 1))
-    )
-    sole_sync_defector: Optional[int] = None
-    if sync_defectors == 1 and defect_carry is not None:
-        for agent in defect_carry[1]:
-            if int(agent) not in selected_set:
-                sole_sync_defector = int(agent)
-                break
-
     committee_stake_total = float(np.add.reduce(committee_stakes))
-    quorum_threshold = config.committee_quorum * committee_stake_total
+    census = Census(
+        leaders=config.n_leaders,
+        tally=committee_stake_total,
+        threshold=config.committee_quorum * committee_stake_total,
+        # Selected agents perform their role: their as-if-online
+        # defection does not break the block.
+        sync_defectors=defect_count
+        - int(np.count_nonzero(sel_sync & (sel_action == 1))),
+    )
     selected_index = sel_index.astype(np.int64)
 
     structures: Dict[Tuple[float, float], _Structure] = {}
@@ -666,10 +636,7 @@ def _build_structure_grid(
                 total_stake_units=total_stake_units,
                 pool_totals=pool_totals,
                 tables=tables,
-                committee_stake_total=committee_stake_total,
-                quorum_threshold=quorum_threshold,
-                sync_defectors=sync_defectors,
-                sole_sync_defector=sole_sync_defector,
+                census=census,
             )
     return structures
 
@@ -757,69 +724,37 @@ def _chunk_context(
 
 
 def _chunk_gains(
-    scheme_name: str, cells: Sequence[_Structure], ctx: Agents
+    scheme_name: str,
+    cells: Sequence[_Structure],
+    ctx: Agents,
+    flips: Optional[np.ndarray] = None,
 ) -> List[Gains]:
     """Deviation gains of one chunk for every budget cell of one cost scale.
 
     ``cells`` are the budget cells of one cost scale: they share tables,
     pool totals and the calibrated split by reference and differ only in
     ``b_i``, which enters solely through each pool's ``slice_budget =
-    fraction * b_i`` — so one pool-major :func:`fold_rewards` call serves
-    them all, and each cell is bit-identical to a one-cell call.
-
-    When the base profile fails to produce a block
-    (:attr:`_Structure.base_block_fails` — sync-set defectors under the
-    ``population`` target), nobody earns base or post-deviation rewards;
-    the one exception is the *sole* sync defector, whose unilateral
-    switch to C restores the block.
+    fraction * b_i`` — so one pool-major fold serves them all, and each
+    cell is bit-identical to a one-cell call.  The kernel's block rule
+    (:func:`~repro.schemes.deviation.block_fold`) zeroes the withdrawals
+    that break the target profile's block or, when sync-set defectors
+    fail it (the ``population`` target), pays only a switch that
+    restores it.  ``flips`` passes the chunk's
+    :meth:`~repro.schemes.deviation.Census.flips` for :data:`SWITCH`
+    when the caller shares them across schemes and cost scales.
     """
     head = cells[0]
     table = head.tables[scheme_name]
-    fails = head.base_block_fails
-    sole_local: Optional[int] = None
-    sole = head.sole_sync_defector
-    if fails and sole is not None and 0 <= sole - ctx.offset < ctx.n:
-        sole_local = sole - ctx.offset
-
-    if not fails or sole_local is not None:
-        # Everyone's switch, or (no block) only the sole defector's C.
-        base, switch = fold_rewards(
-            table,
-            ctx,
-            head.pool_totals[scheme_name],
-            [table.fractions * cell.b_i for cell in cells],
-            base=not fails,
-            deviations=(SWITCH,),
-        )
-    else:
-        base, switch = [[np.zeros(ctx.n) for _ in cells] for _ in range(2)]
-
-    if fails:
-        # No block, no rewards — in the base profile and after any
-        # unilateral deviation except the sole defector's return to C.
-        if sole_local is not None:
-            for acc in switch:
-                kept = acc[sole_local]
-                acc.fill(0.0)
-                acc[sole_local] = kept
-    else:
-        # Withdrawal block-breaks (a cooperator's switch is to D): a sole
-        # cooperating leader, a committee member whose exit drops the
-        # tally below quorum, or any strong-synchrony cooperator (all
-        # leaders/committee cooperate by construction of the target
-        # profile).  Leaders and committee members are all among the
-        # selected rows.
-        rows = ctx.selected_rows
-        roles = ctx.roles[rows]
-        sole_leader = (roles == LEADER) & (head.config.n_leaders == 1)
-        quorum_break = (roles == COMMITTEE) & (
-            (head.committee_stake_total - ctx.stake[rows]) <= head.quorum_threshold
-        )
-        sync_breaks = np.flatnonzero(ctx.sync & ctx.coop)
-        role_breaks = rows[(sole_leader | quorum_break) & ctx.coop[rows]]
-        for acc in switch:
-            acc[sync_breaks] = 0.0
-            acc[role_breaks] = 0.0
+    base, switch = block_fold(
+        table,
+        ctx,
+        head.census,
+        head.pool_totals[scheme_name],
+        [table.fractions * cell.b_i for cell in cells],
+        base=True,
+        deviations=(SWITCH,),
+        flips=None if flips is None else [flips],
+    )
     return deviation_gains(ctx, base, switch)
 
 
@@ -1176,17 +1111,25 @@ def audit_population_grid(
             sync_draws: np.ndarray,
             cs: float,
             into: Dict[Tuple[str, float, float], _GainReducer],
-        ) -> None:
+            flips: Optional[np.ndarray],
+        ) -> np.ndarray:
             """Fold one chunk into every cell of one cost scale.
 
             A function, so the context and gains die before the next
             scale's (or chunk's) are built: that bounds peak memory.
+            Returns the switches that flip the block, which read roles,
+            actions and stakes but no cost: every scheme and cost scale
+            shares them.
             """
             cells = [structures[(b, cs)] for b in budgets]
             ctx = _chunk_context(cells[0], spec, chunk, stake=stake, sync=sync_draws)
+            if flips is None:
+                flips = cells[0].census.flips(ctx, SWITCH)
             for item in resolved:
                 call_started = time.perf_counter() if telemetry else 0.0
-                for b, gains in zip(budgets, _chunk_gains(item.name, cells, ctx)):
+                for b, gains in zip(
+                    budgets, _chunk_gains(item.name, cells, ctx, flips)
+                ):
                     into[(item.name, b, cs)].update(gains, ctx)
                 if telemetry:
                     # One fused call serves every budget cell: split its
@@ -1198,6 +1141,7 @@ def audit_population_grid(
                             budget=repr(float(b)),
                             cost_scale=repr(float(cs)),
                         ).inc(share)
+            return flips
 
         def new_reducers() -> Dict[Tuple[str, float, float], _GainReducer]:
             """One empty reducer per cell."""
@@ -1220,8 +1164,9 @@ def audit_population_grid(
             into = new_reducers()
             stake = chunk.stake64()
             sync_draws = _sync_mask(spec, config, chunk)
+            flips = None
             for cs in scales:
-                fold_scale(chunk, stake, sync_draws, cs, into)
+                flips = fold_scale(chunk, stake, sync_draws, cs, into, flips)
             return into
 
         with call_pool(threads.THREADS) as pool:

@@ -16,8 +16,9 @@ piece to a plain reference of the kernel it replaced, bit for bit
 * crowdless pools leave every crowd row at ``+0.0``;
 * pass 1's shared crowd rows equal per-scheme ``block_row_sums``;
 * streamed audit chunks, including failed-block and sole-sync-defector
-  profiles, equal the old two-fold chunk rule, and the verdict's
-  witness, count and shirk gain match it at one and two threads.
+  profiles (whose one restorer the block rule folds alone), equal the
+  old two-fold chunk rule, and the verdict's witness, count and shirk
+  gain match it at one and two threads.
 """
 
 from __future__ import annotations
@@ -332,21 +333,19 @@ def reference_chunk_gains(structure, name, ctx):
     (base,), (paid_c,), (paid_d,) = reference_fold(
         table, ctx, structure.pool_totals[name], budgets
     )
-    if structure.base_block_fails:
+    if structure.census.sync_defectors:
+        # No block: only the sole sync defector's return to C restores it.
         base[:] = 0.0
         paid_d[:] = 0.0
-        sole = structure.sole_sync_defector
-        kept = np.zeros(ctx.n)
-        if sole is not None and 0 <= sole - ctx.offset < ctx.n:
-            kept[sole - ctx.offset] = paid_c[sole - ctx.offset]
-        paid_c = kept
+        sole = ctx.sync & ~ctx.coop & (structure.census.sync_defectors == 1)
+        paid_c = np.where(sole, paid_c, 0.0)
     else:
         rows = ctx.selected_rows
         roles = ctx.roles[rows]
         sole_leader = (roles == LEADER) & (structure.config.n_leaders == 1)
         quorum_break = (roles == COMMITTEE) & (
-            (structure.committee_stake_total - ctx.stake[rows])
-            <= structure.quorum_threshold
+            (structure.census.tally - ctx.stake[rows])
+            <= structure.census.threshold
         )
         paid_d[ctx.sync & ctx.coop] = 0.0
         paid_d[rows[sole_leader | quorum_break]] = 0.0
@@ -435,12 +434,25 @@ _PROFILES = {
 }
 
 
+def restorer_rows(structure, spec, config):
+    """Global rows whose switch restores the structure's failed base block."""
+    rows = []
+    for chunk in _chunks(spec, config):
+        ctx = _chunk_context(structure, spec, chunk)
+        flips = structure.census.flips(ctx, SWITCH)
+        assert not ctx.coop[flips].any()  # a restore is a return to C
+        rows.extend((ctx.offset + flips).tolist())
+    return rows
+
+
 class TestStreamedAuditAgainstOldRule:
     def test_profiles_reach_their_branches(self):
         failed = _build_structure([SYNTHETIC], *_PROFILES["failed_block"])
-        assert failed.base_block_fails and failed.sync_defectors > 1
+        assert not failed.census.holds and failed.census.sync_defectors > 1
+        assert restorer_rows(failed, *_PROFILES["failed_block"]) == []
         sole = _build_structure([SYNTHETIC], *_PROFILES["sole_sync_defector"])
-        assert sole.sync_defectors == 1 and sole.sole_sync_defector is not None
+        assert not sole.census.holds and sole.census.sync_defectors == 1
+        assert len(restorer_rows(sole, *_PROFILES["sole_sync_defector"])) == 1
 
     @pytest.mark.parametrize("profile", sorted(_PROFILES))
     @pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)

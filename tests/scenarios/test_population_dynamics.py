@@ -13,11 +13,13 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.populations import PopulationSpec
 from repro.populations import threads as threads_module
+from repro.schemes.deviation import ONLINE
 from repro.scenarios.population_dynamics import (
     UPDATE_RULES,
     PopulationDynamicsSpec,
@@ -206,36 +208,27 @@ class TestGoldenTrajectories:
         assert any(spec["population"]["dtype"] == "float32" for spec in specs)
 
     def test_sole_sync_defector_golden_has_a_restorable_epoch(self, monkeypatch):
-        """The fixture keeps exercising the sole-defector restore branch."""
-        from repro.scenarios import population_dynamics
-
+        """The fixture keeps reaching a failed epoch with one restorer."""
         golden = json.loads(
             (_GOLDEN_DIR / "population_dynamics_sole_sync_defector.json").read_text()
         )
-        restorable = []
-        measure = population_dynamics._measure_pass
-
-        def recording(*args, **kwargs):
-            aggregates = measure(*args, **kwargs)
-            restorable.append(aggregates.restorable)
-            return aggregates
-
-        monkeypatch.setattr(population_dynamics, "_measure_pass", recording)
+        epochs = _record_restorers(monkeypatch)
         run_population_dynamics(
             PopulationDynamicsSpec.from_params(golden["spec"]), golden["scheme"]
         )
-        assert any(restorable)
+        assert [
+            rows for census, rows in epochs if census.sync_defectors == 1 and rows
+        ]
 
     def test_sole_sync_defector_outside_the_first_slice(self, monkeypatch):
-        """The in-order merge finds a sole defector that slice 0 does not hold.
+        """A restorer that slice 0 does not hold moves no byte across threads.
 
         The golden's shape at seed 2020, run as one three-block chunk: at
         T = 2 with one-block slices, slice 0 is block 0 and the epoch-1
-        sole defector lies in the pool worker's slice.  Its index, the
-        restore branch and the trajectory match the one-thread run.
+        sole defector — the block rule's one restorer — lies in the pool
+        worker's slice.  Its index and the trajectory match the
+        one-thread run.
         """
-        from repro.scenarios import population_dynamics
-
         golden = json.loads(
             (_GOLDEN_DIR / "population_dynamics_sole_sync_defector.json").read_text()
         )
@@ -245,28 +238,115 @@ class TestGoldenTrajectories:
             chunk_agents=None,
             n_epochs=2,
         )
-        measure = population_dynamics._measure_pass
         monkeypatch.setattr(threads_module, "MIN_SLICE_BLOCKS", 1)
         runs = {}
         for count in (1, 2):
             monkeypatch.setattr(threads_module, "THREADS", count)
-            soles = []
-
-            def recording(*args, **kwargs):
-                aggregates = measure(*args, **kwargs)
-                if aggregates.restorable:
-                    soles.append(aggregates.sole_sync_defector)
-                return aggregates
-
-            monkeypatch.setattr(population_dynamics, "_measure_pass", recording)
+            epochs = _record_restorers(monkeypatch)
             trajectory = run_population_dynamics(spec, golden["scheme"])
-            runs[count] = (soles, trajectory.to_payload())
+            restorers = [rows for _, rows in epochs if rows]
+            runs[count] = (restorers, trajectory.to_payload())
         (whole,) = spec.population.chunks(spec.population.size)
         first_slice = threads_module.slices(whole, 2)[0]
-        soles, payload = runs[2]
-        assert len(soles) == 1
-        assert soles[0] >= first_slice.offset + first_slice.n_agents
-        assert runs[1] == (soles, payload)
+        restorers, payload = runs[2]
+        assert len(restorers) == 1 and len(restorers[0]) == 1
+        assert restorers[0][0] >= first_slice.offset + first_slice.n_agents
+        assert runs[1] == (restorers, payload)
+
+
+def _record_restorers(monkeypatch):
+    """Record each measured epoch's census and its crowd restorer rows.
+
+    A restorer is a crowd agent whose lone move to C turns the epoch's
+    failed block into a produced one (the block rule's flips from a
+    failed base); rows are global agent indices.
+    """
+    from repro.scenarios import population_dynamics
+
+    epochs = []
+    measure = population_dynamics._measure_pass
+
+    def recording(engine, epoch, *args, **kwargs):
+        aggregates = measure(engine, epoch, *args, **kwargs)
+        rows = []
+        if not aggregates.census.holds:
+            for chunk in engine.chunks:
+                ctx = population_dynamics._epoch_context(engine, chunk, epoch)
+                flips = aggregates.census.flips(ctx, 0)
+                flips = flips[ctx.roles[flips] == ONLINE]
+                rows.extend((ctx.offset + flips).tolist())
+        epochs.append((aggregates.census, rows))
+        return aggregates
+
+    monkeypatch.setattr(population_dynamics, "_measure_pass", recording)
+    return epochs
+
+
+class TestQuorumRestore:
+    """A failed quorum cannot be restored by the sole sync defector.
+
+    600 uniform agents, 2 leaders and a committee of 5: the leaders
+    cooperate, every committee member defects (the tally is 0, at or
+    below any quorum) and one sync crowd agent defects.  The block fails
+    on the quorum whatever that agent plays, so its return to C earns
+    nothing — as the game oracle says.
+    """
+
+    @pytest.mark.parametrize("scheme", ["foundation", "role_based", "irs"])
+    def test_sole_defector_payoffs_match_the_oracle(self, scheme):
+        from repro.core.game import Strategy, with_deviation
+        from repro.scenarios.population_dynamics import (
+            _build_engine,
+            _chunk_counterfactuals,
+            _epoch_context,
+            _measure_pass,
+        )
+        from repro.schemes.audit import _oracle_game
+        from repro.schemes.population_audit import _build_structure, _chunks
+        from repro.schemes.registry import resolve_scheme
+
+        spec = _spec(
+            population=PopulationSpec(family="uniform", size=600, seed=3),
+            n_leaders=2,
+            committee_size=5,
+        )
+        resolved = resolve_scheme(scheme)
+        config = spec.audit_config()
+        chunks = _chunks(spec.population, config)
+        structure = _build_structure([resolved], spec.population, config, chunks)
+        engine = _build_engine(spec, resolved.name, structure, chunks)
+        sel_action = np.ones(config.n_selected, dtype=np.int8)
+        sel_action[: config.n_leaders] = 0
+        crowd_sync = engine.sync.copy()
+        crowd_sync[structure.selected_index] = False
+        sole = int(np.flatnonzero(crowd_sync)[0])
+        engine.profile[:] = 0
+        engine.profile[sole] = 1
+        aggregates = _measure_pass(engine, 0, None, sel_action)
+        assert not aggregates.record.block_success
+
+        (chunk,) = chunks
+        ctx = _epoch_context(engine, chunk, 0)
+        utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates)
+        game = _oracle_game(
+            ctx.stake,
+            ctx.roles,
+            ctx.sync,
+            structure.costs,
+            resolved.make_rule(structure.b_i, structure.split),
+            config.committee_quorum,
+        )
+        profile = {
+            j: Strategy.DEFECT if engine.profile[j] else Strategy.COOPERATE
+            for j in range(ctx.n)
+        }
+        expected = [
+            game.payoff(sole, with_deviation(profile, sole, strategy))
+            for strategy in (Strategy.COOPERATE, Strategy.DEFECT)
+        ]
+        assert [utility_c[sole], utility_d[sole]] == pytest.approx(
+            expected, rel=1e-12, abs=1e-15
+        )
 
 
 class TestInCallThreads:

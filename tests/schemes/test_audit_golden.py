@@ -31,9 +31,12 @@ import pytest
 
 from repro.populations import SEED_BLOCK, PopulationSpec
 from repro.populations import threads as threads_module
+from repro.schemes.deviation import SWITCH
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _build_structure,
+    _chunk_context,
+    _chunks,
     audit_population_grid,
     iter_population_gains,
 )
@@ -120,9 +123,16 @@ class TestGoldenAuditBytes:
         role_based = [resolve_scheme("role_based")]
         by_case = {case: (spec, config) for case, spec, config in GAIN_CASES}
         failed = _build_structure(role_based, *by_case["population_failed_block"])
-        assert failed.base_block_fails and failed.sync_defectors > 1
-        sole = _build_structure(role_based, *by_case["population_sole_defector"])
-        assert sole.sync_defectors == 1 and sole.sole_sync_defector is not None
+        assert not failed.census.holds and failed.census.sync_defectors > 1
+        spec, config = by_case["population_sole_defector"]
+        sole = _build_structure(role_based, spec, config)
+        assert not sole.census.holds and sole.census.sync_defectors == 1
+        restorers = [
+            chunk.offset + row
+            for chunk in _chunks(spec, config)
+            for row in sole.census.flips(_chunk_context(sole, spec, chunk), SWITCH)
+        ]
+        assert len(restorers) == 1
 
     def test_fixture_covers_every_scheme_and_case(self):
         assert sorted(_golden()) == sorted(

@@ -134,15 +134,26 @@ class TestOracleAgreement:
     def test_sole_sync_defector_restores_block_like_oracle(self):
         """With exactly one sync defector, only that agent's switch to C
         restores the block — the one deviation that earns rewards."""
-        from repro.schemes.population_audit import _build_structure
+        from repro.schemes.deviation import SWITCH
+        from repro.schemes.population_audit import (
+            _build_structure,
+            _chunk_context,
+            _chunks,
+        )
         from repro.schemes.registry import resolve_scheme
 
         spec = PopulationSpec(family="uniform", size=150, cooperation=0.992, seed=0)
-        structure = _build_structure(
-            [resolve_scheme("role_based")], spec, self.POPULATION_CFG
-        )
-        assert structure.sync_defectors == 1
-        assert structure.sole_sync_defector is not None
+        config = self.POPULATION_CFG
+        structure = _build_structure([resolve_scheme("role_based")], spec, config)
+        assert structure.census.sync_defectors == 1
+        restorers = [
+            chunk.offset + row
+            for chunk in _chunks(spec, config)
+            for row in structure.census.flips(
+                _chunk_context(structure, spec, chunk), SWITCH
+            )
+        ]
+        assert len(restorers) == 1
         for name in ("role_based", "foundation", "irs"):
             fast = np.vstack(
                 [
