@@ -114,3 +114,29 @@ def test_bench_sortition_batch_population(benchmark):
 
     weights = benchmark(run)
     assert 0 < int(weights.sum()) < 2 * 2000
+
+
+def test_bench_sortition_batch_zipf_whales(benchmark):
+    """Vectorized sortition for a 5k-agent zipf population, 2000 seats.
+
+    The service audit's cold shape.  Unlike the uniform 500k case above,
+    a heavy-tailed population leaves a few whales walking hundreds of CDF
+    steps after the crowd has retired, so this times the scalar tail of
+    `binomial_weights` rather than its lockstep crowd phase.
+    """
+    import numpy as np
+
+    from repro.analysis.scale import ScaleConfig
+    from repro.sim.sortition import sample_population_weights
+
+    population = ScaleConfig(n_agents=5_000, seed=2021).population_spec().materialize()
+    stakes = population.stake64()
+    total = float(stakes.astype(np.int64).sum())
+
+    def run():
+        return sample_population_weights(
+            stakes, total, 2000.0, np.random.default_rng(7)
+        )
+
+    weights = benchmark(run)
+    assert weights.max() >= 100  # at least one whale walked the tail

@@ -13,10 +13,11 @@ another box would be meaningless) and fails when
   falls below the ``ci_guard.min_vrf_speedup`` floor (same tolerance), or
 * the telemetry tax on the kernel — enabled-registry rounds vs
   null-registry rounds stepped in lockstep for at least one CPU second
-  per side, median of ratios, best of three attempts — exceeds the ``ci_guard.max_telemetry_overhead``
-  ceiling (default 3%; disabled mode does strictly less work, so this
-  bounds the default configuration's overhead too).  Absent guard keys
-  are skipped for records written before the guard existed.
+  per side, median of nine ratios, best of three attempts — exceeds the
+  ``ci_guard.max_telemetry_overhead`` ceiling (default 3%; disabled mode
+  does strictly less work, so this bounds the default configuration's
+  overhead too).  Absent guard keys are skipped for records written
+  before the guard existed.
 
 Usage::
 
@@ -100,14 +101,15 @@ def main(argv=None) -> int:
         ceiling = max_overhead * (1.0 + guard["tolerance"])
         overhead = None
         for attempt in range(1, 4):
-            rounds, disabled_s, enabled_s, overhead = (
+            rounds, disabled_s, enabled_s, overhead, spread = (
                 run_telemetry_overhead_microbench()
             )
             print(
                 f"telemetry tax (attempt {attempt}, {rounds} rounds): "
                 f"{disabled_s * 1000:.1f}ms off, "
                 f"{enabled_s * 1000:.1f}ms on, {overhead:+.2%} "
-                f"(ceiling {max_overhead:.0%} + tolerance -> {ceiling:.2%})"
+                f"(IQR {spread:.2%}; "
+                f"ceiling {max_overhead:.0%} + tolerance -> {ceiling:.2%})"
             )
             if overhead <= ceiling:
                 break

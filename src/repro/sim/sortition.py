@@ -104,19 +104,42 @@ def binomial_weight(vrf_value: float, stake_units: int, probability: float) -> i
     if probability == 1.0:
         return stake_units
 
-    # pmf(0) = (1-p)^w, then pmf(k+1) = pmf(k) * (w-k)/(k+1) * p/(1-p).
     pmf = (1.0 - probability) ** stake_units
-    cdf = pmf
-    j = 0
-    ratio = probability / (1.0 - probability)
-    while cdf <= vrf_value and j < stake_units:
-        pmf *= (stake_units - j) / (j + 1) * ratio
+    return _finish_walk(
+        vrf_value, stake_units, pmf, pmf, 0, probability / (1.0 - probability)
+    )
+
+
+#: Still-searching elements at or below which :func:`binomial_weights`
+#: stops stepping in lockstep and finishes each element in scalar code: a
+#: lockstep iteration costs about a dozen numpy calls however few elements
+#: it carries, and in a heavy-tailed population most iterations carry a
+#: handful of whales.
+_SCALAR_TAIL = 64
+
+
+def _finish_walk(
+    value: float, units: int, pmf: float, cdf: float, j: int, ratio: float
+) -> int:
+    """Finish one element's CDF walk from ``pmf(j)`` and ``F(j)``.
+
+    The recurrence is ``pmf(0) = (1-p)^w``, then
+    ``pmf(k+1) = pmf(k) * (w-k)/(k+1) * ratio`` with ``ratio = p/(1-p)``.
+    :func:`binomial_weight` walks from ``j = 0``; :func:`binomial_weights`
+    hands its stragglers over wherever its lockstep walk leaves them.  The
+    lockstep walk runs the same IEEE operations in the same order on
+    ``float64`` arrays, so an element's result does not depend on where
+    the handoff falls.
+    """
+    units_f = float(units)
+    while cdf <= value and j < units:
+        pmf = pmf * ((units_f - j) / (j + 1) * ratio)
         j += 1
-        cdf += pmf
-        if pmf < 1e-300 and cdf <= vrf_value:
+        cdf = cdf + pmf
+        if pmf < 1e-300 and cdf <= value:
             # Floating-point underflow in an extreme tail: everything that
             # remains is mass we can no longer resolve; select all of it.
-            return stake_units
+            return units
     return j
 
 
@@ -127,19 +150,24 @@ def binomial_weights(
 ) -> np.ndarray:
     """Vectorized :func:`binomial_weight` over a population of nodes.
 
-    Runs the same multiplicative pmf recurrence as the scalar path, in
-    lockstep across the elements still searching (each element performs
-    the identical sequence of floating-point operations it would perform
-    under :func:`binomial_weight`), so the batch path is a drop-in
-    replacement and the scalar path doubles as its correctness oracle.
+    Runs the same multiplicative pmf recurrence as the scalar path, so
+    each element performs the identical sequence of floating-point
+    operations it would perform under :func:`binomial_weight`, and the
+    batch path is a drop-in replacement for it.
 
-    Only *active* elements are iterated: after the initial ``F(0)`` test
-    the kernel keeps the flat indices of elements with ``F(0) <= value``
-    and advances compacted copies of their state, scattering each element
-    back as it retires.  The cost therefore scales with the number of
-    active elements times their ``j``, not with the array size times
-    ``max(j)``: in a heavy-tailed population one whale may need hundreds
-    of iterations while almost every other agent retires at ``j = 0``.
+    The walk has two phases.  *Lockstep for the crowd*: after the initial
+    ``F(0)`` test the kernel keeps the flat indices of elements with
+    ``F(0) <= value`` and advances compacted ``float64`` copies of their
+    state one ``j`` at a time, scattering each element back as it
+    retires.  An iteration costs a fixed dozen numpy calls plus a term
+    linear in the elements it carries.  *A scalar tail for the
+    stragglers*: once at most ``_SCALAR_TAIL`` elements are still
+    searching, each finishes in plain Python floats through the scalar
+    path's own continuation, from the ``(pmf, F, j)`` the lockstep left
+    it.  In a heavy-tailed population almost every agent retires at
+    ``j = 0`` and a few whales need hundreds of steps; the lockstep runs
+    only while the crowd is wide, and the whales cost a few hundred
+    nanoseconds per step instead of a dozen numpy calls.
 
     ``vrf_values`` and ``stake_units`` broadcast against each other;
     ``probability`` is shared, matching one role's selection probability
@@ -179,7 +207,7 @@ def binomial_weights(
     unit_f = units_f.ravel()[index]
     count = np.zeros(index.size, dtype=np.int64)
     flat = selected.reshape(-1)
-    while index.size:
+    while index.size > _SCALAR_TAIL:
         pmf = pmf * ((unit_f - count) / (count + 1) * ratio)
         count += 1
         cdf = cdf + pmf
@@ -197,6 +225,14 @@ def binomial_weights(
         index = index[searching]
         pmf, cdf, value = pmf[searching], cdf[searching], value[searching]
         unit, unit_f, count = unit[searching], unit_f[searching], count[searching]
+    # The stragglers: plain Python floats and ints, not numpy scalars,
+    # whose arithmetic is several times slower.
+    ratio = float(ratio)
+    for position, v, w, pmf_j, cdf_j, j in zip(
+        index.tolist(), value.tolist(), unit.tolist(),
+        pmf.tolist(), cdf.tolist(), count.tolist(),
+    ):
+        flat[position] = _finish_walk(v, w, pmf_j, cdf_j, j, ratio)
     return selected
 
 

@@ -175,6 +175,21 @@ class Histogram:
             # slot.
             self.counts[bisect_left(self.bounds, value)] += 1
 
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record several observations, in order, under one lock hold.
+
+        The same state as one :meth:`observe` per value, for a hot loop
+        that has a batch in hand: one lock acquisition instead of one per
+        value.
+        """
+        values = [float(value) for value in values]
+        bounds, counts = self.bounds, self.counts
+        with self._lock:
+            for value in values:
+                self.sum += value
+                self.count += 1
+                counts[bisect_left(bounds, value)] += 1
+
 
 class _NullInstrument:
     """Shared no-op stand-in for every instrument of the null registry."""
@@ -189,6 +204,9 @@ class _NullInstrument:
 
     def observe(self, value: float) -> None:
         """Discard the observation."""
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Discard the observations."""
 
     def labels(self, **label_values: str) -> "_NullInstrument":
         """Return the shared no-op child."""

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import paper_aggregates
@@ -41,21 +41,46 @@ _PROBABILITY = st.one_of(
 )
 
 
+#: Log-uniform moderate probabilities, where a crowd of up to 2000-unit
+#: stakes walks several steps: ``_PROBABILITY`` alone mostly draws its
+#: endpoints and tiny values, where almost every element retires at F(0).
+_WALKING_PROBABILITY = st.floats(min_value=-4.0, max_value=-0.5).map(
+    lambda exponent: 10.0**exponent
+)
+#: Whales: (vrf value, stake units) pairs that walk up to several hundred
+#: CDF steps (until (1-p)^w underflows), long after the crowd retired.
+_WHALES = st.lists(
+    st.tuples(_VRF, st.integers(min_value=10_000, max_value=500_000)), max_size=8
+)
+
+
 class TestBinomialWeightsDifferential:
     @given(
-        vrf_values=st.lists(_VRF, min_size=1, max_size=64),
-        units=st.data(),
-        probability=_PROBABILITY,
+        # A crowd of up to a few hundred elements, its size drawn first (a
+        # list strategy alone rarely grows past a few dozen), plus a few
+        # whales: the lockstep walk runs while more than
+        # sortition._SCALAR_TAIL elements search, then hands the
+        # stragglers to the scalar tail.
+        size=st.integers(min_value=1, max_value=300),
+        whales=_WHALES,
+        data=st.data(),
+        probability=st.one_of(_PROBABILITY, _WALKING_PROBABILITY),
     )
-    def test_batch_matches_scalar_elementwise(self, vrf_values, units, probability):
-        stake_units = units.draw(
+    # No shrink phase: shrinking batches this wide runs into Hypothesis's
+    # five-minute shrink limit; the unshrunk failing batch is reported.
+    @settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_batch_matches_scalar_elementwise(self, size, whales, data, probability):
+        vrf_values = data.draw(
+            st.lists(_VRF, min_size=size, max_size=size), label="vrf_values"
+        ) + [value for value, _ in whales]
+        stake_units = data.draw(
             st.lists(
                 st.integers(min_value=0, max_value=2_000),
-                min_size=len(vrf_values),
-                max_size=len(vrf_values),
+                min_size=size,
+                max_size=size,
             ),
             label="stake_units",
-        )
+        ) + [units for _, units in whales]
         expected = [
             binomial_weight(value, unit, probability)
             for value, unit in zip(vrf_values, stake_units)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from scipy import stats as scipy_stats
 from repro.errors import SortitionError
 from repro.sim.crypto import KeyPair
 from repro.sim.sortition import (
+    _SCALAR_TAIL,
     Role,
     binomial_weight,
     binomial_weights,
@@ -122,7 +124,9 @@ class TestBinomialWeightsActiveSet:
         weights = binomial_weights(values, stakes, self.P)
         assert weights.tolist() == self._oracle(values, stakes)
         assert weights[0] == weights[1] == 0 and weights[2] == 1
-        assert weights[5] >= 500  # the whale runs hundreds of iterations
+        # The whale walks hundreds of steps; with the crowd this small it
+        # walks them all in the scalar tail.
+        assert weights[5] >= 500
         assert weights[6] == 1_000  # forced to full weight by underflow
 
     def test_broadcast_scalar_stake_matches_scalar_oracle(self):
@@ -150,6 +154,120 @@ class TestBinomialWeightsActiveSet:
         assert np.array_equal(values, before[0])
         assert np.array_equal(stakes, before[1])
         assert weights.tolist() == self._oracle(values, stakes)
+
+
+class TestScalarTailHandoff:
+    """The lockstep walk hands its last ``_SCALAR_TAIL`` stragglers to the
+    scalar continuation; every element must come out as the scalar oracle
+    says, wherever the handoff falls in its walk.
+
+    Each case checks its own geometry through the oracle weights: an
+    element that neither underflows nor stops at ``j == units`` is still
+    searching after ``k`` lockstep iterations exactly when its weight
+    exceeds ``k``.
+    """
+
+    P = 1e-3
+    TAIL = float(np.nextafter(1.0, 0.0))
+
+    @staticmethod
+    def _oracle(values, units, probability):
+        units = np.broadcast_to(units, np.shape(values))
+        return [
+            binomial_weight(v, int(w), probability)
+            for v, w in zip(np.ravel(values), np.ravel(units))
+        ]
+
+    @staticmethod
+    def _active_after_f0(values, units, probability):
+        units = np.broadcast_to(units, np.shape(values))
+        f0 = (1.0 - probability) ** units.astype(float)
+        return int(((f0 <= values) & (units > 0)).sum())
+
+    def _crowd(self, n, seed=5):
+        """``n`` elements of 5000 units (mean weight 5) drawn in the upper
+        half of the CDF, plus three whales of mean weight 300."""
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([rng.uniform(0.5, 0.99, n), [0.3, 0.7, 0.95]])
+        units = np.concatenate([np.full(n, 5_000), [300_000] * 3]).astype(np.int64)
+        return values, units
+
+    def test_handoff_at_iteration_zero(self):
+        rng = np.random.default_rng(1)
+        values = np.zeros(1_000)
+        units = rng.integers(1, 400_000, 1_000)
+        live = rng.choice(1_000, _SCALAR_TAIL, replace=False)
+        values[live] = rng.uniform(0.2, 1.0, _SCALAR_TAIL)
+        active = self._active_after_f0(values, units, self.P)
+        assert 0 < active <= _SCALAR_TAIL
+        weights = binomial_weights(values, units, self.P)
+        assert weights.tolist() == self._oracle(values, units, self.P)
+        assert weights.max() >= 100
+
+    def test_handoff_mid_walk(self):
+        values, units = self._crowd(4 * _SCALAR_TAIL)
+        expected = self._oracle(values, units, self.P)
+        weights = np.array(expected)
+        assert (weights < units).all()  # no underflow, no units stop
+        # More than the handoff size still searching after 2 iterations,
+        # at most the handoff size before the whales finish.
+        assert (weights > 2).sum() > _SCALAR_TAIL
+        assert (weights > 20).sum() <= _SCALAR_TAIL
+        assert weights[-3:].min() > 200
+        assert binomial_weights(values, units, self.P).tolist() == expected
+
+    def test_underflow_inside_the_tail(self):
+        values, units = self._crowd(4 * _SCALAR_TAIL)
+        # TAIL at 1000 units underflows the pmf at j = 164, long after
+        # the crowd has retired.
+        values = np.concatenate([values, [self.TAIL, self.TAIL]])
+        units = np.concatenate([units, [1_000, 5_000]])
+        weights = binomial_weights(values, units, self.P)
+        assert weights.tolist() == self._oracle(values, units, self.P)
+        assert weights[-2:].tolist() == [1_000, 5_000]
+
+    def test_units_stop_inside_the_tail(self):
+        # At p = 0.999 three-unit elements retire within 3 iterations; a
+        # TAIL value at 40 units never passes its cdf and stops at
+        # j == units in the scalar tail.
+        p = 0.999
+        rng = np.random.default_rng(2)
+        n = 4 * _SCALAR_TAIL
+        values = np.concatenate([rng.uniform(0.0, 0.99, n), [self.TAIL, self.TAIL]])
+        units = np.concatenate([np.full(n, 3), [40, 10]]).astype(np.int64)
+        assert self._active_after_f0(values, units, p) > _SCALAR_TAIL
+        weights = binomial_weights(values, units, p)
+        assert weights.tolist() == self._oracle(values, units, p)
+        assert weights[-2:].tolist() == [40, 10]
+
+    def test_2d_batch_hands_off_mid_walk(self):
+        values, units = self._crowd(4 * _SCALAR_TAIL + 1)
+        values, units = values.reshape(2, -1), units.reshape(2, -1)
+        weights = binomial_weights(values, units, self.P)
+        assert weights.shape == values.shape
+        assert weights.ravel().tolist() == self._oracle(values, units, self.P)
+
+    def test_broadcast_scalar_stake_hands_off_mid_walk(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.uniform(0.5, 0.99, 4 * _SCALAR_TAIL),
+                                 [self.TAIL, 0.999999]])
+        stake = 5_000
+        assert self._active_after_f0(values, stake, self.P) > _SCALAR_TAIL
+        weights = binomial_weights(values, stake, self.P)
+        assert weights.tolist() == self._oracle(values, stake, self.P)
+        assert weights[-2] == stake  # underflow inside the tail
+
+    @pytest.mark.parametrize("handoff", [0, 1, 2, 7, 64, 10**9])
+    def test_result_does_not_depend_on_the_handoff_size(self, handoff, monkeypatch):
+        # 0 walks everything in lockstep, 10**9 everything in scalar code.
+        # ``repro.sim.sortition`` the attribute is the function; patch the module.
+        module = importlib.import_module("repro.sim.sortition")
+        monkeypatch.setattr(module, "_SCALAR_TAIL", handoff)
+        values, units = self._crowd(3 * 64)
+        values = np.concatenate([values, [self.TAIL, 0.0, 0.5]])
+        units = np.concatenate([units, [1_000, 7, 0]])
+        weights = binomial_weights(values, units, self.P)
+        assert weights.tolist() == self._oracle(values, units, self.P)
 
 
 class TestBatchValidation:

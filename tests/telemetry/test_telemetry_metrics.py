@@ -74,6 +74,18 @@ class TestInstruments:
         assert histogram.count == 3
         assert histogram.sum == 1006.0
 
+    def test_histogram_observe_many_equals_repeated_observe(self):
+        values = [0.1, 1.0, 5.0, 3.3, 1000.0, 0.7]
+        one_by_one = Histogram(bounds=(1.0, 10.0, 100.0))
+        for value in values:
+            one_by_one.observe(value)
+        batched = Histogram(bounds=(1.0, 10.0, 100.0))
+        batched.observe_many(iter(values))
+        batched.observe_many([])
+        assert batched.counts == one_by_one.counts
+        assert batched.count == one_by_one.count == len(values)
+        assert batched.sum == one_by_one.sum  # same additions, same order
+
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ConfigurationError):
             Histogram(bounds=(1.0, 1.0, 2.0))
@@ -206,6 +218,7 @@ class TestNullRegistry:
         instrument = NULL_REGISTRY.counter("anything_goes_total")
         instrument.inc()
         instrument.labels(kind="a").observe(1.0)
+        instrument.labels(kind="a").observe_many([1.0, 2.0])
         NULL_REGISTRY.gauge("g").set(5)
         assert NULL_REGISTRY.snapshot() == {
             "version": SNAPSHOT_VERSION,
