@@ -140,3 +140,23 @@ def test_bench_sortition_batch_zipf_whales(benchmark):
 
     weights = benchmark(run)
     assert weights.max() >= 100  # at least one whale walked the tail
+
+
+def test_bench_zipf_block_synthesis(benchmark):
+    """One 8192-agent zipf seed block at the `audit_grid_1m` parameters.
+
+    Exponent 1.9, scale 3.0: the stake column is the block's main cost.
+    The zipf family replays numpy's rejection loop with array operations
+    (`generators.zipf_draws`); `Generator.zipf` runs it one draw at a
+    time and is the test oracle.
+    """
+    from repro.populations import PopulationSpec
+    from repro.populations.arrays import SEED_BLOCK
+
+    spec = PopulationSpec(
+        family="zipf", size=4 * SEED_BLOCK,
+        params={"exponent": 1.9, "scale": 3.0}, seed=2021,
+    )
+
+    block = benchmark(lambda: spec.block(1))
+    assert block.n_agents == SEED_BLOCK and block.offset == SEED_BLOCK

@@ -5,10 +5,14 @@ Sweeps the chunked epsilon-IC audit (every registered scheme over a
 streamed Zipf population) across population sizes up to 10^7, measuring
 audit throughput (agents/second) and peak RSS, and re-checks the
 acceptance invariant that the chunked path is bit-identical to the
-monolithic path on a size that fits in memory.  Each size runs in a
-fresh subprocess so its peak RSS is honest (``ru_maxrss`` is a process
-lifetime maximum).  Results land in ``BENCH_scale.json`` at the repo
-root — only when every invariant holds (:func:`guard_violations`).
+monolithic path on a size that fits in memory.  Each measurement runs
+in a fresh subprocess so its peak RSS is honest (``ru_maxrss`` is a
+process lifetime maximum); every size is measured :data:`REPEATS`
+times, interleaved with the other sizes, and its row records the median
+and the interquartile range (IQR) of each timing.  Results land in
+``BENCH_scale.json`` at the repo root — only when every invariant holds
+and no row's audit timings spread wider than :data:`MAX_IQR_SHARE`
+(:func:`guard_violations`).
 
 Also records the fused verdict-tensor audit: the full (scheme x budget
 x cost-scale) grid over the 10^7 population in **one** streamed pass
@@ -38,7 +42,9 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
+
+import numpy
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _BENCH_JSON = _REPO_ROOT / "BENCH_scale.json"
@@ -68,6 +74,30 @@ SERIAL_CHECK_AGENTS = 1_000_000
 #: stays below this multiple of the smallest size's, while the
 #: population grows 1000x.
 RSS_GROWTH_LIMIT = 6
+
+#: Fresh-process measurements per size.  The sweep runs the sizes in
+#: turn, ``REPEATS`` times over, so drift on a shared host lands on every
+#: size alike.
+REPEATS = 5
+
+#: A row is refused when the IQR of one of its :data:`GUARDED` timings
+#: exceeds this share of their median: such a row could not tell a 1.5x
+#: change from the host's drift.  On a shared 2-vCPU host, three of four
+#: sweeps had a row whose elapsed or audit-rate IQR was 29-48% of its
+#: median.
+MAX_IQR_SHARE = 0.5
+
+#: The timed row fields; each is stored as a median with an ``_iqr`` twin.
+TIMINGS = (
+    "elapsed_s",
+    "audit_agents_per_second_mean",
+    "committee_agents_per_second",
+)
+
+#: The timings the spread guard holds.  The committee rate is recorded
+#: but not held: its time is a sum of per-chunk steps, a few
+#: milliseconds below 10^6 agents, and its IQR reached 54% at 10^5.
+GUARDED = ("elapsed_s", "audit_agents_per_second_mean")
 
 
 def _child_payload(
@@ -198,15 +228,59 @@ def _monolithic_match(size: int = 10_000) -> bool:
     )
 
 
+def _median_iqr(values: List[float]) -> Tuple[float, float]:
+    """The median and the interquartile range (linear quartiles)."""
+    low, median, high = numpy.percentile(values, [25, 50, 75])
+    return float(median), float(high - low)
+
+
+def _row(size: int, payloads: List[Dict[str, object]]) -> Dict[str, object]:
+    """One size's record row from its repeated measurements."""
+    samples = {name: [] for name in TIMINGS}
+    for payload in payloads:
+        schemes = payload["schemes"]
+        samples["elapsed_s"].append(payload["elapsed_s"])
+        samples["audit_agents_per_second_mean"].append(
+            sum(entry["agents_per_second"] for entry in schemes.values())
+            / len(schemes)
+        )
+        samples["committee_agents_per_second"].append(
+            payload["committee"]["agents_per_s"]
+        )
+    row: Dict[str, object] = {"n_agents": size, "repeats": len(payloads)}
+    for name in TIMINGS:
+        row[name], row[f"{name}_iqr"] = _median_iqr(samples[name])
+    row["peak_rss_mb"] = max(payload["peak_rss_mb"] for payload in payloads)
+    row["certified"] = {
+        name: entry["certified"] for name, entry in payloads[0]["schemes"].items()
+    }
+    return row
+
+
 def guard_violations(payload: Dict[str, object]) -> List[str]:
     """Every acceptance invariant a ``BENCH_scale.json`` payload breaks.
 
     Chunked == monolithic verdicts, serial == threaded audit payloads,
     fused grid verdicts == per-cell verdicts (and the fused pass
-    faster), and the O(chunk) RSS envelope.  A payload this returns
-    problems for is never written.
+    faster), the O(chunk) RSS envelope, and per size at least
+    :data:`REPEATS` measurements whose :data:`GUARDED` timings' IQR
+    stays within :data:`MAX_IQR_SHARE` of their median.  A payload
+    this returns problems for is never written.
     """
     problems = []
+    for row in payload["sizes"]:
+        if row["repeats"] < REPEATS:
+            problems.append(
+                f"{row['n_agents']} agents: {row['repeats']} repeats, "
+                f"need {REPEATS}"
+            )
+        for name in GUARDED:
+            if row[f"{name}_iqr"] > MAX_IQR_SHARE * row[name]:
+                problems.append(
+                    f"{row['n_agents']} agents: {name} IQR "
+                    f"{row[name + '_iqr']:.3g} exceeds {MAX_IQR_SHARE:.0%} "
+                    f"of its median {row[name]:.3g}"
+                )
     if payload["monolithic_match_at_10k"] is not True:
         problems.append("chunked verdicts differ from the monolithic path")
     if payload["threads"]["serial_match"] is not True:
@@ -241,34 +315,21 @@ def run_benchmark(
     :func:`guard_violations`: the committed record stays the last one
     that held.
     """
-    import numpy
-
     from repro.telemetry import merge_snapshots
 
-    rows: List[Dict[str, object]] = []
+    measured: Dict[int, List[Dict[str, object]]] = {size: [] for size in sizes}
     snapshots: List[Dict[str, object]] = []
-    audits: Dict[int, object] = {}
-    for size in sizes:
-        payload = _run_child(size, chunk_agents)
-        snapshots.append(payload.pop("telemetry"))
-        audits[size] = payload["audit"]
-        derived_threads = payload["threads"]
-        schemes = payload["schemes"]
-        mean_throughput = sum(
-            entry["agents_per_second"] for entry in schemes.values()
-        ) / len(schemes)
-        rows.append(
-            {
-                "n_agents": size,
-                "elapsed_s": payload["elapsed_s"],
-                "peak_rss_mb": payload["peak_rss_mb"],
-                "audit_agents_per_second_mean": mean_throughput,
-                "committee_agents_per_second": payload["committee"]["agents_per_s"],
-                "certified": {
-                    name: entry["certified"] for name, entry in schemes.items()
-                },
-            }
-        )
+    for _ in range(REPEATS):
+        for size in sizes:
+            payload = _run_child(size, chunk_agents)
+            # Counters are the same in every repeat: keep the first's.
+            telemetry = payload.pop("telemetry")
+            if not measured[size]:
+                snapshots.append(telemetry)
+            measured[size].append(payload)
+    rows = [_row(size, measured[size]) for size in sizes]
+    audits = {size: measured[size][0]["audit"] for size in sizes}
+    derived_threads = measured[sizes[-1]][0]["threads"]
     serial_size = max(
         (size for size in sizes if size <= SERIAL_CHECK_AGENTS), default=sizes[0]
     )
@@ -289,8 +350,11 @@ def run_benchmark(
         "note": (
             "Chunked epsilon-IC audit of every registered scheme over a "
             f"streamed {FAMILY} population ({FAMILY_PARAMS}), chunk_agents="
-            f"{chunk_agents}, budget 1.5x the Theorem 3 bound.  Peak RSS is "
-            "per-size (fresh subprocess per size) and stays O(chunk) while "
+            f"{chunk_agents}, budget 1.5x the Theorem 3 bound.  Each size is "
+            f"measured {REPEATS} times in fresh subprocesses, interleaved with "
+            "the other sizes; a row's timings are the median with the IQR "
+            "beside it (_iqr), and its peak RSS is the largest of the "
+            "repeats'.  Peak RSS stays O(chunk) while "
             "population size grows 1000x.  monolithic_match asserts the "
             "chunked path reproduces the monolithic path's verdicts "
             "bit-identically at 10^4 agents.  The audit runs on the "
@@ -340,13 +404,16 @@ def _format_report(payload: Dict[str, object]) -> str:
     lines = [
         "Population-scale audit benchmark (all registered schemes, "
         f"family {payload['family']}, chunk {payload['chunk_agents']}):",
-        f"{'agents':>12}  {'audit M agents/s':>16}  {'peak RSS MB':>11}  {'elapsed s':>9}",
+        f"{'agents':>12}  {'audit M agents/s (IQR)':>22}  {'peak RSS MB':>11}  "
+        f"{'elapsed s (IQR)':>15}",
     ]
     for row in payload["sizes"]:
         lines.append(
             f"{row['n_agents']:>12,}  "
-            f"{row['audit_agents_per_second_mean'] / 1e6:>16.2f}  "
-            f"{row['peak_rss_mb']:>11.0f}  {row['elapsed_s']:>9.2f}"
+            f"{row['audit_agents_per_second_mean'] / 1e6:>14.2f} "
+            f"({row['audit_agents_per_second_mean_iqr'] / 1e6:>5.2f})  "
+            f"{row['peak_rss_mb']:>11.0f}  {row['elapsed_s']:>7.2f} "
+            f"({row['elapsed_s_iqr']:>5.2f})"
         )
     lines.append(
         f"chunked == monolithic at 10^4: {payload['monolithic_match_at_10k']}"

@@ -7,8 +7,8 @@ framework (Chen, Papadimitriou & Roughgarden 2019) both analyze mechanisms
 under Zipf/Pareto-like stake concentration.  This module is the generator
 catalog behind :class:`~repro.populations.spec.PopulationSpec`:
 
-* ``zipf`` — discrete Zipf draws (``rng.zipf``), the classic
-  heavy-tailed "many minnows, few whales" profile,
+* ``zipf`` — discrete Zipf draws, the classic heavy-tailed "many
+  minnows, few whales" profile (see below),
 * ``pareto`` — continuous Pareto with a hard minimum stake,
 * ``lognormal`` — a median/sigma-parameterized lognormal,
 * ``uniform`` / ``normal`` — bridges over the paper's own
@@ -22,6 +22,28 @@ Every family is a *builder*: ``params -> sampler(rng, size)``.  Samplers
 are i.i.d. across agents, which is what lets
 :class:`~repro.populations.spec.PopulationSpec` synthesize agents
 per seed block and guarantee chunk-size-independent output.
+
+The zipf draws are exactly numpy's ``Generator.zipf``, computed with
+array operations instead of its one-draw-at-a-time C loop
+(:func:`zipf_draws`).  That loop is a rejection sampler: each trial reads
+two doubles from the generator (``U01``, then ``V``), sets ``U = U01 *
+Umin + (1 - U01)``, ``X = floor(pow(U, -1 / am1))`` and ``T = pow(1 +
+1 / X, am1)``, rejects ``X`` outside ``[1, 2**63]`` and accepts when
+``V * X * (T - 1) / (b - 1) <= T / b``.  So draw *i* is the ``X`` of the
+*i*-th accepted pair of consecutive doubles, and ``rng.random`` yields
+those doubles in the same order.  The replay evaluates a batch of pairs
+with the same IEEE operations in the same operand order; only ``pow``
+can differ, because numpy's vectorized ``power`` may round the last ulp
+differently from the libm ``pow`` the C loop calls.  A trial whose
+``floor`` or acceptance test lies within a relative 2**-40 of its
+decision boundary (far more than an ulp) is therefore re-run with
+``math.pow``, libm's ``pow``, applied element by element; every other
+trial's decisions cannot depend on that ulp.  Afterwards the generator
+stands where ``Generator.zipf`` leaves it: exactly two doubles per trial
+consumed, any buffered ``uint32`` kept.  numpy's shortcut for exponents
+of 1025 and more (every draw is 1, nothing is read) is kept too.  The
+tests in ``tests/populations/test_zipf_replay.py`` hold the values and
+the stream state to the installed numpy's ``Generator.zipf``.
 """
 
 from __future__ import annotations
@@ -152,9 +174,126 @@ def _zipf_family(exponent: float, scale: float) -> PopulationSampler:
         raise ConfigurationError(f"zipf scale must be positive, got {scale}")
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.zipf(exponent, size).astype(np.float64) * scale
+        draws = zipf_draws(rng, exponent, size)
+        draws *= scale  # in place: no second stake-sized array per block
+        return draws
 
     return sampler
+
+
+#: ``(double) INT64_MAX`` (that is, 2**63): numpy's loop rejects larger draws.
+_INT64_MAX = float(np.iinfo(np.int64).max)
+
+#: Relative distance from a decision boundary (a ``floor`` step, or the
+#: acceptance threshold) inside which a trial is re-run with libm ``pow``.
+#: numpy's vectorized ``power`` may differ from libm in the last ulp;
+#: 2**-40 is thousands of ulps wide.
+_ZIPF_GUARD = 2.0**-40
+
+_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _libm_power(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``pow`` element by element through ``math.pow``: libm, as the C loop calls it."""
+    return _LIBM_POW(base, exponent).astype(np.float64)
+
+
+class _ZipfLoop:
+    """The constants and the vectorized trials of numpy's ``random_zipf`` loop.
+
+    Each trial reads two doubles, ``U01`` then ``V``, and accepts or
+    rejects a candidate ``X``; the operations below are the C loop's, in
+    its operand order.
+    """
+
+    def __init__(self, exponent: float) -> None:
+        self.am1 = exponent - 1.0
+        self.b = math.pow(2.0, self.am1)
+        self.umin = math.pow(_INT64_MAX, -self.am1)
+        self.power = -1.0 / self.am1
+
+    def evaluate(
+        self, u01: np.ndarray, v: np.ndarray, power: Callable = np.power
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidates, accept flags, and the trials next to a decision boundary."""
+        y = u01 * self.umin
+        y += 1 - u01
+        y = power(y, self.power)
+        x = np.floor(y)
+        # floor(y) may move if y's last ulp does: y near an integer.
+        frac = y - x
+        y *= _ZIPF_GUARD
+        near = np.minimum(frac, 1.0 - frac, out=frac) <= y
+        # Freed early: a block's peak of live temporaries stays mapped in
+        # the synthesizing thread's malloc arena, so it shows in peak RSS.
+        del y, frac
+        valid = (x <= _INT64_MAX) & (x >= 1.0)
+        t = 1.0 / x
+        t += 1.0
+        t = power(t, self.am1)
+        vx = v * x
+        lhs = t - 1.0
+        lhs *= vx
+        lhs /= self.b - 1.0
+        rhs = t / self.b
+        accepted = valid & (lhs <= rhs)
+        # An ulp of t moves lhs by about vx * t * ulp / (b - 1): T - 1 cancels.
+        lhs -= rhs
+        np.abs(lhs, out=lhs)
+        vx *= t
+        vx /= self.b - 1.0
+        vx += rhs
+        vx *= _ZIPF_GUARD
+        near |= valid & (lhs <= vx)
+        return x, accepted, near
+
+    def trials(self, doubles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidates and accept flags of the trials in consecutive double pairs."""
+        u01, v = doubles[0::2], doubles[1::2]
+        x, accepted, near = self.evaluate(u01, v)
+        rerun = np.flatnonzero(near)
+        if rerun.size:
+            x[rerun], accepted[rerun], _ = self.evaluate(
+                u01[rerun], v[rerun], _libm_power
+            )
+        return x, accepted
+
+
+def zipf_draws(rng: np.random.Generator, exponent: float, size: int) -> np.ndarray:
+    """``rng.zipf(exponent, size)`` as float64, by an array replay of its loop.
+
+    The values and the generator's state afterwards equal
+    ``rng.zipf``'s; the module docstring gives the argument.
+    """
+    # Allocated before the loop's temporaries, so freeing those leaves no
+    # hole under the array the caller keeps.
+    draws = np.ones(size)
+    if exponent >= 1025.0:
+        # numpy's shortcut: every draw is 1 and no random number is read.
+        return draws
+    loop = _ZipfLoop(exponent)
+    # `size` trials accept at most `size` values, so all of them are used.
+    x, accepted = loop.trials(rng.random(2 * size))
+    filled = int(np.count_nonzero(accepted))
+    np.compress(accepted, x, out=draws[:filled])
+    if filled == size:
+        return draws
+    # The tail draws past its last accepted trial, then rewinds the stream
+    # and re-reads exactly the doubles the used trials took.
+    bit_generator = rng.bit_generator
+    start = bit_generator.state
+    used = 0
+    while filled < size:
+        missing = size - filled
+        batch = missing * size // max(filled, 1) + missing // 4 + 16
+        x, accepted = loop.trials(rng.random(2 * batch))
+        hits = np.flatnonzero(accepted)[:missing]
+        used += int(hits[-1]) + 1 if hits.size == missing else batch
+        draws[filled : filled + hits.size] = x[hits]
+        filled += hits.size
+    bit_generator.state = start
+    rng.random(2 * used)
+    return draws
 
 
 @population_family(

@@ -35,6 +35,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -174,12 +175,14 @@ class PopulationSpec:
 
     # -- identity ------------------------------------------------------------
 
+    @cached_property
     def _identity(self) -> str:
         """The draw-determining fields, canonically encoded (dtype excluded).
 
-        The dtype is storage, not randomness: a float32 spec draws the
-        same float64 stream and casts, so it shares the seed tree with
-        its float64 twin.
+        Encoded once per spec: every (block, column) stream's seed label
+        starts with it.  The dtype is storage, not randomness: a float32
+        spec draws the same float64 stream and casts, so it shares the
+        seed tree with its float64 twin.
         """
         return _canonical(
             {
@@ -194,7 +197,7 @@ class PopulationSpec:
     def cache_key(self) -> str:
         """Content hash identifying this spec (dtype included) in caches."""
         payload = _canonical(
-            {"identity": self._identity(), "dtype": self.dtype, "seed": self.seed}
+            {"identity": self._identity, "dtype": self.dtype, "seed": self.seed}
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -251,7 +254,7 @@ class PopulationSpec:
         same tree so their draws are chunk-stable too and never perturb
         the population's.
         """
-        label = f"population:{self._identity()}:block:{block_index}:{column}"
+        label = f"population:{self._identity}:block:{block_index}:{column}"
         return np.random.default_rng(derive_seed(self.seed, label))
 
     def chunk_draws(

@@ -39,3 +39,63 @@ def test_committed_record_passes_its_guard(record):
     payload = json.loads((REPO_ROOT / record).read_text())
     script = _load_script(RECORDS[record])
     assert script.guard_violations(payload) == []
+
+
+
+def _scale_record():
+    """The committed scale record and the script that guards it."""
+    payload = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())
+    return payload, _load_script(RECORDS["BENCH_scale.json"])
+
+
+def test_scale_rows_record_repeated_timings():
+    """Each size row is the median of repeated runs, with its IQR beside it."""
+    payload, script = _scale_record()
+    for row in payload["sizes"]:
+        assert row["repeats"] >= script.REPEATS
+        for name in script.TIMINGS:
+            assert row[f"{name}_iqr"] >= 0.0
+        for name in script.GUARDED:
+            assert row[f"{name}_iqr"] <= script.MAX_IQR_SHARE * row[name]
+
+
+def test_scale_row_takes_median_iqr_and_largest_rss():
+    script = _load_script(RECORDS["BENCH_scale.json"])
+    payloads = [
+        {
+            "elapsed_s": elapsed,
+            "peak_rss_mb": 100.0 + elapsed,
+            "schemes": {
+                "a": {"agents_per_second": 10.0 * elapsed, "certified": True},
+                "b": {"agents_per_second": 30.0 * elapsed, "certified": False},
+            },
+            "committee": {"agents_per_s": 5.0},
+        }
+        for elapsed in (4.0, 1.0, 100.0, 3.0, 2.0)
+    ]
+    row = script._row(1000, payloads)
+    assert row["repeats"] == 5
+    # Sorted 1, 2, 3, 4, 100: median 3, quartiles 2 and 4.
+    assert (row["elapsed_s"], row["elapsed_s_iqr"]) == (3.0, 2.0)
+    audit = "audit_agents_per_second_mean"
+    assert (row[audit], row[f"{audit}_iqr"]) == (60.0, 40.0)
+    committee = "committee_agents_per_second"
+    assert (row[committee], row[f"{committee}_iqr"]) == (5.0, 0.0)
+    assert row["peak_rss_mb"] == 200.0
+    assert row["certified"] == {"a": True, "b": False}
+
+
+@pytest.mark.parametrize("timing", ["elapsed_s", "audit_agents_per_second_mean"])
+def test_scale_guard_refuses_a_wide_row(timing):
+    payload, script = _scale_record()
+    row = payload["sizes"][1]
+    row[f"{timing}_iqr"] = 1.5 * script.MAX_IQR_SHARE * row[timing]
+    problems = script.guard_violations(payload)
+    assert len(problems) == 1 and f"{timing} IQR" in problems[0]
+
+
+def test_scale_guard_refuses_a_single_sample_row():
+    payload, script = _scale_record()
+    payload["sizes"][1]["repeats"] = 1
+    problems = script.guard_violations(payload)
+    assert len(problems) == 1 and "1 repeats" in problems[0]
