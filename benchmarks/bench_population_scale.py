@@ -39,6 +39,7 @@ import datetime
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -87,11 +88,15 @@ REPEATS = 5
 #: median.
 MAX_IQR_SHARE = 0.5
 
-#: The timed row fields; each is stored as a median with an ``_iqr`` twin.
+#: The measured row fields; each is stored as a median with an ``_iqr``
+#: twin.  ``minor_faults_per_million_agents`` counts the page faults
+#: (``RUSAGE_SELF`` ``ru_minflt``) taken inside ``run_scale``, both passes
+#: and the committee included, per 10^6 agents.
 TIMINGS = (
     "elapsed_s",
     "audit_agents_per_second_mean",
     "committee_agents_per_second",
+    "minor_faults_per_million_agents",
 )
 
 #: The timings the spread guard holds.  The committee rate is recorded
@@ -114,6 +119,7 @@ def _child_payload(
 
     if serial:
         threads.THREADS = 1
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with capture() as registry:
         result = run_scale(
             ScaleConfig(
@@ -124,7 +130,9 @@ def _child_payload(
                 seed=SEED,
             )
         )
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     payload = dict(result.to_payload())
+    payload["minor_faults_per_million_agents"] = faults * 1e6 / size
     payload["threads"] = threads.THREADS
     payload["telemetry"] = registry.snapshot()
     return payload
@@ -247,6 +255,9 @@ def _row(size: int, payloads: List[Dict[str, object]]) -> Dict[str, object]:
         samples["committee_agents_per_second"].append(
             payload["committee"]["agents_per_s"]
         )
+        samples["minor_faults_per_million_agents"].append(
+            payload["minor_faults_per_million_agents"]
+        )
     row: Dict[str, object] = {"n_agents": size, "repeats": len(payloads)}
     for name in TIMINGS:
         row[name], row[f"{name}_iqr"] = _median_iqr(samples[name])
@@ -354,7 +365,9 @@ def run_benchmark(
             f"measured {REPEATS} times in fresh subprocesses, interleaved with "
             "the other sizes; a row's timings are the median with the IQR "
             "beside it (_iqr), and its peak RSS is the largest of the "
-            "repeats'.  Peak RSS stays O(chunk) while "
+            "repeats'.  minor_faults_per_million_agents counts the page "
+            "faults (RUSAGE_SELF ru_minflt) taken inside run_scale per 10^6 "
+            "agents.  Peak RSS stays O(chunk) while "
             "population size grows 1000x.  monolithic_match asserts the "
             "chunked path reproduces the monolithic path's verdicts "
             "bit-identically at 10^4 agents.  The audit runs on the "

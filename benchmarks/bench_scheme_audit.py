@@ -47,6 +47,17 @@ RTOL, ATOL = 1e-9, 1e-15
 #: ...and beat it by at least this factor (recorded: ~90x).
 MIN_SPEEDUP = 10.0
 
+#: Timed repeats of each path, interleaved (oracle, vectorized, oracle,
+#: ...), so drift on a shared host lands on both alike.
+REPEATS = 7
+
+#: A record is refused when a timing's IQR exceeds this share of its
+#: median: such a record could not tell a 1.5x change from the host.
+MAX_IQR_SHARE = 0.5
+
+#: The timed record fields; each is stored as a median with an ``_iqr`` twin.
+TIMINGS = ("scalar_oracle_s", "vectorized_s")
+
 
 def _machine() -> str:
     return (
@@ -59,10 +70,20 @@ def guard_violations(payload: Dict[str, object]) -> List[str]:
     """Every acceptance invariant a ``BENCH_schemes.json`` payload breaks.
 
     The vectorized gains agree with the scalar oracle (same ``nan``
-    marks, values within tolerance) and the speedup clears its floor.  A
-    payload this returns problems for is never written.
+    marks, values within tolerance), the speedup of the median timings
+    clears its floor, and each timing is the median of at least
+    :data:`REPEATS` runs whose IQR stays within :data:`MAX_IQR_SHARE` of
+    it.  A payload this returns problems for is never written.
     """
     problems = []
+    if payload["repeats"] < REPEATS:
+        problems.append(f"{payload['repeats']} repeats, need {REPEATS}")
+    for name in TIMINGS:
+        if payload[f"{name}_iqr"] > MAX_IQR_SHARE * payload[name]:
+            problems.append(
+                f"{name} IQR {payload[name + '_iqr']:.3g} exceeds "
+                f"{MAX_IQR_SHARE:.0%} of its median {payload[name]:.3g}"
+            )
     if payload["oracle_agrees"] is not True:
         problems.append(
             f"vectorized gains diverge from the scalar oracle "
@@ -84,19 +105,25 @@ def test_bench_vectorized_audit_vs_scalar_oracle(benchmark, report):
         _vectorized_gains, args=(scheme, cell), rounds=3, iterations=1
     )
 
-    start = time.perf_counter()
-    slow = np.stack(
-        [
-            _oracle_gains(scheme, cell, b)
-            for b in range(_CONFIG.n_populations)
-        ],
-        axis=1,
-    )
-    scalar_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    _vectorized_gains(scheme, cell)
-    vector_seconds = time.perf_counter() - start
+    paths = {
+        "scalar_oracle_s": lambda: np.stack(
+            [_oracle_gains(scheme, cell, b) for b in range(_CONFIG.n_populations)],
+            axis=1,
+        ),
+        "vectorized_s": lambda: _vectorized_gains(scheme, cell),
+    }
+    samples = {name: [] for name in TIMINGS}
+    for _ in range(REPEATS):
+        for name in TIMINGS:
+            start = time.perf_counter()
+            paths[name]()
+            samples[name].append(time.perf_counter() - start)
+    timings = {}
+    for name in TIMINGS:
+        low, median, high = np.percentile(samples[name], [25, 50, 75])
+        timings[name], timings[f"{name}_iqr"] = float(median), float(high - low)
+    scalar_seconds, vector_seconds = timings["scalar_oracle_s"], timings["vectorized_s"]
+    slow = paths["scalar_oracle_s"]()
 
     agrees = bool(
         np.array_equal(np.isnan(fast), np.isnan(slow))
@@ -116,15 +143,18 @@ def test_bench_vectorized_audit_vs_scalar_oracle(benchmark, report):
             "scheme.  The scalar oracle builds an AlgorandGame per "
             "population and calls payoff() per deviation; the vectorized "
             "engine computes the same tensor with closed-form pool "
-            "algebra.  Both paths agree to float tolerance."
+            "algebra.  Both paths agree to float tolerance.  Each path is "
+            f"timed {REPEATS} times, interleaved with the other; a timing is "
+            "the median with the IQR beside it (_iqr), and the speedup is "
+            "the ratio of the medians."
         ),
         "cell": {
             "n_populations": _CONFIG.n_populations,
             "n_players": _CONFIG.n_players,
             "n_deviations_checked": n_deviations,
         },
-        "scalar_oracle_s": scalar_seconds,
-        "vectorized_s": vector_seconds,
+        "repeats": REPEATS,
+        **timings,
         "speedup": round(speedup, 1),
         "max_abs_diff": max_diff,
         "oracle_agrees": agrees,
@@ -139,7 +169,9 @@ def test_bench_vectorized_audit_vs_scalar_oracle(benchmark, report):
 
     report(
         f"vectorized audit: {n_deviations} deviation payoffs in "
-        f"{vector_seconds * 1e3:.1f}ms; scalar oracle {scalar_seconds:.2f}s "
+        f"{vector_seconds * 1e3:.1f}ms (median of {REPEATS}, IQR "
+        f"{timings['vectorized_s_iqr'] * 1e3:.2f}ms); scalar oracle "
+        f"{scalar_seconds:.2f}s "
         f"-> {speedup:.0f}x (max |diff| {max_diff:.1e})\n"
         f"[written to {_BENCH_JSON.name}]"
     )

@@ -36,6 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -149,7 +150,8 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
+        # A read-only private copy: the identity is cached on first use.
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         # Normalized to int so numpy-integer callers share cache keys
         # (and JSON identities) with plain-int ones.
         object.__setattr__(self, "size", _agent_count("population size", self.size))
@@ -193,6 +195,15 @@ class PopulationSpec:
                 "cost_jitter": self.cost_jitter,
             }
         )
+
+    def __hash__(self) -> int:
+        # Equal specs hash equal: ``1 == 1.0`` in a parameter value, so
+        # only the parameter names enter the hash.
+        fields = (self.family, self.size, self.cooperation, self.cost_jitter)
+        return hash((*fields, tuple(sorted(self.params)), self.dtype, self.seed))
+
+    def __reduce__(self):
+        return (PopulationSpec.from_params, (self.to_params(),))
 
     def cache_key(self) -> str:
         """Content hash identifying this spec (dtype included) in caches."""

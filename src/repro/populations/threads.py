@@ -16,7 +16,9 @@ consumer needs for that, and nothing consumer-specific:
   :func:`~repro.telemetry.runtime.capture` registry;
 * :func:`sliced` — the one slice loop: cut every chunk into block-aligned
   :func:`slices`, fold slice 0 on the calling thread and the others on
-  the pool, and hand the partial results back in population order.
+  the pool, and hand the partial results back in population order;
+* :class:`Lane` — the scratch arrays one slice index reuses from chunk
+  to chunk, so chunk-sized temporaries are not faulted in afresh.
 
 Callers fold results back in a fixed order, so output never depends on
 the thread count; the population audit's gain pass
@@ -33,6 +35,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import (
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -41,6 +44,8 @@ from typing import (
     Tuple,
     TypeVar,
 )
+
+import numpy as np
 
 from repro.populations.arrays import SEED_BLOCK, PopulationArrays
 
@@ -136,10 +141,41 @@ def slices(chunk: PopulationArrays, n: int) -> List[PopulationArrays]:
     return [chunk.rows(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
+class Lane:
+    """Scratch arrays that one fold at a time reuses from chunk to chunk.
+
+    malloc hands freed chunk-sized temporaries back to the OS and the next
+    fold faults them in again; buffers taken from a lane keep their pages.
+    :meth:`empty` returns the first ``n`` elements of the buffer named
+    ``key`` as the last fold left them (regrown only when too small).  A
+    lane lives as long as its call; nothing a fold returns may alias it.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: Dict[object, np.ndarray] = {}
+
+    def empty(self, key: object, n: int, dtype: type = np.float64) -> np.ndarray:
+        """An uninitialized ``(n,)`` view of the buffer named ``key``."""
+        return self._take(key, n, dtype, np.empty)
+
+    def zeros(self, key: object, n: int) -> np.ndarray:
+        """A zeroed float64 ``(n,)`` view of the buffer named ``key``."""
+        return self._take(key, n, np.float64, np.zeros)
+
+    def _take(self, key, n, dtype, new) -> np.ndarray:
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < n or buffer.dtype != dtype:
+            # A fresh np.zeros is calloc'd: untouched pages stay unfaulted.
+            buffer = self._buffers[key] = new(n, dtype)
+        elif new is np.zeros:
+            buffer[:n] = 0.0
+        return buffer[:n]
+
+
 def sliced(
     chunks: Iterable[PopulationArrays],
     pool: Optional[ThreadPoolExecutor],
-    fold: Callable[[PopulationArrays], T],
+    fold: Callable[[PopulationArrays, Lane], T],
 ) -> Iterator[Tuple[PopulationArrays, Iterator[T]]]:
     """Yield ``(chunk, partials)`` for every chunk, in population order.
 
@@ -150,26 +186,31 @@ def sliced(
     results in population order: reading the first runs ``fold`` on
     slice 0 on the calling thread, the others are waited for, so the
     caller can work on the chunk before reading.  Read every partial
-    before advancing: a worker's exception surfaces there.  (Slice 0
-    runs on read, not before the yield, so no fold of one chunk runs
-    while the caller still holds the previous chunk.)
+    before advancing: a worker's exception surfaces there, and the next
+    chunk's slices reuse the lanes.  (Slice 0 runs on read, not before
+    the yield, so no fold of one chunk runs while the caller still holds
+    the previous chunk.)
 
-    ``fold`` must touch only its slice's rows of any shared array, since
-    slices of one chunk run concurrently.
+    ``fold(slice, lane)`` must touch only its slice's rows of any shared
+    array, since slices of one chunk run concurrently.  Slice ``i`` is
+    folded with lane ``i`` of this call's workspace (one :class:`Lane`
+    per slice index, dropped when the loop ends).
     """
     n = THREADS if pool is not None else 1
+    lanes = [Lane() for _ in range(n)]
     for chunk in prefetch(chunks, pool):
         first, *rest = slices(chunk, n)
-        pending = [submit(pool, fold, part) for part in rest]
-        yield chunk, _in_order(fold, first, pending)
+        pending = [submit(pool, fold, *job) for job in zip(rest, lanes[1:])]
+        yield chunk, _in_order(fold, first, lanes[0], pending)
 
 
 def _in_order(
-    fold: Callable[[PopulationArrays], T],
+    fold: Callable[[PopulationArrays, Lane], T],
     first: PopulationArrays,
+    lane: Lane,
     pending: Sequence["Future[T]"],
 ) -> Iterator[T]:
-    """``fold(first)``, then each pending future's result, in order."""
-    yield fold(first)
+    """``fold(first, lane)``, then each pending future's result, in order."""
+    yield fold(first, lane)
     for future in pending:
         yield future.result()

@@ -101,7 +101,7 @@ from repro.populations.arrays import (
 )
 from repro.populations.generators import resolve_sampler
 from repro.populations.spec import PopulationSpec
-from repro.populations.threads import call_pool, prefetch
+from repro.populations.threads import Lane, call_pool, prefetch
 from repro.scenarios.dynamics import EpochRecord, ScenarioTrajectory
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -560,7 +560,7 @@ def _measure_pass(
     defect_cost_sum = 0.0
     sync_defectors = 0
 
-    def measure(part: PopulationArrays) -> _MeasureSlice:
+    def measure(part: PopulationArrays, lane: Lane) -> _MeasureSlice:
         return _measure_slice(engine, epoch, thresholds, sel_action, part)
 
     for _chunk, partials in threads.sliced(engine.chunks, engine.pool, measure):
@@ -612,7 +612,10 @@ def _measure_pass(
 
 
 def _chunk_counterfactuals(
-    engine: _Engine, agents: Agents, aggregates: _EpochAggregates
+    engine: _Engine,
+    agents: Agents,
+    aggregates: _EpochAggregates,
+    lane: Optional[Lane] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-agent counterfactual payoffs ``(u_C, u_D)`` for one batch.
 
@@ -631,6 +634,7 @@ def _chunk_counterfactuals(
         [engine.slice_budget],
         base=False,
         deviations=(0, 1),
+        lane=lane,
     )
     rewards_c -= agents.coop_cost
     rewards_d -= agents.sortition_cost
@@ -704,13 +708,16 @@ def _update_pass(
         intensity=spec.replicator_intensity, mutation=spec.replicator_mutation
     )
 
-    def revise(part: PopulationArrays):
+    def revise(part: PopulationArrays, lane: Lane):
         """Replicator partials, or the slice's crowd revision count."""
         ctx = _epoch_context(engine, part, prev_epoch)
-        utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates)
-        crowd = ctx.roles == ONLINE
+        utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates, lane)
         if replicator:
-            return ReplicatorAccumulator.partials(utility_c, utility_d, crowd)
+            # Selected rows zeroed in place (an ``include`` mask copies).
+            utility_c[ctx.selected_rows] = utility_d[ctx.selected_rows] = 0.0
+            sums_c, sums_d, n = ReplicatorAccumulator.partials(utility_c, utility_d)
+            return sums_c, sums_d, n - ctx.selected_rows.size
+        crowd = ctx.roles == ONLINE
         switched = _best_responses(ctx.coop, utility_c, utility_d)
         rows = slice(part.offset, part.offset + ctx.n)
         np.copyto(engine.profile[rows], switched, where=crowd)

@@ -24,7 +24,9 @@ batch when the profile produces a block, and only the agents whose move
 restores it when it does not.
 
 Pools are folded one at a time, each the cheapest way its crowd (online
-agents) allows; see :class:`PaymentFold`.
+agents) allows; see :class:`PaymentFold`.  Its buffers and the reward
+accumulators live in a :class:`~repro.populations.threads.Lane`: a
+streamed caller passes one per slice thread, others get a temporary one.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 
 from repro.core.costs import RoleCosts
 from repro.errors import AuditError
+from repro.populations.threads import Lane
 from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
 
 #: Role codes used throughout the batched arrays.
@@ -290,6 +293,7 @@ class PaymentFold:
         tables: PoolTables,
         agents: Agents,
         deviations: Sequence[int],
+        lane: Lane,
         weights: Optional[np.ndarray] = None,
     ) -> None:
         self.tables = tables
@@ -297,12 +301,12 @@ class PaymentFold:
         self.deviations = deviations
         self.weights = weights
         n = agents.n
-        self.contribution = np.empty(n)
-        self.new_contribution = np.empty(n)
-        self.new_totals = np.empty(n)
-        self.scratch = np.empty(n)
-        self.payable = np.empty(n, dtype=bool)
-        self.positive = np.empty(n, dtype=bool)
+        self.contribution = lane.empty("contribution", n)
+        self.new_contribution = lane.empty("new_contribution", n)
+        self.new_totals = lane.empty("new_totals", n)
+        self.scratch = lane.empty("scratch", n)
+        self.payable = lane.empty("payable", n, bool)
+        self.positive = lane.empty("positive", n, bool)
         self._selected: Optional[PaymentFold] = None
 
     def pool(self, p, total, pool_budgets, pool_rates, base_rewards, rewards):
@@ -321,7 +325,7 @@ class PaymentFold:
         if self._selected is None:
             weights = None if self.weights is None else self.weights[:, rows]
             self._selected = PaymentFold(
-                self.tables, self.agents.selected, self.deviations, weights
+                self.tables, self.agents.selected, self.deviations, Lane(), weights
             )
 
         def gather(values):
@@ -385,6 +389,19 @@ class PaymentFold:
             np.add(acc, scratch, out=acc, where=payable)
 
 
+def _accumulators(
+    lane: Lane, n: int, budgets: int, deviations: int, base: bool
+) -> Tuple[List[np.ndarray], ...]:
+    """Zeroed base, then per-deviation, rewards (unused base ones unfaulted)."""
+    return tuple(
+        [
+            lane.zeros(("rewards", d, i), n) if base or d else np.zeros(n)
+            for i in range(budgets)
+        ]
+        for d in range(deviations + 1)
+    )
+
+
 def fold_rewards(
     tables: PoolTables,
     agents: Agents,
@@ -393,6 +410,7 @@ def fold_rewards(
     base: bool,
     deviations: Sequence[int],
     weights: Optional[np.ndarray] = None,
+    lane: Optional[Lane] = None,
 ) -> Tuple[List[np.ndarray], ...]:
     """Fold base rewards and unilateral deviation payments, pool by pool.
 
@@ -405,11 +423,13 @@ def fold_rewards(
     it, block or no block (:func:`block_fold` applies the block rule).
     Each element sees the same float expressions in the same order for
     any number of budgets, whichever way (:class:`PaymentFold`) its
-    pools are folded and whichever rows the batch holds.
+    pools are folded and whichever rows the batch holds.  The returned
+    accumulators live in ``lane`` (a temporary one by default).
     """
-    n = agents.n
-    base_rewards = [np.zeros(n) for _ in budgets]
-    rewards = [[np.zeros(n) for _ in budgets] for _ in deviations]
+    lane = Lane() if lane is None else lane
+    base_rewards, *rewards = _accumulators(
+        lane, agents.n, len(budgets), len(deviations), base
+    )
     if not base and not deviations:
         return (base_rewards, *rewards)
     if base:
@@ -417,7 +437,7 @@ def fold_rewards(
         positive = totals > 0
         divisor = np.where(positive, totals, 1.0)
         rates = [budget / divisor * positive for budget in budgets]
-    fold = PaymentFold(tables, agents, deviations, weights)
+    fold = PaymentFold(tables, agents, deviations, lane, weights)
     for p in range(len(tables.kinds)):
         fold.pool(
             p,
@@ -515,6 +535,7 @@ def block_fold(
     deviations: Sequence[int],
     weights: Optional[np.ndarray] = None,
     flips: Optional[Sequence[np.ndarray]] = None,
+    lane: Optional[Lane] = None,
 ) -> Tuple[List[np.ndarray], ...]:
     """:func:`fold_rewards` under the block rule: no block, no rewards.
 
@@ -523,17 +544,17 @@ def block_fold(
     base rewards are zero and only the rows whose move restores the
     block are folded (:meth:`Agents.subset`), at the pool totals of
     one population.  ``flips`` may pass :meth:`Census.flips` per
-    deviation, shared by several folds of one batch.
+    deviation, shared by several folds of one batch.  The restoring
+    rows vary in number, so their fold gets a temporary lane.
     """
+    lane = Lane() if lane is None else lane
     held = np.all(census.holds)
     if held:
         folded = fold_rewards(
-            tables, agents, totals, budgets, base, deviations, weights
+            tables, agents, totals, budgets, base, deviations, weights, lane
         )
     else:
-        folded = tuple(
-            [np.zeros(agents.n) for _ in budgets] for _ in range(len(deviations) + 1)
-        )
+        folded = _accumulators(lane, agents.n, len(budgets), len(deviations), base)
     for i, (to, accs) in enumerate(zip(deviations, folded[1:])):
         rows = census.flips(agents, to) if flips is None else flips[i]
         if held:
@@ -582,12 +603,13 @@ def deviation_gains(
     :func:`block_fold`, the block rule already applied; an agent going
     offline forfeits every reward.
     """
-    neg_sortition = np.negative(agents.sortition_cost)
     gains: List[Gains] = []
     for base_utility, gain in zip(base, switch):
         base_utility -= agents.current_cost
         gain -= agents.switch_cost
         gain -= base_utility
-        np.subtract(neg_sortition, base_utility, out=base_utility)
+        # -u - c_so in place: (-u) + (-c_so), the same bits as (-c_so) - u.
+        np.negative(base_utility, out=base_utility)
+        base_utility -= agents.sortition_cost
         gains.append(Gains(switch=gain, to_o=base_utility))
     return gains

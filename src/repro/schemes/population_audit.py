@@ -76,7 +76,7 @@ from repro.populations.arrays import (
     blockwise_sum,
 )
 from repro.populations.spec import PopulationSpec
-from repro.populations.threads import call_pool, prefetch
+from repro.populations.threads import Lane, call_pool, prefetch
 from repro.schemes.audit import DeviationWitness
 from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
 from repro.schemes.deviation import (
@@ -728,6 +728,7 @@ def _chunk_gains(
     cells: Sequence[_Structure],
     ctx: Agents,
     flips: Optional[np.ndarray] = None,
+    lane: Optional[Lane] = None,
 ) -> List[Gains]:
     """Deviation gains of one chunk for every budget cell of one cost scale.
 
@@ -741,7 +742,8 @@ def _chunk_gains(
     fail it (the ``population`` target), pays only a switch that
     restores it.  ``flips`` passes the chunk's
     :meth:`~repro.schemes.deviation.Census.flips` for :data:`SWITCH`
-    when the caller shares them across schemes and cost scales.
+    when the caller shares them across schemes and cost scales.  The
+    gains live in ``lane`` (default: a temporary one) until its next fold.
     """
     head = cells[0]
     table = head.tables[scheme_name]
@@ -754,6 +756,7 @@ def _chunk_gains(
         base=True,
         deviations=(SWITCH,),
         flips=None if flips is None else [flips],
+        lane=lane,
     )
     return deviation_gains(ctx, base, switch)
 
@@ -772,7 +775,8 @@ def iter_population_gains(
     with one budget cell) — used directly by the differential tests that
     compare chunked gains against the monolithic path and the scalar
     game oracle.  The structure pass prefetches chunks like the audit's;
-    the gains are yielded from the calling thread.
+    the gains are yielded from the calling thread, as fresh arrays (the
+    fold's own buffers are reused by the next chunk).
     """
     resolved = resolve_scheme(scheme)
     chunks = _chunks(spec, config)
@@ -781,9 +785,10 @@ def iter_population_gains(
             structure = _build_structure(
                 [resolved], spec, config, prefetch(chunks, pool)
             )
+    lane = Lane()
     for chunk in chunks:
         ctx = _chunk_context(structure, spec, chunk)
-        (gains,) = _chunk_gains(resolved.name, [structure], ctx)
+        (gains,) = _chunk_gains(resolved.name, [structure], ctx, lane=lane)
         yield chunk, np.column_stack(gains.targets(ctx)), ctx.coop
 
 
@@ -807,14 +812,14 @@ class _GainReducer:
         self.witness: Optional[DeviationWitness] = None
 
     def update(self, gains: Gains, ctx: Agents) -> None:
-        """Fold one chunk's switch and O columns (no ``(n, 3)`` tensor)."""
+        """Fold one chunk's switch and O columns (consumes ``gains.switch``)."""
         self.n_deviations += 2 * ctx.n
         chunk_max = max(float(gains.switch.max()), float(gains.to_o.max()))
         if chunk_max > self.max_gain:
             self.max_gain = chunk_max
             self.witness = self._witness(gains, ctx, chunk_max)
         # Cooperators' work-reducing deviations: their switch (to D) and O.
-        coop_best = np.fmax(gains.switch, gains.to_o)
+        coop_best = np.fmax(gains.switch, gains.to_o, out=gains.switch)
         coop_best += ctx.nan_unless_coop
         shirk = float(np.fmax.reduce(coop_best))
         if not math.isnan(shirk):
@@ -1112,6 +1117,7 @@ def audit_population_grid(
             cs: float,
             into: Dict[Tuple[str, float, float], _GainReducer],
             flips: Optional[np.ndarray],
+            lane: Lane,
         ) -> np.ndarray:
             """Fold one chunk into every cell of one cost scale.
 
@@ -1128,7 +1134,7 @@ def audit_population_grid(
             for item in resolved:
                 call_started = time.perf_counter() if telemetry else 0.0
                 for b, gains in zip(
-                    budgets, _chunk_gains(item.name, cells, ctx, flips)
+                    budgets, _chunk_gains(item.name, cells, ctx, flips, lane)
                 ):
                     into[(item.name, b, cs)].update(gains, ctx)
                 if telemetry:
@@ -1153,20 +1159,21 @@ def audit_population_grid(
             }
 
         def fold(
-            chunk: PopulationArrays,
+            chunk: PopulationArrays, lane: Lane
         ) -> Dict[Tuple[str, float, float], _GainReducer]:
             """Fold one chunk (or slice) into fresh reducers for every cell.
 
             Draws the synchrony Bernoullis and widens the stakes once;
             every cost scale re-derives its context (costs differ), and
-            every budget cell shares that scale's context.
+            every budget cell shares that scale's context.  Every
+            (scheme, cost-scale) fold writes into the slice's ``lane``.
             """
             into = new_reducers()
             stake = chunk.stake64()
             sync_draws = _sync_mask(spec, config, chunk)
             flips = None
             for cs in scales:
-                flips = fold_scale(chunk, stake, sync_draws, cs, into, flips)
+                flips = fold_scale(chunk, stake, sync_draws, cs, into, flips, lane)
             return into
 
         with call_pool(threads.THREADS) as pool:

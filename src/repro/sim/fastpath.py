@@ -1201,15 +1201,25 @@ def committee_step(
     primitive, and keeps only the selected agents.  Per-agent draws are
     chunk-independent, so any block-aligned chunking selects the same
     agents.  :func:`sample_committee_stream` and ``run_scale``'s fused
-    gain pass both draw through here.
+    gain pass both draw through here.  The chunk is drawn one seed block
+    at a time: malloc recycles block-sized temporaries, where it hands
+    chunk-sized ones back to the OS to be faulted in again next chunk.
     """
+    from repro.populations.arrays import SEED_BLOCK  # populations imports sim
+
     stake = chunk.stake64()
-    values = spec.chunk_draws(
-        chunk.offset, chunk.n_agents, column, lambda rng, n: rng.random(n)
-    )
-    selected_weights = binomial_weights(values, stake.astype(np.int64), probability)
-    rows = np.flatnonzero(selected_weights > 0)
-    return (chunk.offset + rows).astype(np.int64), selected_weights[rows], stake[rows]
+    rows, weights = [], []
+    for start in range(0, chunk.n_agents, SEED_BLOCK):
+        units = stake[start : start + SEED_BLOCK].astype(np.int64)
+        values = spec.chunk_draws(
+            chunk.offset + start, units.size, column, lambda rng, n: rng.random(n)
+        )
+        block_weights = binomial_weights(values, units, probability)
+        selected = np.flatnonzero(block_weights > 0)
+        rows.append(start + selected)
+        weights.append(block_weights[selected])
+    local = np.concatenate(rows)
+    return chunk.offset + local.astype(np.int64), np.concatenate(weights), stake[local]
 
 
 def assemble_committee(

@@ -87,6 +87,46 @@ class TestValidation:
         assert spec.cache_key() == small_spec().cache_key()
 
 
+class TestHashable:
+    """A frozen spec is a value: it hashes, and its params cannot move."""
+
+    def test_keys_a_dict_and_sits_in_a_set(self):
+        spec = PopulationSpec("zipf", 10, params={"exponent": 1.9})
+        assert {spec: "a"}[PopulationSpec("zipf", 10, params={"exponent": 1.9})] == "a"
+        assert len({spec, small_spec(), small_spec()}) == 2
+
+    def test_equal_specs_hash_equal(self):
+        pairs = [
+            (small_spec(), small_spec()),
+            (small_spec(params={"exponent": 2}), small_spec(params={"exponent": 2.0})),
+            (small_spec(size=np.int64(20_000)), small_spec(size=20_000)),
+            (small_spec(cooperation=1), small_spec(cooperation=1.0)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert small_spec() != small_spec(seed=10)
+
+    def test_callers_dict_cannot_change_the_spec(self):
+        params = {"exponent": 1.9}
+        spec = PopulationSpec("zipf", 10, params=params)
+        key = spec.cache_key()
+        params["exponent"] = 3.0
+        params["scale"] = 2.0
+        assert dict(spec.params) == {"exponent": 1.9}
+        assert spec.cache_key() == key
+        with pytest.raises(TypeError):
+            spec.params["exponent"] = 3.0
+
+    def test_copies_and_pickles_stay_equal(self):
+        import copy
+        import pickle
+
+        spec = small_spec(cooperation=0.7, dtype="float32")
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert clone == spec and hash(clone) == hash(spec)
+            assert clone.cache_key() == spec.cache_key()
+
+
 class TestStreaming:
     def test_chunks_concatenate_to_materialized(self):
         spec = small_spec(cooperation=0.6, cost_jitter=0.1)

@@ -70,6 +70,7 @@ def test_scale_row_takes_median_iqr_and_largest_rss():
                 "b": {"agents_per_second": 30.0 * elapsed, "certified": False},
             },
             "committee": {"agents_per_s": 5.0},
+            "minor_faults_per_million_agents": 1000.0 * elapsed,
         }
         for elapsed in (4.0, 1.0, 100.0, 3.0, 2.0)
     ]
@@ -81,8 +82,16 @@ def test_scale_row_takes_median_iqr_and_largest_rss():
     assert (row[audit], row[f"{audit}_iqr"]) == (60.0, 40.0)
     committee = "committee_agents_per_second"
     assert (row[committee], row[f"{committee}_iqr"]) == (5.0, 0.0)
+    faults = "minor_faults_per_million_agents"
+    assert (row[faults], row[f"{faults}_iqr"]) == (3000.0, 2000.0)
     assert row["peak_rss_mb"] == 200.0
     assert row["certified"] == {"a": True, "b": False}
+
+
+def test_scale_rows_record_gain_pass_faults():
+    payload, _script = _scale_record()
+    for row in payload["sizes"]:
+        assert row["minor_faults_per_million_agents"] > 0.0
 
 
 @pytest.mark.parametrize("timing", ["elapsed_s", "audit_agents_per_second_mean"])
@@ -97,5 +106,35 @@ def test_scale_guard_refuses_a_wide_row(timing):
 def test_scale_guard_refuses_a_single_sample_row():
     payload, script = _scale_record()
     payload["sizes"][1]["repeats"] = 1
+    problems = script.guard_violations(payload)
+    assert len(problems) == 1 and "1 repeats" in problems[0]
+
+
+def _schemes_record():
+    """The committed scheme-audit record and the script that guards it."""
+    payload = json.loads((REPO_ROOT / "BENCH_schemes.json").read_text())
+    return payload, _load_script(RECORDS["BENCH_schemes.json"])
+
+
+def test_schemes_record_stores_median_and_iqr():
+    payload, script = _schemes_record()
+    assert payload["repeats"] >= script.REPEATS >= 5
+    for name in script.TIMINGS:
+        assert 0.0 <= payload[f"{name}_iqr"] <= script.MAX_IQR_SHARE * payload[name]
+    medians = payload["scalar_oracle_s"] / payload["vectorized_s"]
+    assert payload["speedup"] == round(medians, 1)
+
+
+@pytest.mark.parametrize("timing", ["scalar_oracle_s", "vectorized_s"])
+def test_schemes_guard_refuses_a_wide_timing(timing):
+    payload, script = _schemes_record()
+    payload[f"{timing}_iqr"] = 1.5 * script.MAX_IQR_SHARE * payload[timing]
+    problems = script.guard_violations(payload)
+    assert len(problems) == 1 and f"{timing} IQR" in problems[0]
+
+
+def test_schemes_guard_refuses_a_single_sample_record():
+    payload, script = _schemes_record()
+    payload["repeats"] = 1
     problems = script.guard_violations(payload)
     assert len(problems) == 1 and "1 repeats" in problems[0]
