@@ -3,10 +3,10 @@
 Not a paper figure — tracks the speedup that makes full-fidelity
 simulation campaigns cheap: the fast kernel replaces the per-message
 event loop with batched sortition, hop-budget gossip reachability and
-array-reduction vote tallies, while the DES stays around as the
-differential oracle.  This benchmark
+array-reduction vote tallies, while the DES stays with the test suite
+(``tests/des``) as the differential oracle.  This benchmark
 
-* times both backends on a paired Figure 3 subset (identical configs and
+* times both engines on a paired Figure 3 subset (identical configs and
   seeds) and checks they agree record for record,
 * times the full bench-scale Figure 3 campaign on the fast kernel
   against the recorded seed baseline (98.2s serial, BENCH_sweep.json),
@@ -27,6 +27,7 @@ import datetime
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 from typing import List
@@ -44,8 +45,13 @@ from repro.analysis.reward_comparison import (
     run_truncation_experiment,
 )
 from repro.scenarios import ScenarioCampaignConfig, run_scenarios_campaign
-from repro.sim import AlgorandSimulation, FastSimulation, SimulationConfig, crypto
+from repro.sim import FastSimulation, SimulationConfig, crypto
 from repro.telemetry import capture, span
+
+# The discrete-event simulator is the fast kernel's test oracle: it lives
+# with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from des import AlgorandSimulation  # noqa: E402
 
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_des.json"
 
@@ -99,7 +105,7 @@ def _machine() -> str:
     )
 
 
-def _paired_config(rate: float, run: int, backend: str) -> SimulationConfig:
+def _paired_config(rate: float, run: int) -> SimulationConfig:
     return SimulationConfig(
         n_nodes=_PAIRED_NODES,
         seed=9_000 + int(rate * 100) * 10 + run,
@@ -108,18 +114,18 @@ def _paired_config(rate: float, run: int, backend: str) -> SimulationConfig:
         tau_step=60.0,
         tau_final=80.0,
         verify_crypto=False,
-        backend=backend,
     )
 
 
-def run_paired_subset(backend: str):
-    """Run the paired subset on one backend; returns (records, seconds)."""
-    cls = FastSimulation if backend == "fast" else AlgorandSimulation
+def run_paired_subset(engine: str):
+    """Run the paired subset on ``"fast"`` (the kernel) or ``"des"`` (its
+    test oracle); returns (records, seconds)."""
+    cls = FastSimulation if engine == "fast" else AlgorandSimulation
     records = []
     start = time.perf_counter()
     for rate in _PAIRED_RATES:
         for run in range(_PAIRED_RUNS):
-            metrics = cls(_paired_config(rate, run, backend)).run(_PAIRED_ROUNDS)
+            metrics = cls(_paired_config(rate, run)).run(_PAIRED_ROUNDS)
             records.append(
                 [
                     (r.n_final, r.n_tentative, r.n_none, r.steps_used, r.n_leaders)
@@ -139,9 +145,7 @@ def run_vrf_microbench(n_nodes: int = _VRF_NODES, reps: int = _VRF_REPS):
     evaluations at ``n_nodes`` keys.
     """
     simulation = FastSimulation(
-        SimulationConfig(
-            n_nodes=n_nodes, seed=17, verify_crypto=False, backend="fast"
-        )
+        SimulationConfig(n_nodes=n_nodes, seed=17, verify_crypto=False)
     )
     keypairs = simulation._keypairs
     domains = [(987_654_321, 5, 0), (424_242, 9, 1_001), (7, 2, 2_013)]
@@ -187,9 +191,9 @@ def run_telemetry_overhead_microbench(
     ratios = []
     rounds = 0
     for _ in range(reps):
-        disabled = FastSimulation(_paired_config(0.05, 0, "fast"))
+        disabled = FastSimulation(_paired_config(0.05, 0))
         with capture():
-            enabled = FastSimulation(_paired_config(0.05, 0, "fast"))
+            enabled = FastSimulation(_paired_config(0.05, 0))
         spent = {False: 0.0, True: 0.0}
         rounds = 0
         while spent[False] < min_seconds:
@@ -422,7 +426,7 @@ def test_bench_fastpath_vs_des(benchmark, report):
 
 def test_bench_fastpath_round_micro(benchmark, report):
     """Micro: single fast-kernel rounds at fig3 scale (no campaign overhead)."""
-    simulation = FastSimulation(_paired_config(0.05, 0, "fast"))
+    simulation = FastSimulation(_paired_config(0.05, 0))
 
     def run_rounds():
         simulation.run(5)

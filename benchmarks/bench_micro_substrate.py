@@ -8,15 +8,25 @@ so regressions in the substrate are visible.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 from repro.core import RoleCosts, is_nash_equilibrium, all_cooperate
 from repro.core.game import AlgorandGame, FoundationRule
-from repro.sim import AlgorandSimulation, SimulationConfig
+from repro.sim import SimulationConfig
 from repro.sim.crypto import KeyPair
-from repro.sim.engine import EventEngine
-from repro.sim.messages import CredentialMessage
-from repro.sim.network import GossipNetwork, build_random_overlay
+from repro.sim.network import build_random_overlay
 from repro.sim.sortition import Role, sortition
+
+# The discrete-event simulator is the fast kernel's test oracle: it lives
+# with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from des import (  # noqa: E402
+    AlgorandSimulation,
+    CredentialMessage,
+    EventEngine,
+    GossipNetwork,
+)
 
 
 def test_bench_sortition_throughput(benchmark):

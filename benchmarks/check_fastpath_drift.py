@@ -1,8 +1,8 @@
 """CI benchmark-drift guard for the fast simulation kernel.
 
-Re-measures the paired Figure 3 subset from ``bench_fastpath`` (both
-backends, identical seeds, on *this* machine — absolute wall-clock from
-another box would be meaningless) and fails when
+Re-measures the paired Figure 3 subset from ``bench_fastpath`` (the fast
+kernel and its test-side DES oracle, identical seeds, on *this* machine —
+absolute wall-clock from another box would be meaningless) and fails when
 
 * the fast kernel no longer agrees with the DES record for record,
 * the measured fast-vs-DES speedup regresses more than the recorded

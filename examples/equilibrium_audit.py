@@ -28,7 +28,19 @@ from repro.core import (
 )
 from repro.core.game import AlgorandGame, FoundationRule, RoleBasedRule
 from repro.core.rewards import RewardSchedule
-from repro.sim import AlgorandSimulation, SimulationConfig
+from repro.sim import SimulationConfig, make_simulation
+from repro.sim.roles import RewardAllocation, RoleSnapshot
+
+
+class RecordRoles:
+    """A reward mechanism that pays nothing and keeps each round's roles."""
+
+    def __init__(self) -> None:
+        self.snapshots: list = []
+
+    def allocate(self, snapshot: RoleSnapshot) -> RewardAllocation:
+        self.snapshots.append(snapshot)
+        return RewardAllocation(per_node={}, total=0.0)
 
 
 def parse_args() -> argparse.Namespace:
@@ -45,7 +57,8 @@ def main() -> None:
     costs = RoleCosts.paper_defaults()
 
     print(f"Simulating one round on {args.nodes} nodes (seed {args.seed}) ...")
-    simulation = AlgorandSimulation(
+    roles = RecordRoles()
+    simulation = make_simulation(
         SimulationConfig(
             n_nodes=args.nodes,
             seed=args.seed,
@@ -53,10 +66,11 @@ def main() -> None:
             tau_step=30.0,
             tau_final=45.0,
             verify_crypto=False,
-        )
+        ),
+        mechanism=roles,
     )
     simulation.run_round()
-    snapshot = simulation.role_snapshot(1)
+    (snapshot,) = roles.snapshots
     print(
         f"realized roles: {len(snapshot.leaders)} leaders, "
         f"{len(snapshot.committee)} committee members, "

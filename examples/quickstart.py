@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.analysis.plotting import format_table
 from repro.core import IncentiveCompatibleSharing
-from repro.sim import AlgorandSimulation, SimulationConfig
+from repro.sim import SimulationConfig, make_simulation
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
         verify_crypto=False,
     )
     mechanism = IncentiveCompatibleSharing(on_infeasible="skip")
-    simulation = AlgorandSimulation(config, mechanism=mechanism)
+    simulation = make_simulation(config, mechanism=mechanism)
 
     print(f"Simulating {config.n_nodes} nodes, 5% defection, 8 rounds ...\n")
     metrics = simulation.run(8)
@@ -61,12 +61,13 @@ def main() -> None:
     print(f"chain height:        {simulation.authoritative.height}")
     print(f"final blocks:        {simulation.authoritative.final_height()}")
     print(f"total rewards paid:  {metrics.total_rewards():.4f} Algos")
-    print(f"gossip deliveries:   {simulation.network.stats.deliveries}")
 
-    richest = max(simulation.nodes, key=lambda n: n.rewards_received)
+    earned = simulation.rewards_received
+    richest = max(range(config.n_nodes), key=earned.__getitem__)
     print(
-        f"top earner:          node {richest.node_id} "
-        f"(stake {richest.stake:.1f}, earned {richest.rewards_received:.6f} Algos)"
+        f"top earner:          node {richest} "
+        f"(stake {simulation.stakes[richest]:.1f}, "
+        f"earned {earned[richest]:.6f} Algos)"
     )
 
 

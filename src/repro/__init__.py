@@ -3,9 +3,9 @@ Distribution in Algorand" (Fooladgar et al., DSN 2020).
 
 The package has five layers:
 
-* :mod:`repro.sim` — an Algorand discrete-event simulator (sortition,
-  gossip, BA* consensus, behaviours), the substrate of the paper's
-  empirical results.
+* :mod:`repro.sim` — an Algorand protocol simulator (sortition, gossip
+  reachability, BA* consensus, behaviours) on a vectorized round
+  kernel, the substrate of the paper's empirical results.
 * :mod:`repro.core` — the paper's contribution: the cost model, the
   Foundation and role-based reward-sharing mechanisms, the game
   G_Al / G_Al+, equilibrium analysis, and Algorithm 1.

@@ -25,6 +25,7 @@ from repro.analysis.retry import ExecutionPolicy
 from repro.analysis.sweep import SweepSpec
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.sim import SimulationConfig, make_simulation
+from repro.sim.config import check_backend
 from repro.sim.metrics import trimmed_mean_series
 
 #: The paper's defection rates (Section III-C).
@@ -37,9 +38,9 @@ class DefectionExperimentConfig:
 
     The paper runs 100 simulations per rate; the default here is smaller so
     the experiment completes in benchmark time — raise ``n_runs`` for
-    publication-grade smoothness.  ``backend`` selects the simulation
-    engine: the vectorized fast kernel by default (~10x the DES
-    throughput), ``"des"`` for the per-message event-driven oracle.
+    publication-grade smoothness.  ``backend`` names the simulation
+    engine, and only ``"fast"`` is accepted; it stays a field because the
+    shard keys of cached campaigns carry it.
     """
 
     rates: Tuple[float, ...] = PAPER_DEFECTION_RATES
@@ -61,6 +62,7 @@ class DefectionExperimentConfig:
             raise ConfigurationError(f"rates must be in [0, 1]: {self.rates}")
         if self.n_runs < 1 or self.n_rounds < 1:
             raise ConfigurationError("n_runs and n_rounds must be >= 1")
+        check_backend("backend", self.backend)
 
     def simulation_config(self, rate: float, run: int) -> SimulationConfig:
         """The per-run simulator configuration (paper Section III-C setup)."""
@@ -75,7 +77,6 @@ class DefectionExperimentConfig:
             tau_step=self.tau_step,
             tau_final=self.tau_final,
             verify_crypto=self.verify_crypto,
-            backend=self.backend,
         )
 
 
@@ -165,9 +166,8 @@ class DefectionExperimentResult:
 def fig3_sweep_spec(config: DefectionExperimentConfig) -> SweepSpec:
     """The Figure 3 campaign as a declarative sweep: one shard per (rate, run).
 
-    ``backend`` is part of the shard parameters, so the content-addressed
-    cache never serves a fast-kernel shard to a DES campaign or vice
-    versa.
+    ``backend`` stays part of the shard parameters (always ``"fast"``),
+    so the content-addressed keys of already cached shards still match.
     """
     return SweepSpec(
         name="fig3",
@@ -195,7 +195,8 @@ def _fig3_shard(params: Mapping[str, Any], _seed: int) -> Dict[str, List[float]]
     The per-run simulator seed follows the experiment's own historical
     scheme (``DefectionExperimentConfig.simulation_config``) rather than
     the sweep-derived ``_seed``, so orchestrated results are bit-identical
-    to the original serial loop.
+    to the original serial loop.  A shard without ``backend`` is refused
+    rather than given a default engine.
     """
     config = DefectionExperimentConfig(
         rates=(params["rate"],),
@@ -207,7 +208,7 @@ def _fig3_shard(params: Mapping[str, Any], _seed: int) -> Dict[str, List[float]]
         tau_step=params["tau_step"],
         tau_final=params["tau_final"],
         verify_crypto=params["verify_crypto"],
-        backend=params.get("backend", "des"),
+        backend=params.get("backend"),
     )
     simulation = make_simulation(
         config.simulation_config(params["rate"], params["run"])

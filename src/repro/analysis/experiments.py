@@ -46,7 +46,7 @@ from repro.analysis.tables import table2, table3
 from repro.errors import ConfigurationError
 from repro.populations.arrays import DEFAULT_CHUNK_AGENTS
 from repro.schemes.registry import get_scheme
-from repro.sim.config import SIMULATION_BACKENDS
+from repro.sim.config import check_backend
 
 __all__ = [
     "EXPERIMENTS",
@@ -144,6 +144,11 @@ def _axis(label: str, value: Any) -> Tuple[float, ...]:
     return tuple(float(item) for item in value)
 
 
+def _backend(label: str, value: Any) -> Optional[str]:
+    """``None`` (the experiment's own default) or a checked backend."""
+    return None if value is None else check_backend(label, value)
+
+
 def _schemes(label: str, value: Any) -> Tuple[str, ...]:
     if not isinstance(value, (list, tuple)) or not all(
         isinstance(name, str) for name in value
@@ -219,8 +224,8 @@ FIELDS: Dict[str, Field] = {
     for f in (
         Field("seed", "root seed of every random stream (default: the "
               "experiment's own)", _count(0), default=2021, parse=int),
-        Field("backend", "simulation engine: the vectorized 'fast' kernel or "
-              "the 'des' oracle", choices=(None, *sorted(SIMULATION_BACKENDS))),
+        Field("backend", "simulation engine; 'fast', the vectorized round "
+              "kernel, is the only one", _backend, metavar="fast"),
         Field("family", "population generator family (zipf, pareto, lognormal, "
               "uniform, normal, exchange_snapshot)", _text, default="zipf"),
         Field("family_params", "generator-family parameter, e.g. exponent=1.8 "

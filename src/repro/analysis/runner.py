@@ -10,7 +10,6 @@ Regenerate any of the paper's artifacts from the command line::
     python -m repro.analysis.runner scenarios --scale small --workers 2
     python -m repro.analysis.runner tournament --scale small --workers 2
     python -m repro.analysis.runner dynamics --scale small --epochs 8
-    python -m repro.analysis.runner fig3 --backend des
     python -m repro.analysis.runner all --scale small --timings-json timings.json
     python -m repro.analysis.runner profile fig3 --scale small
 
@@ -60,12 +59,13 @@ and prints a resumable-partial summary instead of a traceback, exiting
 with status 130.
 
 The protocol-simulator experiments (fig3, scenarios, tournament) run on
-the vectorized fast kernel by default; ``--backend des`` switches back
-to the per-message discrete-event oracle (see
-:mod:`repro.sim.fastpath`).  ``all`` prints a per-figure wall-clock
-summary table, ``--timings-json`` writes it machine-readably, and
-``profile <experiment>`` wraps one experiment in cProfile and prints
-the dominant functions.
+the vectorized round kernel (:mod:`repro.sim.fastpath`), the only
+simulation engine; ``--backend`` accepts ``fast`` alone.  The
+per-message discrete-event simulator the kernel replaced is its test
+oracle (``tests/des``), not a backend.  ``all`` prints a per-figure
+wall-clock summary table, ``--timings-json`` writes it
+machine-readably, and ``profile <experiment>`` wraps one experiment in
+cProfile and prints the dominant functions.
 
 ``--telemetry-json PATH`` / ``--metrics-text PATH`` switch on the
 in-process metrics registry (:mod:`repro.telemetry`) for the whole run

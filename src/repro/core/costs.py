@@ -23,7 +23,6 @@ with those aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.errors import ConfigurationError
 
@@ -103,29 +102,6 @@ class TaskCosts:
     def online(self) -> float:
         """c_K = c_fix (paper Eq. 2)."""
         return self.fixed
-
-    def price_counters(self, counters: Mapping[str, int]) -> float:
-        """Total cost of a simulator node's task counters, in Algos.
-
-        ``counters`` is a :meth:`repro.sim.node.TaskCounters.snapshot`
-        mapping; this ties the analytic cost model to the discrete-event
-        simulator's measured workload.
-        """
-        price_per_counter = {
-            "transactions_verified": self.verification,
-            "seeds_generated": self.seed_generation,
-            "sortitions_run": self.sortition,
-            "proofs_verified": self.proof_verification,
-            "blocks_proposed": self.block_proposal,
-            "messages_relayed": self.gossip,
-            "block_selections": self.block_selection,
-            "votes_cast": self.vote,
-            "vote_counts": self.vote_counting,
-        }
-        unknown = set(counters) - set(price_per_counter)
-        if unknown:
-            raise ConfigurationError(f"unknown task counters: {sorted(unknown)}")
-        return sum(price_per_counter[name] * count for name, count in counters.items())
 
 
 @dataclass(frozen=True)

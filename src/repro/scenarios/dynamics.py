@@ -441,9 +441,8 @@ def _simulate_epoch(
 
     The simulation is driven by the epoch's *exact* behaviour vector:
     cooperators become honest-but-selfish cooperators, defectors become
-    defective nodes, and adversary players run byzantine.  The engine is
-    the spec's ``sim_backend`` — the vectorized fast kernel by default,
-    the per-message DES when full event fidelity is requested.
+    defective nodes, and adversary players run byzantine, on the
+    vectorized fast kernel.
     """
     from repro.sim.fastpath import make_simulation
 
@@ -463,7 +462,6 @@ def _simulate_epoch(
         stakes=[float(s) for s in stakes],
         gossip_fanout=min(5, stakes.size - 1),
         verify_crypto=False,
-        backend=spec.sim_backend,
     )
     simulation = make_simulation(config, behaviors=behaviors)
     metrics = simulation.run(spec.simulate_rounds)

@@ -28,6 +28,7 @@ from repro.scenarios.dynamics import SCHEMES, ScenarioTrajectory, run_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import ScenarioSpec
 from repro.schemes.registry import get_scheme, scheme_names
+from repro.sim.config import check_backend
 from repro.sim.metrics import mean_series
 from repro.sim.rng import derive_seed
 
@@ -55,8 +56,8 @@ class ScenarioCampaignConfig:
     the campaign's scale knobs (``simulate_rounds`` only applies to
     families that already tie into the simulator, so a scale bump never
     turns simulation on for analytic-only families).  ``backend``
-    (``"des"`` / ``"fast"`` / ``None`` for the specs' own default)
-    selects the engine behind those per-epoch simulations.
+    (``"fast"``, or ``None`` for the specs' own default) names the engine
+    behind those per-epoch simulations; shard keys carry it.
     """
 
     scenarios: Tuple[str, ...] = ()
@@ -72,13 +73,7 @@ class ScenarioCampaignConfig:
         if self.n_replications < 1:
             raise ConfigurationError("need at least one replication")
         if self.backend is not None:
-            from repro.sim.config import SIMULATION_BACKENDS
-
-            if self.backend not in SIMULATION_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown backend {self.backend!r}; "
-                    f"choose from {sorted(SIMULATION_BACKENDS)}"
-                )
+            check_backend("backend", self.backend)
         unknown = [name for name in self.scenarios if name not in scenario_names()]
         if unknown:
             raise ConfigurationError(f"unknown scenarios: {unknown}")

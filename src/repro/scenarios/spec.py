@@ -23,6 +23,7 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.sim.config import check_backend
 from repro.stakes import distributions
 
 
@@ -109,9 +110,9 @@ class ScenarioSpec:
         the protocol simulator with the epoch's exact behaviour vector,
         recording the realized finalization fraction.
     sim_backend:
-        Which engine realizes those per-epoch rounds: the vectorized
-        ``"fast"`` kernel (default) or the per-message ``"des"`` oracle
-        (see :mod:`repro.sim.fastpath`).
+        The engine that realizes those per-epoch rounds; only ``"fast"``,
+        the vectorized kernel of :mod:`repro.sim.fastpath`, is accepted.
+        It stays a field because campaign shard keys carry it.
     expect_separation:
         Whether the paper's headline separation (naive unravels,
         role-based stabilizes) is expected to show — collapse/adversary
@@ -215,13 +216,7 @@ class ScenarioSpec:
             )
         if self.simulate_rounds < 0:
             raise ConfigurationError("simulate_rounds must be >= 0")
-        from repro.sim.config import SIMULATION_BACKENDS
-
-        if self.sim_backend not in SIMULATION_BACKENDS:
-            raise ConfigurationError(
-                f"unknown sim backend {self.sim_backend!r}; "
-                f"choose from {sorted(SIMULATION_BACKENDS)}"
-            )
+        check_backend("sim_backend", self.sim_backend)
         if self.adversary_fraction > 0 and self.adversary_policy is AdversaryPolicy.NONE:
             raise ConfigurationError(
                 "adversary_fraction > 0 requires an adversary policy"

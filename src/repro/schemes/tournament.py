@@ -40,6 +40,7 @@ from repro.scenarios.experiment import (
 from repro.scenarios.registry import scenario_names
 from repro.schemes.audit import AuditConfig, AuditReport, audit_schemes
 from repro.schemes.registry import get_scheme, scheme_names
+from repro.sim.config import check_backend
 
 #: The audit operating point a tournament certifies schemes at: the
 #: paper's Theorem 3 regime — budget 1.5x the bound (matching the
@@ -75,8 +76,8 @@ class TournamentConfig:
 
     Empty ``schemes`` / ``scenarios`` mean "everything registered".  The
     scale knobs (``n_players``, ``n_epochs``, ``simulate_rounds``,
-    ``n_replications``) and the simulation ``backend`` pass straight
-    through to the scenario campaign.
+    ``n_replications``) and the simulation ``backend`` (``"fast"`` or
+    ``None``) pass straight through to the scenario campaign.
     """
 
     schemes: Tuple[str, ...] = ()
@@ -88,6 +89,10 @@ class TournamentConfig:
     backend: Optional[str] = None
     seed: int = 2021
     audit: AuditConfig = TOURNAMENT_AUDIT
+
+    def __post_init__(self) -> None:
+        if self.backend is not None:
+            check_backend("backend", self.backend)
 
     def scheme_list(self) -> List[str]:
         """Requested schemes, defaulting to every registered one."""

@@ -1,28 +1,25 @@
-"""The Algorand discrete-event simulator substrate.
+"""The Algorand protocol simulator substrate.
 
 Modules
 -------
-engine
-    Deterministic discrete-event executor.
 rng
     Named, independently seeded random substreams.
 crypto
     Simulated keys, signatures, VRF and round seeds.
 sortition
     Stake-weighted binomial committee selection with verifiable proofs.
-messages / blocks
-    Gossip message types; blocks, transactions, per-node ledgers.
+blocks
+    Blocks, transactions, per-node ledgers.
 network
-    Gossip overlay with delays, drops, and priority relay filtering.
-behavior / node
-    Node behaviour categories and the per-node protocol logic.
+    The random gossip overlay.
+behavior
+    Node behaviour categories.
 ba_star
     The Reduction + BinaryBA* consensus state machine.
-protocol
-    Multi-round simulation driver with reward-mechanism hooks.
 fastpath
-    Vectorized round-level kernel (the ``"fast"`` backend) with the
-    event-driven simulator retained as its differential oracle.
+    The vectorized round-level simulator, with its reward-mechanism
+    hooks.  Its per-message differential oracle lives with the test
+    suite (``tests/des``).
 config / metrics / roles
     Tunables, per-round measurements, and role snapshots.
 """
@@ -35,25 +32,21 @@ from repro.sim.behavior import (
 )
 from repro.sim.blocks import Block, ConsensusLabel, Ledger, Transaction
 from repro.sim.config import SIMULATION_BACKENDS, SimulationConfig
-from repro.sim.engine import EventEngine
 from repro.sim.fastpath import (
     FastSimulation,
     LatencyModel,
-    fit_latency_model,
+    RewardMechanism,
     make_simulation,
 )
 from repro.sim.metrics import RoundRecord, SimulationMetrics, average_fractions
-from repro.sim.protocol import AlgorandSimulation, RewardMechanism
 from repro.sim.rng import RngStreams
 from repro.sim.roles import RewardAllocation, RoleSnapshot
 from repro.sim.sortition import Role, SortitionProof, sortition, verify_sortition
 
 __all__ = [
-    "AlgorandSimulation",
     "Behavior",
     "Block",
     "ConsensusLabel",
-    "EventEngine",
     "FastSimulation",
     "LatencyModel",
     "Ledger",
@@ -72,7 +65,6 @@ __all__ = [
     "defective_fraction",
     "strategic_fraction",
     "average_fractions",
-    "fit_latency_model",
     "make_simulation",
     "sortition",
     "verify_sortition",

@@ -17,7 +17,9 @@ al. (SOSP'17), which the paper summarizes in Section II-B3 and Figure 1:
 
 The state machine is pure: it consumes the node's per-step vote tallies and
 emits the votes the node should cast, without touching the network.  The
-:class:`~repro.sim.node.Node` wires it to sortition and gossip.
+fast kernel (:mod:`repro.sim.fastpath`) runs one machine per cohort of
+nodes in the same state; the test suite's per-message oracle
+(``tests/des``) runs one per node.
 
 Step indexing convention used across the simulator:
 
@@ -30,10 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.messages import EMPTY_HASH, VoteMessage
+
+#: Sentinel hash value for the empty (default) block option in BA* voting.
+EMPTY_HASH = -1
 
 #: Sentinel step index for the FINAL-vote committee.
 FINAL_STEP = 10_000
@@ -55,11 +59,10 @@ def resolve_quorum(
     possible only with substantial adversarial weight — the heaviest wins,
     with the numerically smallest hash as the deterministic tie-break.
 
-    This is the single quorum rule shared by both simulation backends: the
-    event-driven path tallies :class:`VoteMessage` objects into a weight
-    mapping (:func:`count_votes`), the vectorized fast path reduces numpy
-    tally arrays to the same mapping shape — both then defer here, so the
-    decision logic cannot drift between backends.
+    This is the single quorum rule: the fast kernel reduces its numpy
+    tally arrays to this mapping shape, and the test suite's per-message
+    oracle (``tests/des``) tallies its vote messages into the same shape,
+    so the decision logic cannot drift between the two.
     """
     needed = threshold * tau
     winners = [
@@ -69,25 +72,6 @@ def resolve_quorum(
         return None
     winners.sort(key=lambda pair: (-pair[0], pair[1]))
     return winners[0][1]
-
-
-def count_votes(
-    votes: Iterable[VoteMessage],
-    tau: float,
-    threshold: float,
-) -> Optional[int]:
-    """Tally committee votes; return the winning value or ``None`` (timeout).
-
-    Votes are assumed already deduplicated per sender (the node's vote
-    store keeps first-votes only); the threshold decision is
-    :func:`resolve_quorum`.
-    """
-    weights: Dict[int, int] = {}
-    for vote in votes:
-        if vote.weight <= 0:
-            continue
-        weights[vote.value] = weights.get(vote.value, 0) + vote.weight
-    return resolve_quorum(weights, tau, threshold)
 
 
 class Phase(str, Enum):

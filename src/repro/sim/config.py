@@ -1,6 +1,6 @@
 """Simulation configuration and validation.
 
-All tunables of the Algorand discrete-event simulator live here.  Defaults
+All tunables of the Algorand protocol simulator live here.  Defaults
 follow the paper where it states values (5 gossip neighbours, 20-second vote
 timeout scaled down, committee thresholds from Gilad et al.) and are scaled
 to simulator-sized networks elsewhere; the analytic modules in
@@ -25,10 +25,27 @@ PAPER_TAU_PROPOSER = 26
 PAPER_TAU_STEP = 1_000
 PAPER_TAU_FINAL = 10_000
 
-#: The two simulation engines a config can select: the per-message
-#: discrete-event simulator (the differential oracle) and the vectorized
-#: round-level fast kernel.
-SIMULATION_BACKENDS = ("des", "fast")
+#: The simulation engines a job or shard key may name.  Only the
+#: vectorized round kernel runs in the library; keys keep the field so
+#: existing cache and memo keys stay valid.
+SIMULATION_BACKENDS = ("fast",)
+
+
+def check_backend(label: str, value: object) -> str:
+    """``value`` if it names a simulation engine, else a ConfigurationError.
+
+    Every surface that carries a backend (the fig3, scenario and
+    tournament configs, scenario specs, and the CLI / service field)
+    checks it here, so a retired ``"des"`` gets one answer everywhere.
+    """
+    if value not in SIMULATION_BACKENDS:
+        raise ConfigurationError(
+            f"{label} must be 'fast', got {value!r}: the vectorized round "
+            "kernel is the only simulation engine; the per-message "
+            "discrete-event simulator is its test oracle (tests/des), not a "
+            "backend"
+        )
+    return value
 
 
 @dataclass
@@ -80,15 +97,9 @@ class SimulationConfig:
         Fractions of byzantine and faulty nodes for robustness experiments.
     verify_crypto:
         When True, receivers verify signatures and sortition proofs on
-        first delivery (slower; exercised in tests, disabled in large
-        benchmark sweeps).
-    backend:
-        Which simulation engine realizes this config: ``"des"`` for the
-        per-message discrete-event simulator (ground truth), ``"fast"``
-        for the vectorized round-level kernel in
-        :mod:`repro.sim.fastpath` (same metrics schema, ~10x faster;
-        statistically calibrated against the DES).  Construct through
-        :func:`repro.sim.fastpath.make_simulation` to honour the switch.
+        first delivery.  Only the test suite's per-message oracle
+        (``tests/des``) reads it; the fast kernel computes no proofs to
+        verify.
     """
 
     n_nodes: int = 100
@@ -115,7 +126,6 @@ class SimulationConfig:
     offline_rate: float = 0.0
     verify_crypto: bool = True
     short_circuit_rounds: bool = True
-    backend: str = "des"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -182,11 +192,6 @@ class SimulationConfig:
         if sum(rates.values()) > 1.0 + 1e-9:
             raise ConfigurationError(
                 f"behaviour rates sum to {sum(rates.values()):.3f} > 1"
-            )
-        if self.backend not in SIMULATION_BACKENDS:
-            raise ConfigurationError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"choose from {sorted(SIMULATION_BACKENDS)}"
             )
 
     def total_step_count(self) -> int:

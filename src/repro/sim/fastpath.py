@@ -1,28 +1,26 @@
-"""Vectorized round-level simulation kernel (the ``"fast"`` backend).
+"""Vectorized round-level simulation kernel: the protocol simulator.
 
-The discrete-event simulator in :mod:`repro.sim.protocol` is the ground
-truth: every gossip hop is an event, every node a callback-driven object.
-That fidelity costs ~1 second per simulated round — the dominant cost of
-the Figure 3 sweep and of every scenario epoch with ``simulate_rounds > 0``.
-This module implements the same round semantics as batched array work:
+This is the one simulation engine the experiments run.  It implements the
+paper's round semantics (Figure 1 timeline, Section III-C network) as
+batched array work instead of per-message events:
 
-* **Sortition** recomputes the *exact same* VRFs as the event-driven path
-  (same keypairs, same seed chain, same domain tags) and inverts the
-  binomial CDF with the batched :func:`repro.sim.sortition.binomial_weights`
-  primitive, so per-step committee weights are bit-identical to the DES on
-  paired seeds.  The steps every round that reaches BinaryBA* votes in
-  (1 through ``FIRST_BINARY_STEP + 3``) are hashed and inverted as one
+* **Sortition** evaluates every node's VRF for a (round, step) domain in
+  one batch and inverts the binomial CDF with the batched
+  :func:`repro.sim.sortition.binomial_weights` primitive, so committee
+  weights are exactly what per-node :func:`repro.sim.sortition.sortition`
+  calls would give.  The steps every round that reaches BinaryBA* votes
+  in (1 through ``FIRST_BINARY_STEP + 3``) are hashed and inverted as one
   batch; later steps and the FINAL committee are drawn on first use.
-* **Gossip** is replaced by a reachability model: hop distances through
-  the relaying subgraph (defectors and offline nodes do not forward) plus
-  a calibrated :class:`LatencyModel` mapping time windows to hop budgets.
-  A message cast at one step deadline reaches a node by a later deadline
-  iff its hop distance fits the window's budget.  In a healthy network the
-  budget exceeds the overlay diameter and the model is exact; under heavy
-  defection the thinned relay graph disconnects and finality collapses —
-  the same mechanism that drives the paper's Figure 3.
-* **Agreement (BA*)** reuses the event path's pure
-  :class:`~repro.sim.ba_star.ConsensusStateMachine`, one per *cohort*:
+* **Gossip** is a reachability model: hop distances through the relaying
+  subgraph (defectors and offline nodes do not forward) plus a calibrated
+  :class:`LatencyModel` mapping time windows to hop budgets.  A message
+  cast at one step deadline reaches a node by a later deadline iff its
+  hop distance fits the window's budget.  In a healthy network the budget
+  exceeds the overlay diameter; under heavy defection the thinned relay
+  graph disconnects and finality collapses — the mechanism that drives
+  the paper's Figure 3.
+* **Agreement (BA*)** runs the pure
+  :class:`~repro.sim.ba_star.ConsensusStateMachine` once per *cohort*:
   online nodes that hold the same best proposal start in the same state,
   every directive is cast for all members as one array operation, and a
   cohort splits (each part copying the machine) only when its members'
@@ -33,22 +31,22 @@ This module implements the same round semantics as batched array work:
   weights, feeding the shared :func:`~repro.sim.ba_star.resolve_quorum`
   threshold rule.
 
-The kernel emits the same :class:`~repro.sim.metrics.RoundRecord` /
-:class:`~repro.sim.metrics.SimulationMetrics` schema as the DES and honours
-the same mechanism/behaviour hooks, so experiments switch backends through
-:func:`make_simulation` without touching their measurement code.  The DES
-remains available as the differential oracle
-(``tests/sim/test_fastpath_oracle.py``), and
+The per-message discrete-event simulator (the DES) this kernel replaced
+lives with the test suite (``tests/des``) as its differential oracle: on
+paired seeds in the calibrated regime the two agree record for record
+(``tests/sim/test_fastpath_oracle.py``, ``BENCH_des.json``), and
 ``tests/sim/test_fastpath_golden.py`` pins the kernel's full output.
 
-Known approximations (tolerance-tested, never silently wrong):
+Known approximations of per-message gossip (tolerance-tested against the
+oracle, never silently wrong):
 
 * per-hop delays are collapsed to a fitted quantile (arrival becomes a
   deterministic hop-budget test instead of a random sum of uniforms),
 * ``drop_probability`` thins the overlay once per round instead of per
   message, and
-* malicious equivocation draws from a dedicated fast-path stream (the DES
-  consumes per-node streams in arrival order, which has no analogue here).
+* malicious equivocation draws from a dedicated fast-path stream (a
+  per-message simulator consumes per-node streams in arrival order,
+  which has no analogue here).
 """
 
 from __future__ import annotations
@@ -59,44 +57,102 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import crypto
 from repro.sim.ba_star import (
+    EMPTY_HASH,
     FINAL_STEP,
     FIRST_BINARY_STEP,
     ConsensusStateMachine,
     make_common_coin,
     resolve_quorum,
 )
-from repro.sim.behavior import Behavior
+from repro.sim.behavior import Behavior, assign_behaviors
 from repro.sim.blocks import Block, ConsensusLabel, Ledger, Transaction, make_empty_block
 from repro.sim.config import SimulationConfig
-from repro.sim.messages import EMPTY_HASH
 from repro.sim.metrics import RoundRecord, SimulationMetrics
 from repro.sim.network import build_random_overlay
-from repro.sim.node import RoundContext
-from repro.sim.protocol import (
-    AlgorandSimulation,
-    RewardMechanism,
-    TransactionSource,
-    initial_stakes,
-    resolve_behaviors,
-)
 from repro.sim.rng import RngStreams, derive_seed
-from repro.sim.roles import RoleSnapshot
+from repro.sim.roles import RewardAllocation, RoleSnapshot
 from repro.sim.sortition import Role, binomial_weights
 from repro.telemetry.metrics import DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS
 from repro.telemetry.runtime import get_registry
 
+#: A source of pending transactions for each round.
+TransactionSource = Callable[[int], List[Transaction]]
+
+
+class RewardMechanism(Protocol):
+    """Structural interface every reward-sharing mechanism implements."""
+
+    def allocate(self, snapshot: RoleSnapshot) -> RewardAllocation:
+        """Compute the round's per-node reward payments."""
+
+
+@dataclass(frozen=True)
+class RoundContext:
+    """Public per-round constants every node works against."""
+
+    round_index: int
+    sortition_seed: int
+    total_stake: float
+    tau_proposer: float
+    tau_step: float
+    tau_final: float
+    t_step: float
+    t_final: float
+    max_binary_steps: int
+    coin_seed: int
+
+
+def initial_stakes(config: SimulationConfig, streams: RngStreams) -> List[float]:
+    """The run's starting stake vector, drawn from the ``"stakes"`` stream.
+
+    Paper Section III-C: stakes uniform between 1 and 50 Algos.  The test
+    suite's per-message oracle draws through this same function, which
+    paired-seed agreement depends on.
+    """
+    if config.stakes is not None:
+        return [float(s) for s in config.stakes]
+    rng = streams.get("stakes")
+    low, high = config.stake_low, config.stake_high
+    return [float(rng.randint(int(low), int(high))) for _ in range(config.n_nodes)]
+
+
+def resolve_behaviors(
+    config: SimulationConfig,
+    streams: RngStreams,
+    explicit: Optional[Sequence[Behavior]],
+) -> List[Behavior]:
+    """The run's behaviour vector: explicit, or drawn from ``"behaviors"``.
+
+    Shared with the test suite's per-message oracle for the same reason
+    as :func:`initial_stakes`.
+    """
+    if explicit is not None:
+        if len(explicit) != config.n_nodes:
+            raise ConfigurationError(
+                f"behaviors has length {len(explicit)}, expected {config.n_nodes}"
+            )
+        return list(explicit)
+    return assign_behaviors(
+        config.n_nodes,
+        config.defection_rate,
+        config.malicious_rate,
+        config.offline_rate,
+        streams.get("behaviors"),
+    )
+
+
 #: Hop-distance sentinel for "no path through the relaying subgraph".
 UNREACHABLE = np.iinfo(np.int32).max
 
-#: Default per-hop latency quantile, fitted once from the DES via
-#: :func:`fit_latency_model` on the reference configuration (60 nodes,
+#: Default per-hop latency quantile, fitted once from the DES's gossip
+#: layer (``tests/des/latency.py``) on the reference configuration (60 nodes,
 #: fanout 5, U(0.05, 0.30) hop delays): first-arrival times divided by hop
 #: distance land near the 35th percentile of the per-hop delay
 #: distribution — path multiplicity makes the effective hop cheaper than
@@ -138,88 +194,6 @@ class LatencyModel:
         return int(window / delay)
 
 
-def fit_latency_model(
-    config: Optional[SimulationConfig] = None,
-    n_probes: int = 8,
-    seed: int = 0,
-) -> LatencyModel:
-    """Fit the per-hop latency quantile from the event-driven gossip layer.
-
-    Floods probe messages from ``n_probes`` sources through a real
-    :class:`~repro.sim.network.GossipNetwork` (every node relaying),
-    records each node's first-arrival time, divides by its BFS hop
-    distance, and maps the median effective per-hop delay back to a
-    quantile of the configured ``U(delay_min, delay_max)`` distribution.
-    This is the "fitted once from the DES" calibration behind
-    :data:`DEFAULT_HOP_QUANTILE`; re-run it to recalibrate after changing
-    the gossip layer.
-    """
-    from repro.sim.engine import EventEngine
-    from repro.sim.messages import Message
-    from repro.sim.network import GossipNetwork
-
-    if config is None:
-        config = SimulationConfig(n_nodes=60, seed=seed, verify_crypto=False)
-    span = config.delay_max - config.delay_min
-    if span <= 0:
-        return LatencyModel(hop_quantile=0.0)
-
-    streams = RngStreams(config.seed)
-    ids = list(range(config.n_nodes))
-    overlay = build_random_overlay(ids, config.gossip_fanout, streams.get("topology"))
-    engine = EventEngine()
-    delay_rng = streams.get("net.delay")
-
-    class _Probe:
-        relays_gossip = True
-        is_online = True
-
-        def __init__(self, node_id: int) -> None:
-            self.node_id = node_id
-            self.arrived_at: Optional[float] = None
-
-        def on_receive(self, message: Message, now: float) -> bool:
-            if self.arrived_at is None:
-                self.arrived_at = now
-            return True
-
-    network = GossipNetwork(
-        engine=engine,
-        neighbors=overlay,
-        delay_sampler=lambda: delay_rng.uniform(config.delay_min, config.delay_max),
-    )
-    network.delay_scale = config.delay_scale
-    probes = [_Probe(node_id) for node_id in ids]
-    for probe in probes:
-        network.register(probe)
-
-    # All nodes relay, so hop distances are plain BFS on the overlay.
-    hops = _bfs_hops(
-        overlay,
-        online=np.ones(config.n_nodes, dtype=bool),
-        relays=np.ones(config.n_nodes, dtype=bool),
-    )
-
-    per_hop: List[float] = []
-    for source in range(min(n_probes, config.n_nodes)):
-        for probe in probes:
-            probe.arrived_at = None
-        network.reset_seen()
-        start = engine.now
-        network.broadcast(source, Message(sender=source))
-        engine.run()
-        for probe in probes:
-            h = int(hops[source, probe.node_id])
-            if probe.arrived_at is None or h <= 0 or h >= UNREACHABLE:
-                continue
-            per_hop.append((probe.arrived_at - start) / h)
-    if not per_hop:
-        return LatencyModel()
-    effective = float(np.median(per_hop)) / config.delay_scale
-    quantile = (effective - config.delay_min) / span
-    return LatencyModel(hop_quantile=float(np.clip(quantile, 0.0, 1.0)))
-
-
 def _bfs_hops(
     neighbors: Dict[int, List[int]],
     online: np.ndarray,
@@ -230,7 +204,7 @@ def _bfs_hops(
 
     ``hops[i, j]`` is the minimum number of gossip hops from ``i`` to
     ``j`` where every *intermediate* node forwards (``relays`` — the
-    origin always forwards its own message, matching
+    origin always forwards its own message, matching the DES's
     ``GossipNetwork.broadcast``) and endpoints are online.  Offline nodes
     neither send nor receive.  ``edge_keep`` optionally thins the overlay
     (per-round drop realizations).  Runs one synchronous frontier
@@ -325,11 +299,11 @@ def _split(cohorts: List[_Cohort], won: np.ndarray) -> List[Tuple[_Cohort, int]]
 
 
 class FastSimulation:
-    """Vectorized drop-in for :class:`~repro.sim.protocol.AlgorandSimulation`.
+    """A reproducible multi-round Algorand network simulation.
 
-    Accepts the same constructor arguments plus an optional
-    :class:`LatencyModel`; produces the same
-    :class:`~repro.sim.metrics.SimulationMetrics`.  Runs are a pure
+    Takes the DES's constructor arguments plus an optional
+    :class:`LatencyModel` and produces the same
+    :class:`~repro.sim.metrics.SimulationMetrics` schema.  Runs are a pure
     function of ``(config, behaviors, latency)``, so orchestrated sweeps
     remain bit-identical at any worker count.
     """
@@ -354,7 +328,7 @@ class FastSimulation:
 
         n = config.n_nodes
         # Same substreams and draw logic as the DES constructor (shared
-        # helpers), so stakes, behaviours and the gossip overlay are
+        # functions), so stakes, behaviours and the gossip overlay are
         # identical on paired seeds.
         self.stakes: List[float] = initial_stakes(config, self.streams)
         self.behaviors: List[Behavior] = resolve_behaviors(
@@ -890,7 +864,7 @@ class FastSimulation:
     def _equivocated(
         self, node_id: int, honest_value: int, ranked_hashes: List[int]
     ) -> int:
-        """Fast-path analogue of ``Node._equivocated_value``.
+        """Fast-path analogue of the DES's ``Node._equivocated_value``.
 
         The DES draws from the node's stream over proposals in *arrival*
         order; the fast path has no arrival order, so it draws from a
@@ -1284,25 +1258,18 @@ def make_simulation(
     transaction_source: Optional[TransactionSource] = None,
     behaviors: Optional[Sequence[Behavior]] = None,
     latency: Optional[LatencyModel] = None,
-):
-    """Build the simulation engine selected by ``config.backend``.
+) -> FastSimulation:
+    """Build the :class:`FastSimulation` for one run.
 
-    ``"des"`` returns the event-driven :class:`AlgorandSimulation` (the
-    differential oracle); ``"fast"`` the vectorized :class:`FastSimulation`.
-    Both expose ``run(n_rounds) -> SimulationMetrics`` with the same
-    record schema.
+    The experiments construct their simulations through this one name
+    rather than the class, so setup can be timed by wrapping it: the
+    perfbench harness's ``fastpath.setup`` span replaces it here, in
+    :mod:`repro.sim` and in :mod:`repro.analysis.defection`.
     """
-    if config.backend == "fast":
-        return FastSimulation(
-            config,
-            mechanism=mechanism,
-            transaction_source=transaction_source,
-            behaviors=behaviors,
-            latency=latency,
-        )
-    return AlgorandSimulation(
+    return FastSimulation(
         config,
         mechanism=mechanism,
         transaction_source=transaction_source,
         behaviors=behaviors,
+        latency=latency,
     )

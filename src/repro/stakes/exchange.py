@@ -12,7 +12,7 @@ the paper describes it:
 
 The simulator applies those stake deltas round by round (guarding a
 positive minimum stake) and can also materialize them as
-:class:`~repro.sim.blocks.Transaction` objects so the discrete-event
+:class:`~repro.sim.blocks.Transaction` objects so the protocol
 simulator's blocks carry realistic payloads.
 """
 
@@ -152,12 +152,12 @@ class ExchangeSimulator:
             raise ConfigurationError(f"n_rounds must be >= 0, got {n_rounds}")
         return [self.step() for _ in range(n_rounds)]
 
-    # -- DES integration ------------------------------------------------------------
+    # -- simulator integration ------------------------------------------------------
 
     def transactions_for_round(
         self, round_index: int, n_transactions: Optional[int] = None
     ) -> List[Transaction]:
-        """Materialize churn as paired transactions for the DES simulator.
+        """Materialize churn as paired transactions for the protocol simulator.
 
         Each transaction moves a positive amount between two distinct
         stake-weighted picks, giving blocks realistic payloads without

@@ -8,6 +8,8 @@ import pytest
 
 from repro.analysis.defection import (
     DefectionExperimentConfig,
+    _fig3_shard,
+    fig3_sweep_spec,
     run_defection_experiment,
     shape_assertions,
 )
@@ -82,6 +84,29 @@ class TestDefectionExperiment:
 
     def test_shape_assertions_pass_on_healthy_result(self, tiny_defection_result):
         assert shape_assertions(tiny_defection_result) == []
+
+
+class TestFig3Shard:
+    """A shard's params must name the fast kernel; nothing defaults it."""
+
+    def _params(self, **overrides):
+        config = DefectionExperimentConfig(
+            rates=(0.05,), n_runs=1, n_rounds=2, n_nodes=24
+        )
+        (shard,) = fig3_sweep_spec(config).shards()
+        params = dict(shard.params)
+        params.update(overrides)
+        return params
+
+    def test_shard_without_backend_is_refused(self):
+        params = self._params()
+        del params["backend"]
+        with pytest.raises(ConfigurationError, match="tests/des"):
+            _fig3_shard(params, 0)
+
+    def test_des_shard_is_refused(self):
+        with pytest.raises(ConfigurationError, match="tests/des"):
+            _fig3_shard(self._params(backend="des"), 0)
 
 
 class TestRewardSurface:

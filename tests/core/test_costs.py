@@ -38,34 +38,6 @@ class TestTaskCosts:
             TaskCosts(-1, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
-class TestPriceCounters:
-    def test_prices_simulator_counters(self, paper_task_costs):
-        counters = {
-            "transactions_verified": 10,
-            "sortitions_run": 2,
-            "votes_cast": 3,
-        }
-        expected = (
-            10 * paper_task_costs.verification
-            + 2 * paper_task_costs.sortition
-            + 3 * paper_task_costs.vote
-        )
-        assert paper_task_costs.price_counters(counters) == pytest.approx(expected)
-
-    def test_full_counter_snapshot_priced(self, paper_task_costs):
-        from repro.sim.node import TaskCounters
-
-        counters = TaskCounters(sortitions_run=4, votes_cast=1).snapshot()
-        price = paper_task_costs.price_counters(counters)
-        assert price == pytest.approx(
-            4 * paper_task_costs.sortition + 1 * paper_task_costs.vote
-        )
-
-    def test_unknown_counter_rejected(self, paper_task_costs):
-        with pytest.raises(ConfigurationError):
-            paper_task_costs.price_counters({"mystery_task": 1})
-
-
 class TestRoleCosts:
     def test_from_tasks_consistency(self, paper_task_costs):
         roles = RoleCosts.from_tasks(paper_task_costs)

@@ -109,7 +109,8 @@ class TestLifecycle:
             FeeFundedSharing(foundation_deposit_per_round=-1.0)
 
     def test_integrates_with_simulator(self):
-        from repro.sim import AlgorandSimulation, SimulationConfig
+        from des import AlgorandSimulation
+        from repro.sim import SimulationConfig
 
         mechanism = _mechanism(ceiling=0.1, fees=0.0, deposit=0.05)
         config = SimulationConfig(

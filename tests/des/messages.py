@@ -12,17 +12,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
+from repro.sim.ba_star import EMPTY_HASH
 from repro.sim.crypto import Signature
 from repro.sim.sortition import SortitionProof
 
 _MESSAGE_COUNTER = itertools.count()
-
-#: Sentinel hash value for the empty (default) block option in BA* voting.
-EMPTY_HASH = -1
-
-#: Sentinel returned by vote counting when no value crossed the threshold
-#: before the step deadline.
-TIMEOUT = None
 
 
 def _next_message_id() -> int:

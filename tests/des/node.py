@@ -1,4 +1,4 @@
-"""The Algorand node: per-round state, message handling, and consensus duties.
+"""The DES node: per-round state, message handling, and consensus duties.
 
 A :class:`Node` owns a ledger replica, a mempool, task counters (for the
 cost model), and — during a round — the BA* state machine plus stores of the
@@ -17,45 +17,52 @@ produces validly-signed but equivocating traffic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.core.costs import TaskCosts
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim import crypto
 from repro.sim.ba_star import (
+    EMPTY_HASH,
     FINAL_STEP,
     ConsensusStateMachine,
     StepDirective,
-    count_votes,
+    make_common_coin,
+    resolve_quorum,
 )
 from repro.sim.behavior import Behavior
 from repro.sim.blocks import Block, ConsensusLabel, Ledger, LedgerEntry, Transaction, make_empty_block
 from repro.sim.config import SimulationConfig
-from repro.sim.messages import (
-    EMPTY_HASH,
+from repro.sim.fastpath import RoundContext
+from repro.sim.sortition import Role, SortitionProof, sortition, verify_sortition
+
+from des.messages import (
     BlockProposalMessage,
     CredentialMessage,
     Message,
     TransactionMessage,
     VoteMessage,
 )
-from repro.sim.sortition import Role, SortitionProof, sortition, verify_sortition
 
 
-@dataclass(frozen=True)
-class RoundContext:
-    """Public per-round constants every node works against."""
+def count_votes(
+    votes: Iterable[VoteMessage],
+    tau: float,
+    threshold: float,
+) -> Optional[int]:
+    """Tally committee votes; return the winning value or ``None`` (timeout).
 
-    round_index: int
-    sortition_seed: int
-    total_stake: float
-    tau_proposer: float
-    tau_step: float
-    tau_final: float
-    t_step: float
-    t_final: float
-    max_binary_steps: int
-    coin_seed: int
+    Votes are assumed already deduplicated per sender (the node's vote
+    store keeps first-votes only); the threshold decision is the fast
+    kernel's :func:`repro.sim.ba_star.resolve_quorum`.
+    """
+    weights: Dict[int, int] = {}
+    for vote in votes:
+        if vote.weight <= 0:
+            continue
+        weights[vote.value] = weights.get(vote.value, 0) + vote.weight
+    return resolve_quorum(weights, tau, threshold)
 
 
 @dataclass
@@ -75,6 +82,29 @@ class TaskCounters:
     def snapshot(self) -> Dict[str, int]:
         """The counters as a plain dict (for metrics and assertions)."""
         return dict(self.__dict__)
+
+
+def price_counters(costs: TaskCosts, counters: Mapping[str, int]) -> float:
+    """Total cost of a node's :meth:`TaskCounters.snapshot`, in Algos.
+
+    Ties the analytic cost model (paper Table II) to the workload the
+    DES measures.
+    """
+    price_per_counter = {
+        "transactions_verified": costs.verification,
+        "seeds_generated": costs.seed_generation,
+        "sortitions_run": costs.sortition,
+        "proofs_verified": costs.proof_verification,
+        "blocks_proposed": costs.block_proposal,
+        "messages_relayed": costs.gossip,
+        "block_selections": costs.block_selection,
+        "votes_cast": costs.vote,
+        "vote_counts": costs.vote_counting,
+    }
+    unknown = set(counters) - set(price_per_counter)
+    if unknown:
+        raise ConfigurationError(f"unknown task counters: {sorted(unknown)}")
+    return sum(price_per_counter[name] * count for name, count in counters.items())
 
 
 @dataclass
@@ -315,8 +345,6 @@ class Node:
         committee members of the first reduction step.
         """
         ctx = self._require_ctx()
-        from repro.sim.ba_star import make_common_coin
-
         self._machine = ConsensusStateMachine(
             ctx.max_binary_steps, make_common_coin(ctx.coin_seed, ctx.round_index)
         )

@@ -1,4 +1,4 @@
-"""Round orchestration: the top-level Algorand simulation driver.
+"""Round orchestration: the DES's top-level Algorand simulation driver.
 
 One :class:`AlgorandSimulation` owns the event engine, the gossip network,
 the node population and an authoritative ledger (the omniscient observer's
@@ -22,70 +22,30 @@ event-driven underneath.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim import crypto
-from repro.sim.behavior import Behavior, assign_behaviors
-from repro.sim.blocks import Block, ConsensusLabel, Ledger, Transaction, make_empty_block
-from repro.sim.ba_star import FINAL_STEP, count_votes
+from repro.sim.ba_star import EMPTY_HASH, FINAL_STEP
+from repro.sim.behavior import Behavior
+from repro.sim.blocks import Block, ConsensusLabel, Ledger, make_empty_block
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import EventEngine
-from repro.sim.messages import EMPTY_HASH, BlockProposalMessage, Message, VoteMessage
+from repro.sim.fastpath import (
+    RewardMechanism,
+    RoundContext,
+    TransactionSource,
+    initial_stakes,
+    resolve_behaviors,
+)
 from repro.sim.metrics import RoundRecord, SimulationMetrics
-from repro.sim.network import GossipNetwork, build_random_overlay
-from repro.sim.node import Node, RoundContext
+from repro.sim.network import build_random_overlay
 from repro.sim.rng import RngStreams
-from repro.sim.roles import RewardAllocation, RoleSnapshot
+from repro.sim.roles import RoleSnapshot
 
-#: A source of pending transactions for each round.
-TransactionSource = Callable[[int], List[Transaction]]
-
-
-def initial_stakes(config: SimulationConfig, streams: RngStreams) -> List[float]:
-    """The run's starting stake vector, drawn from the ``"stakes"`` stream.
-
-    Shared by both simulation backends: paired-seed agreement between the
-    DES and the fast kernel depends on a single implementation of this
-    draw (paper Section III-C: stakes uniform between 1 and 50 Algos).
-    """
-    if config.stakes is not None:
-        return [float(s) for s in config.stakes]
-    rng = streams.get("stakes")
-    low, high = config.stake_low, config.stake_high
-    return [float(rng.randint(int(low), int(high))) for _ in range(config.n_nodes)]
-
-
-def resolve_behaviors(
-    config: SimulationConfig,
-    streams: RngStreams,
-    explicit: Optional[Sequence[Behavior]],
-) -> List[Behavior]:
-    """The run's behaviour vector: explicit, or drawn from ``"behaviors"``.
-
-    Shared by both simulation backends for the same bit-identity reason
-    as :func:`initial_stakes`.
-    """
-    if explicit is not None:
-        if len(explicit) != config.n_nodes:
-            raise ConfigurationError(
-                f"behaviors has length {len(explicit)}, expected {config.n_nodes}"
-            )
-        return list(explicit)
-    return assign_behaviors(
-        config.n_nodes,
-        config.defection_rate,
-        config.malicious_rate,
-        config.offline_rate,
-        streams.get("behaviors"),
-    )
-
-
-class RewardMechanism(Protocol):
-    """Structural interface every reward-sharing mechanism implements."""
-
-    def allocate(self, snapshot: RoleSnapshot) -> RewardAllocation:
-        """Compute the round's per-node reward payments."""
+from des.engine import EventEngine
+from des.messages import BlockProposalMessage, Message, VoteMessage
+from des.network import GossipNetwork
+from des.node import Node, count_votes
 
 
 class AlgorandSimulation:

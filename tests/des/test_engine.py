@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import EventEngine, drain
+
+from des.engine import EventEngine, drain
 
 
 class TestScheduling:
@@ -211,7 +212,7 @@ class TestLazyDeletionCompaction:
         assert engine.cancelled_pending_count == 1
 
     def test_standalone_event_cancel_still_works(self):
-        from repro.sim.engine import Event
+        from des.engine import Event
 
         event = Event(time=1.0, callback=lambda: None)
         event.cancel()

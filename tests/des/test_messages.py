@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from repro.sim.ba_star import EMPTY_HASH
 from repro.sim.crypto import VrfOutput
-from repro.sim.messages import (
-    EMPTY_HASH,
+from repro.sim.sortition import Role, SortitionProof
+
+from des.messages import (
     BlockProposalMessage,
     CredentialMessage,
     Message,
     TransactionMessage,
     VoteMessage,
 )
-from repro.sim.sortition import Role, SortitionProof
 
 
 def _proof(weight=2, priority=0.25):

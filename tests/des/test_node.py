@@ -7,17 +7,14 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.behavior import Behavior
 from repro.sim.blocks import Block, ConsensusLabel, Ledger, Transaction
-from repro.sim.ba_star import FINAL_STEP
+from repro.sim.ba_star import EMPTY_HASH, FINAL_STEP
 from repro.sim.config import SimulationConfig
 from repro.sim.crypto import KeyPair
-from repro.sim.messages import (
-    EMPTY_HASH,
-    BlockProposalMessage,
-    TransactionMessage,
-    VoteMessage,
-)
-from repro.sim.node import Node, RoundContext
+from repro.sim.fastpath import RoundContext
 from repro.sim.sortition import Role, sortition
+
+from des.messages import BlockProposalMessage, TransactionMessage, VoteMessage
+from des.node import Node
 
 
 def _config(**overrides) -> SimulationConfig:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim import AlgorandSimulation, Behavior, ConsensusLabel, SimulationConfig
+from repro.sim import Behavior, ConsensusLabel, SimulationConfig
 from repro.sim.blocks import Transaction
+
+from des import AlgorandSimulation
 
 
 def _config(**overrides) -> SimulationConfig:

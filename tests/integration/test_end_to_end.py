@@ -11,8 +11,10 @@ from repro.core import (
 )
 from repro.core.game import AlgorandGame, RoleBasedRule
 from repro.core.equilibrium import theorem3_equilibrium
-from repro.sim import AlgorandSimulation, ConsensusLabel, SimulationConfig
+from repro.sim import SimulationConfig
 from repro.stakes.exchange import ExchangeSimulator
+
+from des import AlgorandSimulation, price_counters
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -152,7 +154,7 @@ class TestCostAccountingBridge:
         sim.run(2)
         tasks = TaskCosts.paper_defaults()
         for node in sim.nodes:
-            cost = tasks.price_counters(node.counters.snapshot())
+            cost = price_counters(tasks, node.counters.snapshot())
             assert cost > 0  # everyone at least ran sortition and counted
 
     def test_leaders_bear_higher_costs(self):
@@ -164,11 +166,11 @@ class TestCostAccountingBridge:
         snapshot = sim.role_snapshot(1)
         by_id = {node.node_id: node for node in sim.nodes}
         leader_costs = [
-            tasks.price_counters(by_id[nid].counters.snapshot())
+            price_counters(tasks, by_id[nid].counters.snapshot())
             for nid in snapshot.leaders
         ]
         idle_costs = [
-            tasks.price_counters(by_id[nid].counters.snapshot())
+            price_counters(tasks, by_id[nid].counters.snapshot())
             for nid in snapshot.others
         ]
         assert min(leader_costs) > max(idle_costs)

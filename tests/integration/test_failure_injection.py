@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import AlgorandSimulation, ConsensusLabel, SimulationConfig
+from repro.sim import ConsensusLabel, SimulationConfig
+
+from des import AlgorandSimulation
 
 
 def _config(**overrides) -> SimulationConfig:

@@ -7,7 +7,8 @@ possible, and the differential tests assert the two agree:
 * :func:`minimize_reward_scipy` — a scipy Nelder-Mead minimization of the
   Theorem 3 bound (vs ``core.optimizer.minimize_reward_analytic``).
 * :func:`as_networkx` / :func:`honest_subgraph` — the gossip overlay as a
-  networkx digraph, for topology checks (vs ``sim.network``).
+  networkx digraph, for topology checks (vs ``sim.network`` and the
+  DES's gossip layer).
 * :func:`paper_aggregates_scalar` — the pure-Python aggregate reduction
   (vs the vectorized ``core.bounds.paper_aggregates``).
 * :func:`oracle_population_gains` — per-agent deviation gains of a small
@@ -56,7 +57,8 @@ from repro.schemes.population_audit import (
     _chunks,
 )
 from repro.schemes.registry import SchemeLike, resolve_scheme
-from repro.sim.network import GossipNetwork
+
+from des.network import GossipNetwork
 
 
 # -- Algorithm 1 --------------------------------------------------------------

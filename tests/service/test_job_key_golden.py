@@ -3,16 +3,21 @@
 ``job_keys.json`` records, for about twenty requests across the four job
 kinds, the canonical params :func:`repro.service.prepare_job` derives
 and the SHA-256 key they hash to.  The cases cover service defaults,
-widened audit grids, ``family_params``, both dtypes, every ``backend``
-spelling and explicit ``chunk_agents``.  A memo key is a promise to
-clients (repeat requests hit the cache, shard caches stay warm), so a
-refactor of the validation layer must reproduce every entry byte for
-byte.
+widened audit grids, ``family_params``, both dtypes, every accepted
+``backend`` spelling and explicit ``chunk_agents``.  A memo key is a
+promise to clients (repeat requests hit the cache, shard caches stay
+warm), so a refactor of the validation layer must reproduce every entry
+byte for byte.
 
 One entry is a documented alias: ``audit-defaults`` was recorded while
 an omitted ``chunk_agents`` canonicalized to ``None``, a second key for
 the computation ``audit-defaults-explicit-chunk`` already names.  It now
 maps to that pinned explicit key (see :data:`ALIASES`).
+
+Two requests once pinned here, ``scenarios-des`` and ``tournament-des``,
+asked for the discrete-event simulator, which is now the kernel's test
+oracle and no longer a backend.  They are :data:`REJECTED`: the service
+must refuse them instead of keying them.
 
 Regenerate (only when a change is *meant* to move keys) with::
 
@@ -28,6 +33,7 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.service import prepare_job
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "job_keys.json"
@@ -109,7 +115,6 @@ CASES: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
         {"family_params": {"exponent": 1.8}, "dtype": "float64", "agents": 10000},
     ),
     ("scenarios-defaults", "scenarios", {}),
-    ("scenarios-des", "scenarios", {"backend": "des", "players": 12, "epochs": 3}),
     (
         "scenarios-fast",
         "scenarios",
@@ -136,6 +141,11 @@ CASES: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
             "backend": "fast",
         },
     ),
+)
+
+#: Requests that once had keys and must now be refused.
+REJECTED: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
+    ("scenarios-des", "scenarios", {"backend": "des", "players": 12, "epochs": 3}),
     ("tournament-des", "tournament", {"backend": "des"}),
 )
 
@@ -192,6 +202,15 @@ def test_job_key_matches_golden(name, golden, current):
     pinned = golden[ALIASES.get(name, name)]
     assert current[name]["params"] == golden[name]["params"]
     assert _canonical_bytes(current[name]) == _canonical_bytes(pinned)
+
+
+@pytest.mark.parametrize(
+    "name, kind, params", REJECTED, ids=[name for name, _, _ in REJECTED]
+)
+def test_des_request_is_refused(name, kind, params, golden):
+    assert name not in golden
+    with pytest.raises(ConfigurationError, match="tests/des"):
+        prepare_job(kind, params)
 
 
 def test_aliases_were_distinct_keys_when_pinned(golden):

@@ -88,6 +88,10 @@ class TestMalformedParameters:
                 "message"
             ]
         )
+        assert (
+            "tests/des"
+            in _submit_error(harness, "tournament", {"backend": "des"})["message"]
+        )
 
     def test_wrong_types_are_rejected(self, harness):
         _submit_error(harness, "audit", {"agents": "many"})

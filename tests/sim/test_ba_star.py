@@ -1,4 +1,4 @@
-"""Unit tests for the BA* consensus state machine and vote counting."""
+"""Unit tests for the BA* consensus state machine."""
 
 from __future__ import annotations
 
@@ -6,74 +6,21 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.ba_star import (
+    EMPTY_HASH,
     FINAL_STEP,
     FIRST_BINARY_STEP,
     ConsensusStateMachine,
     Phase,
     StepKind,
     binary_step_kind,
-    count_votes,
     make_common_coin,
 )
-from repro.sim.crypto import VrfOutput
-from repro.sim.messages import EMPTY_HASH, VoteMessage
-from repro.sim.sortition import Role, SortitionProof
 
 BLOCK = 777
 
 
-def _vote(sender: int, value: int, weight: int = 1, step: int = 1) -> VoteMessage:
-    proof = SortitionProof(
-        public_key=sender,
-        role=Role.STEP,
-        round_index=1,
-        step=step,
-        vrf=VrfOutput(value=0.1, proof=sender),
-        weight=weight,
-        priority=0.5,
-        stake=10,
-        total_stake=100,
-        expected_size=10,
-    )
-    return VoteMessage(sender=sender, round_index=1, step=step, value=value, proof=proof)
-
-
 def _machine(max_steps: int = 11, coin=lambda step: 0) -> ConsensusStateMachine:
     return ConsensusStateMachine(max_steps, coin)
-
-
-class TestCountVotes:
-    def test_majority_value_wins(self):
-        votes = [_vote(i, BLOCK) for i in range(8)] + [_vote(10, EMPTY_HASH)]
-        assert count_votes(votes, tau=10, threshold=0.685) == BLOCK
-
-    def test_no_quorum_times_out(self):
-        votes = [_vote(i, BLOCK) for i in range(3)]
-        assert count_votes(votes, tau=10, threshold=0.685) is None
-
-    def test_threshold_is_strict(self):
-        # Exactly threshold * tau must NOT win (strict inequality).
-        votes = [_vote(i, BLOCK, weight=1) for i in range(5)]
-        assert count_votes(votes, tau=10, threshold=0.5) is None
-        votes.append(_vote(99, BLOCK))
-        assert count_votes(votes, tau=10, threshold=0.5) == BLOCK
-
-    def test_weights_accumulate(self):
-        votes = [_vote(1, BLOCK, weight=8)]
-        assert count_votes(votes, tau=10, threshold=0.685) == BLOCK
-
-    def test_zero_weight_votes_ignored(self):
-        votes = [_vote(1, BLOCK, weight=0)] * 20
-        assert count_votes(votes, tau=10, threshold=0.685) is None
-
-    def test_heaviest_value_wins_when_both_cross(self):
-        votes = [_vote(i, BLOCK, weight=2) for i in range(5)] + [
-            _vote(10 + i, EMPTY_HASH, weight=2) for i in range(4)
-        ]
-        assert count_votes(votes, tau=10, threshold=0.5) == BLOCK
-
-    def test_empty_vote_iterable_times_out(self):
-        assert count_votes([], tau=10, threshold=0.685) is None
 
 
 class TestStepKinds:

@@ -58,7 +58,6 @@ def _config(**overrides) -> SimulationConfig:
         tau_step=60.0,
         tau_final=80.0,
         verify_crypto=False,
-        backend="fast",
     )
     base.update(overrides)
     return SimulationConfig(**base)

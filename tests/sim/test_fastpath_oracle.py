@@ -11,8 +11,10 @@ event-driven simulator on paired seeds:
   calibrated regime (the paper's default timing constants) the agreement
   is in fact exact on every configuration these tests pin.
 
-Plus kernel-only invariants: purity (same config, same result),
-backend dispatch, and the latency-model calibration staying in band.
+The DES comes from the test tree (``tests/des``).  Plus kernel-only
+invariants: purity (same config, same result), the latency-model
+calibration staying in band, and the one rule every backend-carrying
+surface applies: ``"fast"`` is the only simulation engine.
 """
 
 from __future__ import annotations
@@ -25,9 +27,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import runner
+from repro.analysis.defection import DefectionExperimentConfig
+from repro.analysis.experiments import EXPERIMENTS
 from repro.errors import ConfigurationError
+from repro.scenarios import ScenarioCampaignConfig
+from repro.scenarios.spec import ScenarioSpec
+from repro.schemes.tournament import TournamentConfig
+from repro.service import prepare_job
 from repro.sim import (
-    AlgorandSimulation,
     Behavior,
     FastSimulation,
     LatencyModel,
@@ -35,14 +43,16 @@ from repro.sim import (
     make_simulation,
 )
 from repro.sim import crypto
-from repro.sim.ba_star import count_votes, resolve_quorum
-from repro.sim.fastpath import DEFAULT_HOP_QUANTILE, fit_latency_model
+from repro.sim.ba_star import resolve_quorum
+from repro.sim.fastpath import DEFAULT_HOP_QUANTILE, RoundContext
 from repro.sim.roles import RewardAllocation, RoleSnapshot
 from repro.sim.sortition import Role, sortition
 
+from des import AlgorandSimulation, count_votes, fit_latency_model
+
 
 def _paired_config(**overrides) -> SimulationConfig:
-    """A small paper-regime config shared by both backends."""
+    """A small paper-regime config shared by the kernel and the DES."""
     base = dict(
         n_nodes=40,
         seed=11,
@@ -59,7 +69,7 @@ def _records(simulation, n_rounds):
     return simulation.run(n_rounds).records
 
 
-# -- pure threshold/step functions shared by both backends -------------------
+# -- pure threshold/step functions shared by the kernel and the DES ----------
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,7 @@ class TestVrfHotLoopExact:
         batched path must reproduce ``crypto.vrf_evaluate`` exactly, not
         just statistically, on every row of one multi-domain batch.
         """
-        simulation = FastSimulation(_paired_config(backend="fast"))
+        simulation = FastSimulation(_paired_config())
         tags = (0, 1_000 + 1, 1_000 + 13, 2_000 + 10_000)
         batch = simulation._vrf_values(round_seed, round_index, tags)
         assert batch.shape == (len(tags), simulation.config.n_nodes)
@@ -137,7 +147,7 @@ class TestVrfHotLoopExact:
     def test_batch_digests_are_the_crypto_proofs(self):
         """Proposers read their VRF proof from the batch: digest ``t * n + i``
         is key ``i``'s ``vrf_evaluate(...).proof`` under ``tags[t]``."""
-        simulation = FastSimulation(_paired_config(backend="fast"))
+        simulation = FastSimulation(_paired_config())
         tags = (0, 2_000 + 10_000)
         digests = simulation._vrf_digests(987_654_321, 5, tags)
         n = simulation.config.n_nodes
@@ -154,7 +164,7 @@ class TestBatchedStepSortition:
 
     def test_batch_rows_match_scalar_sortition(self):
         simulation = FastSimulation(
-            _paired_config(backend="fast", offline_rate=0.2, stake_high=400.0)
+            _paired_config(offline_rate=0.2, stake_high=400.0)
         )
         config = simulation.config
         stakes = simulation.stakes
@@ -196,7 +206,7 @@ class TestMatmulTally:
     @given(data=st.data())
     def test_tally_matches_per_node_reference(self, data):
         simulation = FastSimulation(
-            _paired_config(backend="fast", n_nodes=12, seed=5, offline_rate=0.2)
+            _paired_config(n_nodes=12, seed=5, offline_rate=0.2)
         )
         hops = simulation._round_hops()
         n, n_values, step = 12, 4, 5
@@ -237,9 +247,7 @@ class TestMatmulTally:
 class TestProposeSubUnitWeight:
     """Sortition weights in (0, 1) hold no whole sub-user slot."""
 
-    def _context(self, simulation) -> "RoundContext":
-        from repro.sim.node import RoundContext
-
+    def _context(self, simulation) -> RoundContext:
         config = simulation.config
         return RoundContext(
             round_index=1,
@@ -255,7 +263,7 @@ class TestProposeSubUnitWeight:
         )
 
     def _propose_with_weight(self, weight: float):
-        simulation = FastSimulation(_paired_config(backend="fast"))
+        simulation = FastSimulation(_paired_config())
         weights = np.zeros(simulation.config.n_nodes, dtype=np.float64)
         weights[0] = weight
         simulation._role_weights = lambda *args, **kwargs: weights
@@ -285,7 +293,7 @@ class TestPairedSeedExactAgreement:
     def test_round_records_match_des(self, defection_rate):
         kwargs = dict(n_nodes=40, seed=71, defection_rate=defection_rate)
         des = AlgorandSimulation(_paired_config(**kwargs))
-        fast = FastSimulation(_paired_config(**kwargs, backend="fast"))
+        fast = FastSimulation(_paired_config(**kwargs))
         for des_record, fast_record in zip(_records(des, 4), _records(fast, 4)):
             assert (
                 des_record.n_final,
@@ -321,7 +329,7 @@ class TestPairedSeedExactAgreement:
         config = _paired_config(seed=5)
         des = AlgorandSimulation(config, behaviors=list(behaviors))
         fast = FastSimulation(
-            _paired_config(seed=5, backend="fast"), behaviors=list(behaviors)
+            _paired_config(seed=5), behaviors=list(behaviors)
         )
         des_metrics = des.run(3)
         fast_metrics = fast.run(3)
@@ -345,7 +353,7 @@ class TestMechanismParity:
     def test_reward_compounding_matches_des(self):
         des = AlgorandSimulation(_paired_config(), mechanism=_UnitRewardPerLeader())
         fast = FastSimulation(
-            _paired_config(backend="fast"), mechanism=_UnitRewardPerLeader()
+            _paired_config(), mechanism=_UnitRewardPerLeader()
         )
         des_records = _records(des, 4)
         fast_records = _records(fast, 4)
@@ -370,7 +378,7 @@ class TestStatisticalAgreement:
         kwargs = dict(n_nodes=n_nodes, seed=seed, defection_rate=defection_rate)
         des_records = _records(AlgorandSimulation(_paired_config(**kwargs)), 3)
         fast_records = _records(
-            FastSimulation(_paired_config(**kwargs, backend="fast")), 3
+            FastSimulation(_paired_config(**kwargs)), 3
         )
         # Sortition is recomputed exactly: realized role counts must match
         # round for round.
@@ -392,7 +400,7 @@ class TestStatisticalAgreement:
 
 class TestFastKernelInvariants:
     def test_runs_are_pure_functions_of_config(self):
-        config = _paired_config(defection_rate=0.1, backend="fast")
+        config = _paired_config(defection_rate=0.1)
         first = FastSimulation(config).run(4)
         second = FastSimulation(config).run(4)
         assert first.series("fraction_final") == second.series("fraction_final")
@@ -400,7 +408,7 @@ class TestFastKernelInvariants:
 
     def test_fraction_categories_partition_online(self):
         metrics = FastSimulation(
-            _paired_config(defection_rate=0.2, offline_rate=0.1, backend="fast")
+            _paired_config(defection_rate=0.2, offline_rate=0.1)
         ).run(4)
         for record in metrics.records:
             assert record.n_final + record.n_tentative + record.n_none == (
@@ -408,9 +416,9 @@ class TestFastKernelInvariants:
             )
 
     def test_drop_probability_degrades_gracefully(self):
-        healthy = FastSimulation(_paired_config(seed=3, backend="fast")).run(4)
+        healthy = FastSimulation(_paired_config(seed=3)).run(4)
         lossy = FastSimulation(
-            _paired_config(seed=3, drop_probability=0.6, backend="fast")
+            _paired_config(seed=3, drop_probability=0.6)
         ).run(4)
         assert sum(lossy.series("fraction_final")) <= sum(
             healthy.series("fraction_final")
@@ -421,7 +429,7 @@ class TestFastKernelInvariants:
             LatencyModel(hop_quantile=1.5)
 
     def test_zero_delay_window_admits_everything(self):
-        config = _paired_config(delay_min=0.0, delay_max=0.0, backend="fast")
+        config = _paired_config(delay_min=0.0, delay_max=0.0)
         metrics = FastSimulation(config).run(2)
         assert all(r.n_online == 40 for r in metrics.records)
 
@@ -438,19 +446,33 @@ class TestLatencyCalibration:
         assert fit_latency_model(config).hop_quantile == 0.0
 
 
-class TestBackendDispatch:
-    def test_make_simulation_honours_backend(self):
-        assert isinstance(make_simulation(_paired_config()), AlgorandSimulation)
-        assert isinstance(
-            make_simulation(_paired_config(backend="fast")), FastSimulation
-        )
+#: Every surface that carries a backend, as ``value -> construct it``.
+_BACKEND_SURFACES = {
+    "fig3-config": lambda value: DefectionExperimentConfig(backend=value),
+    "scenario-spec": lambda value: ScenarioSpec(
+        name="x", description="", sim_backend=value
+    ),
+    "scenario-campaign": lambda value: ScenarioCampaignConfig(backend=value),
+    "tournament": lambda value: TournamentConfig(backend=value),
+    "experiment-field": lambda value: EXPERIMENTS["fig3"].configure(
+        "small", {"backend": value}
+    ),
+    "service-job": lambda value: prepare_job("scenarios", {"backend": value}),
+}
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _paired_config(backend="warp")
 
-    def test_scenario_spec_rejects_unknown_backend(self):
-        from repro.scenarios.spec import ScenarioSpec
+class TestOneEngine:
+    def test_make_simulation_builds_the_fast_kernel(self):
+        assert isinstance(make_simulation(_paired_config()), FastSimulation)
 
-        with pytest.raises(ConfigurationError):
-            ScenarioSpec(name="x", description="", sim_backend="warp")
+    @pytest.mark.parametrize("value", ["des", "warp"])
+    @pytest.mark.parametrize("surface", sorted(_BACKEND_SURFACES))
+    def test_surface_rejects_all_but_fast(self, surface, value):
+        with pytest.raises(ConfigurationError, match="tests/des"):
+            _BACKEND_SURFACES[surface](value)
+
+    def test_cli_rejects_des_naming_the_oracle(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["fig3", "--backend", "des", "--no-progress"])
+        assert excinfo.value.code == 2
+        assert "tests/des" in capsys.readouterr().err

@@ -1,8 +1,9 @@
-"""The runtime imports, and runs, on numpy alone.
+"""The runtime imports, and runs, on numpy alone, with one simulation engine.
 
 scipy and networkx are test oracles (``tests/oracles.py``), not runtime
-dependencies.  Each check runs in a fresh interpreter, since this test
-process has long since imported both.
+dependencies, and the discrete-event simulator is the fast kernel's test
+oracle (``tests/des``), not runtime code.  Each check runs in a fresh
+interpreter, since this test process has long since imported all three.
 """
 
 from __future__ import annotations
@@ -15,14 +16,20 @@ import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 
 #: Packages only the test suite may import.
 TEST_ONLY = ("scipy", "networkx")
 
+#: The DES's classes; no runtime module may hold one.
+DES_NAMES = ("EventEngine", "AlgorandSimulation", "GossipNetwork", "Node")
 
-def run_python(code: str, cwd: Path) -> str:
-    """Run ``code`` in a fresh interpreter on the source tree; its stdout."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+def run_python(code: str, cwd: Path, tests: bool = False) -> str:
+    """Run ``code`` in a fresh interpreter on the source tree (and, with
+    ``tests``, the test tree); its stdout."""
+    path = [str(SRC), str(TESTS)] if tests else [str(SRC)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     completed = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         cwd=cwd,
@@ -45,6 +52,42 @@ def test_entry_points_import_neither_package(tmp_path):
         )))
         """,
         tmp_path,
+    )
+    assert json.loads(out) == []
+
+
+def test_entry_points_load_no_des_code(tmp_path):
+    out = run_python(
+        f"""
+        import json, sys
+        import repro.analysis.runner, repro.service.app, repro.sim
+        found = [name for name in sys.modules if name.split(".")[0] == "des"]
+        found += [
+            f"{{name}}.{{attr}}"
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "repro"
+            for attr in {DES_NAMES!r}
+            if hasattr(module, attr)
+        ]
+        print(json.dumps(sorted(found)))
+        """,
+        tmp_path,
+    )
+    assert json.loads(out) == []
+
+
+def test_des_imports_neither_package(tmp_path):
+    out = run_python(
+        f"""
+        import json, sys
+        import des
+        assert des.AlgorandSimulation
+        print(json.dumps(sorted(
+            name for name in sys.modules if name.split(".")[0] in {TEST_ONLY!r}
+        )))
+        """,
+        tmp_path,
+        tests=True,
     )
     assert json.loads(out) == []
 
