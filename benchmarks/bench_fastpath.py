@@ -278,7 +278,6 @@ def test_bench_fastpath_vs_des(benchmark, report):
             n_players=28,
             n_epochs=10,
             simulate_rounds=20,
-            backend="fast",
         )
         with span("bench.scenario_campaign") as timer:
             run_scenarios_campaign(campaign_config, workers=1)

@@ -5,7 +5,7 @@ Artifact  Paper content                           Driver
 ========  ======================================  =============================
 Table II  task/cost/role matrix                   :func:`repro.analysis.tables.table2`
 Table III Foundation reward schedule              :func:`repro.analysis.tables.table3`
-Fig 3     defection cascade (DES simulation)      :func:`repro.analysis.defection.run_defection_experiment`
+Fig 3     defection cascade (round kernel)        :func:`repro.analysis.defection.run_defection_experiment`
 Fig 5     min B_i over (alpha, beta)              :func:`repro.analysis.reward_surface.run_reward_surface`
 Fig 6     B_i distribution per stake population   :func:`repro.analysis.reward_comparison.run_reward_comparison`
 Fig 7a/b  adaptive vs Foundation rewards          same result object

@@ -427,7 +427,6 @@ def _campaign(values: Mapping[str, Any]) -> Dict[str, Any]:
         "n_players": values["players"],
         "n_epochs": values["epochs"],
         "simulate_rounds": values["simulate_rounds"],
-        "backend": values["backend"],
         "seed": values["seed"],
     }
 

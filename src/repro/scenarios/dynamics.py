@@ -18,8 +18,8 @@ One scenario run evolves a population's strategy profile across epochs:
    C-advantage.
 3. **Measurement** — strategy counts, block success, mean payoff by
    strategy, and (optionally) the realized finalization fraction from a
-   short discrete-event simulation driven by the epoch's exact behaviour
-   vector.
+   short run of the vectorized round kernel (:mod:`repro.sim.fastpath`)
+   driven by the epoch's exact behaviour vector.
 
 Everything is seeded through :func:`repro.sim.rng.derive_seed`, so a run
 is a pure function of ``(spec, scheme, seed)`` — the property the sweep

@@ -28,7 +28,6 @@ from repro.scenarios.dynamics import SCHEMES, ScenarioTrajectory, run_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import ScenarioSpec
 from repro.schemes.registry import get_scheme, scheme_names
-from repro.sim.config import check_backend
 from repro.sim.metrics import mean_series
 from repro.sim.rng import derive_seed
 
@@ -55,9 +54,7 @@ class ScenarioCampaignConfig:
     ``n_epochs`` and ``simulate_rounds`` override the specs uniformly —
     the campaign's scale knobs (``simulate_rounds`` only applies to
     families that already tie into the simulator, so a scale bump never
-    turns simulation on for analytic-only families).  ``backend``
-    (``"fast"``, or ``None`` for the specs' own default) names the engine
-    behind those per-epoch simulations; shard keys carry it.
+    turns simulation on for analytic-only families).
     """
 
     scenarios: Tuple[str, ...] = ()
@@ -66,14 +63,11 @@ class ScenarioCampaignConfig:
     n_players: Optional[int] = None
     n_epochs: Optional[int] = None
     simulate_rounds: Optional[int] = None
-    backend: Optional[str] = None
     seed: int = 2021
 
     def __post_init__(self) -> None:
         if self.n_replications < 1:
             raise ConfigurationError("need at least one replication")
-        if self.backend is not None:
-            check_backend("backend", self.backend)
         unknown = [name for name in self.scenarios if name not in scenario_names()]
         if unknown:
             raise ConfigurationError(f"unknown scenarios: {unknown}")
@@ -100,8 +94,6 @@ def _spec_for_campaign(config: ScenarioCampaignConfig, name: str) -> "ScenarioSp
             overrides[field_name] = value
     if config.simulate_rounds is not None and spec.simulate_rounds > 0:
         overrides["simulate_rounds"] = config.simulate_rounds
-    if config.backend is not None:
-        overrides["sim_backend"] = config.backend
     return spec.with_overrides(**overrides) if overrides else spec
 
 

@@ -8,7 +8,8 @@ of trajectories — naive Foundation sharing versus the role-based split.
 
 * ``uniform-baseline`` — the paper's own setup: U(1, 50) stakes, best
   response with inertia, defection seeded in the online pool.  Also runs
-  the discrete-event simulator each epoch for realized finalization.
+  the vectorized round kernel (:mod:`repro.sim.fastpath`) each epoch for
+  realized finalization.
 * ``whale-dominated`` — a small fraction of players hold N(2000, 25)
   whale stakes; sortition concentrates roles on whales and the analytic
   optimizer must recalibrate the split.

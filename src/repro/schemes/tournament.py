@@ -40,7 +40,6 @@ from repro.scenarios.experiment import (
 from repro.scenarios.registry import scenario_names
 from repro.schemes.audit import AuditConfig, AuditReport, audit_schemes
 from repro.schemes.registry import get_scheme, scheme_names
-from repro.sim.config import check_backend
 
 #: The audit operating point a tournament certifies schemes at: the
 #: paper's Theorem 3 regime — budget 1.5x the bound (matching the
@@ -76,8 +75,7 @@ class TournamentConfig:
 
     Empty ``schemes`` / ``scenarios`` mean "everything registered".  The
     scale knobs (``n_players``, ``n_epochs``, ``simulate_rounds``,
-    ``n_replications``) and the simulation ``backend`` (``"fast"`` or
-    ``None``) pass straight through to the scenario campaign.
+    ``n_replications``) pass straight through to the scenario campaign.
     """
 
     schemes: Tuple[str, ...] = ()
@@ -86,13 +84,8 @@ class TournamentConfig:
     n_players: Optional[int] = None
     n_epochs: Optional[int] = None
     simulate_rounds: Optional[int] = None
-    backend: Optional[str] = None
     seed: int = 2021
     audit: AuditConfig = TOURNAMENT_AUDIT
-
-    def __post_init__(self) -> None:
-        if self.backend is not None:
-            check_backend("backend", self.backend)
 
     def scheme_list(self) -> List[str]:
         """Requested schemes, defaulting to every registered one."""
@@ -111,7 +104,6 @@ class TournamentConfig:
             n_players=self.n_players,
             n_epochs=self.n_epochs,
             simulate_rounds=self.simulate_rounds,
-            backend=self.backend,
             seed=self.seed,
         )
 

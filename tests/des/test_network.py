@@ -16,6 +16,7 @@ from repro.sim.sortition import Role, SortitionProof
 from des.engine import EventEngine
 from des.messages import BlockProposalMessage, CredentialMessage
 from des.network import GossipNetwork
+from oracles import honest_subgraph
 
 
 @dataclass
@@ -187,3 +188,14 @@ class TestRegistration:
         overlay = build_random_overlay([0, 1, 2], 1, random.Random(0))
         with pytest.raises(NetworkError):
             GossipNetwork(engine, overlay, lambda: 0.1, drop_probability=0.5)
+
+
+class TestHonestSubgraph:
+    def test_honest_subgraph_excludes_non_relaying(self):
+        engine, network, nodes = _make_network(n=8, fanout=3)
+        nodes[2].relays = False
+        nodes[5].online = False
+        subgraph = honest_subgraph(network)
+        assert 2 not in subgraph.nodes
+        assert 5 not in subgraph.nodes
+        assert 0 in subgraph.nodes

@@ -31,9 +31,7 @@ from repro.analysis import runner
 from repro.analysis.defection import DefectionExperimentConfig
 from repro.analysis.experiments import EXPERIMENTS
 from repro.errors import ConfigurationError
-from repro.scenarios import ScenarioCampaignConfig
 from repro.scenarios.spec import ScenarioSpec
-from repro.schemes.tournament import TournamentConfig
 from repro.service import prepare_job
 from repro.sim import (
     Behavior,
@@ -452,12 +450,13 @@ _BACKEND_SURFACES = {
     "scenario-spec": lambda value: ScenarioSpec(
         name="x", description="", sim_backend=value
     ),
-    "scenario-campaign": lambda value: ScenarioCampaignConfig(backend=value),
-    "tournament": lambda value: TournamentConfig(backend=value),
     "experiment-field": lambda value: EXPERIMENTS["fig3"].configure(
         "small", {"backend": value}
     ),
-    "service-job": lambda value: prepare_job("scenarios", {"backend": value}),
+    "service-scenarios-job": lambda value: prepare_job("scenarios", {"backend": value}),
+    "service-tournament-job": lambda value: prepare_job(
+        "tournament", {"backend": value}
+    ),
 }
 
 

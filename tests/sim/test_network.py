@@ -10,9 +10,6 @@ from repro.errors import NetworkError
 from repro.sim import network as network_module
 from repro.sim.network import build_random_overlay
 
-from des.test_network import _make_network
-from oracles import honest_subgraph
-
 
 class TestOverlay:
     def test_every_node_has_at_least_fanout_neighbors(self):
@@ -68,13 +65,3 @@ class TestOverlay:
         with pytest.raises(NetworkError):
             build_random_overlay([1, 2, 3], 3, random.Random(0))
 
-
-class TestHonestSubgraph:
-    def test_honest_subgraph_excludes_non_relaying(self):
-        engine, network, nodes = _make_network(n=8, fanout=3)
-        nodes[2].relays = False
-        nodes[5].online = False
-        subgraph = honest_subgraph(network)
-        assert 2 not in subgraph.nodes
-        assert 5 not in subgraph.nodes
-        assert 0 in subgraph.nodes
