@@ -31,16 +31,7 @@ The package has five layers:
   exposition.  Off by default with near-zero overhead.
 """
 
-import importlib as _importlib
-from importlib import metadata as _metadata
-from typing import TYPE_CHECKING
-
-try:
-    # setup.py is the single source of truth; installed metadata carries it.
-    __version__ = _metadata.version("algorand-role-rewards-repro")
-except _metadata.PackageNotFoundError:  # running from a bare source tree
-    __version__ = "0.0.0+uninstalled"
-
+from repro._lazy import lazy_exports
 from repro.errors import (
     AuditError,
     ConfigurationError,
@@ -52,89 +43,27 @@ from repro.errors import (
     SimulationError,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing aid only
-    from repro.populations import (
-        PopulationArrays,
-        PopulationSpec,
-        family_names,
-        population_family,
-    )
-    from repro.scenarios import (
-        ScenarioSpec,
-        get_scenario,
-        register_scenario,
-        scenario_names,
-    )
-    from repro.schemes import (
-        RewardScheme,
-        get_scheme,
-        register_scheme,
-        scheme_names,
-    )
-    from repro.telemetry import MetricsRegistry, capture, get_registry, span
+#: Everything but the errors resolves on first access (PEP 562), so light
+#: consumers of ``repro.__version__`` (``repro-runner --version``) load
+#: neither numpy nor the experiment drivers.
+__getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "_version": ("__version__",),
+    "populations": (
+        "PopulationArrays", "PopulationSpec", "family_names", "population_family",
+    ),
+    "scenarios": ("ScenarioSpec", "get_scenario", "register_scenario", "scenario_names"),
+    "schemes": ("RewardScheme", "get_scheme", "register_scheme", "scheme_names"),
+    "telemetry": ("MetricsRegistry", "capture", "get_registry", "span"),
+})
 
-#: Registry re-exports resolved lazily (PEP 562): the scenario and scheme
-#: packages pull in numpy and the experiment drivers, which light
-#: consumers of ``repro.__version__`` (e.g. ``repro-runner --version``)
-#: should not pay ~0.4s of import time for.
-_LAZY_EXPORTS = {
-    "PopulationArrays": "repro.populations",
-    "PopulationSpec": "repro.populations",
-    "family_names": "repro.populations",
-    "population_family": "repro.populations",
-    "ScenarioSpec": "repro.scenarios",
-    "get_scenario": "repro.scenarios",
-    "register_scenario": "repro.scenarios",
-    "scenario_names": "repro.scenarios",
-    "RewardScheme": "repro.schemes",
-    "get_scheme": "repro.schemes",
-    "register_scheme": "repro.schemes",
-    "scheme_names": "repro.schemes",
-    "MetricsRegistry": "repro.telemetry",
-    "capture": "repro.telemetry",
-    "get_registry": "repro.telemetry",
-    "span": "repro.telemetry",
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    value = getattr(_importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: subsequent lookups skip __getattr__
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
-
-
-__all__ = [
+__all__ = sorted([
     "AuditError",
     "ConfigurationError",
     "GameError",
     "InfeasibleRewardError",
     "MechanismError",
-    "MetricsRegistry",
-    "PopulationArrays",
-    "PopulationSpec",
     "ReproError",
-    "RewardScheme",
-    "ScenarioSpec",
     "SchemeError",
     "SimulationError",
-    "__version__",
-    "capture",
-    "family_names",
-    "get_registry",
-    "get_scenario",
-    "get_scheme",
-    "population_family",
-    "register_scenario",
-    "register_scheme",
-    "scenario_names",
-    "scheme_names",
-    "span",
-]
+    *_LAZY,
+])

@@ -13,69 +13,30 @@ Fig 7c    small-stake removal                     :func:`repro.analysis.reward_c
 ========  ======================================  =============================
 """
 
-from repro.analysis.defection import (
-    PAPER_DEFECTION_RATES,
-    DefectionExperimentConfig,
-    DefectionExperimentResult,
-    run_defection_experiment,
-    shape_assertions,
-)
-from repro.analysis.orchestrator import Orchestrator, ShardCache, SweepResult, run_sweep
-from repro.analysis.reward_comparison import (
-    PAPER_TOTALS,
-    RewardComparisonConfig,
-    RewardComparisonResult,
-    TruncationResult,
-    run_reward_comparison,
-    run_truncation_experiment,
-)
-from repro.analysis.reward_surface import (
-    RewardSurfaceConfig,
-    RewardSurfaceResult,
-    run_reward_surface,
-)
-from repro.analysis.sweep import Shard, SweepSpec, grid_of
-from repro.analysis.tables import Table2Result, Table3Result, table2, table3
+from repro._lazy import lazy_exports
 
-
-def __getattr__(name):
-    # Lazy re-export: importing ``runner`` eagerly would make
-    # ``python -m repro.analysis.runner`` emit a found-in-sys.modules
-    # RuntimeWarning (the module would load during package init, before
-    # runpy executes it as __main__).
-    if name in ("EXPERIMENTS", "run_experiment"):
-        from repro.analysis import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "DefectionExperimentConfig",
-    "DefectionExperimentResult",
-    "EXPERIMENTS",
-    "run_experiment",
-    "Orchestrator",
-    "Shard",
-    "ShardCache",
-    "SweepResult",
-    "SweepSpec",
-    "grid_of",
-    "run_sweep",
-    "PAPER_DEFECTION_RATES",
-    "PAPER_TOTALS",
-    "RewardComparisonConfig",
-    "RewardComparisonResult",
-    "RewardSurfaceConfig",
-    "RewardSurfaceResult",
-    "Table2Result",
-    "Table3Result",
-    "TruncationResult",
-    "run_defection_experiment",
-    "run_reward_comparison",
-    "run_reward_surface",
-    "run_truncation_experiment",
-    "shape_assertions",
-    "table2",
-    "table3",
-]
+# Lazy, like every package: an eager ``runner`` would also make
+# ``python -m repro.analysis.runner`` warn that the module was already in
+# sys.modules before runpy executed it as __main__.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "defection": (
+        "PAPER_DEFECTION_RATES",
+        "DefectionExperimentConfig",
+        "DefectionExperimentResult",
+        "run_defection_experiment",
+        "shape_assertions",
+    ),
+    "orchestrator": ("Orchestrator", "ShardCache", "SweepResult", "run_sweep"),
+    "reward_comparison": (
+        "PAPER_TOTALS",
+        "RewardComparisonConfig",
+        "RewardComparisonResult",
+        "TruncationResult",
+        "run_reward_comparison",
+        "run_truncation_experiment",
+    ),
+    "reward_surface": ("RewardSurfaceConfig", "RewardSurfaceResult", "run_reward_surface"),
+    "runner": ("EXPERIMENTS", "run_experiment"),
+    "sweep": ("Shard", "SweepSpec", "grid_of"),
+    "tables": ("Table2Result", "Table3Result", "table2", "table3"),
+})

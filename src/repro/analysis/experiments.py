@@ -23,7 +23,9 @@ the spec's per-experiment ``defaults``, and the per-``--scale`` presets
 in :data:`_SCALES`, which also hold fixed shape constants such as the
 fig3 run count.  The service runs the ``small`` preset, except for the
 three values in :data:`SERVICE_DEFAULTS`.  Every table is built once at
-import, so validating a request costs a few dict lookups.
+import, so validating a request costs a few dict lookups, and every
+engine is imported at its first use (:func:`_lazy`), so neither surface
+loads numpy or an experiment it does not run.
 """
 
 from __future__ import annotations
@@ -35,16 +37,8 @@ from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.analysis.defection import DefectionExperimentConfig, run_defection_experiment
-from repro.analysis.reward_comparison import (
-    RewardComparisonConfig,
-    run_reward_comparison,
-    run_truncation_experiment,
-)
-from repro.analysis.reward_surface import RewardSurfaceConfig, run_reward_surface
-from repro.analysis.tables import table2, table3
 from repro.errors import ConfigurationError
-from repro.populations.arrays import DEFAULT_CHUNK_AGENTS
+from repro.populations import DEFAULT_CHUNK_AGENTS
 from repro.schemes.registry import get_scheme
 from repro.sim.config import check_backend
 
@@ -266,6 +260,13 @@ def _lazy(target: str) -> Callable[..., Any]:
     return lambda *args, **kwargs: getattr(import_module(module), name)(*args, **kwargs)
 
 
+_defection_config = _lazy("repro.analysis.defection:DefectionExperimentConfig")
+_comparison_config = _lazy("repro.analysis.reward_comparison:RewardComparisonConfig")
+_surface_config = _lazy("repro.analysis.reward_surface:RewardSurfaceConfig")
+_table2 = _lazy("repro.analysis.tables:table2")
+_table3 = _lazy("repro.analysis.tables:table3")
+
+
 def _render(result: Any) -> str:
     return result.render()
 
@@ -458,40 +459,40 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
     spec.name: spec
     for spec in (
         ExperimentSpec(
-            "table2", (), build=lambda values: None, run=lambda _config, **_: table2()
+            "table2", (), build=lambda values: None, run=lambda _config, **_: _table2()
         ),
         ExperimentSpec(
-            "table3", (), build=lambda values: None, run=lambda _config, **_: table3()
+            "table3", (), build=lambda values: None, run=lambda _config, **_: _table3()
         ),
         ExperimentSpec(
             "fig3",
             ("seed", "backend"),
-            build=lambda values: DefectionExperimentConfig(
+            build=lambda values: _defection_config(
                 n_runs=values["runs"],
                 n_rounds=values["rounds"],
                 n_nodes=values["nodes"],
                 seed=values["seed"],
                 backend=values["backend"],
             ),
-            run=run_defection_experiment,
+            run=_lazy("repro.analysis.defection:run_defection_experiment"),
             defaults={"seed": 2020, "backend": "fast"},
         ),
         ExperimentSpec(
             "fig5",
             ("seed",),
-            build=lambda values: RewardSurfaceConfig(
+            build=lambda values: _surface_config(
                 n_nodes=values["nodes"], seed=values["seed"]
             ),
-            run=run_reward_surface,
+            run=_lazy("repro.analysis.reward_surface:run_reward_surface"),
             defaults={"seed": 5},
         ),
         ExperimentSpec(
             "fig6",
             ("seed",),
-            build=lambda values: RewardComparisonConfig(
+            build=lambda values: _comparison_config(
                 n_instances=values["instances"], seed=values["seed"]
             ),
-            run=run_reward_comparison,
+            run=_lazy("repro.analysis.reward_comparison:run_reward_comparison"),
             render=lambda result: "\n\n".join(
                 [result.render_figure6(), result.render_figure7a(), result.render_figure7b()]
             ),
@@ -500,10 +501,10 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "fig7c",
             ("seed",),
-            build=lambda values: RewardComparisonConfig(
+            build=lambda values: _comparison_config(
                 n_instances=values["instances"], n_rounds=3, seed=values["seed"]
             ),
-            run=run_truncation_experiment,
+            run=_lazy("repro.analysis.reward_comparison:run_truncation_experiment"),
             defaults={"seed": 7},
         ),
         ExperimentSpec(

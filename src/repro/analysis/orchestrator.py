@@ -149,6 +149,15 @@ class _InPlaceStreamHandler(logging.StreamHandler):
 
     terminator = ""
 
+    def flush(self) -> None:
+        """Flush the stream unless it was closed under the handler.
+
+        ``setStream`` flushes the stream it replaces; one closed meanwhile
+        (a finished test capture) has nothing left to flush.
+        """
+        if not getattr(self.stream, "closed", False):
+            super().flush()
+
 
 def configure_progress_logging(
     enabled: bool = True, stream: Any = None

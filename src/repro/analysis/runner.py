@@ -216,6 +216,9 @@ def _run_serve(args: argparse.Namespace, policy: Optional[ExecutionPolicy]) -> i
     See ``docs/service.md`` for the API and admission-control
     semantics.
     """
+    # The audit engine, the service's main job kind, loads before the
+    # ready line rather than in the first audit request.
+    import repro.analysis.scale  # noqa: F401
     from repro.service import EngineConfig, JobContext, ReproService
 
     _telemetry_enable()

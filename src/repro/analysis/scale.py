@@ -43,6 +43,7 @@ from repro.schemes.population_audit import (
     audit_population_grid,
 )
 from repro.schemes.registry import scheme_names
+from repro.sim.fastpath import assemble_committee, committee_probability, committee_step
 
 
 def peak_rss_mb() -> float:
@@ -328,12 +329,6 @@ def run_scale(config: ScaleConfig = ScaleConfig()) -> ScaleResult:
     per-scheme ``reports`` view is the grid's first cell, so
     single-cell payloads are unchanged.
     """
-    from repro.sim.fastpath import (
-        assemble_committee,
-        committee_probability,
-        committee_step,
-    )
-
     spec = config.population_spec()
     audit_config = config.audit_config()
     budgets, scales = config.grid_axes()

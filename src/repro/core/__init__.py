@@ -14,105 +14,57 @@ Public surface:
   Nash checks and executable theorems.
 """
 
-from repro.core.bounds import (
-    RewardBounds,
-    RoleAggregates,
-    minimum_feasible_reward,
-    paper_aggregates,
-    reward_bounds,
-)
-from repro.core.costs import MICRO_ALGO, RoleCosts, TaskCosts
-from repro.core.dynamics import (
-    BestResponseDynamics,
-    DynamicsResult,
-    random_profile,
-)
-from repro.core.fees import FeeFundedSharing
-from repro.core.equilibrium import (
-    Deviation,
-    NashResult,
-    best_response,
-    is_nash_equilibrium,
-    lemma1_offline_dominated,
-    theorem1_all_defection_ne,
-    theorem2_all_cooperation_not_ne,
-    theorem3_equilibrium,
-)
-from repro.core.foundation import FoundationSharing
-from repro.core.game import (
-    AlgorandGame,
-    BlockSuccessModel,
-    FoundationRule,
-    Player,
-    PlayerRole,
-    RoleBasedRule,
-    Strategy,
-    all_cooperate,
-    all_defect,
-    theorem3_profile,
-    with_deviation,
-)
-from repro.core.mechanism import IncentiveCompatibleSharing, MechanismReport
-from repro.core.optimizer import (
-    GridSearchResult,
-    OptimalSplit,
-    minimize_reward_analytic,
-    minimize_reward_grid,
-)
-from repro.core.rewards import (
-    FOUNDATION_CEILING_ALGOS,
-    PROJECTED_REWARDS_MILLIONS,
-    REWARD_PERIOD_BLOCKS,
-    FoundationRewardPool,
-    RewardSchedule,
-    TransactionFeePool,
-)
-from repro.core.role_based import RoleBasedSharing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlgorandGame",
-    "BestResponseDynamics",
-    "BlockSuccessModel",
-    "Deviation",
-    "DynamicsResult",
-    "FeeFundedSharing",
-    "FOUNDATION_CEILING_ALGOS",
-    "FoundationRewardPool",
-    "FoundationRule",
-    "FoundationSharing",
-    "GridSearchResult",
-    "IncentiveCompatibleSharing",
-    "MICRO_ALGO",
-    "MechanismReport",
-    "NashResult",
-    "OptimalSplit",
-    "PROJECTED_REWARDS_MILLIONS",
-    "Player",
-    "PlayerRole",
-    "REWARD_PERIOD_BLOCKS",
-    "RewardBounds",
-    "RewardSchedule",
-    "RoleAggregates",
-    "RoleBasedRule",
-    "RoleBasedSharing",
-    "RoleCosts",
-    "Strategy",
-    "TaskCosts",
-    "TransactionFeePool",
-    "all_cooperate",
-    "all_defect",
-    "best_response",
-    "is_nash_equilibrium",
-    "lemma1_offline_dominated",
-    "minimize_reward_analytic",
-    "minimize_reward_grid",
-    "minimum_feasible_reward",
-    "paper_aggregates",
-    "random_profile",
-    "reward_bounds",
-    "theorem1_all_defection_ne",
-    "theorem2_all_cooperation_not_ne",
-    "theorem3_equilibrium",
-    "theorem3_profile",
-    "with_deviation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bounds": (
+        "RewardBounds",
+        "RoleAggregates",
+        "minimum_feasible_reward",
+        "paper_aggregates",
+        "reward_bounds",
+    ),
+    "costs": ("MICRO_ALGO", "RoleCosts", "TaskCosts"),
+    "dynamics": ("BestResponseDynamics", "DynamicsResult", "random_profile"),
+    "fees": ("FeeFundedSharing",),
+    "equilibrium": (
+        "Deviation",
+        "NashResult",
+        "best_response",
+        "is_nash_equilibrium",
+        "lemma1_offline_dominated",
+        "theorem1_all_defection_ne",
+        "theorem2_all_cooperation_not_ne",
+        "theorem3_equilibrium",
+    ),
+    "foundation": ("FoundationSharing",),
+    "game": (
+        "AlgorandGame",
+        "BlockSuccessModel",
+        "FoundationRule",
+        "Player",
+        "PlayerRole",
+        "RoleBasedRule",
+        "Strategy",
+        "all_cooperate",
+        "all_defect",
+        "theorem3_profile",
+        "with_deviation",
+    ),
+    "mechanism": ("IncentiveCompatibleSharing", "MechanismReport"),
+    "optimizer": (
+        "GridSearchResult",
+        "OptimalSplit",
+        "minimize_reward_analytic",
+        "minimize_reward_grid",
+    ),
+    "rewards": (
+        "FOUNDATION_CEILING_ALGOS",
+        "PROJECTED_REWARDS_MILLIONS",
+        "REWARD_PERIOD_BLOCKS",
+        "FoundationRewardPool",
+        "RewardSchedule",
+        "TransactionFeePool",
+    ),
+    "role_based": ("RoleBasedSharing",),
+})

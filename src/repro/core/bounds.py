@@ -32,13 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.core.costs import RoleCosts
 from repro.errors import MechanismError
-from repro.sim.roles import RoleSnapshot
+
+if TYPE_CHECKING:
+    from repro.sim.roles import RoleSnapshot
 
 
 @dataclass(frozen=True)

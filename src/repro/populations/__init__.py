@@ -17,51 +17,43 @@ scenarios, the fast simulation kernel).  Three pieces:
 See ``docs/scaling.md`` for the memory model and chunk-size guidance.
 """
 
-from repro.populations.arrays import (
-    BEHAVIOR_COOPERATE,
-    BEHAVIOR_DEFECT,
-    BEHAVIOR_OFFLINE,
-    DEFAULT_CHUNK_AGENTS,
-    MAX_AGENTS,
-    SEED_BLOCK,
-    PopulationArrays,
-    blockwise_row_sums,
-    blockwise_sum,
-    resolve_dtype,
-)
-from repro.populations.generators import (
-    PopulationFamily,
-    PopulationSampler,
-    family_names,
-    get_family,
-    load_snapshot,
-    population_family,
-    resolve_sampler,
-    snapshot_from_exchange,
-    write_snapshot,
-)
-from repro.populations.spec import RESIDENT_BYTES, PopulationSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BEHAVIOR_COOPERATE",
-    "BEHAVIOR_DEFECT",
-    "BEHAVIOR_OFFLINE",
-    "DEFAULT_CHUNK_AGENTS",
-    "MAX_AGENTS",
-    "RESIDENT_BYTES",
-    "SEED_BLOCK",
-    "PopulationArrays",
-    "PopulationFamily",
-    "PopulationSampler",
-    "PopulationSpec",
-    "blockwise_row_sums",
-    "blockwise_sum",
-    "family_names",
-    "get_family",
-    "load_snapshot",
-    "population_family",
-    "resolve_dtype",
-    "resolve_sampler",
-    "snapshot_from_exchange",
-    "write_snapshot",
-]
+#: Agents per seed block — the atomic unit of generation and reduction.
+#: Every chunk spans a whole number of blocks, each block draws from its
+#: own SHA-256-derived random stream, and all streaming reductions
+#: accumulate per block, which is what makes results independent of the
+#: requested chunk size.
+SEED_BLOCK = 8192
+
+#: Default ``chunk_agents`` used by streaming iterators (16 seed blocks).
+#: Both constants live here, not in numpy-backed ``arrays``, so the
+#: experiment specs can default to them without loading numpy.
+DEFAULT_CHUNK_AGENTS = 16 * SEED_BLOCK
+
+__getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "arrays": (
+        "BEHAVIOR_COOPERATE",
+        "BEHAVIOR_DEFECT",
+        "BEHAVIOR_OFFLINE",
+        "MAX_AGENTS",
+        "PopulationArrays",
+        "blockwise_row_sums",
+        "blockwise_sum",
+        "resolve_dtype",
+    ),
+    "generators": (
+        "PopulationFamily",
+        "PopulationSampler",
+        "family_names",
+        "get_family",
+        "load_snapshot",
+        "population_family",
+        "resolve_sampler",
+        "snapshot_from_exchange",
+        "write_snapshot",
+    ),
+    "spec": ("RESIDENT_BYTES", "PopulationSpec"),
+})
+
+__all__ = ["DEFAULT_CHUNK_AGENTS", "SEED_BLOCK", *_LAZY]

@@ -36,17 +36,8 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.populations import DEFAULT_CHUNK_AGENTS, SEED_BLOCK  # noqa: F401 (re-exported)
 from repro.stakes.distributions import MAX_POPULATION
-
-#: Agents per seed block — the atomic unit of generation and reduction.
-#: Every chunk spans a whole number of blocks, each block draws from its
-#: own SHA-256-derived random stream, and all streaming reductions
-#: accumulate per block, which is what makes results independent of the
-#: requested chunk size.
-SEED_BLOCK = 8192
-
-#: Default ``chunk_agents`` used by streaming iterators (16 seed blocks).
-DEFAULT_CHUNK_AGENTS = 16 * SEED_BLOCK
 
 #: Populations are capped at int32 indexing range — the same limit (and
 #: the same constant) as :data:`repro.stakes.distributions.MAX_POPULATION`;

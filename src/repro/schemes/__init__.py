@@ -22,72 +22,33 @@ into:
   package's registry).
 """
 
-from repro.schemes.base import (
-    PooledRule,
-    PoolSpec,
-    RewardScheme,
-    SchemeSplit,
-    WeightKind,
-)
-from repro.schemes.catalog import (
-    AxiomaticTauScheme,
-    FoundationScheme,
-    HybridScheme,
-    IRSScheme,
-    RoleBasedScheme,
-)
-from repro.schemes.registry import (
-    get_scheme,
-    register_scheme,
-    resolve_scheme,
-    scheme,
-    scheme_from_params,
-    scheme_names,
-)
-from repro.schemes.audit import (
-    AuditConfig,
-    AuditReport,
-    CellAudit,
-    DeviationWitness,
-    audit_scheme,
-    audit_schemes,
-)
-from repro.schemes.population_audit import (
-    PopulationAuditConfig,
-    PopulationAuditGridResult,
-    PopulationAuditReport,
-    audit_population,
-    audit_population_grid,
-    audit_populations,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AuditConfig",
-    "AuditReport",
-    "AxiomaticTauScheme",
-    "CellAudit",
-    "DeviationWitness",
-    "FoundationScheme",
-    "HybridScheme",
-    "IRSScheme",
-    "PoolSpec",
-    "PooledRule",
-    "PopulationAuditConfig",
-    "PopulationAuditGridResult",
-    "PopulationAuditReport",
-    "RewardScheme",
-    "RoleBasedScheme",
-    "SchemeSplit",
-    "WeightKind",
-    "audit_population",
-    "audit_population_grid",
-    "audit_populations",
-    "audit_scheme",
-    "audit_schemes",
-    "get_scheme",
-    "register_scheme",
-    "resolve_scheme",
-    "scheme",
-    "scheme_from_params",
-    "scheme_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("PoolSpec", "RewardScheme", "SchemeSplit", "WeightKind"),
+    "catalog": (
+        "AxiomaticTauScheme", "FoundationScheme", "HybridScheme", "IRSScheme",
+        "RoleBasedScheme",
+    ),
+    "registry": (
+        "get_scheme",
+        "register_scheme",
+        "resolve_scheme",
+        "scheme",
+        "scheme_from_params",
+        "scheme_names",
+    ),
+    "audit": (
+        "AuditConfig", "AuditReport", "CellAudit", "PooledRule", "audit_scheme",
+        "audit_schemes",
+    ),
+    "deviation": ("DeviationWitness",),
+    "population_audit": (
+        "PopulationAuditConfig",
+        "PopulationAuditGridResult",
+        "PopulationAuditReport",
+        "audit_population",
+        "audit_population_grid",
+        "audit_populations",
+    ),
+})

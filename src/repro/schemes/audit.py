@@ -52,11 +52,12 @@ from repro.core.game import (
     PlayerRole,
     RewardRule,
     Strategy,
+    StrategyProfile,
     with_deviation,
 )
 from repro.core.optimizer import minimize_reward_analytic
-from repro.errors import AuditError, ConfigurationError
-from repro.schemes.base import RewardScheme, SchemeSplit
+from repro.errors import AuditError, ConfigurationError, SchemeError
+from repro.schemes.base import PoolSpec, RewardScheme, SchemeSplit, WeightKind, validate_pools
 from repro.schemes.deviation import (
     COMMITTEE,
     LEADER,
@@ -66,6 +67,7 @@ from repro.schemes.deviation import (
     TARGETS,
     Agents,
     Census,
+    DeviationWitness,
     block_fold,
     deviation_gains,
     membership,
@@ -157,26 +159,6 @@ class AuditConfig:
     def synchrony_size(self) -> int:
         """Strong-synchrony set size implied by the fraction (minimum 1)."""
         return max(1, math.ceil(self.synchrony_fraction * self.n_online))
-
-
-@dataclass(frozen=True)
-class DeviationWitness:
-    """One concrete profitable deviation found by the audit."""
-
-    population: int
-    player: int
-    role: str
-    stake: float
-    from_strategy: str
-    to_strategy: str
-    gain: float
-
-    def describe(self) -> str:
-        """Compact rendering shared by audit reports and league tables."""
-        return (
-            f"{self.role} {self.from_strategy}->{self.to_strategy} "
-            f"+{self.gain:.3g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -512,6 +494,54 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
 
 
 # -- the scalar oracle --------------------------------------------------------------
+
+
+class PooledRule(RewardRule):
+    """Scalar interpreter of a pool declaration — the audit oracle path.
+
+    Implements the :class:`~repro.core.game.RewardRule` interface with
+    plain per-player dictionary loops, deliberately sharing no code with
+    the vectorized audit engine: the two paths computing the same payments
+    independently is what the differential tests lean on.
+    """
+
+    def __init__(self, pools: Tuple[PoolSpec, ...], b_i: float) -> None:
+        if b_i < 0:
+            raise SchemeError(f"per-round reward must be >= 0, got {b_i}")
+        self.pools = validate_pools(tuple(pools))
+        self.b_i = b_i
+
+    def payments(
+        self, game: AlgorandGame, profile: StrategyProfile
+    ) -> Dict[int, float]:
+        """Interpret the pool declaration for one profile, player by player."""
+        payments: Dict[int, float] = {}
+        for pool in self.pools:
+            weights: Dict[int, float] = {}
+            for pid, player in game.players.items():
+                action = profile[pid]
+                if action is Strategy.OFFLINE:
+                    continue
+                if (player.role.value, action.value) not in pool.members:
+                    continue
+                weights[pid] = self._weight(game, pid, pool)
+            total = sum(weights.values())
+            if total <= 0:
+                continue  # empty slice withheld, not redistributed
+            rate = pool.fraction * self.b_i / total
+            for pid, weight in weights.items():
+                payments[pid] = payments.get(pid, 0.0) + rate * weight
+        return payments
+
+    def _weight(self, game: AlgorandGame, pid: int, pool: PoolSpec) -> float:
+        player = game.players[pid]
+        if pool.weight is WeightKind.STAKE:
+            return player.stake
+        if pool.weight is WeightKind.EQUAL:
+            return 1.0
+        if pool.weight is WeightKind.STAKE_POWER:
+            return player.stake**pool.exponent
+        return game.costs.of_role(player.role.value)
 
 
 #: Role code -> the scalar game's role.

@@ -19,7 +19,7 @@ paper Figure 2).
 
 Both mechanism code paths are derived from the same declaration:
 
-* :class:`PooledRule` interprets the pools as a scalar
+* :class:`~repro.schemes.audit.PooledRule` interprets the pools as a scalar
   :class:`~repro.core.game.RewardRule` for :class:`~repro.core.game.AlgorandGame`
   — dictionary loops over players, one at a time.  This is the audit
   engine's **correctness oracle**.
@@ -37,10 +37,12 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, ClassVar, Dict, FrozenSet, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, FrozenSet, Mapping, Tuple
 
-from repro.core.game import AlgorandGame, RewardRule, Strategy, StrategyProfile
 from repro.errors import SchemeError
+
+if TYPE_CHECKING:  # the scalar game is the oracle path, imported where it runs
+    from repro.core.game import RewardRule
 
 #: Role names a pool membership may reference (PlayerRole values).
 ROLES: Tuple[str, ...] = ("leader", "committee", "online")
@@ -162,54 +164,6 @@ class SchemeSplit:
         return 1.0 - self.alpha - self.beta
 
 
-class PooledRule(RewardRule):
-    """Scalar interpreter of a pool declaration — the audit oracle path.
-
-    Implements the :class:`~repro.core.game.RewardRule` interface with
-    plain per-player dictionary loops, deliberately sharing no code with
-    the vectorized audit engine: the two paths computing the same payments
-    independently is what the differential tests lean on.
-    """
-
-    def __init__(self, pools: Tuple[PoolSpec, ...], b_i: float) -> None:
-        if b_i < 0:
-            raise SchemeError(f"per-round reward must be >= 0, got {b_i}")
-        self.pools = validate_pools(tuple(pools))
-        self.b_i = b_i
-
-    def payments(
-        self, game: AlgorandGame, profile: StrategyProfile
-    ) -> Dict[int, float]:
-        """Interpret the pool declaration for one profile, player by player."""
-        payments: Dict[int, float] = {}
-        for pool in self.pools:
-            weights: Dict[int, float] = {}
-            for pid, player in game.players.items():
-                action = profile[pid]
-                if action is Strategy.OFFLINE:
-                    continue
-                if (player.role.value, action.value) not in pool.members:
-                    continue
-                weights[pid] = self._weight(game, pid, pool)
-            total = sum(weights.values())
-            if total <= 0:
-                continue  # empty slice withheld, not redistributed
-            rate = pool.fraction * self.b_i / total
-            for pid, weight in weights.items():
-                payments[pid] = payments.get(pid, 0.0) + rate * weight
-        return payments
-
-    def _weight(self, game: AlgorandGame, pid: int, pool: PoolSpec) -> float:
-        player = game.players[pid]
-        if pool.weight is WeightKind.STAKE:
-            return player.stake
-        if pool.weight is WeightKind.EQUAL:
-            return 1.0
-        if pool.weight is WeightKind.STAKE_POWER:
-            return player.stake**pool.exponent
-        return game.costs.of_role(player.role.value)
-
-
 class RewardScheme(abc.ABC):
     """One pluggable per-round reward-distribution mechanism.
 
@@ -251,6 +205,8 @@ class RewardScheme(abc.ABC):
         adapter schemes override this to return the pre-existing mechanism
         implementation they wrap.
         """
+        from repro.schemes.audit import PooledRule
+
         return PooledRule(self.pools(split), b_i)
 
     def param_dict(self) -> Dict[str, Any]:

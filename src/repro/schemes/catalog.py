@@ -25,15 +25,15 @@ the wider design space the related work maps out:
   Foundation baseline it degrades to at ``bonus_fraction = 0``).
 
 Every scheme is registered with the :func:`repro.schemes.registry.scheme`
-decorator, so ``get_scheme("irs")`` works anywhere — including worker
-processes, which import this module through :mod:`repro.schemes`.
+decorator.  The registry imports this module on its first lookup, so
+``get_scheme("irs")`` works anywhere — including spawned worker processes
+that never imported it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
-from repro.core.game import FoundationRule, RewardRule, RoleBasedRule
 from repro.errors import SchemeError
 from repro.schemes.base import (
     ACTIONS,
@@ -45,6 +45,9 @@ from repro.schemes.base import (
     validate_pools,
 )
 from repro.schemes.registry import scheme
+
+if TYPE_CHECKING:  # the scalar game is the oracle path, imported where it runs
+    from repro.core.game import RewardRule
 
 #: Every (role, action) pair of an online player — the Foundation pool.
 _ALL_ONLINE = frozenset((role, action) for role in ROLES for action in ACTIONS)
@@ -74,6 +77,8 @@ class FoundationScheme(RewardScheme):
     def make_rule(self, b_i: float, split: SchemeSplit) -> RewardRule:
         # True adapter: the original G_Al rule, not the pool interpreter.
         """The original G_Al ``FoundationRule`` (true adapter)."""
+        from repro.core.game import FoundationRule
+
         return FoundationRule(b_i=b_i)
 
 
@@ -106,6 +111,8 @@ class RoleBasedScheme(RewardScheme):
     def make_rule(self, b_i: float, split: SchemeSplit) -> RewardRule:
         # True adapter: the original G_Al+ rule, not the pool interpreter.
         """The original G_Al+ ``RoleBasedRule`` (true adapter)."""
+        from repro.core.game import RoleBasedRule
+
         return RoleBasedRule(alpha=split.alpha, beta=split.beta, b_i=b_i)
 
 

@@ -571,6 +571,26 @@ def block_fold(
 # -- gains --------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DeviationWitness:
+    """One concrete profitable deviation found by the audit."""
+
+    population: int
+    player: int
+    role: str
+    stake: float
+    from_strategy: str
+    to_strategy: str
+    gain: float
+
+    def describe(self) -> str:
+        """Compact rendering shared by audit reports and league tables."""
+        return (
+            f"{self.role} {self.from_strategy}->{self.to_strategy} "
+            f"+{self.gain:.3g}"
+        )
+
+
 @dataclass
 class Gains:
     """One budget cell's gains for each agent's switch and for going offline.

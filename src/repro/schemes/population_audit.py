@@ -77,7 +77,6 @@ from repro.populations.arrays import (
 )
 from repro.populations.spec import PopulationSpec
 from repro.populations.threads import Lane, call_pool, prefetch
-from repro.schemes.audit import DeviationWitness
 from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -87,6 +86,7 @@ from repro.schemes.deviation import (
     SWITCH,
     Agents,
     Census,
+    DeviationWitness,
     Gains,
     PoolTables,
     block_fold,

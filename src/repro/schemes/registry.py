@@ -13,10 +13,15 @@ Two maps are maintained:
   auto-registers each family's default instance; :func:`register_scheme`
   adds further configured variants (two tau exponents, a differently
   weighted hybrid, ...) under distinct names.
+
+The built-in families (:mod:`repro.schemes.catalog`) register on the
+first use of either map, so importing this module costs no scheme code
+and a spawned worker that never imported the catalog still finds them.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any, Dict, List, Mapping, Type, Union
 
 from repro.errors import SchemeError
@@ -29,8 +34,19 @@ _SCHEMES: Dict[str, RewardScheme] = {}
 SchemeLike = Union[str, Mapping[str, Any], RewardScheme]
 
 
+def _with_builtins() -> None:
+    """Register the built-in schemes ahead of anything else.
+
+    A no-op once the catalog is imported; the import lock makes a
+    concurrent first lookup wait for it, and the catalog's own
+    registrations re-enter harmlessly.
+    """
+    import_module("repro.schemes.catalog")
+
+
 def scheme(cls: Type[RewardScheme]) -> Type[RewardScheme]:
     """Class decorator: register a scheme family and its default instance."""
+    _with_builtins()
     if not issubclass(cls, RewardScheme):
         raise SchemeError(f"{cls!r} is not a RewardScheme subclass")
     if not cls.kind:
@@ -44,6 +60,7 @@ def scheme(cls: Type[RewardScheme]) -> Type[RewardScheme]:
 
 def register_scheme(instance: RewardScheme, overwrite: bool = False) -> RewardScheme:
     """Add a configured scheme instance to the registry (name-keyed)."""
+    _with_builtins()
     if not isinstance(instance, RewardScheme):
         raise SchemeError(f"{instance!r} is not a RewardScheme")
     if instance.name in _SCHEMES and not overwrite:
@@ -54,6 +71,7 @@ def register_scheme(instance: RewardScheme, overwrite: bool = False) -> RewardSc
 
 def get_scheme(name: str) -> RewardScheme:
     """Look a configured scheme up by name."""
+    _with_builtins()
     try:
         return _SCHEMES[name]
     except KeyError:
@@ -64,11 +82,13 @@ def get_scheme(name: str) -> RewardScheme:
 
 def scheme_names() -> List[str]:
     """All registered scheme names, in registration order."""
+    _with_builtins()
     return list(_SCHEMES)
 
 
 def scheme_from_params(params: Mapping[str, Any]) -> RewardScheme:
     """Rebuild a scheme instance from :meth:`RewardScheme.to_params` output."""
+    _with_builtins()
     try:
         kind = params["kind"]
     except KeyError:

@@ -5,9 +5,11 @@ Modules
 rng
     Named, independently seeded random substreams.
 crypto
-    Simulated keys, signatures, VRF and round seeds.
+    Simulated keys, VRF and round seeds.
 sortition
-    Stake-weighted binomial committee selection with verifiable proofs.
+    Stake-weighted binomial committee selection with VRF proofs
+    (``repro.sim.sortition`` names this module; its scalar
+    ``sortition`` function is not re-exported here).
 blocks
     Blocks, transactions, per-node ledgers.
 network
@@ -24,48 +26,17 @@ config / metrics / roles
     Tunables, per-round measurements, and role snapshots.
 """
 
-from repro.sim.behavior import (
-    Behavior,
-    assign_behaviors,
-    defective_fraction,
-    strategic_fraction,
-)
-from repro.sim.blocks import Block, ConsensusLabel, Ledger, Transaction
-from repro.sim.config import SIMULATION_BACKENDS, SimulationConfig
-from repro.sim.fastpath import (
-    FastSimulation,
-    LatencyModel,
-    RewardMechanism,
-    make_simulation,
-)
-from repro.sim.metrics import RoundRecord, SimulationMetrics, average_fractions
-from repro.sim.rng import RngStreams
-from repro.sim.roles import RewardAllocation, RoleSnapshot
-from repro.sim.sortition import Role, SortitionProof, sortition, verify_sortition
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Behavior",
-    "Block",
-    "ConsensusLabel",
-    "FastSimulation",
-    "LatencyModel",
-    "Ledger",
-    "SIMULATION_BACKENDS",
-    "RewardAllocation",
-    "RewardMechanism",
-    "RngStreams",
-    "Role",
-    "RoleSnapshot",
-    "RoundRecord",
-    "SimulationConfig",
-    "SimulationMetrics",
-    "SortitionProof",
-    "Transaction",
-    "assign_behaviors",
-    "defective_fraction",
-    "strategic_fraction",
-    "average_fractions",
-    "make_simulation",
-    "sortition",
-    "verify_sortition",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "behavior": (
+        "Behavior", "assign_behaviors", "defective_fraction", "strategic_fraction",
+    ),
+    "blocks": ("Block", "ConsensusLabel", "Ledger", "Transaction"),
+    "config": ("SIMULATION_BACKENDS", "SimulationConfig"),
+    "fastpath": ("FastSimulation", "LatencyModel", "RewardMechanism", "make_simulation"),
+    "metrics": ("RoundRecord", "SimulationMetrics", "average_fractions"),
+    "rng": ("RngStreams",),
+    "roles": ("RewardAllocation", "RoleSnapshot"),
+    "sortition": ("Role", "SortitionProof"),
+})

@@ -164,45 +164,6 @@ class Ledger:
             raise LedgerError(f"unknown block hash {block_hash}")
         return self._entries[index].label
 
-    def sync_to(self, entries: List[LedgerEntry]) -> int:
-        """Adopt a (longer, authoritative) chain via the catch-up protocol.
-
-        Finds the longest common prefix by block hash, verifies that every
-        local block past the prefix is TENTATIVE (final blocks must never be
-        replaced — the Algorand safety guarantee), then truncates and adopts
-        the remote suffix.  Returns the number of blocks adopted.
-
-        Raises
-        ------
-        LedgerError
-            If a local FINAL block conflicts with the remote chain, which
-            would be a safety violation.
-        """
-        if not entries or entries[0].block.block_hash() != self.genesis.block_hash():
-            raise LedgerError("cannot sync to a chain with a different genesis")
-        common = 0
-        limit = min(len(self._entries), len(entries))
-        while (
-            common < limit
-            and self._entries[common].block.block_hash()
-            == entries[common].block.block_hash()
-        ):
-            common += 1
-        for entry in self._entries[common:]:
-            if entry.label is ConsensusLabel.FINAL:
-                raise LedgerError(
-                    f"sync would replace FINAL block at round "
-                    f"{entry.block.round_index}: safety violation"
-                )
-        adopted = entries[common:]
-        self._entries = self._entries[:common] + [
-            LedgerEntry(entry.block, entry.label) for entry in adopted
-        ]
-        self._by_hash = {
-            entry.block.block_hash(): index for index, entry in enumerate(self._entries)
-        }
-        return len(adopted)
-
     def final_height(self) -> int:
         """Number of appended blocks whose label is FINAL."""
         return sum(

@@ -1,22 +1,20 @@
-"""Simulated cryptographic primitives: keys, signatures, hashes, and a VRF.
+"""Simulated cryptographic primitives: keys, hashes, round seeds, and a VRF.
 
-The paper's analysis never attacks the cryptography — it relies on three
+The paper's analysis never attacks the cryptography — it relies on two
 properties that a keyed-hash construction provides exactly, deterministically
 and cheaply in simulation:
 
-* **Unforgeable signatures**: only the holder of a private key can produce a
-  signature that verifies under the matching public key.
 * **Verifiable random function (VRF)**: for each ``(key, seed, round, step)``
   the VRF output is a uniform-looking value in ``[0, 1)`` that the key holder
   can prove and anyone can verify (paper Section II-B4, citing Micali et al.).
 * **Random seeds** ``Q_r``: each round's seed is derived from the previous
   round's seed, refreshed deterministically (paper Section III-A, cost c_se).
 
-Implementation: private keys are random 64-bit integers; the "signature" of a
-message is SHA-256 over ``(private_key, message)``.  Verification recomputes
-the digest — the simulator plays both signer and verifier, so this models an
-ideal signature scheme.  The VRF output is a SHA-256 digest reinterpreted as
-a fraction in ``[0, 1)``; its proof is the digest itself.
+Implementation: private keys are random 64-bit integers.  The VRF output is
+a SHA-256 digest over the private key and its inputs, reinterpreted as a
+fraction in ``[0, 1)``; its proof is the digest itself.  Message signatures
+and proof verification are per-message work only the discrete-event oracle
+does, so they live with it (``tests/des/signing.py``).
 """
 
 from __future__ import annotations
@@ -64,46 +62,6 @@ class KeyPair:
         private = sha256_int("keygen.private", seed_material) % 2**64
         public = sha256_int("keygen.public", private) % 2**64
         return KeyPair(public=public, private=private)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """A simulated digital signature over a message digest."""
-
-    signer_public: int
-    message_digest: int
-    tag: int
-
-    def __post_init__(self) -> None:
-        if self.tag < 0:
-            raise CryptoError("signature tag must be non-negative")
-
-
-def sign(keypair: KeyPair, *message_parts: object) -> Signature:
-    """Sign a message with ``keypair``'s private key."""
-    digest = sha256_int(*message_parts)
-    tag = sha256_int("sig", keypair.private, digest)
-    return Signature(signer_public=keypair.public, message_digest=digest, tag=tag)
-
-
-def verify(signature: Signature, keypair_private_lookup_tag: int) -> bool:
-    """Verify a signature given the expected tag (simulator-internal check)."""
-    return signature.tag == keypair_private_lookup_tag
-
-
-def verify_signature(signature: Signature, keypair: KeyPair, *message_parts: object) -> bool:
-    """Verify that ``signature`` was produced by ``keypair`` over the message.
-
-    The simulator holds all keys, so verification recomputes the tag.  A
-    mismatched signer, tampered message, or wrong key all fail.
-    """
-    if signature.signer_public != keypair.public:
-        return False
-    digest = sha256_int(*message_parts)
-    if digest != signature.message_digest:
-        return False
-    expected = sha256_int("sig", keypair.private, digest)
-    return signature.tag == expected
 
 
 @dataclass(frozen=True)

@@ -313,28 +313,3 @@ def sortition(
         total_stake=total_stake,
         expected_size=expected_size,
     )
-
-
-def verify_sortition(proof: SortitionProof, keypair: KeyPair, seed: int) -> bool:
-    """Publicly verify a proof against the round seed ``Q_{r-1}`` (cost ``c_vs``).
-
-    Recomputes the VRF under the claimed identity's key and re-derives the
-    weight and priority from the public inputs carried by the proof.  The
-    seed is public ledger state in the real protocol.
-    """
-    if proof.public_key != keypair.public:
-        return False
-    if not crypto.vrf_verify(
-        proof.vrf, keypair, seed, proof.round_index, _role_step_tag(proof.role, proof.step)
-    ):
-        return False
-    stake_units = int(proof.stake)
-    probability = min(1.0, proof.expected_size / proof.total_stake)
-    if binomial_weight(proof.vrf.value, stake_units, probability) != proof.weight:
-        return False
-    if proof.weight == 0:
-        return proof.priority is None
-    expected_priority = min(
-        crypto.subuser_priority(proof.vrf.proof, index) for index in range(proof.weight)
-    )
-    return proof.priority == expected_priority

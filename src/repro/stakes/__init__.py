@@ -1,26 +1,17 @@
 """Stake populations and the synthetic exchange (paper Section V-B)."""
 
-from repro.stakes.distributions import (
-    MAX_POPULATION,
-    StakeDistribution,
-    figure7c_distributions,
-    paper_distributions,
-    summarize,
-    truncated_normal,
-    truncated_uniform,
-    uniform,
-)
-from repro.stakes.exchange import ExchangeRound, ExchangeSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExchangeRound",
-    "ExchangeSimulator",
-    "MAX_POPULATION",
-    "StakeDistribution",
-    "figure7c_distributions",
-    "paper_distributions",
-    "summarize",
-    "truncated_normal",
-    "truncated_uniform",
-    "uniform",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "distributions": (
+        "MAX_POPULATION",
+        "StakeDistribution",
+        "figure7c_distributions",
+        "paper_distributions",
+        "summarize",
+        "truncated_normal",
+        "truncated_uniform",
+        "uniform",
+    ),
+    "exchange": ("ExchangeRound", "ExchangeSimulator"),
+})

@@ -32,59 +32,29 @@ snapshots — telemetry-on and telemetry-off runs produce byte-identical
 experiment output.
 """
 
-from repro.telemetry.exposition import (
-    PROMETHEUS_CONTENT_TYPE,
-    lint_prometheus_text,
-    snapshot_to_json,
-    to_prometheus_text,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    DEFAULT_TIME_BUCKETS,
-    NULL_REGISTRY,
-    SNAPSHOT_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    NullRegistry,
-    log_buckets,
-    merge_snapshots,
-)
-from repro.telemetry.runtime import (
-    capture,
-    disable,
-    enable,
-    get_registry,
-    telemetry_enabled,
-)
-from repro.telemetry.spans import SPAN_TIME_BUCKETS, Span, rss_max_mib, span
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PROMETHEUS_CONTENT_TYPE",
-    "SNAPSHOT_VERSION",
-    "DEFAULT_SIZE_BUCKETS",
-    "DEFAULT_TIME_BUCKETS",
-    "SPAN_TIME_BUCKETS",
-    "NULL_REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
-    "NullRegistry",
-    "Span",
-    "capture",
-    "disable",
-    "enable",
-    "get_registry",
-    "lint_prometheus_text",
-    "log_buckets",
-    "merge_snapshots",
-    "rss_max_mib",
-    "snapshot_to_json",
-    "span",
-    "telemetry_enabled",
-    "to_prometheus_text",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "exposition": (
+        "PROMETHEUS_CONTENT_TYPE",
+        "lint_prometheus_text",
+        "snapshot_to_json",
+        "to_prometheus_text",
+    ),
+    "metrics": (
+        "DEFAULT_SIZE_BUCKETS",
+        "DEFAULT_TIME_BUCKETS",
+        "NULL_REGISTRY",
+        "SNAPSHOT_VERSION",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricFamily",
+        "MetricsRegistry",
+        "NullRegistry",
+        "log_buckets",
+        "merge_snapshots",
+    ),
+    "runtime": ("capture", "disable", "enable", "get_registry", "telemetry_enabled"),
+    "spans": ("SPAN_TIME_BUCKETS", "Span", "rss_max_mib", "span"),
+})

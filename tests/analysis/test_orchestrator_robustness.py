@@ -365,6 +365,17 @@ class TestProgressReporting:
         assert calls and calls[-1] == 4
         assert stream.getvalue().endswith("\n")
 
+    def test_reconfigures_after_the_previous_stream_was_closed(self, tmp_path):
+        # A file, not a StringIO: flushing a closed StringIO does not raise.
+        previous, stream = open(tmp_path / "previous.txt", "w"), io.StringIO()
+        configure_progress_logging(enabled=True, stream=previous)
+        previous.close()
+        try:
+            configure_progress_logging(enabled=True, stream=stream).info("\rshards")
+        finally:
+            configure_progress_logging(enabled=False)
+        assert stream.getvalue() == "\rshards"
+
 
 class TestForkFromThreads:
     def test_pool_started_off_the_main_thread_survives_a_held_lock(self):

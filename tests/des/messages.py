@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 from repro.sim.ba_star import EMPTY_HASH
-from repro.sim.crypto import Signature
 from repro.sim.sortition import SortitionProof
+
+from des.signing import Signature
 
 _MESSAGE_COUNTER = itertools.count()
 

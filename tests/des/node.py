@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.costs import TaskCosts
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, LedgerError, SimulationError
 from repro.sim import crypto
 from repro.sim.ba_star import (
     EMPTY_HASH,
@@ -35,7 +35,7 @@ from repro.sim.behavior import Behavior
 from repro.sim.blocks import Block, ConsensusLabel, Ledger, LedgerEntry, Transaction, make_empty_block
 from repro.sim.config import SimulationConfig
 from repro.sim.fastpath import RoundContext
-from repro.sim.sortition import Role, SortitionProof, sortition, verify_sortition
+from repro.sim.sortition import Role, SortitionProof, sortition
 
 from des.messages import (
     BlockProposalMessage,
@@ -44,6 +44,50 @@ from des.messages import (
     TransactionMessage,
     VoteMessage,
 )
+from des.signing import sign, verify_sortition
+
+
+class ReplicaLedger(Ledger):
+    """A node's ledger replica, which can catch up to the authoritative chain."""
+
+    def sync_to(self, entries: List[LedgerEntry]) -> int:
+        """Adopt a (longer, authoritative) chain via the catch-up protocol.
+
+        Finds the longest common prefix by block hash, verifies that every
+        local block past the prefix is TENTATIVE (final blocks must never be
+        replaced — the Algorand safety guarantee), then truncates and adopts
+        the remote suffix.  Returns the number of blocks adopted.
+
+        Raises
+        ------
+        LedgerError
+            If a local FINAL block conflicts with the remote chain, which
+            would be a safety violation.
+        """
+        if not entries or entries[0].block.block_hash() != self.genesis.block_hash():
+            raise LedgerError("cannot sync to a chain with a different genesis")
+        common = 0
+        limit = min(len(self._entries), len(entries))
+        while (
+            common < limit
+            and self._entries[common].block.block_hash()
+            == entries[common].block.block_hash()
+        ):
+            common += 1
+        for entry in self._entries[common:]:
+            if entry.label is ConsensusLabel.FINAL:
+                raise LedgerError(
+                    f"sync would replace FINAL block at round "
+                    f"{entry.block.round_index}: safety violation"
+                )
+        adopted = entries[common:]
+        self._entries = self._entries[:common] + [
+            LedgerEntry(entry.block, entry.label) for entry in adopted
+        ]
+        self._by_hash = {
+            entry.block.block_hash(): index for index, entry in enumerate(self._entries)
+        }
+        return len(adopted)
 
 
 def count_votes(
@@ -139,7 +183,7 @@ class Node:
         self.stake = float(stake)
         self.behavior = behavior
         self.config = config
-        self.ledger = Ledger(genesis_seed=genesis_seed)
+        self.ledger = ReplicaLedger(genesis_seed=genesis_seed)
         self.mempool: Dict[int, Transaction] = {}
         self.counters = TaskCounters()
         self.rewards_received = 0.0
@@ -229,7 +273,7 @@ class Node:
         self, ctx: RoundContext, block: Block, proof: SortitionProof
     ) -> List[Message]:
         block_hash = block.block_hash()
-        signature = crypto.sign(self.keypair, "proposal", block_hash)
+        signature = sign(self.keypair, "proposal", block_hash)
         credential = CredentialMessage(
             sender=self.node_id, block_round=ctx.round_index, proof=proof
         )
@@ -397,7 +441,7 @@ class Node:
             return []
         if self.behavior.equivocates:
             value = self._equivocated_value(value)
-        signature = crypto.sign(self.keypair, "vote", ctx.round_index, step, value)
+        signature = sign(self.keypair, "vote", ctx.round_index, step, value)
         self.counters.votes_cast += 1
         self._voted_any = True
         vote = VoteMessage(

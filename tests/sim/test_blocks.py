@@ -113,50 +113,7 @@ class TestRetroactiveFinalization:
         assert ledger.final_height() == 0
 
 
-class TestSyncTo:
-    def _authoritative(self, rounds, label=ConsensusLabel.FINAL) -> Ledger:
-        ledger = Ledger()
-        for r in rounds:
-            ledger.append(_block_on(ledger, r), label)
-        return ledger
-
-    def test_sync_adopts_missing_suffix(self):
-        authoritative = self._authoritative([1, 2, 3])
-        replica = Ledger()
-        adopted = replica.sync_to(authoritative.entries())
-        assert adopted == 3
-        assert replica.tip().block_hash() == authoritative.tip().block_hash()
-
-    def test_sync_replaces_conflicting_tentative_suffix(self):
-        authoritative = self._authoritative([1])
-        replica = Ledger()
-        # The replica concluded an empty block for round 1 (tentative fork).
-        empty = make_empty_block(1, replica.tip().block_hash(), seed=0)
-        replica.append(empty, ConsensusLabel.TENTATIVE)
-        replica.sync_to(authoritative.entries())
-        assert replica.tip().block_hash() == authoritative.tip().block_hash()
-        assert replica.tentative_height() == 0
-
-    def test_sync_never_replaces_final_blocks(self):
-        authoritative = self._authoritative([1])
-        replica = Ledger()
-        fork = Block(1, replica.tip().block_hash(), seed=99, proposer=7)
-        replica.append(fork, ConsensusLabel.FINAL)
-        with pytest.raises(LedgerError):
-            replica.sync_to(authoritative.entries())
-
-    def test_sync_requires_shared_genesis(self):
-        replica = Ledger()
-        alien = Ledger(genesis_seed=12345)
-        with pytest.raises(LedgerError):
-            replica.sync_to(alien.entries())
-
-    def test_sync_is_idempotent(self):
-        authoritative = self._authoritative([1, 2])
-        replica = Ledger()
-        replica.sync_to(authoritative.entries())
-        assert replica.sync_to(authoritative.entries()) == 0
-
+class TestLedgerEntries:
     def test_entries_returns_copy(self):
         ledger = Ledger()
         entries = ledger.entries()

@@ -23,31 +23,6 @@ class TestKeyPair:
         assert keypair.public != keypair.private
 
 
-class TestSignatures:
-    def test_sign_verify_roundtrip(self, keypair):
-        signature = crypto.sign(keypair, "hello", 42)
-        assert crypto.verify_signature(signature, keypair, "hello", 42)
-
-    def test_tampered_message_fails(self, keypair):
-        signature = crypto.sign(keypair, "hello", 42)
-        assert not crypto.verify_signature(signature, keypair, "hello", 43)
-
-    def test_wrong_key_fails(self, keypair):
-        other = KeyPair.generate("other")
-        signature = crypto.sign(keypair, "hello")
-        assert not crypto.verify_signature(signature, other, "hello")
-
-    def test_signer_identity_is_bound(self, keypair):
-        other = KeyPair.generate("other")
-        signature = crypto.sign(keypair, "msg")
-        forged = crypto.Signature(
-            signer_public=other.public,
-            message_digest=signature.message_digest,
-            tag=signature.tag,
-        )
-        assert not crypto.verify_signature(forged, other, "msg")
-
-
 class TestVrf:
     def test_output_in_unit_interval(self, keypair):
         output = crypto.vrf_evaluate(keypair, seed=1, round_index=2, step=3)

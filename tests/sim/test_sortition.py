@@ -21,7 +21,6 @@ from repro.sim.sortition import (
     binomial_weights,
     sample_population_weights,
     sortition,
-    verify_sortition,
 )
 
 
@@ -295,31 +294,6 @@ class TestBatchValidation:
 
 
 class TestSortition:
-    def test_proof_roundtrip_verifies(self):
-        keypair = KeyPair.generate("node-1")
-        proof = sortition(keypair, seed=9, round_index=4, role=Role.STEP,
-                          stake=30, total_stake=1000, expected_size=100, step=2)
-        assert verify_sortition(proof, keypair, seed=9)
-
-    def test_verification_rejects_wrong_seed(self):
-        keypair = KeyPair.generate("node-1")
-        proof = sortition(keypair, 9, 4, Role.STEP, 30, 1000, 100, step=2)
-        assert not verify_sortition(proof, keypair, seed=10)
-
-    def test_verification_rejects_wrong_key(self):
-        keypair = KeyPair.generate("node-1")
-        other = KeyPair.generate("node-2")
-        proof = sortition(keypair, 9, 4, Role.STEP, 30, 1000, 100, step=2)
-        assert not verify_sortition(proof, other, seed=9)
-
-    def test_verification_rejects_inflated_weight(self):
-        keypair = KeyPair.generate("node-1")
-        proof = sortition(keypair, 9, 4, Role.STEP, 30, 1000, 100, step=2)
-        from dataclasses import replace
-
-        forged = replace(proof, weight=proof.weight + 1, priority=0.0)
-        assert not verify_sortition(forged, keypair, seed=9)
-
     def test_unselected_proof_has_no_priority(self):
         keypair = KeyPair.generate("tiny")
         proof = sortition(keypair, 1, 1, Role.PROPOSER, stake=1,

@@ -2,18 +2,22 @@
 
 scipy and networkx are test oracles (``tests/oracles.py``), not runtime
 dependencies, and the discrete-event simulator is the fast kernel's test
-oracle (``tests/des``), not runtime code.  Each check runs in a fresh
-interpreter, since this test process has long since imported all three.
+oracle (``tests/des``), not runtime code.  Each entry point also keeps an
+import budget: it loads the modules its workload runs and no sibling
+experiment, oracle or engine.  Each check runs in a fresh interpreter,
+since this test process has long since imported all of them.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TESTS = Path(__file__).resolve().parent
@@ -23,6 +27,20 @@ TEST_ONLY = ("scipy", "networkx")
 
 #: The DES's classes; no runtime module may hold one.
 DES_NAMES = ("EventEngine", "AlgorandSimulation", "GossipNetwork", "Node")
+
+
+#: The packages whose public names resolve lazily (PEP 562).
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.core",
+    "repro.populations",
+    "repro.scenarios",
+    "repro.schemes",
+    "repro.sim",
+    "repro.stakes",
+    "repro.telemetry",
+)
 
 
 def run_python(code: str, cwd: Path, tests: bool = False) -> str:
@@ -126,3 +144,116 @@ def test_runtime_runs_with_both_packages_refused(tmp_path):
         tmp_path,
     )
     assert out.strip().endswith("ran")
+
+
+def loaded_after(entry: str, cwd: Path):
+    """The ``repro`` modules a fresh interpreter holds after importing ``entry``."""
+    out = run_python(
+        f"""
+        import json, sys
+        import {entry}
+        print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+        """,
+        cwd,
+    )
+    return json.loads(out)
+
+
+def within(name: str, packages) -> bool:
+    return any(name == package or name.startswith(package + ".") for package in packages)
+
+
+def test_the_audit_entry_loads_no_oracle_or_sibling_experiment(tmp_path):
+    loaded = loaded_after("repro.analysis.scale", tmp_path)
+    assert "repro.schemes.population_audit" in loaded
+    assert "repro.sim.fastpath" in loaded  # the committee kernel it runs
+    unused = (
+        "repro.schemes.audit",
+        "repro.core.game",
+        "repro.analysis.orchestrator",
+        "repro.analysis.defection",
+        "repro.scenarios",
+    )
+    assert [name for name in loaded if within(name, unused)] == []
+
+
+def test_the_fig3_entry_loads_no_scheme_or_population_code(tmp_path):
+    loaded = loaded_after("repro.analysis.defection", tmp_path)
+    assert "repro.sim.fastpath" in loaded
+    unused = ("repro.schemes", "repro.populations")
+    assert [name for name in loaded if within(name, unused)] == []
+
+
+def test_runner_version_loads_no_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.analysis.runner", "--version"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split()[-1]  # the version
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in completed.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+    assert "repro.analysis.experiments" in imported  # the runner's own imports
+    assert [name for name in imported if within(name, ("numpy",))] == []
+
+
+def test_exported_names_resolve_and_unknown_names_import_nothing(tmp_path):
+    out = run_python(
+        f"""
+        import importlib, json, sys, types
+        unresolved, imported = [], []
+        for package in {LAZY_PACKAGES!r}:
+            module = importlib.import_module(package)
+            assert set(module.__all__) <= set(dir(module)), package
+            before = set(sys.modules)
+            try:
+                module.no_such_name
+            except AttributeError:
+                if set(sys.modules) != before:
+                    imported.append(package)
+            for name in module.__all__:
+                value = getattr(module, name, None)
+                if value is None or isinstance(value, types.ModuleType):
+                    unresolved.append(f"{{package}}.{{name}}")
+        print(json.dumps([unresolved, imported]))
+        """,
+        tmp_path,
+    )
+    assert json.loads(out) == [[], []]
+
+
+def _rebuild_builtins(scheme_params, scenario):
+    """A spawn worker's task: rebuild built-ins through the registries alone.
+
+    Returns the scheme and scenario modules loaded before the task, the
+    catalogs loaded by importing the registries, and what they rebuilt.
+    """
+    catalogs = ("repro.schemes.catalog", "repro.scenarios.catalog")
+    before = [name for name in sys.modules if within(name, ("repro.schemes", "repro.scenarios"))]
+    from repro.scenarios.registry import get_scenario
+    from repro.schemes.registry import scheme_from_params
+
+    eager = [name for name in catalogs if name in sys.modules]
+    rebuilt = scheme_from_params(scheme_params).to_params()
+    return before, eager, rebuilt, get_scenario(scenario).name
+
+
+def test_a_spawned_worker_rebuilds_builtins_from_the_registries():
+    params = {"kind": "axiomatic_tau", "name": "tau-quarter", "params": {"tau": 0.25}}
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(1) as pool:
+        before, eager, rebuilt, scenario = pool.apply(
+            _rebuild_builtins, (params, "whale-dominated")
+        )
+    assert before == []
+    assert eager == []  # the registries fill themselves on the first lookup
+    assert rebuilt == params
+    assert scenario == "whale-dominated"
