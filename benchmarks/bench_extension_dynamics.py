@@ -11,17 +11,27 @@ conclusion's call to study how selfish behaviour evolves.  Measured claims:
 
 from __future__ import annotations
 
+import random
+import sys
+from pathlib import Path
+
 from repro.analysis.plotting import format_table, line_chart
 from repro.core import RoleCosts
 from repro.core.bounds import RoleAggregates, minimum_feasible_reward
-from repro.core.dynamics import BestResponseDynamics, random_profile
 from repro.core.game import (
     AlgorandGame,
     FoundationRule,
     RoleBasedRule,
+    Strategy,
     all_cooperate,
+    cooperation_share,
     theorem3_profile,
 )
+
+# Synchronous best-response play of the scalar game is a test-side
+# reference: it lives with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import best_response_path  # noqa: E402
 
 _COSTS = RoleCosts.paper_defaults()
 _LEADERS = [5.0, 3.0, 4.0]
@@ -57,27 +67,33 @@ def _funded_game() -> AlgorandGame:
 
 def test_bench_dynamics_convergence(benchmark, report):
     def run():
-        foundation = BestResponseDynamics(_foundation_game(), revision_rate=0.5, seed=1)
-        unravel = foundation.run(all_cooperate(_foundation_game()), n_rounds=60)
+        foundation_game = _foundation_game()
+        unravel = best_response_path(foundation_game, all_cooperate(foundation_game))
         funded_game = _funded_game()
-        funded = BestResponseDynamics(funded_game, revision_rate=0.5, seed=1)
-        stable = funded.run(theorem3_profile(funded_game), n_rounds=60)
-        mixed_start = random_profile(funded_game, cooperate_probability=0.5, seed=3)
-        recovering = funded.run(mixed_start, n_rounds=60)
-        return unravel, stable, recovering
+        stable = best_response_path(funded_game, theorem3_profile(funded_game))
+        rng = random.Random(3)
+        mixed_start = {
+            pid: Strategy.COOPERATE if rng.random() < 0.5 else Strategy.DEFECT
+            for pid in funded_game.players
+        }
+        recovering = best_response_path(funded_game, mixed_start)
+        return [
+            [cooperation_share(profile) for profile in path]
+            for path in (unravel, stable, recovering)
+        ]
 
     unravel, stable, recovering = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    n = max(unravel.n_rounds, stable.n_rounds, recovering.n_rounds)
+    n = max(len(unravel), len(stable), len(recovering))
 
     def pad(series):
         return series + [series[-1]] * (n - len(series))
 
     chart = line_chart(
         {
-            "foundation (All-C start)": pad(unravel.cooperation_series()),
-            "algorithm-1 (Thm-3 start)": pad(stable.cooperation_series()),
-            "algorithm-1 (random start)": pad(recovering.cooperation_series()),
+            "foundation (All-C start)": pad(unravel),
+            "algorithm-1 (Thm-3 start)": pad(stable),
+            "algorithm-1 (random start)": pad(recovering),
         },
         title="Extension — cooperation rate under best-response dynamics",
         y_min=0.0,
@@ -85,10 +101,9 @@ def test_bench_dynamics_convergence(benchmark, report):
         height=12,
     )
     rows = [
-        ("foundation, All-C start", f"{unravel.cooperation_series()[-1]:.2f}",
-         str(unravel.converged_to_all_defect())),
-        ("algorithm-1, Thm-3 start", f"{stable.cooperation_series()[-1]:.2f}", "False"),
-        ("algorithm-1, random start", f"{recovering.cooperation_series()[-1]:.2f}", "False"),
+        ("foundation, All-C start", f"{unravel[-1]:.2f}", str(unravel[-1] == 0.0)),
+        ("algorithm-1, Thm-3 start", f"{stable[-1]:.2f}", str(stable[-1] == 0.0)),
+        ("algorithm-1, random start", f"{recovering[-1]:.2f}", str(recovering[-1] == 0.0)),
     ]
     report(
         chart
@@ -99,6 +114,6 @@ def test_bench_dynamics_convergence(benchmark, report):
             title="Fixed points reached",
         )
     )
-    assert unravel.converged_to_all_defect()
-    assert not stable.converged_to_all_defect()
-    assert stable.records[0].revisions == 0  # absorbing from the start
+    assert unravel[-1] == 0.0  # converged to All-Defect
+    assert stable[-1] > 0.0
+    assert len(stable) == 1  # absorbing from the start

@@ -16,7 +16,7 @@ from repro.core.game import AlgorandGame, FoundationRule
 from repro.sim import SimulationConfig
 from repro.sim.crypto import KeyPair
 from repro.sim.network import build_random_overlay
-from repro.sim.sortition import Role, sortition
+from repro.sim.sortition import Role
 
 # The discrete-event simulator is the fast kernel's test oracle: it lives
 # with the test suite.
@@ -27,6 +27,7 @@ from des import (  # noqa: E402
     EventEngine,
     GossipNetwork,
 )
+from des.signing import sortition  # noqa: E402
 
 
 def test_bench_sortition_throughput(benchmark):

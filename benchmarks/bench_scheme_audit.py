@@ -5,10 +5,11 @@ cheap: the audit's closed-form pool algebra (the shared kernel in
 :mod:`repro.schemes.deviation`) computes every player's deviation payoff
 for a whole population batch in a few numpy passes, where the scalar
 oracle walks an :class:`AlgorandGame` one ``payoff`` call at a time.  The
-two paths must agree to float tolerance (that is the audit's own
-correctness check); this benchmark records how much the vectorization
-buys and writes the measurement to ``BENCH_schemes.json`` at the repo
-root — only when the record passes :func:`guard_violations`.
+two paths must agree to float tolerance (the check
+``tests/schemes/test_audit.py`` holds the kernel to); this benchmark
+records how much the vectorization buys and writes the measurement to
+``BENCH_schemes.json`` at the repo root — only when the record passes
+:func:`guard_violations`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import datetime
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -24,7 +26,11 @@ from typing import Dict, List
 import numpy as np
 
 from repro.schemes import AuditConfig, get_scheme, scheme_names
-from repro.schemes.audit import _build_cell, _oracle_gains, _vectorized_gains
+from repro.schemes.audit import _build_cell, _vectorized_gains
+
+# The scalar oracle is a test-side reference: it lives with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import oracle_cell_gains  # noqa: E402
 
 #: A tournament-sized audit cell: 32 populations of 48 players.
 _CONFIG = AuditConfig(
@@ -35,7 +41,6 @@ _CONFIG = AuditConfig(
     stake_kinds=("uniform",),
     cost_scales=(1.0,),
     budget_multipliers=(1.25,),
-    oracle_samples=0,
     seed=17,
 )
 
@@ -107,7 +112,7 @@ def test_bench_vectorized_audit_vs_scalar_oracle(benchmark, report):
 
     paths = {
         "scalar_oracle_s": lambda: np.stack(
-            [_oracle_gains(scheme, cell, b) for b in range(_CONFIG.n_populations)],
+            [oracle_cell_gains(scheme, cell, b) for b in range(_CONFIG.n_populations)],
             axis=1,
         ),
         "vectorized_s": lambda: _vectorized_gains(scheme, cell),

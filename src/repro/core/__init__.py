@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "reward_bounds",
     ),
     "costs": ("MICRO_ALGO", "RoleCosts", "TaskCosts"),
-    "dynamics": ("BestResponseDynamics", "DynamicsResult", "random_profile"),
     "fees": ("FeeFundedSharing",),
     "equilibrium": (
         "Deviation",

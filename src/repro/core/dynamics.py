@@ -1,171 +1,28 @@
-"""Best-response dynamics: repeated play of the round game.
+"""The replicator update: how a population's cooperating share evolves.
 
 The paper analyses one round as a static game; its conclusion motivates
 studying how a population of honest-but-selfish nodes *evolves* when the
-game repeats.  This module implements synchronous and inertial
-best-response dynamics over repeated rounds:
+game repeats.  The scenario engines drive two update rules: synchronous
+best response (:func:`repro.core.equilibrium.synchronous_best_responses`,
+run by :mod:`repro.scenarios.dynamics` and, blockwise, by
+:mod:`repro.scenarios.population_dynamics`) and the replicator step
+defined here:
 
-* each round, a fraction of strategic players (``revision_rate``) revise
-  their strategy to a best response against the previous round's profile;
-* roles can be resampled between rounds (sortition churn) while stakes
-  persist.
-
-Two headline results emerge, extending Theorems 1-3 dynamically:
-
-* under **Foundation sharing**, cooperation unravels — from any initial
-  profile the population converges to All-Defect (Theorem 1's equilibrium
-  is the global attractor);
-* under **role-based sharing funded above the Theorem 3 bound**, the
-  cooperative profile (L, M, Y cooperate) is absorbing: once reached it is
-  never left, and nearby profiles flow back to it.
+* :func:`replicator_step` moves the {C, D} share toward the fitter
+  strategy, given the two strategies' mean payoffs;
+* :class:`ReplicatorAccumulator` folds those means chunk by chunk, so the
+  streamed dynamics take the same step at any chunk size.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.equilibrium import synchronous_best_responses
-from repro.core.game import AlgorandGame, Strategy, StrategyProfile
 from repro.errors import GameError
 from repro.populations.arrays import add_blocks, block_sums
-
-#: A rule producing the game for round ``t`` (roles may churn between
-#: rounds); receives the round index and returns the game to be played.
-GameSchedule = Callable[[int], AlgorandGame]
-
-
-@dataclass
-class DynamicsRecord:
-    """One round of the dynamic: profile statistics after revisions."""
-
-    round_index: int
-    n_cooperating: int
-    n_defecting: int
-    n_offline: int
-    block_produced: bool
-    revisions: int
-
-    @property
-    def cooperation_rate(self) -> float:
-        """Fraction of participating players that cooperated this round."""
-        total = self.n_cooperating + self.n_defecting + self.n_offline
-        return self.n_cooperating / total if total else 0.0
-
-
-@dataclass
-class DynamicsResult:
-    """Trajectory of a best-response dynamics run."""
-
-    records: List[DynamicsRecord] = field(default_factory=list)
-    final_profile: Dict[int, Strategy] = field(default_factory=dict)
-
-    @property
-    def n_rounds(self) -> int:
-        """Number of recorded dynamics rounds."""
-        return len(self.records)
-
-    def cooperation_series(self) -> List[float]:
-        """Cooperation rate per round, in order."""
-        return [record.cooperation_rate for record in self.records]
-
-    def converged_to_all_defect(self) -> bool:
-        """Whether the final round has zero cooperating players."""
-        return bool(self.records) and self.records[-1].n_cooperating == 0
-
-    def reached_fixed_point(self, window: int = 3) -> bool:
-        """True when the last ``window`` rounds saw no strategy revisions."""
-        if len(self.records) < window:
-            return False
-        return all(record.revisions == 0 for record in self.records[-window:])
-
-
-class BestResponseDynamics:
-    """Inertial synchronous best-response dynamics on a (repeated) game.
-
-    Parameters
-    ----------
-    game:
-        The stage game, or a :data:`GameSchedule` for role churn.
-    revision_rate:
-        Fraction of players revising each round (1.0 = full synchronous
-        best response; smaller values model inertia/asynchronous updates).
-    seed:
-        Reproducibility seed for revision sampling.
-    """
-
-    def __init__(
-        self,
-        game: AlgorandGame | GameSchedule,
-        revision_rate: float = 1.0,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 < revision_rate <= 1.0:
-            raise GameError(f"revision rate must be in (0, 1], got {revision_rate}")
-        self._schedule: GameSchedule = (
-            game if callable(game) else (lambda _round_index: game)
-        )
-        self.revision_rate = revision_rate
-        self._rng = random.Random(seed)
-
-    def run(
-        self,
-        initial_profile: StrategyProfile,
-        n_rounds: int,
-        stop_at_fixed_point: bool = True,
-    ) -> DynamicsResult:
-        """Iterate the dynamic for up to ``n_rounds`` rounds."""
-        if n_rounds < 1:
-            raise GameError(f"n_rounds must be >= 1, got {n_rounds}")
-        profile: Dict[int, Strategy] = dict(initial_profile)
-        result = DynamicsResult()
-        for round_index in range(1, n_rounds + 1):
-            game = self._schedule(round_index)
-            missing = set(game.players) - set(profile)
-            if missing:
-                raise GameError(
-                    f"profile missing strategies for players {sorted(missing)}"
-                )
-            revisions = self._revise(game, profile)
-            result.records.append(
-                DynamicsRecord(
-                    round_index=round_index,
-                    n_cooperating=sum(
-                        1 for s in profile.values() if s is Strategy.COOPERATE
-                    ),
-                    n_defecting=sum(
-                        1 for s in profile.values() if s is Strategy.DEFECT
-                    ),
-                    n_offline=sum(
-                        1 for s in profile.values() if s is Strategy.OFFLINE
-                    ),
-                    block_produced=game.block_succeeds(profile),
-                    revisions=revisions,
-                )
-            )
-            if stop_at_fixed_point and result.reached_fixed_point():
-                break
-        result.final_profile = dict(profile)
-        return result
-
-    def _revise(self, game: AlgorandGame, profile: Dict[int, Strategy]) -> int:
-        """One synchronous revision step; returns the number of changes."""
-        revising = [
-            pid
-            for pid in game.players
-            if self.revision_rate >= 1.0 or self._rng.random() < self.revision_rate
-        ]
-        responses = synchronous_best_responses(game, profile, revising)
-        changes = 0
-        for pid, strategy in responses.items():
-            if profile[pid] is not strategy:
-                profile[pid] = strategy
-                changes += 1
-        return changes
 
 
 def replicator_step(
@@ -228,14 +85,14 @@ def replicator_step(
 class ReplicatorAccumulator:
     """Streaming accumulator form of the replicator update.
 
-    The in-memory pipeline computes :func:`mean_payoff_by_strategy` over a
-    whole profile and feeds the two means to :func:`replicator_step`.  At
-    population scale the per-agent payoffs arrive chunk by chunk; this
-    accumulator folds each chunk's counterfactual cooperate/defect payoff
-    sums with the block-stable reduction
-    (:func:`repro.populations.arrays.blockwise_sum`) and normalizes **once
-    per epoch**, so the resulting step is bit-identical at every
-    ``chunk_agents`` — the same contract as the population audit.
+    The in-memory scenario engine averages the cooperators' and the
+    defectors' payoffs over a whole profile and feeds the two means to
+    :func:`replicator_step`.  At population scale the per-agent payoffs
+    arrive chunk by chunk; this accumulator folds each chunk's
+    counterfactual cooperate/defect payoff sums with the block-stable
+    reduction (:func:`repro.populations.arrays.blockwise_sum`) and
+    normalizes **once per epoch**, so the resulting step is bit-identical
+    at every ``chunk_agents`` — the same contract as the population audit.
 
     Masks passed via ``include`` are applied position-preservingly
     (``np.where``), never by fancy indexing, which would re-pack values
@@ -325,8 +182,9 @@ class ReplicatorAccumulator:
         """The epoch's (mean cooperate, mean defect) counterfactual payoffs.
 
         An empty fold returns ``(0.0, 0.0)`` — the
-        :func:`mean_payoff_by_strategy` convention for strategies nobody
-        evaluates, which makes :meth:`step` a pure mutation mix.
+        :func:`~repro.scenarios.dynamics.mean_payoff_by_strategy`
+        convention for strategies nobody evaluates, which makes
+        :meth:`step` a pure mutation mix.
         """
         if self._count == 0:
             return 0.0, 0.0
@@ -342,48 +200,3 @@ class ReplicatorAccumulator:
             intensity=self.intensity,
             mutation=self.mutation,
         )
-
-
-def mean_payoff_by_strategy(
-    game: AlgorandGame, profile: StrategyProfile
-) -> Dict[Strategy, float]:
-    """Average realized payoff of the players at each strategy.
-
-    Strategies nobody plays map to 0.0 (their growth rate is undefined;
-    replicator callers treat an extinct strategy's share as frozen).
-    """
-    payoffs = game.payoffs(profile)
-    totals: Dict[Strategy, float] = {strategy: 0.0 for strategy in Strategy}
-    counts: Dict[Strategy, int] = {strategy: 0 for strategy in Strategy}
-    for pid, strategy in profile.items():
-        if pid not in payoffs:
-            continue
-        totals[strategy] += payoffs[pid]
-        counts[strategy] += 1
-    return {
-        strategy: (totals[strategy] / counts[strategy] if counts[strategy] else 0.0)
-        for strategy in Strategy
-    }
-
-
-def random_profile(
-    game: AlgorandGame,
-    cooperate_probability: float,
-    seed: int = 0,
-    allow_offline: bool = False,
-) -> Dict[int, Strategy]:
-    """A random initial profile for dynamics experiments."""
-    if not 0.0 <= cooperate_probability <= 1.0:
-        raise GameError(
-            f"cooperate probability must be in [0, 1], got {cooperate_probability}"
-        )
-    rng = random.Random(seed)
-    profile: Dict[int, Strategy] = {}
-    for pid in game.players:
-        if rng.random() < cooperate_probability:
-            profile[pid] = Strategy.COOPERATE
-        elif allow_offline and rng.random() < 0.1:
-            profile[pid] = Strategy.OFFLINE
-        else:
-            profile[pid] = Strategy.DEFECT
-    return profile

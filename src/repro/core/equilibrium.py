@@ -148,9 +148,8 @@ def synchronous_best_responses(
     """Best responses for a set of players, all computed against ``profile``.
 
     Every response is evaluated with the *other* players held at their
-    current strategies — the one-shot synchronous revision step shared by
-    :class:`repro.core.dynamics.BestResponseDynamics` and the scenario
-    engine's epoch driver.  ``revising`` defaults to all players.
+    current strategies — the one-shot synchronous revision step of the
+    scenario engine's epoch driver.  ``revising`` defaults to all players.
     """
     ids = list(game.players) if revising is None else list(revising)
     return {pid: best_response(game, pid, profile, strategies)[0] for pid in ids}

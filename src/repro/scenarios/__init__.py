@@ -11,7 +11,7 @@ like the fig3–fig7 sweeps.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "dynamics": ("SCHEMES", "EpochRecord", "ScenarioTrajectory", "run_scenario"),
+    "dynamics": ("SCHEMES", "run_scenario"),
     "experiment": (
         "MergedTrajectory",
         "ScenarioCampaignConfig",
@@ -31,4 +31,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "registry": ("get_scenario", "register_scenario", "scenario_names"),
     "spec": ("AdversaryPolicy", "DefectionSeeding", "ScenarioSpec", "UpdateRule"),
+    "trajectory": ("EpochRecord", "ScenarioTrajectory"),
 })

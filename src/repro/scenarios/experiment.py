@@ -24,9 +24,10 @@ from repro.analysis.orchestrator import run_sweep
 from repro.analysis.retry import ExecutionPolicy
 from repro.analysis.sweep import SweepSpec
 from repro.errors import ConfigurationError
-from repro.scenarios.dynamics import SCHEMES, ScenarioTrajectory, run_scenario
+from repro.scenarios.dynamics import SCHEMES, run_scenario
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.trajectory import ScenarioTrajectory
 from repro.schemes.registry import get_scheme, scheme_names
 from repro.sim.metrics import mean_series
 from repro.sim.rng import derive_seed

@@ -19,7 +19,7 @@ so dynamics and audits share one streaming substrate:
    epoch's strategy profile (crowd thresholds + selected best responses)
    into one held int8 array, folds per-pool class weights, costs and the
    strong-synchrony defector census with the block-stable reductions,
-   and emits an :class:`~repro.scenarios.dynamics.EpochRecord`.  The
+   and emits an :class:`~repro.scenarios.trajectory.EpochRecord`.  The
    *update* pass reads that profile back and evaluates each crowd
    agent's **counterfactual** payoffs — what it would earn if it alone
    played C (resp. D) — through the audit's deviation kernel
@@ -102,7 +102,7 @@ from repro.populations.arrays import (
 from repro.populations.generators import resolve_sampler
 from repro.populations.spec import PopulationSpec
 from repro.populations.threads import Lane, call_pool, prefetch
-from repro.scenarios.dynamics import EpochRecord, ScenarioTrajectory
+from repro.scenarios.trajectory import EpochRecord, ScenarioTrajectory
 from repro.schemes.deviation import (
     COMMITTEE,
     LEADER,
@@ -757,7 +757,7 @@ def run_population_dynamics(
     passes (no thread outlives it); the measure and update passes fold
     block-aligned slices of each chunk on it and replay their per-block
     partials in population order.  Returns a
-    :class:`~repro.scenarios.dynamics.ScenarioTrajectory` whose scenario
+    :class:`~repro.scenarios.trajectory.ScenarioTrajectory` whose scenario
     field carries ``spec.name`` (epoch 0 is the seeded initial state).
     """
     resolved = resolve_scheme(scheme)

@@ -26,12 +26,11 @@ epsilon-incentive-compatible under population Y?* — by brute force, fast:
    deviation gains more than ``epsilon``; otherwise the report carries the
    most profitable deviation as a concrete witness (population, player,
    role, stake, strategy change, gain).
-4. **Oracle cross-check.**  A sampled subset of populations is re-audited
-   through the scalar path — an :class:`~repro.core.game.AlgorandGame`
-   built with the scheme's own :meth:`make_rule` and exact per-player
-   ``payoff`` calls — and the two gain tensors must agree to float
-   tolerance.  A disagreement raises :class:`~repro.errors.AuditError`:
-   it would be a bug in the engine, not a property of the scheme.
+
+The kernel's differential check against the scalar game (an
+:class:`~repro.core.game.AlgorandGame` under the scheme's own
+:meth:`make_rule`, one ``payoff`` call per deviation) runs in the test
+suite (``tests/oracles.py``), not in the audit.
 """
 
 from __future__ import annotations
@@ -45,18 +44,9 @@ import numpy as np
 from repro.analysis.csvio import PathLike, write_rows
 from repro.core.bounds import RoleAggregates
 from repro.core.costs import RoleCosts
-from repro.core.game import (
-    AlgorandGame,
-    BlockSuccessModel,
-    Player,
-    PlayerRole,
-    RewardRule,
-    Strategy,
-    StrategyProfile,
-    with_deviation,
-)
+from repro.core.game import AlgorandGame, RewardRule, Strategy, StrategyProfile
 from repro.core.optimizer import minimize_reward_analytic
-from repro.errors import AuditError, ConfigurationError, SchemeError
+from repro.errors import ConfigurationError, SchemeError
 from repro.schemes.base import PoolSpec, RewardScheme, SchemeSplit, WeightKind, validate_pools
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -107,7 +97,6 @@ class AuditConfig:
     budget_multipliers: Tuple[float, ...] = (0.75, 1.25)
     epsilon: float = 1e-12
     target: str = "theorem3"
-    oracle_samples: int = 2
     seed: int = 2021
 
     def __post_init__(self) -> None:
@@ -148,8 +137,6 @@ class AuditConfig:
                 f"unknown target profile {self.target!r}; "
                 "choose 'theorem3' or 'all_c'"
             )
-        if self.oracle_samples < 0:
-            raise ConfigurationError("oracle_samples must be >= 0")
 
     @property
     def n_online(self) -> int:
@@ -176,8 +163,6 @@ class CellAudit:
     n_deviations: int
     witness: Optional[DeviationWitness]
     mean_b_i: float
-    oracle_populations: int
-    oracle_max_diff: float
 
     @property
     def ic_margin(self) -> float:
@@ -326,7 +311,6 @@ class _Cell:
     alphas: np.ndarray  # (B,) calibrated split
     betas: np.ndarray  # (B,)
     b_i: np.ndarray  # (B,) per-population budget
-    oracle_rows: np.ndarray  # population indices re-checked by the oracle
 
 
 def _sample_stakes(
@@ -416,12 +400,6 @@ def _build_cell(
         betas[b] = split.beta
         b_i[b] = budget_multiplier * split.b_i
 
-    n_oracle = min(config.oracle_samples, B)
-    oracle_rows = (
-        rng.choice(B, size=n_oracle, replace=False)
-        if n_oracle
-        else np.empty(0, dtype=int)
-    )
     return _Cell(
         stake_kind=stake_kind,
         cost_scale=cost_scale,
@@ -435,7 +413,6 @@ def _build_cell(
         alphas=alphas,
         betas=betas,
         b_i=b_i,
-        oracle_rows=np.sort(oracle_rows),
     )
 
 
@@ -493,11 +470,11 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
     return np.concatenate(gains.targets(agents)).reshape(3, B, N)
 
 
-# -- the scalar oracle --------------------------------------------------------------
+# -- the scalar rule ----------------------------------------------------------------
 
 
 class PooledRule(RewardRule):
-    """Scalar interpreter of a pool declaration — the audit oracle path.
+    """Scalar interpreter of a pool declaration — the game's reward rule.
 
     Implements the :class:`~repro.core.game.RewardRule` interface with
     plain per-player dictionary loops, deliberately sharing no code with
@@ -544,101 +521,11 @@ class PooledRule(RewardRule):
         return game.costs.of_role(player.role.value)
 
 
-#: Role code -> the scalar game's role.
-_PLAYER_ROLES = {
-    LEADER: PlayerRole.LEADER,
-    COMMITTEE: PlayerRole.COMMITTEE,
-    ONLINE: PlayerRole.ONLINE,
-}
-
-
-def _oracle_game(
-    stakes: np.ndarray,
-    roles: np.ndarray,
-    sync: np.ndarray,
-    costs: RoleCosts,
-    rule: RewardRule,
-    quorum: float,
-) -> AlgorandGame:
-    """One population as a scalar :class:`AlgorandGame` (the oracles' path)."""
-    return AlgorandGame(
-        players={
-            j: Player(
-                node_id=j, stake=float(stakes[j]), role=_PLAYER_ROLES[int(roles[j])]
-            )
-            for j in range(stakes.size)
-        },
-        costs=costs,
-        reward_rule=rule,
-        success_model=BlockSuccessModel(
-            committee_quorum=quorum,
-            synchrony_set=frozenset(int(j) for j in np.flatnonzero(sync)),
-        ),
-    )
-
-
-def _game_gains(game: AlgorandGame, coop: np.ndarray) -> np.ndarray:
-    """The (3, n) gain tensor of one population via exact game payoffs.
-
-    Measures every unilateral deviation from the C/D profile ``coop``
-    with exact ``payoff`` calls under the scheme's own scalar rule —
-    sharing no code with the vectorized kernel.  Both audit engines'
-    oracles run through here.
-    """
-    n = coop.size
-    profile = {j: Strategy.COOPERATE if coop[j] else Strategy.DEFECT for j in range(n)}
-    base = game.payoffs(profile)
-    gains = np.full((3, n), np.nan)
-    alternatives = (Strategy.COOPERATE, Strategy.DEFECT, Strategy.OFFLINE)
-    for t, alternative in enumerate(alternatives):
-        for j in range(n):
-            if profile[j] is not alternative:
-                deviation = with_deviation(profile, j, alternative)
-                gains[t, j] = game.payoff(j, deviation) - base[j]
-    return gains
-
-
-def _oracle_gains(
-    scheme: RewardScheme, cell: _Cell, population: int
-) -> np.ndarray:
-    """The (3, N) gain tensor for one population via the game engine."""
-    b = population
-    split = SchemeSplit(float(cell.alphas[b]), float(cell.betas[b]))
-    game = _oracle_game(
-        cell.stakes[b],
-        cell.roles[b],
-        cell.sync[b],
-        cell.costs,
-        scheme.make_rule(float(cell.b_i[b]), split),
-        cell.quorum,
-    )
-    return _game_gains(game, cell.coop[b])
-
-
 # -- entry points -------------------------------------------------------------------
 
 
 def _audit_cell(scheme: RewardScheme, cell: _Cell, config: AuditConfig) -> CellAudit:
     gains = _vectorized_gains(scheme, cell)
-
-    oracle_max_diff = 0.0
-    for b in cell.oracle_rows:
-        expected = _oracle_gains(scheme, cell, int(b))
-        observed = gains[:, int(b), :]
-        if not np.array_equal(np.isnan(expected), np.isnan(observed)):
-            raise AuditError(
-                f"scheme {scheme.name!r}: oracle and vectorized audits disagree "
-                f"on which deviations exist (population {b})"
-            )
-        diff = np.nanmax(np.abs(expected - observed)) if expected.size else 0.0
-        scale = max(1.0, float(np.nanmax(np.abs(expected))))
-        if diff > 1e-9 + 1e-6 * scale:
-            raise AuditError(
-                f"scheme {scheme.name!r}: vectorized deviation payoffs diverge "
-                f"from the game oracle by {diff:.3e} (population {b})"
-            )
-        oracle_max_diff = max(oracle_max_diff, float(diff))
-
     valid = ~np.isnan(gains)
     max_gain = float(np.nanmax(gains))
     # Work-reducing deviations by cooperators only: C->D (gains[1] is nan
@@ -670,8 +557,6 @@ def _audit_cell(scheme: RewardScheme, cell: _Cell, config: AuditConfig) -> CellA
         n_deviations=int(valid.sum()),
         witness=witness,
         mean_b_i=float(cell.b_i.mean()),
-        oracle_populations=len(cell.oracle_rows),
-        oracle_max_diff=oracle_max_diff,
     )
 
 

@@ -49,7 +49,6 @@ TOURNAMENT_AUDIT = AuditConfig(
     stake_kinds=("uniform",),
     cost_scales=(1.0,),
     budget_multipliers=(1.5,),
-    oracle_samples=2,
 )
 
 

@@ -7,9 +7,9 @@ rng
 crypto
     Simulated keys, VRF and round seeds.
 sortition
-    Stake-weighted binomial committee selection with VRF proofs
-    (``repro.sim.sortition`` names this module; its scalar
-    ``sortition`` function is not re-exported here).
+    Stake-weighted binomial committee selection: the batched CDF
+    inversion the fast kernel draws committee weights with (the DES's
+    per-node draw and proofs live in ``tests/des/signing.py``).
 blocks
     Blocks, transactions, per-node ledgers.
 network
@@ -38,5 +38,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "metrics": ("RoundRecord", "SimulationMetrics", "average_fractions"),
     "rng": ("RngStreams",),
     "roles": ("RewardAllocation", "RoleSnapshot"),
-    "sortition": ("Role", "SortitionProof"),
+    "sortition": ("Role",),
 })

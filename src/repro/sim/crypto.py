@@ -12,9 +12,9 @@ and cheaply in simulation:
 
 Implementation: private keys are random 64-bit integers.  The VRF output is
 a SHA-256 digest over the private key and its inputs, reinterpreted as a
-fraction in ``[0, 1)``; its proof is the digest itself.  Message signatures
-and proof verification are per-message work only the discrete-event oracle
-does, so they live with it (``tests/des/signing.py``).
+fraction in ``[0, 1)``; its proof is the digest itself.  Message signatures,
+VRF and sortition-proof verification are per-message work only the
+discrete-event oracle does, so they live with it (``tests/des/signing.py``).
 """
 
 from __future__ import annotations
@@ -89,18 +89,6 @@ def vrf_evaluate(keypair: KeyPair, seed: int, round_index: int, step: int) -> Vr
     """
     proof = sha256_int("vrf", keypair.private, seed, round_index, step)
     return VrfOutput(value=hash_to_unit_interval(proof), proof=proof)
-
-
-def vrf_verify(
-    output: VrfOutput,
-    keypair: KeyPair,
-    seed: int,
-    round_index: int,
-    step: int,
-) -> bool:
-    """Check that ``output`` is the unique valid VRF output for the inputs."""
-    expected = sha256_int("vrf", keypair.private, seed, round_index, step)
-    return output.proof == expected and output.value == hash_to_unit_interval(expected)
 
 
 def subuser_priority(proof: int, subuser_index: int) -> float:

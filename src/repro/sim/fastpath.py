@@ -7,8 +7,8 @@ batched array work instead of per-message events:
 * **Sortition** evaluates every node's VRF for a (round, step) domain in
   one batch and inverts the binomial CDF with the batched
   :func:`repro.sim.sortition.binomial_weights` primitive, so committee
-  weights are exactly what per-node :func:`repro.sim.sortition.sortition`
-  calls would give.  The steps every round that reaches BinaryBA* votes
+  weights are exactly what the DES's per-node ``sortition`` calls
+  (``tests/des/signing.py``) would give.  The steps every round that reaches BinaryBA* votes
   in (1 through ``FIRST_BINARY_STEP + 3``) are hashed and inverted as one
   batch; later steps and the FINAL committee are drawn on first use.
 * **Gossip** is a reachability model: hop distances through the relaying

@@ -14,19 +14,21 @@ bias who is chosen), and the proof is publicly verifiable.
 
 The selection is per *sub-user*: a node voting with weight ``j`` counts as
 ``j`` committee votes, which is how stake-weighting enters vote counting.
+
+This module holds the binomial inversion the fast kernel
+(:mod:`repro.sim.fastpath`) and the population audits run in batch.  The
+per-node draw with its verifiable proof is per-message work only the
+discrete-event oracle does, so it lives with it (``tests/des/signing.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro.errors import SortitionError
-from repro.sim import crypto
-from repro.sim.crypto import KeyPair, VrfOutput
 
 
 class Role(str, Enum):
@@ -39,51 +41,6 @@ class Role(str, Enum):
     PROPOSER = "proposer"
     STEP = "step"
     FINAL = "final"
-
-
-@dataclass(frozen=True)
-class SortitionProof:
-    """The verifiable outcome of one sortition evaluation.
-
-    Attributes
-    ----------
-    public_key:
-        Identity of the node that ran sortition.
-    role / round_index / step:
-        The context the proof is bound to.  ``step`` is 0 for proposers.
-    vrf:
-        The underlying VRF output and proof.
-    weight:
-        Number of selected sub-users ``j`` (0 means not selected).
-    priority:
-        Minimum sub-user priority hash; lower is better.  ``None`` when
-        ``weight == 0``.  Used to rank competing block proposals
-        (paper Section II-B2, Credential messages).
-    stake / total_stake / expected_size:
-        The public inputs needed for verification.
-    """
-
-    public_key: int
-    role: Role
-    round_index: int
-    step: int
-    vrf: VrfOutput
-    weight: int
-    priority: Optional[float]
-    stake: float
-    total_stake: float
-    expected_size: float
-
-    @property
-    def selected(self) -> bool:
-        """Whether the node was selected for the role (weight > 0)."""
-        return self.weight > 0
-
-
-def _role_step_tag(role: Role, step: int) -> int:
-    """Encode (role, step) into the VRF step argument to separate domains."""
-    base = {Role.PROPOSER: 0, Role.STEP: 1_000, Role.FINAL: 2_000}[role]
-    return base + step
 
 
 def binomial_weight(vrf_value: float, stake_units: int, probability: float) -> int:
@@ -245,8 +202,8 @@ def sample_population_weights(
     """Sample one round of sortition outcomes for an entire population.
 
     Draws an idealized-VRF uniform per node and inverts the binomial CDF in
-    one batch — the vectorized equivalent of calling :func:`sortition` for
-    every node, minus the per-node cryptography.  Used by population-scale
+    one batch — the vectorized equivalent of per-node sortition, minus the
+    per-node cryptography.  Used by population-scale
     analyses (committee-size calibration, role-stake sampling) where only
     the selected weights matter, not verifiable proofs.
     """
@@ -266,50 +223,3 @@ def sample_population_weights(
     probability = min(1.0, expected_size / total_stake)
     values = rng.random(units.shape)
     return binomial_weights(values, units, probability)
-
-
-def sortition(
-    keypair: KeyPair,
-    seed: int,
-    round_index: int,
-    role: Role,
-    stake: float,
-    total_stake: float,
-    expected_size: float,
-    step: int = 0,
-) -> SortitionProof:
-    """Run sortition for one node and one role; always returns a proof.
-
-    A proof with ``weight == 0`` means "not selected" and is never gossiped,
-    but the paper's cost model still charges ``c_so`` for computing it.
-    """
-    if stake < 0:
-        raise SortitionError(f"stake must be non-negative, got {stake}")
-    if total_stake <= 0:
-        raise SortitionError(f"total stake must be positive, got {total_stake}")
-    if stake > total_stake:
-        raise SortitionError(f"stake {stake} exceeds total stake {total_stake}")
-    if expected_size <= 0:
-        raise SortitionError(f"expected committee size must be positive, got {expected_size}")
-
-    vrf = crypto.vrf_evaluate(keypair, seed, round_index, _role_step_tag(role, step))
-    stake_units = int(stake)
-    probability = min(1.0, expected_size / total_stake)
-    weight = binomial_weight(vrf.value, stake_units, probability)
-    priority = None
-    if weight > 0:
-        priority = min(
-            crypto.subuser_priority(vrf.proof, index) for index in range(weight)
-        )
-    return SortitionProof(
-        public_key=keypair.public,
-        role=role,
-        round_index=round_index,
-        step=step,
-        vrf=vrf,
-        weight=weight,
-        priority=priority,
-        stake=stake,
-        total_stake=total_stake,
-        expected_size=expected_size,
-    )

@@ -1,19 +1,14 @@
-"""Tests for best-response dynamics: the theorems, dynamically."""
+"""Tests for the dynamics: the theorems under best response, and the replicator."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.core.bounds import RoleAggregates, minimum_feasible_reward
 from repro.core.costs import RoleCosts
-from repro.core.dynamics import (
-    BestResponseDynamics,
-    DynamicsResult,
-    ReplicatorAccumulator,
-    mean_payoff_by_strategy,
-    random_profile,
-    replicator_step,
-)
+from repro.core.dynamics import ReplicatorAccumulator, replicator_step
 from repro.core.equilibrium import synchronous_best_responses
 from repro.core.game import (
     AlgorandGame,
@@ -28,6 +23,9 @@ from repro.core.game import (
     theorem3_profile,
 )
 from repro.errors import GameError
+from repro.scenarios.dynamics import mean_payoff_by_strategy
+
+from oracles import best_response_path
 
 _COSTS = RoleCosts.paper_defaults()
 _LEADERS = [5.0, 3.0]
@@ -67,34 +65,28 @@ class TestFoundationDynamics:
 
     def test_all_cooperate_unravels(self):
         game = _foundation_game()
-        dynamics = BestResponseDynamics(game)
-        result = dynamics.run(all_cooperate(game), n_rounds=20)
-        assert result.converged_to_all_defect()
+        path = best_response_path(game, all_cooperate(game))
+        assert path[-1] == all_defect(game)
 
     def test_random_profiles_unravel(self):
         game = _foundation_game()
         for seed in range(5):
-            start = random_profile(game, cooperate_probability=0.7, seed=seed)
-            result = BestResponseDynamics(game, seed=seed).run(start, n_rounds=30)
-            assert result.converged_to_all_defect()
+            rng = random.Random(seed)
+            start = {
+                pid: Strategy.COOPERATE if rng.random() < 0.7 else Strategy.DEFECT
+                for pid in game.players
+            }
+            assert best_response_path(game, start)[-1] == all_defect(game)
 
     def test_all_defect_is_absorbing(self):
         game = _foundation_game()
-        result = BestResponseDynamics(game).run(all_defect(game), n_rounds=5)
-        assert result.records[0].revisions == 0
-        assert result.converged_to_all_defect()
+        assert best_response_path(game, all_defect(game)) == [all_defect(game)]
 
     def test_cooperation_rate_is_monotone_decreasing(self):
         game = _foundation_game()
-        result = BestResponseDynamics(game).run(all_cooperate(game), n_rounds=20)
-        series = result.cooperation_series()
+        path = best_response_path(game, all_cooperate(game))
+        series = [cooperation_share(profile) for profile in path]
         assert all(a >= b for a, b in zip(series, series[1:]))
-
-    def test_inertial_dynamics_also_unravel(self):
-        game = _foundation_game()
-        dynamics = BestResponseDynamics(game, revision_rate=0.3, seed=4)
-        result = dynamics.run(all_cooperate(game), n_rounds=200)
-        assert result.converged_to_all_defect()
 
 
 class TestRoleBasedDynamics:
@@ -103,9 +95,11 @@ class TestRoleBasedDynamics:
     def test_theorem3_profile_is_a_fixed_point(self):
         game = _funded_role_game()
         start = theorem3_profile(game)
-        result = BestResponseDynamics(game).run(start, n_rounds=10)
-        assert result.records[0].revisions == 0
-        assert result.final_profile == start
+        assert best_response_path(game, start) == [start]
+
+    def test_blocks_produced_at_the_cooperative_fixed_point(self):
+        game = _funded_role_game()
+        assert game.block_succeeds(best_response_path(game, theorem3_profile(game))[-1])
 
     def test_nearby_profiles_flow_back(self):
         """Perturb one cooperator to D: it flows back to cooperation."""
@@ -116,81 +110,16 @@ class TestRoleBasedDynamics:
             pid for pid, s in start.items() if s is Strategy.COOPERATE
         )
         perturbed[some_cooperator] = Strategy.DEFECT
-        result = BestResponseDynamics(game).run(perturbed, n_rounds=10)
-        assert result.final_profile[some_cooperator] is Strategy.COOPERATE
+        final = best_response_path(game, perturbed)[-1]
+        assert final[some_cooperator] is Strategy.COOPERATE
 
     def test_starved_reward_unravels_even_role_based(self):
         game = _funded_role_game(factor=0.3)
         start = theorem3_profile(game)
-        result = BestResponseDynamics(game).run(start, n_rounds=30)
-        assert result.records[-1].n_cooperating < sum(
-            1 for s in start.values() if s is Strategy.COOPERATE
-        )
-
-    def test_blocks_produced_at_the_cooperative_fixed_point(self):
-        game = _funded_role_game()
-        result = BestResponseDynamics(game).run(theorem3_profile(game), n_rounds=3)
-        assert all(record.block_produced for record in result.records)
-
-
-class TestDynamicsMachinery:
-    def test_records_track_counts(self):
-        game = _foundation_game()
-        result = BestResponseDynamics(game).run(all_cooperate(game), n_rounds=1)
-        record = result.records[0]
-        assert record.n_cooperating + record.n_defecting + record.n_offline == len(
-            game.players
-        )
-
-    def test_stop_at_fixed_point_short_circuits(self):
-        game = _foundation_game()
-        result = BestResponseDynamics(game).run(all_defect(game), n_rounds=50)
-        assert result.n_rounds < 50
-
-    def test_fixed_point_detection_window(self):
-        result = DynamicsResult()
-        assert not result.reached_fixed_point()
-
-    def test_game_schedule_with_role_churn(self):
-        """Roles resampled between rounds still unravel under Foundation."""
-        def schedule(round_index: int) -> AlgorandGame:
-            rotated = _ONLINE[round_index % len(_ONLINE):] + _ONLINE[: round_index % len(_ONLINE)]
-            return AlgorandGame.from_role_stakes(
-                _LEADERS, _COMMITTEE, rotated,
-                costs=_COSTS,
-                reward_rule=FoundationRule(b_i=20.0),
-            )
-
-        dynamics = BestResponseDynamics(schedule)
-        start = {pid: Strategy.COOPERATE for pid in schedule(1).players}
-        result = dynamics.run(start, n_rounds=20)
-        assert result.converged_to_all_defect()
-
-    def test_invalid_revision_rate_rejected(self):
-        with pytest.raises(GameError):
-            BestResponseDynamics(_foundation_game(), revision_rate=0.0)
-
-    def test_invalid_round_count_rejected(self):
-        game = _foundation_game()
-        with pytest.raises(GameError):
-            BestResponseDynamics(game).run(all_defect(game), n_rounds=0)
-
-    def test_incomplete_profile_rejected(self):
-        game = _foundation_game()
-        with pytest.raises(GameError):
-            BestResponseDynamics(game).run({0: Strategy.DEFECT}, n_rounds=1)
-
-    def test_random_profile_probability_bounds(self):
-        game = _foundation_game()
-        with pytest.raises(GameError):
-            random_profile(game, cooperate_probability=1.5)
-
-    def test_random_profile_extremes(self):
-        game = _foundation_game()
-        all_c = random_profile(game, 1.0)
-        assert set(all_c.values()) == {Strategy.COOPERATE}
-        all_d = random_profile(game, 0.0)
-        assert Strategy.COOPERATE not in set(all_d.values())
+        final = best_response_path(game, start)[-1]
+        assert profile_counts(final)[Strategy.COOPERATE] < profile_counts(start)[
+            Strategy.COOPERATE
+        ]
 
 
 class TestProfileHelpers:
@@ -207,16 +136,6 @@ class TestProfileHelpers:
         assert defection_share(profile) == 1.0
         assert cooperation_share(profile) == 0.0
         assert defection_share({}) == 0.0 and cooperation_share({}) == 0.0
-
-    def test_synchronous_best_responses_matches_dynamics_step(self):
-        """The shared helper is exactly one full synchronous revision."""
-        game = _foundation_game()
-        profile = all_cooperate(game)
-        responses = synchronous_best_responses(game, profile)
-        dynamics = BestResponseDynamics(game, revision_rate=1.0)
-        evolved = dict(profile)
-        dynamics._revise(game, evolved)
-        assert evolved == {**profile, **responses}
 
     def test_synchronous_best_responses_respects_revising_subset(self):
         game = _foundation_game()

@@ -22,6 +22,9 @@ protocol
 latency
     :func:`fit_latency_model`, the calibration of the kernel's
     hop-budget latency model.
+signing
+    Per-node sortition with its verifiable proof, message signatures,
+    and VRF and proof verification.
 
 The DES reads the kernel's shared definitions (config, stakes,
 behaviours, overlay, BA* state machine, quorum rule) from ``repro.sim``,

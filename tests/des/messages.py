@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 from repro.sim.ba_star import EMPTY_HASH
-from repro.sim.sortition import SortitionProof
 
-from des.signing import Signature
+from des.signing import Signature, SortitionProof
 
 _MESSAGE_COUNTER = itertools.count()
 

@@ -35,7 +35,7 @@ from repro.sim.behavior import Behavior
 from repro.sim.blocks import Block, ConsensusLabel, Ledger, LedgerEntry, Transaction, make_empty_block
 from repro.sim.config import SimulationConfig
 from repro.sim.fastpath import RoundContext
-from repro.sim.sortition import Role, SortitionProof, sortition
+from repro.sim.sortition import Role
 
 from des.messages import (
     BlockProposalMessage,
@@ -44,7 +44,7 @@ from des.messages import (
     TransactionMessage,
     VoteMessage,
 )
-from des.signing import sign, verify_sortition
+from des.signing import SortitionProof, sign, sortition, verify_sortition
 
 
 class ReplicaLedger(Ledger):

@@ -7,10 +7,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.ba_star import EMPTY_HASH
 from repro.sim.crypto import VrfOutput
-from repro.sim.sortition import Role, SortitionProof
+from repro.sim.sortition import Role
 
 from des.messages import VoteMessage
 from des.node import TaskCounters, count_votes, price_counters
+from des.signing import SortitionProof
 
 BLOCK = 777
 

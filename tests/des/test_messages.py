@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.sim.ba_star import EMPTY_HASH
 from repro.sim.crypto import VrfOutput
-from repro.sim.sortition import Role, SortitionProof
+from repro.sim.sortition import Role
 
 from des.messages import (
     BlockProposalMessage,
@@ -13,6 +13,7 @@ from des.messages import (
     TransactionMessage,
     VoteMessage,
 )
+from des.signing import SortitionProof
 
 
 def _proof(weight=2, priority=0.25):

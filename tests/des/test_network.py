@@ -11,11 +11,12 @@ import pytest
 from repro.errors import NetworkError
 from repro.sim.crypto import VrfOutput
 from repro.sim.network import build_random_overlay
-from repro.sim.sortition import Role, SortitionProof
+from repro.sim.sortition import Role
 
 from des.engine import EventEngine
 from des.messages import BlockProposalMessage, CredentialMessage
 from des.network import GossipNetwork
+from des.signing import SortitionProof
 from oracles import honest_subgraph
 
 

@@ -11,10 +11,11 @@ from repro.sim.ba_star import EMPTY_HASH, FINAL_STEP
 from repro.sim.config import SimulationConfig
 from repro.sim.crypto import KeyPair
 from repro.sim.fastpath import RoundContext
-from repro.sim.sortition import Role, sortition
+from repro.sim.sortition import Role
 
 from des.messages import BlockProposalMessage, TransactionMessage, VoteMessage
 from des.node import Node
+from des.signing import sortition
 
 
 def _config(**overrides) -> SimulationConfig:

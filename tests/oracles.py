@@ -11,6 +11,10 @@ possible, and the differential tests assert the two agree:
   DES's gossip layer).
 * :func:`paper_aggregates_scalar` — the pure-Python aggregate reduction
   (vs the vectorized ``core.bounds.paper_aggregates``).
+* :func:`oracle_cell_gains` — one sampled-audit population's deviation
+  gains on the exact game engine (vs ``schemes.audit._vectorized_gains``).
+* :func:`best_response_path` — synchronous best-response play of a
+  scalar game to its fixed point (the Theorem 1-3 claims, dynamically).
 * :func:`oracle_population_gains` — per-agent deviation gains of a small
   streamed population on the exact game engine (vs the chunked audit).
 * :func:`oracle_population_dynamics` — the streamed dynamics on the
@@ -25,7 +29,7 @@ this module is where the suite imports them.  Tests import it as
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -35,11 +39,20 @@ from repro.core.bounds import RoleAggregates, minimum_feasible_reward
 from repro.core.costs import RoleCosts
 from repro.core.dynamics import replicator_step
 from repro.core.equilibrium import synchronous_best_responses
-from repro.core.game import AlgorandGame, Strategy, with_deviation
+from repro.core.game import (
+    AlgorandGame,
+    BlockSuccessModel,
+    Player,
+    PlayerRole,
+    RewardRule,
+    Strategy,
+    StrategyProfile,
+    with_deviation,
+)
 from repro.core.optimizer import OptimalSplit, minimize_reward_analytic
 from repro.errors import ConfigurationError, MechanismError
 from repro.populations.spec import PopulationSpec
-from repro.scenarios.dynamics import ScenarioTrajectory, _measure
+from repro.scenarios.dynamics import _measure
 from repro.scenarios.population_dynamics import (
     _REALIZE_COLUMN,
     PopulationDynamicsSpec,
@@ -48,8 +61,10 @@ from repro.scenarios.population_dynamics import (
     _initial_share,
     _thresholds,
 )
-from repro.schemes.audit import _game_gains, _oracle_game
-from repro.schemes.deviation import ONLINE
+from repro.scenarios.trajectory import ScenarioTrajectory
+from repro.schemes.audit import _Cell
+from repro.schemes.base import RewardScheme, SchemeSplit
+from repro.schemes.deviation import COMMITTEE, LEADER, ONLINE
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _build_structure,
@@ -170,6 +185,97 @@ def honest_subgraph(network: GossipNetwork) -> nx.DiGraph:
     return as_networkx(network).subgraph(relaying).copy()
 
 
+# -- the scalar game -----------------------------------------------------------
+
+#: Role code -> the scalar game's role.
+_PLAYER_ROLES = {
+    LEADER: PlayerRole.LEADER,
+    COMMITTEE: PlayerRole.COMMITTEE,
+    ONLINE: PlayerRole.ONLINE,
+}
+
+
+def oracle_game(
+    stakes: np.ndarray,
+    roles: np.ndarray,
+    sync: np.ndarray,
+    costs: RoleCosts,
+    rule: RewardRule,
+    quorum: float,
+) -> AlgorandGame:
+    """One population as a scalar :class:`AlgorandGame` (the oracles' path)."""
+    return AlgorandGame(
+        players={
+            j: Player(
+                node_id=j, stake=float(stakes[j]), role=_PLAYER_ROLES[int(roles[j])]
+            )
+            for j in range(stakes.size)
+        },
+        costs=costs,
+        reward_rule=rule,
+        success_model=BlockSuccessModel(
+            committee_quorum=quorum,
+            synchrony_set=frozenset(int(j) for j in np.flatnonzero(sync)),
+        ),
+    )
+
+
+def game_gains(game: AlgorandGame, coop: np.ndarray) -> np.ndarray:
+    """The (3, n) gain tensor of one population via exact game payoffs.
+
+    Measures every unilateral deviation from the C/D profile ``coop``
+    with exact ``payoff`` calls under the scheme's own scalar rule —
+    sharing no code with the vectorized kernel.  Both audit engines'
+    oracles run through here.
+    """
+    n = coop.size
+    profile = {j: Strategy.COOPERATE if coop[j] else Strategy.DEFECT for j in range(n)}
+    base = game.payoffs(profile)
+    gains = np.full((3, n), np.nan)
+    alternatives = (Strategy.COOPERATE, Strategy.DEFECT, Strategy.OFFLINE)
+    for t, alternative in enumerate(alternatives):
+        for j in range(n):
+            if profile[j] is not alternative:
+                deviation = with_deviation(profile, j, alternative)
+                gains[t, j] = game.payoff(j, deviation) - base[j]
+    return gains
+
+
+def oracle_cell_gains(scheme: RewardScheme, cell: _Cell, population: int) -> np.ndarray:
+    """The (3, N) gain tensor of one sampled-audit population via the game."""
+    b = population
+    split = SchemeSplit(float(cell.alphas[b]), float(cell.betas[b]))
+    game = oracle_game(
+        cell.stakes[b],
+        cell.roles[b],
+        cell.sync[b],
+        cell.costs,
+        scheme.make_rule(float(cell.b_i[b]), split),
+        cell.quorum,
+    )
+    return game_gains(game, cell.coop[b])
+
+
+def best_response_path(
+    game: AlgorandGame, start: StrategyProfile, n_rounds: int = 50
+) -> List[Dict[int, Strategy]]:
+    """Synchronous best-response play from ``start``, one profile per round.
+
+    Every player revises each round
+    (:func:`~repro.core.equilibrium.synchronous_best_responses`).  The
+    path starts with ``start`` and ends at the first profile nobody
+    revises — so ``[start]`` means ``start`` is absorbing — or after
+    ``n_rounds`` revisions.
+    """
+    path = [dict(start)]
+    for _ in range(n_rounds):
+        revised = {**path[-1], **synchronous_best_responses(game, path[-1])}
+        if revised == path[-1]:
+            break
+        path.append(revised)
+    return path
+
+
 # -- the streamed engines on the exact game -----------------------------------
 
 
@@ -208,7 +314,7 @@ def oracle_population_gains(
     structure = _build_structure([resolved], spec, config)
     population = spec.materialize()
     ctx = _chunk_context(structure, spec, population)
-    game = _oracle_game(
+    game = oracle_game(
         ctx.stake,
         ctx.roles,
         ctx.sync,
@@ -216,7 +322,7 @@ def oracle_population_gains(
         resolved.make_rule(structure.b_i, structure.split),
         config.committee_quorum,
     )
-    return _game_gains(game, ctx.coop).T
+    return game_gains(game, ctx.coop).T
 
 
 def oracle_population_dynamics(
@@ -253,7 +359,7 @@ def oracle_population_dynamics(
 
     def build_game(stake: np.ndarray) -> AlgorandGame:
         rule = resolved.make_rule(structure.b_i, structure.split)
-        return _oracle_game(
+        return oracle_game(
             stake, roles, sync, structure.costs, rule, config.committee_quorum
         )
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.game import Strategy, with_deviation
-from repro.schemes.audit import _oracle_game
 from repro.schemes.base import SchemeSplit
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -33,6 +32,8 @@ from repro.schemes.deviation import (
     scaled_costs,
 )
 from repro.schemes.registry import get_scheme
+
+from oracles import oracle_game
 
 _COSTS = scaled_costs(1.0)
 _RULE = get_scheme("role_based").make_rule(1.0, SchemeSplit(0.3, 0.3))
@@ -125,7 +126,7 @@ def flattened(populations):
 
 def oracle_flips(stake, roles, coop, sync, quorum, to):
     """Agents whose lone move to ``to`` changes ``block_succeeds``."""
-    game = _oracle_game(stake, roles, sync, _COSTS, _RULE, quorum)
+    game = oracle_game(stake, roles, sync, _COSTS, _RULE, quorum)
     profile = {j: _STRATEGY[0 if coop[j] else 1] for j in range(stake.size)}
     base = game.block_succeeds(profile)
     moved = []

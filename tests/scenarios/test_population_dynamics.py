@@ -31,6 +31,8 @@ from repro.scenarios.population_dynamics import (
 )
 from repro.telemetry.runtime import capture
 
+from oracles import oracle_game
+
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -301,7 +303,6 @@ class TestQuorumRestore:
             _epoch_context,
             _measure_pass,
         )
-        from repro.schemes.audit import _oracle_game
         from repro.schemes.population_audit import _build_structure, _chunks
         from repro.schemes.registry import resolve_scheme
 
@@ -328,7 +329,7 @@ class TestQuorumRestore:
         (chunk,) = chunks
         ctx = _epoch_context(engine, chunk, 0)
         utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates)
-        game = _oracle_game(
+        game = oracle_game(
             ctx.stake,
             ctx.roles,
             ctx.sync,

@@ -47,7 +47,6 @@ _SHAPE = dict(
     stake_kinds=STAKE_KINDS,
     cost_scales=(1.5,),
     budget_multipliers=(0.75, 1.25),
-    oracle_samples=0,
     seed=7,
 )
 

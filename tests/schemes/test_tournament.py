@@ -27,7 +27,6 @@ _FAST = TournamentConfig(
         stake_kinds=("uniform",),
         cost_scales=(1.0,),
         budget_multipliers=(1.5,),
-        oracle_samples=1,
         seed=31,
     ),
 )

@@ -33,18 +33,6 @@ class TestVrf:
         b = crypto.vrf_evaluate(keypair, 1, 2, 3)
         assert a == b
 
-    def test_verify_accepts_honest_output(self, keypair):
-        output = crypto.vrf_evaluate(keypair, 1, 2, 3)
-        assert crypto.vrf_verify(output, keypair, 1, 2, 3)
-
-    def test_verify_rejects_wrong_context(self, keypair):
-        output = crypto.vrf_evaluate(keypair, 1, 2, 3)
-        assert not crypto.vrf_verify(output, keypair, 1, 2, 4)
-
-    def test_verify_rejects_wrong_key(self, keypair):
-        output = crypto.vrf_evaluate(keypair, 1, 2, 3)
-        assert not crypto.vrf_verify(output, KeyPair.generate("other"), 1, 2, 3)
-
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=100))
     def test_values_spread_over_unit_interval(self, seed, step):
         keypair = KeyPair.generate("spread")

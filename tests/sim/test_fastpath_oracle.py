@@ -44,9 +44,10 @@ from repro.sim import crypto
 from repro.sim.ba_star import resolve_quorum
 from repro.sim.fastpath import DEFAULT_HOP_QUANTILE, RoundContext
 from repro.sim.roles import RewardAllocation, RoleSnapshot
-from repro.sim.sortition import Role, sortition
+from repro.sim.sortition import Role
 
 from des import AlgorandSimulation, count_votes, fit_latency_model
+from des.signing import sortition
 
 
 def _paired_config(**overrides) -> SimulationConfig:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -182,6 +183,35 @@ def test_the_fig3_entry_loads_no_scheme_or_population_code(tmp_path):
     assert "repro.sim.fastpath" in loaded
     unused = ("repro.schemes", "repro.populations")
     assert [name for name in loaded if within(name, unused)] == []
+
+
+def test_the_dynamics_entry_loads_no_scalar_game_or_scenario_engine(tmp_path):
+    loaded = loaded_after("repro.scenarios.population_dynamics", tmp_path)
+    assert "repro.scenarios.trajectory" in loaded  # the records it emits
+    assert "repro.core.dynamics" in loaded  # the replicator it steps
+    unused = (
+        "repro.core.game",
+        "repro.core.equilibrium",
+        "repro.scenarios.dynamics",
+        "repro.scenarios.spec",
+        "repro.sim.config",
+        "repro.sim.behavior",
+    )
+    assert [name for name in loaded if within(name, unused)] == []
+
+
+def test_no_runtime_module_defines_the_per_node_sortition():
+    """The per-node draw, its proof and their verification are DES code."""
+    definition = re.compile(
+        r"^(def sortition\(|class SortitionProof\b|def vrf_verify\()", re.MULTILINE
+    )
+    defined = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if definition.search(path.read_text(encoding="utf-8"))
+    ]
+    assert defined == []
+    assert definition.search((TESTS / "des" / "signing.py").read_text(encoding="utf-8"))
 
 
 def test_runner_version_loads_no_numpy(tmp_path):
