@@ -3,8 +3,9 @@
 The paper analyses one round as a static game; its conclusion motivates
 studying how a population of honest-but-selfish nodes *evolves* when the
 game repeats.  The scenario engines drive two update rules: synchronous
-best response (:func:`repro.core.equilibrium.synchronous_best_responses`,
-run by :mod:`repro.scenarios.dynamics` and, blockwise, by
+best response (the comparisons of
+:func:`repro.core.equilibrium.best_response`, run on arrays by
+:mod:`repro.scenarios.dynamics` and, blockwise, by
 :mod:`repro.scenarios.population_dynamics`) and the replicator step
 defined here:
 
@@ -181,9 +182,8 @@ class ReplicatorAccumulator:
     def mean_payoffs(self) -> Tuple[float, float]:
         """The epoch's (mean cooperate, mean defect) counterfactual payoffs.
 
-        An empty fold returns ``(0.0, 0.0)`` — the
-        :func:`~repro.scenarios.dynamics.mean_payoff_by_strategy`
-        convention for strategies nobody evaluates, which makes
+        An empty fold returns ``(0.0, 0.0)`` — the scenario records'
+        convention for strategies nobody plays, which makes
         :meth:`step` a pure mutation mix.
         """
         if self._count == 0:

@@ -11,15 +11,23 @@ One scenario run evolves a population's strategy profile across epochs:
    is at equal cost to the foundation.
 2. **Each epoch** — stakes churn (optional), the adversary moves
    (optional), and the strategic players revise: inertial synchronous best
-   response (via :func:`repro.core.equilibrium.synchronous_best_responses`)
-   or a replicator step on the cooperating share
-   (:func:`repro.core.dynamics.replicator_step`), realised back into a
-   profile by flipping the players with the strongest unilateral
-   C-advantage.
+   response (each revising player's payoff-maximizing action against the
+   epoch's profile, a tie keeping its action) or a replicator step on the
+   cooperating share (:func:`repro.core.dynamics.replicator_step`),
+   realised back into a profile by flipping the players with the
+   strongest unilateral C-advantage.
 3. **Measurement** — strategy counts, block success, mean payoff by
    strategy, and (optionally) the realized finalization fraction from a
    short run of the vectorized round kernel (:mod:`repro.sim.fastpath`)
    driven by the epoch's exact behaviour vector.
+
+Every payoff comes from one :class:`RoundGame`: the scheme's pool tables
+(:func:`repro.schemes.deviation.pool_tables`) and role costs over int8
+action arrays (0 = C, 1 = D), with :func:`~repro.schemes.deviation.block_holds`
+as the block rule.  Offline is never played: D pays ``rewards - c_so >=
+-c_so``, which is what O pays.  A unilateral deviation is its own
+profile row, re-summed left to right in player order, so every payoff
+carries the bits the pool declaration's scalar reading gives.
 
 Everything is seeded through :func:`repro.sim.rng.derive_seed`, so a run
 is a pure function of ``(spec, scheme, seed)`` — the property the sweep
@@ -28,26 +36,15 @@ orchestrator's cache and the bit-identical-CSV guarantee rest on.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.bounds import RoleAggregates
 from repro.core.costs import RoleCosts
 from repro.core.dynamics import replicator_step
-from repro.core.equilibrium import synchronous_best_responses
-from repro.core.game import (
-    AlgorandGame,
-    BlockSuccessModel,
-    Player,
-    PlayerRole,
-    Strategy,
-    StrategyProfile,
-    profile_counts,
-    with_deviation,
-)
 from repro.core.optimizer import minimize_reward_analytic
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import (
@@ -58,7 +55,17 @@ from repro.scenarios.spec import (
 )
 from repro.scenarios.trajectory import EpochRecord, ScenarioTrajectory
 from repro.schemes import SchemeSplit, resolve_scheme
-from repro.schemes.base import RewardScheme
+from repro.schemes.base import WeightKind
+from repro.schemes.deviation import (
+    COMMITTEE,
+    LEADER,
+    ONLINE,
+    PoolTables,
+    block_holds,
+    pool_tables,
+    pool_weight,
+    role_costs,
+)
 from repro.schemes.registry import SchemeLike
 from repro.sim.behavior import Behavior
 from repro.sim.config import SimulationConfig
@@ -68,22 +75,132 @@ from repro.sim.rng import derive_seed
 #: Any scheme registered in :mod:`repro.schemes` can be passed instead.
 SCHEMES: Tuple[str, ...] = ("foundation", "role_based")
 
+#: Most ``pools x rows x players`` elements one block of profile rows holds.
+_ROW_BLOCK = 1 << 20
+
+
+def _left_sum(values: np.ndarray) -> float:
+    """``v0 + v1 + ...`` left to right, as Python's ``sum`` adds floats."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+# -- the round game ---------------------------------------------------------------
+
+
+class RoundGame:
+    """One epoch's round game over int8 action arrays (0 = C, 1 = D).
+
+    A profile row pays each pool's slice ``fraction * B_i / total`` per
+    unit of weight, pool by pool, when :func:`block_holds` grants the
+    block: a cooperating leader, committee stake strictly above the
+    quorum, and no defector in the strong-synchrony set.  Totals and
+    tallies are summed left to right in player order and ``stake_power``
+    weights are taken with ``math.pow``, element by element.
+    """
+
+    def __init__(
+        self,
+        stake: np.ndarray,
+        roles: np.ndarray,
+        sync: np.ndarray,
+        tables: PoolTables,
+        b_i: float,
+        costs: RoleCosts,
+        quorum: float,
+    ) -> None:
+        coop_cost = role_costs(costs)[roles]
+        self.weights = np.array([
+            [math.pow(s, tables.exponents[p]) for s in stake.tolist()]
+            if kind is WeightKind.STAKE_POWER
+            else pool_weight(tables, p, stake, coop_cost)
+            for p, kind in enumerate(tables.kinds)
+        ])
+        self.lookup = tables.lookup.reshape(len(tables.kinds), 6)
+        self.budgets = tables.fractions * b_i
+        self.role_index = roles.astype(np.intp) * 2
+        self.leader = roles == LEADER
+        self.committee_stake = np.where(roles == COMMITTEE, stake, 0.0)
+        self.threshold = quorum * _left_sum(self.committee_stake)
+        self.sync = sync
+        self.coop_cost = coop_cost
+        self.sortition = costs.sortition
+
+    def _rows(self, rows: np.ndarray):
+        """Per profile row: block verdict, pool membership and totals, rewards."""
+        member = self.lookup[:, self.role_index + rows]
+        contribution = self.weights[:, None, :] * member
+        totals = np.cumsum(contribution, axis=-1)[..., -1]
+        paying = totals > 0
+        rates = self.budgets[:, None] / np.where(paying, totals, 1.0)
+        rewards = np.zeros(rows.shape)
+        for rate, weight in zip(rates, contribution):
+            rewards += rate[:, None] * weight
+        coop = rows == 0
+        holds = block_holds(
+            np.count_nonzero(coop & self.leader, axis=-1),
+            np.cumsum(self.committee_stake * coop, axis=-1)[:, -1],
+            self.threshold,
+            np.count_nonzero(~coop & self.sync, axis=-1),
+        )
+        return holds, member, paying, rewards
+
+    def _payoffs(self, rows: np.ndarray) -> np.ndarray:
+        holds, _, _, rewards = self._rows(rows)
+        cost = np.where(rows == 0, self.coop_cost, self.sortition)
+        return np.where(holds[:, None], rewards, 0.0) - cost
+
+    def block_succeeds(self, actions: np.ndarray) -> bool:
+        """Whether the profile produces a block."""
+        return bool(self._rows(actions[None])[0][0])
+
+    def payoffs(self, actions: np.ndarray) -> np.ndarray:
+        """Every player's payoff under the profile."""
+        return self._payoffs(actions[None])[0]
+
+    def switch_payoffs(self, actions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each player's payoff if it alone played C, and if it alone played D.
+
+        Every deviation is a row of its own, re-summed, in blocks of at
+        most :data:`_ROW_BLOCK` elements.
+        """
+        n = actions.size
+        deviator = np.tile(np.arange(n), 2)
+        target = np.repeat(np.array([0, 1], dtype=np.int8), n)
+        out = np.empty(2 * n)
+        step = max(1, _ROW_BLOCK // (self.lookup.shape[0] * n))
+        for start in range(0, 2 * n, step):
+            who = deviator[start:start + step]
+            rows = np.repeat(actions[None], who.size, axis=0)
+            index = np.arange(who.size)
+            rows[index, who] = target[start:start + step]
+            out[start:start + step] = self._payoffs(rows)[index, who]
+        return out[:n], out[n:]
+
+    def budget_efficiency(self, actions: np.ndarray) -> float:
+        """Share of the paid budget that reaches cooperators (0 without a block).
+
+        Summed payee by payee in the order pools first pay them (pool by
+        pool, within a pool by player).
+        """
+        holds, member, paying, rewards = self._rows(actions[None])
+        if not holds[0]:
+            return 0.0
+        paid = member[:, 0] & paying[:, :1]
+        payees = np.flatnonzero(paid.any(axis=0))
+        order = payees[np.argsort(paid[:, payees].argmax(axis=0), kind="stable")]
+        values = rewards[0, order]
+        total = _left_sum(values)
+        if total > 0:
+            return _left_sum(values[actions[order] == 0]) / total
+        return 0.0
+
 
 # -- population structure ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Population:
-    """The fixed round-game structure of one scenario run."""
-
-    roles: Dict[int, PlayerRole]
-    synchrony_set: FrozenSet[int]
-    adversary_ids: FrozenSet[int]
-
-
 def _sample_roles(
     stakes: np.ndarray, spec: ScenarioSpec, rng: np.random.Generator
-) -> Tuple[Dict[int, PlayerRole], FrozenSet[int]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Stake-weighted sortition without replacement; returns roles and Y."""
     n = stakes.size
     weights = stakes / stakes.sum()
@@ -93,75 +210,39 @@ def _sample_roles(
     committee = remaining[
         rng.choice(remaining.size, spec.committee_size(), replace=False, p=rem_weights)
     ]
-    roles: Dict[int, PlayerRole] = {}
-    for pid in range(n):
-        roles[pid] = PlayerRole.ONLINE
-    for pid in leaders:
-        roles[int(pid)] = PlayerRole.LEADER
-    for pid in committee:
-        roles[int(pid)] = PlayerRole.COMMITTEE
-    online = np.array(
-        [pid for pid in range(n) if roles[pid] is PlayerRole.ONLINE], dtype=int
-    )
-    synchrony = rng.choice(online, spec.synchrony_size(online.size), replace=False)
-    return roles, frozenset(int(pid) for pid in synchrony)
+    roles = np.full(n, ONLINE, dtype=np.int8)
+    roles[leaders] = LEADER
+    roles[committee] = COMMITTEE
+    online = np.flatnonzero(roles == ONLINE)
+    sync = np.zeros(n, dtype=bool)
+    sync[rng.choice(online, spec.synchrony_size(online.size), replace=False)] = True
+    return roles, sync
 
 
 def _initial_profile(
-    spec: ScenarioSpec,
-    population: _Population,
-    rng: random.Random,
-) -> Dict[int, Strategy]:
+    spec: ScenarioSpec, roles: np.ndarray, sync: np.ndarray, rng: random.Random
+) -> np.ndarray:
     """Seed the starting behaviour mix (everyone C except the seeded defectors)."""
-    ids = sorted(population.roles)
-    n_defectors = round((1.0 - spec.initial_cooperation) * len(ids))
+    n = roles.size
+    n_defectors = round((1.0 - spec.initial_cooperation) * n)
     if spec.seed_defection_in is DefectionSeeding.ONLINE_POOL:
-        primary = [
-            pid
-            for pid in ids
-            if population.roles[pid] is PlayerRole.ONLINE
-            and pid not in population.synchrony_set
-        ]
-        secondary = [pid for pid in ids if pid not in set(primary)]
+        in_primary = (roles == ONLINE) & ~sync
+        primary = np.flatnonzero(in_primary).tolist()
+        secondary = np.flatnonzero(~in_primary).tolist()
     else:
-        primary = list(ids)
+        primary = list(range(n))
         secondary = []
     rng.shuffle(primary)
     rng.shuffle(secondary)
-    defectors = set((primary + secondary)[:n_defectors])
-    return {
-        pid: Strategy.DEFECT if pid in defectors else Strategy.COOPERATE
-        for pid in ids
-    }
-
-
-def _build_game(
-    stakes: np.ndarray,
-    population: _Population,
-    spec: ScenarioSpec,
-    scheme: RewardScheme,
-    b_i: float,
-    alpha: float,
-    beta: float,
-    costs: RoleCosts,
-) -> AlgorandGame:
-    players = {
-        pid: Player(node_id=pid, stake=float(stakes[pid]), role=role)
-        for pid, role in population.roles.items()
-    }
-    rule = scheme.make_rule(b_i, SchemeSplit(alpha, beta))
-    model = BlockSuccessModel(
-        committee_quorum=spec.committee_quorum,
-        synchrony_set=population.synchrony_set,
-    )
-    return AlgorandGame(
-        players=players, costs=costs, reward_rule=rule, success_model=model
-    )
+    actions = np.zeros(n, dtype=np.int8)
+    actions[(primary + secondary)[:n_defectors]] = 1
+    return actions
 
 
 def _calibrate_mechanism(
     stakes: np.ndarray,
-    population: _Population,
+    roles: np.ndarray,
+    sync: np.ndarray,
     spec: ScenarioSpec,
     costs: RoleCosts,
 ) -> Tuple[float, float, float]:
@@ -171,20 +252,15 @@ def _calibrate_mechanism(
     1's analytic optimizer; the budget sits ``reward_headroom`` above the
     Theorem 3 bound for that split.
     """
-    roles = population.roles
-    leader_stakes = [float(stakes[pid]) for pid, r in roles.items() if r is PlayerRole.LEADER]
-    committee_stakes = [
-        float(stakes[pid]) for pid, r in roles.items() if r is PlayerRole.COMMITTEE
-    ]
-    online_stakes = [float(stakes[pid]) for pid, r in roles.items() if r is PlayerRole.ONLINE]
-    synchrony_stakes = [float(stakes[pid]) for pid in population.synchrony_set]
+    leader_stakes = stakes[roles == LEADER].tolist()
+    committee_stakes = stakes[roles == COMMITTEE].tolist()
     aggregates = RoleAggregates(
         stake_leaders=sum(leader_stakes),
         stake_committee=sum(committee_stakes),
-        stake_others=sum(online_stakes),
+        stake_others=sum(stakes[roles == ONLINE].tolist()),
         min_leader=min(leader_stakes),
         min_committee=min(committee_stakes),
-        min_other=min(synchrony_stakes),
+        min_other=float(stakes[sync].min()),
     )
     if spec.alpha is not None and spec.beta is not None:
         from repro.core.bounds import reward_bounds
@@ -221,52 +297,49 @@ def _churn_stakes(
 
 
 def _adversary_move(
-    game: AlgorandGame,
-    profile: Dict[int, Strategy],
-    adversary_ids: FrozenSet[int],
-) -> Dict[int, Strategy]:
+    game: RoundGame, actions: np.ndarray, adversary: np.ndarray
+) -> int:
     """Greedy-harm policy: the coalition move minimizing victims' welfare."""
-    candidates = (Strategy.DEFECT, Strategy.COOPERATE)
-    best_move: Optional[Strategy] = None
-    best_harm = None
-    for move in candidates:
-        trial = dict(profile)
-        for pid in adversary_ids:
-            trial[pid] = move
-        payoffs = game.payoffs(trial)
-        victim_welfare = sum(
-            value for pid, value in payoffs.items() if pid not in adversary_ids
-        )
+    best_move, best_harm = 1, None
+    for move in (1, 0):
+        trial = np.where(adversary, np.int8(move), actions)
+        victim_welfare = _left_sum(game.payoffs(trial)[~adversary])
         if best_harm is None or victim_welfare < best_harm:
-            best_harm = victim_welfare
-            best_move = move
-    assert best_move is not None
-    return {pid: best_move for pid in adversary_ids}
+            best_move, best_harm = move, victim_welfare
+    return best_move
 
 
 def _best_response_epoch(
-    game: AlgorandGame,
-    profile: Dict[int, Strategy],
+    game: RoundGame,
+    actions: np.ndarray,
     spec: ScenarioSpec,
-    adversary_ids: FrozenSet[int],
+    adversary: np.ndarray,
     rng: random.Random,
 ) -> None:
-    """``steps_per_epoch`` inertial synchronous revisions, in place."""
+    """``steps_per_epoch`` inertial synchronous revisions, in place.
+
+    D replaces C only when it pays more than ``1e-15`` above it; within
+    ``1e-15`` of each other the player keeps its action.
+    """
     for _step in range(spec.steps_per_epoch):
         revising = [
             pid
-            for pid in game.players
-            if pid not in adversary_ids
+            for pid in range(actions.size)
+            if not adversary[pid]
             and (spec.revision_rate >= 1.0 or rng.random() < spec.revision_rate)
         ]
-        profile.update(synchronous_best_responses(game, profile, revising))
+        payoff_c, payoff_d = game.switch_payoffs(actions)
+        defect = (payoff_d > payoff_c + 1e-15) | (
+            (np.abs(payoff_d - payoff_c) <= 1e-15) & (actions == 1)
+        )
+        actions[revising] = defect[revising]
 
 
 def _replicator_epoch(
-    game: AlgorandGame,
-    profile: Dict[int, Strategy],
+    game: RoundGame,
+    actions: np.ndarray,
     spec: ScenarioSpec,
-    adversary_ids: FrozenSet[int],
+    adversary: np.ndarray,
 ) -> None:
     """One replicator step on the strategic cooperating share, in place.
 
@@ -275,49 +348,38 @@ def _replicator_epoch(
     largest unilateral C-advantage (so role structure is respected — a
     pivotal synchrony-set member outranks an online free-rider).
     """
-    strategic = [pid for pid in game.players if pid not in adversary_ids]
-    if not strategic:
+    strategic = np.flatnonzero(~adversary)
+    if not strategic.size:
         return
-    n_coop = sum(1 for pid in strategic if profile[pid] is Strategy.COOPERATE)
-    n_defect = sum(1 for pid in strategic if profile[pid] is Strategy.DEFECT)
-    share = n_coop / len(strategic)
+    coop = actions[strategic] == 0
+    n_coop = int(np.count_nonzero(coop))
+    n_defect = strategic.size - n_coop
+    share = n_coop / strategic.size
     if n_coop and n_defect:
-        payoffs = game.payoffs(profile)
-        mean_c = sum(
-            payoffs[pid] for pid in strategic if profile[pid] is Strategy.COOPERATE
-        ) / n_coop
-        mean_d = sum(
-            payoffs[pid] for pid in strategic if profile[pid] is Strategy.DEFECT
-        ) / n_defect
+        payoffs = game.payoffs(actions)[strategic]
         share = replicator_step(
             share,
-            mean_c,
-            mean_d,
+            _left_sum(payoffs[coop]) / n_coop,
+            _left_sum(payoffs[~coop]) / n_defect,
             intensity=spec.replicator_intensity,
             mutation=spec.replicator_mutation,
         )
     elif spec.replicator_mutation > 0:
         # A boundary state moves only through the trembling term.
         share = (1.0 - spec.replicator_mutation) * share + spec.replicator_mutation * 0.5
-    n_next = round(share * len(strategic))
-    advantage: Dict[int, float] = {}
-    for pid in strategic:
-        payoff_c = game.payoff(pid, with_deviation(profile, pid, Strategy.COOPERATE))
-        payoff_d = game.payoff(pid, with_deviation(profile, pid, Strategy.DEFECT))
-        advantage[pid] = payoff_c - payoff_d
-    ranked = sorted(strategic, key=lambda pid: (-advantage[pid], pid))
-    cooperators = set(ranked[:n_next])
-    for pid in strategic:
-        profile[pid] = (
-            Strategy.COOPERATE if pid in cooperators else Strategy.DEFECT
-        )
+    n_next = round(share * strategic.size)
+    payoff_c, payoff_d = game.switch_payoffs(actions)
+    advantage = (payoff_c - payoff_d)[strategic]
+    ranked = strategic[np.lexsort((strategic, -advantage))]
+    actions[strategic] = 1
+    actions[ranked[:n_next]] = 0
 
 
 def _simulate_epoch(
     spec: ScenarioSpec,
     stakes: np.ndarray,
-    profile: Mapping[int, Strategy],
-    adversary_ids: FrozenSet[int],
+    actions: np.ndarray,
+    adversary: np.ndarray,
     seed: int,
 ) -> float:
     """Realized finalization fraction from a short protocol-simulator run.
@@ -329,16 +391,12 @@ def _simulate_epoch(
     """
     from repro.sim.fastpath import make_simulation
 
-    behaviors: List[Behavior] = []
-    for pid in range(stakes.size):
-        if pid in adversary_ids:
-            behaviors.append(Behavior.MALICIOUS)
-        elif profile[pid] is Strategy.COOPERATE:
-            behaviors.append(Behavior.SELFISH_COOPERATE)
-        elif profile[pid] is Strategy.DEFECT:
-            behaviors.append(Behavior.SELFISH_DEFECT)
-        else:
-            behaviors.append(Behavior.FAULTY)
+    behaviors: List[Behavior] = [
+        Behavior.MALICIOUS
+        if adversary[pid]
+        else (Behavior.SELFISH_DEFECT if actions[pid] else Behavior.SELFISH_COOPERATE)
+        for pid in range(stakes.size)
+    ]
     config = SimulationConfig(
         n_nodes=stakes.size,
         seed=seed,
@@ -352,61 +410,24 @@ def _simulate_epoch(
     return sum(series) / len(series) if series else 0.0
 
 
-def mean_payoff_by_strategy(
-    game: AlgorandGame, profile: StrategyProfile
-) -> Dict[Strategy, float]:
-    """Average realized payoff of the players at each strategy.
-
-    Strategies nobody plays map to 0.0 (their growth rate is undefined;
-    replicator callers treat an extinct strategy's share as frozen).
-    """
-    payoffs = game.payoffs(profile)
-    totals: Dict[Strategy, float] = {strategy: 0.0 for strategy in Strategy}
-    counts: Dict[Strategy, int] = {strategy: 0 for strategy in Strategy}
-    for pid, strategy in profile.items():
-        if pid not in payoffs:
-            continue
-        totals[strategy] += payoffs[pid]
-        counts[strategy] += 1
-    return {
-        strategy: (totals[strategy] / counts[strategy] if counts[strategy] else 0.0)
-        for strategy in Strategy
-    }
-
-
 def _measure(
-    epoch: int,
-    game: AlgorandGame,
-    profile: Dict[int, Strategy],
-    realized: Optional[float],
+    epoch: int, game: RoundGame, actions: np.ndarray, realized: Optional[float]
 ) -> EpochRecord:
-    counts = profile_counts(profile)
-    means = mean_payoff_by_strategy(game, profile)
-    succeeded = game.block_succeeds(profile)
-    efficiency = 0.0
-    if succeeded:
-        payments = game.reward_rule.payments(game, profile)
-        paid = sum(payments.values())
-        if paid > 0:
-            efficiency = (
-                sum(
-                    value
-                    for pid, value in payments.items()
-                    if profile[pid] is Strategy.COOPERATE
-                )
-                / paid
-            )
+    payoffs = game.payoffs(actions)
+    coop = actions == 0
+    n_coop = int(np.count_nonzero(coop))
+    n_defect = actions.size - n_coop
     return EpochRecord(
         epoch=epoch,
-        n_players=len(profile),
-        n_cooperating=counts[Strategy.COOPERATE],
-        n_defecting=counts[Strategy.DEFECT],
-        n_offline=counts[Strategy.OFFLINE],
-        block_success=succeeded,
-        mean_payoff_cooperate=means[Strategy.COOPERATE],
-        mean_payoff_defect=means[Strategy.DEFECT],
+        n_players=actions.size,
+        n_cooperating=n_coop,
+        n_defecting=n_defect,
+        n_offline=0,
+        block_success=game.block_succeeds(actions),
+        mean_payoff_cooperate=_left_sum(payoffs[coop]) / n_coop if n_coop else 0.0,
+        mean_payoff_defect=_left_sum(payoffs[~coop]) / n_defect if n_defect else 0.0,
         realized_final_fraction=realized,
-        budget_efficiency=efficiency,
+        budget_efficiency=game.budget_efficiency(actions),
     )
 
 
@@ -434,53 +455,55 @@ def run_scenario(
     stakes = spec.sample_stakes(stake_rng)
 
     role_rng = np.random.default_rng(derive_seed(seed, f"scenario:{spec.name}:roles"))
-    roles, synchrony = _sample_roles(stakes, spec, role_rng)
+    roles, sync = _sample_roles(stakes, spec, role_rng)
 
     adversary_rng = random.Random(derive_seed(seed, f"scenario:{spec.name}:adversary"))
     n_adversaries = spec.n_adversaries()
-    adversary_ids = frozenset(
-        adversary_rng.sample(sorted(roles), n_adversaries) if n_adversaries else ()
-    )
-    population = _Population(
-        roles=roles, synchrony_set=synchrony, adversary_ids=adversary_ids
-    )
-
-    profile = _initial_profile(
+    adversary = np.zeros(stakes.size, dtype=bool)
+    if n_adversaries:
+        adversary[adversary_rng.sample(range(stakes.size), n_adversaries)] = True
+    actions = _initial_profile(
         spec,
-        population,
+        roles,
+        sync,
         random.Random(derive_seed(seed, f"scenario:{spec.name}:init")),
     )
-    b_i, alpha, beta = _calibrate_mechanism(stakes, population, spec, costs)
+    b_i, alpha, beta = _calibrate_mechanism(stakes, roles, sync, spec, costs)
 
     trajectory = ScenarioTrajectory(
         scenario=spec.name, scheme=scheme.name, b_i=b_i, alpha=alpha, beta=beta
     )
-    game = _build_game(stakes, population, spec, scheme, b_i, alpha, beta, costs)
-    trajectory.records.append(_measure(0, game, profile, None))
+    tables = pool_tables(scheme, SchemeSplit(alpha, beta))
+
+    def build_game(stake: np.ndarray) -> RoundGame:
+        return RoundGame(
+            stake, roles, sync, tables, b_i, costs, spec.committee_quorum
+        )
+
+    game = build_game(stakes)
+    trajectory.records.append(_measure(0, game, actions, None))
 
     churn_rng = np.random.default_rng(derive_seed(seed, f"scenario:{spec.name}:churn"))
     update_rng = random.Random(derive_seed(seed, f"scenario:{spec.name}:update"))
     for epoch in range(1, spec.n_epochs + 1):
         if spec.churn_rate > 0 or spec.stake_drift > 0:
             stakes = _churn_stakes(stakes, spec, churn_rng)
-            game = _build_game(
-                stakes, population, spec, scheme, b_i, alpha, beta, costs
-            )
-        if adversary_ids and spec.adversary_policy is AdversaryPolicy.GREEDY_HARM:
-            profile.update(_adversary_move(game, profile, adversary_ids))
+            game = build_game(stakes)
+        if n_adversaries and spec.adversary_policy is AdversaryPolicy.GREEDY_HARM:
+            actions[adversary] = _adversary_move(game, actions, adversary)
         if spec.update_rule is UpdateRule.BEST_RESPONSE:
-            _best_response_epoch(game, profile, spec, adversary_ids, update_rng)
+            _best_response_epoch(game, actions, spec, adversary, update_rng)
         else:
             for _step in range(spec.steps_per_epoch):
-                _replicator_epoch(game, profile, spec, adversary_ids)
+                _replicator_epoch(game, actions, spec, adversary)
         realized = None
         if spec.simulate_rounds > 0:
             realized = _simulate_epoch(
                 spec,
                 stakes,
-                profile,
-                adversary_ids,
+                actions,
+                adversary,
                 derive_seed(seed, f"scenario:{spec.name}:sim:{epoch}"),
             )
-        trajectory.records.append(_measure(epoch, game, profile, realized))
+        trajectory.records.append(_measure(epoch, game, actions, realized))
     return trajectory

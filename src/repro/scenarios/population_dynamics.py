@@ -1,8 +1,8 @@
 """Streamed Section V dynamics over million-agent populations.
 
-The in-memory scenario driver (:mod:`repro.scenarios.dynamics`) holds a
-whole :class:`~repro.core.game.AlgorandGame` per epoch — ideal at 10^2
-players, an OOM at exchange scale.  This module evolves one huge
+The in-memory scenario driver (:mod:`repro.scenarios.dynamics`) re-sums
+a whole profile row per unilateral deviation — ideal at 10^2 players,
+O(n^2) per epoch at exchange scale.  This module evolves one huge
 population (a :class:`~repro.populations.spec.PopulationSpec`) through
 replicator or synchronous best-response epochs **blockwise** — O(chunk)
 working memory plus ~2 held bytes per agent — reusing the population

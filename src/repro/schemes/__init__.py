@@ -7,11 +7,11 @@ into:
   declarative pool algebra every scheme is expressed in.
 * :mod:`repro.schemes.registry` — decorator registration and by-name
   discovery (:func:`get_scheme`, :func:`scheme_names`).
-* :mod:`repro.schemes.catalog` — the five built-ins: ``foundation`` and
-  ``role_based`` adapters over the paper's mechanisms, plus ``irs``,
+* :mod:`repro.schemes.catalog` — the five built-ins: the paper's
+  ``foundation`` and ``role_based`` mechanisms, plus ``irs``,
   ``axiomatic_tau`` and ``hybrid``.
 * :mod:`repro.schemes.audit` — the vectorized epsilon-IC audit engine
-  with its scalar game oracle.
+  over sampled populations.
 * :mod:`repro.schemes.population_audit` — the chunked audit path:
   epsilon-IC verdicts over streamed 10^6–10^7-agent
   :class:`~repro.populations.spec.PopulationSpec` populations in
@@ -39,8 +39,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "scheme_names",
     ),
     "audit": (
-        "AuditConfig", "AuditReport", "CellAudit", "PooledRule", "audit_scheme",
-        "audit_schemes",
+        "AuditConfig", "AuditReport", "CellAudit", "audit_scheme", "audit_schemes",
     ),
     "deviation": ("DeviationWitness",),
     "population_audit": (

@@ -28,8 +28,8 @@ epsilon-incentive-compatible under population Y?* — by brute force, fast:
    role, stake, strategy change, gain).
 
 The kernel's differential check against the scalar game (an
-:class:`~repro.core.game.AlgorandGame` under the scheme's own
-:meth:`make_rule`, one ``payoff`` call per deviation) runs in the test
+:class:`~repro.core.game.AlgorandGame` under the scheme's pools read
+player by player, one ``payoff`` call per deviation) runs in the test
 suite (``tests/oracles.py``), not in the audit.
 """
 
@@ -44,10 +44,9 @@ import numpy as np
 from repro.analysis.csvio import PathLike, write_rows
 from repro.core.bounds import RoleAggregates
 from repro.core.costs import RoleCosts
-from repro.core.game import AlgorandGame, RewardRule, Strategy, StrategyProfile
 from repro.core.optimizer import minimize_reward_analytic
-from repro.errors import ConfigurationError, SchemeError
-from repro.schemes.base import PoolSpec, RewardScheme, SchemeSplit, WeightKind, validate_pools
+from repro.errors import ConfigurationError
+from repro.schemes.base import RewardScheme, SchemeSplit
 from repro.schemes.deviation import (
     COMMITTEE,
     LEADER,
@@ -468,57 +467,6 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
     )
     (gains,) = deviation_gains(agents, base, switch)
     return np.concatenate(gains.targets(agents)).reshape(3, B, N)
-
-
-# -- the scalar rule ----------------------------------------------------------------
-
-
-class PooledRule(RewardRule):
-    """Scalar interpreter of a pool declaration — the game's reward rule.
-
-    Implements the :class:`~repro.core.game.RewardRule` interface with
-    plain per-player dictionary loops, deliberately sharing no code with
-    the vectorized audit engine: the two paths computing the same payments
-    independently is what the differential tests lean on.
-    """
-
-    def __init__(self, pools: Tuple[PoolSpec, ...], b_i: float) -> None:
-        if b_i < 0:
-            raise SchemeError(f"per-round reward must be >= 0, got {b_i}")
-        self.pools = validate_pools(tuple(pools))
-        self.b_i = b_i
-
-    def payments(
-        self, game: AlgorandGame, profile: StrategyProfile
-    ) -> Dict[int, float]:
-        """Interpret the pool declaration for one profile, player by player."""
-        payments: Dict[int, float] = {}
-        for pool in self.pools:
-            weights: Dict[int, float] = {}
-            for pid, player in game.players.items():
-                action = profile[pid]
-                if action is Strategy.OFFLINE:
-                    continue
-                if (player.role.value, action.value) not in pool.members:
-                    continue
-                weights[pid] = self._weight(game, pid, pool)
-            total = sum(weights.values())
-            if total <= 0:
-                continue  # empty slice withheld, not redistributed
-            rate = pool.fraction * self.b_i / total
-            for pid, weight in weights.items():
-                payments[pid] = payments.get(pid, 0.0) + rate * weight
-        return payments
-
-    def _weight(self, game: AlgorandGame, pid: int, pool: PoolSpec) -> float:
-        player = game.players[pid]
-        if pool.weight is WeightKind.STAKE:
-            return player.stake
-        if pool.weight is WeightKind.EQUAL:
-            return 1.0
-        if pool.weight is WeightKind.STAKE_POWER:
-            return player.stake**pool.exponent
-        return game.costs.of_role(player.role.value)
 
 
 # -- entry points -------------------------------------------------------------------

@@ -17,15 +17,19 @@ scheme is budget-balanced by construction; a pool whose member set is
 empty in some round simply withholds its slice ("saved for future use",
 paper Figure 2).
 
-Both mechanism code paths are derived from the same declaration:
+The pools are the only declaration of what a scheme pays; the runtime
+reads them through :mod:`repro.schemes.deviation`:
 
-* :class:`~repro.schemes.audit.PooledRule` interprets the pools as a scalar
-  :class:`~repro.core.game.RewardRule` for :class:`~repro.core.game.AlgorandGame`
-  — dictionary loops over players, one at a time.  This is the audit
-  engine's **correctness oracle**.
-* :mod:`repro.schemes.deviation` interprets the same pools as batched
-  numpy algebra over whole populations of players at once — the fast
-  path every audit and the streamed dynamics share.
+* its closed-form kernel folds them as batched numpy algebra over whole
+  populations at once — the path every audit and the streamed dynamics
+  share;
+* its :func:`~repro.schemes.deviation.pool_tables` also back the scenario
+  engine's small array round game
+  (:class:`~repro.scenarios.dynamics.RoundGame`).
+
+The test suite reads the same pools player by player on the scalar
+:class:`~repro.core.game.AlgorandGame` (``tests/oracles.py``) — the
+correctness oracle both readings are held to.
 
 Because a unilateral deviation moves exactly one player between pools,
 deviation payoffs have a closed form in the pool totals; that is what
@@ -37,12 +41,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, FrozenSet, Mapping, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, Mapping, Tuple
 
 from repro.errors import SchemeError
-
-if TYPE_CHECKING:  # the scalar game is the oracle path, imported where it runs
-    from repro.core.game import RewardRule
 
 #: Role names a pool membership may reference (PlayerRole values).
 ROLES: Tuple[str, ...] = ("leader", "committee", "online")
@@ -197,17 +198,6 @@ class RewardScheme(abc.ABC):
     @abc.abstractmethod
     def pools(self, split: SchemeSplit) -> Tuple[PoolSpec, ...]:
         """The scheme's budget slices for one calibrated split."""
-
-    def make_rule(self, b_i: float, split: SchemeSplit) -> RewardRule:
-        """A scalar :class:`RewardRule` paying ``B_i`` under this scheme.
-
-        The default interprets :meth:`pools` with :class:`PooledRule`;
-        adapter schemes override this to return the pre-existing mechanism
-        implementation they wrap.
-        """
-        from repro.schemes.audit import PooledRule
-
-        return PooledRule(self.pools(split), b_i)
 
     def param_dict(self) -> Dict[str, Any]:
         """The scheme's configuration as plain JSON data (default: none)."""

@@ -1,8 +1,8 @@
 """The built-in reward schemes.
 
-Five families ship with the framework — the paper's two mechanisms as
-adapters over their pre-existing implementations, plus three schemes from
-the wider design space the related work maps out:
+Five families ship with the framework — the paper's two mechanisms,
+declared as pools like every other scheme, plus three schemes from the
+wider design space the related work maps out:
 
 * ``foundation`` — the Algorand Foundation's naive stake-proportional
   sharing (paper Eq. 3, game G_Al).  Theorem 2's counterexample: defectors
@@ -32,7 +32,7 @@ that never imported it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import SchemeError
 from repro.schemes.base import (
@@ -45,9 +45,6 @@ from repro.schemes.base import (
     validate_pools,
 )
 from repro.schemes.registry import scheme
-
-if TYPE_CHECKING:  # the scalar game is the oracle path, imported where it runs
-    from repro.core.game import RewardRule
 
 #: Every (role, action) pair of an online player — the Foundation pool.
 _ALL_ONLINE = frozenset((role, action) for role in ROLES for action in ACTIONS)
@@ -63,7 +60,7 @@ _PERFORMERS = frozenset((role, "C") for role in ROLES)
 
 @scheme
 class FoundationScheme(RewardScheme):
-    """Adapter over the paper's naive stake-proportional sharing."""
+    """The paper's naive stake-proportional sharing (game G_Al)."""
 
     kind = "foundation"
     description = "stake-proportional to everyone online, roles ignored (Eq. 3)"
@@ -74,17 +71,10 @@ class FoundationScheme(RewardScheme):
             (PoolSpec(name="online", fraction=1.0, members=_ALL_ONLINE),)
         )
 
-    def make_rule(self, b_i: float, split: SchemeSplit) -> RewardRule:
-        # True adapter: the original G_Al rule, not the pool interpreter.
-        """The original G_Al ``FoundationRule`` (true adapter)."""
-        from repro.core.game import FoundationRule
-
-        return FoundationRule(b_i=b_i)
-
 
 @scheme
 class RoleBasedScheme(RewardScheme):
-    """Adapter over the paper's role-based alpha/beta/gamma split."""
+    """The paper's role-based alpha/beta/gamma split (game G_Al+)."""
 
     kind = "role_based"
     description = "alpha/beta/gamma split by performed role (Eq. 5, Theorem 3)"
@@ -107,13 +97,6 @@ class RoleBasedScheme(RewardScheme):
                 PoolSpec(name="gamma", fraction=split.gamma, members=_GAMMA_POOL),
             )
         )
-
-    def make_rule(self, b_i: float, split: SchemeSplit) -> RewardRule:
-        # True adapter: the original G_Al+ rule, not the pool interpreter.
-        """The original G_Al+ ``RoleBasedRule`` (true adapter)."""
-        from repro.core.game import RoleBasedRule
-
-        return RoleBasedRule(alpha=split.alpha, beta=split.beta, b_i=b_i)
 
 
 @scheme

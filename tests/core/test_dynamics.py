@@ -23,9 +23,8 @@ from repro.core.game import (
     theorem3_profile,
 )
 from repro.errors import GameError
-from repro.scenarios.dynamics import mean_payoff_by_strategy
 
-from oracles import best_response_path
+from oracles import best_response_path, mean_payoff_by_strategy
 
 _COSTS = RoleCosts.paper_defaults()
 _LEADERS = [5.0, 3.0]

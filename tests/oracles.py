@@ -11,6 +11,9 @@ possible, and the differential tests assert the two agree:
   DES's gossip layer).
 * :func:`paper_aggregates_scalar` — the pure-Python aggregate reduction
   (vs the vectorized ``core.bounds.paper_aggregates``).
+* :class:`PooledRule` / :func:`scalar_rule` — a scheme's pools read
+  player by player as the scalar game's reward rule (vs the pool tables
+  the deviation kernel and the scenario engine's ``RoundGame`` read).
 * :func:`oracle_cell_gains` — one sampled-audit population's deviation
   gains on the exact game engine (vs ``schemes.audit._vectorized_gains``).
 * :func:`best_response_path` — synchronous best-response play of a
@@ -18,7 +21,8 @@ possible, and the differential tests assert the two agree:
 * :func:`oracle_population_gains` — per-agent deviation gains of a small
   streamed population on the exact game engine (vs the chunked audit).
 * :func:`oracle_population_dynamics` — the streamed dynamics on the
-  exact game engine (vs ``run_population_dynamics``).
+  exact game engine (vs ``run_population_dynamics``), measured by
+  :func:`measure_epoch` and :func:`mean_payoff_by_strategy`.
 
 scipy and networkx are test dependencies only (``pip install .[test]``);
 this module is where the suite imports them.  Tests import it as
@@ -42,17 +46,19 @@ from repro.core.equilibrium import synchronous_best_responses
 from repro.core.game import (
     AlgorandGame,
     BlockSuccessModel,
+    FoundationRule,
     Player,
     PlayerRole,
     RewardRule,
+    RoleBasedRule,
     Strategy,
     StrategyProfile,
+    profile_counts,
     with_deviation,
 )
 from repro.core.optimizer import OptimalSplit, minimize_reward_analytic
-from repro.errors import ConfigurationError, MechanismError
+from repro.errors import ConfigurationError, MechanismError, SchemeError
 from repro.populations.spec import PopulationSpec
-from repro.scenarios.dynamics import _measure
 from repro.scenarios.population_dynamics import (
     _REALIZE_COLUMN,
     PopulationDynamicsSpec,
@@ -61,9 +67,15 @@ from repro.scenarios.population_dynamics import (
     _initial_share,
     _thresholds,
 )
-from repro.scenarios.trajectory import ScenarioTrajectory
+from repro.scenarios.trajectory import EpochRecord, ScenarioTrajectory
 from repro.schemes.audit import _Cell
-from repro.schemes.base import RewardScheme, SchemeSplit
+from repro.schemes.base import (
+    PoolSpec,
+    RewardScheme,
+    SchemeSplit,
+    WeightKind,
+    validate_pools,
+)
 from repro.schemes.deviation import COMMITTEE, LEADER, ONLINE
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
@@ -185,6 +197,73 @@ def honest_subgraph(network: GossipNetwork) -> nx.DiGraph:
     return as_networkx(network).subgraph(relaying).copy()
 
 
+# -- the scalar reward rules ---------------------------------------------------
+
+
+class PooledRule(RewardRule):
+    """Scalar interpreter of a pool declaration — the game's reward rule.
+
+    Implements the :class:`~repro.core.game.RewardRule` interface with
+    plain per-player dictionary loops, deliberately sharing no code with
+    the array readings of the pools (the deviation kernel and the
+    scenario engine's round game): the paths computing the same payments
+    independently is what the differential tests lean on.
+    """
+
+    def __init__(self, pools: Tuple[PoolSpec, ...], b_i: float) -> None:
+        if b_i < 0:
+            raise SchemeError(f"per-round reward must be >= 0, got {b_i}")
+        self.pools = validate_pools(tuple(pools))
+        self.b_i = b_i
+
+    def payments(
+        self, game: AlgorandGame, profile: StrategyProfile
+    ) -> Dict[int, float]:
+        """Interpret the pool declaration for one profile, player by player."""
+        payments: Dict[int, float] = {}
+        for pool in self.pools:
+            weights: Dict[int, float] = {}
+            for pid, player in game.players.items():
+                action = profile[pid]
+                if action is Strategy.OFFLINE:
+                    continue
+                if (player.role.value, action.value) not in pool.members:
+                    continue
+                weights[pid] = self._weight(game, pid, pool)
+            total = sum(weights.values())
+            if total <= 0:
+                continue  # empty slice withheld, not redistributed
+            rate = pool.fraction * self.b_i / total
+            for pid, weight in weights.items():
+                payments[pid] = payments.get(pid, 0.0) + rate * weight
+        return payments
+
+    def _weight(self, game: AlgorandGame, pid: int, pool: PoolSpec) -> float:
+        player = game.players[pid]
+        if pool.weight is WeightKind.STAKE:
+            return player.stake
+        if pool.weight is WeightKind.EQUAL:
+            return 1.0
+        if pool.weight is WeightKind.STAKE_POWER:
+            return player.stake**pool.exponent
+        return game.costs.of_role(player.role.value)
+
+
+def scalar_rule(scheme: SchemeLike, b_i: float, split: SchemeSplit) -> RewardRule:
+    """The scalar game's reward rule paying ``B_i`` under ``scheme``.
+
+    The paper's pair gets its own G_Al / G_Al+ rule (Eq. 3 and Eq. 5 as
+    written); every other scheme gets its pools read by
+    :class:`PooledRule`.
+    """
+    resolved = resolve_scheme(scheme)
+    if resolved.kind == "foundation":
+        return FoundationRule(b_i=b_i)
+    if resolved.kind == "role_based":
+        return RoleBasedRule(alpha=split.alpha, beta=split.beta, b_i=b_i)
+    return PooledRule(resolved.pools(split), b_i)
+
+
 # -- the scalar game -----------------------------------------------------------
 
 #: Role code -> the scalar game's role.
@@ -250,7 +329,7 @@ def oracle_cell_gains(scheme: RewardScheme, cell: _Cell, population: int) -> np.
         cell.roles[b],
         cell.sync[b],
         cell.costs,
-        scheme.make_rule(float(cell.b_i[b]), split),
+        scalar_rule(scheme, float(cell.b_i[b]), split),
         cell.quorum,
     )
     return game_gains(game, cell.coop[b])
@@ -274,6 +353,70 @@ def best_response_path(
             break
         path.append(revised)
     return path
+
+
+def mean_payoff_by_strategy(
+    game: AlgorandGame, profile: StrategyProfile
+) -> Dict[Strategy, float]:
+    """Average realized payoff of the players at each strategy.
+
+    Strategies nobody plays map to 0.0 (their growth rate is undefined;
+    replicator callers treat an extinct strategy's share as frozen).
+    """
+    payoffs = game.payoffs(profile)
+    totals: Dict[Strategy, float] = {strategy: 0.0 for strategy in Strategy}
+    counts: Dict[Strategy, int] = {strategy: 0 for strategy in Strategy}
+    for pid, strategy in profile.items():
+        if pid not in payoffs:
+            continue
+        totals[strategy] += payoffs[pid]
+        counts[strategy] += 1
+    return {
+        strategy: (totals[strategy] / counts[strategy] if counts[strategy] else 0.0)
+        for strategy in Strategy
+    }
+
+
+def measure_epoch(
+    epoch: int,
+    game: AlgorandGame,
+    profile: Dict[int, Strategy],
+    realized: Optional[float],
+) -> EpochRecord:
+    """One epoch's record of a scalar game and profile.
+
+    Counts, block success, mean payoff by strategy and the share of the
+    paid budget that reaches cooperators, as the scenario engine records
+    them.
+    """
+    counts = profile_counts(profile)
+    means = mean_payoff_by_strategy(game, profile)
+    succeeded = game.block_succeeds(profile)
+    efficiency = 0.0
+    if succeeded:
+        payments = game.reward_rule.payments(game, profile)
+        paid = sum(payments.values())
+        if paid > 0:
+            efficiency = (
+                sum(
+                    value
+                    for pid, value in payments.items()
+                    if profile[pid] is Strategy.COOPERATE
+                )
+                / paid
+            )
+    return EpochRecord(
+        epoch=epoch,
+        n_players=len(profile),
+        n_cooperating=counts[Strategy.COOPERATE],
+        n_defecting=counts[Strategy.DEFECT],
+        n_offline=counts[Strategy.OFFLINE],
+        block_success=succeeded,
+        mean_payoff_cooperate=means[Strategy.COOPERATE],
+        mean_payoff_defect=means[Strategy.DEFECT],
+        realized_final_fraction=realized,
+        budget_efficiency=efficiency,
+    )
 
 
 # -- the streamed engines on the exact game -----------------------------------
@@ -319,7 +462,7 @@ def oracle_population_gains(
         ctx.roles,
         ctx.sync,
         structure.costs,
-        resolved.make_rule(structure.b_i, structure.split),
+        scalar_rule(resolved, structure.b_i, structure.split),
         config.committee_quorum,
     )
     return game_gains(game, ctx.coop).T
@@ -358,7 +501,7 @@ def oracle_population_dynamics(
     selected = [int(j) for j in structure.selected_index]
 
     def build_game(stake: np.ndarray) -> AlgorandGame:
-        rule = resolved.make_rule(structure.b_i, structure.split)
+        rule = scalar_rule(resolved, structure.b_i, structure.split)
         return oracle_game(
             stake, roles, sync, structure.costs, rule, config.committee_quorum
         )
@@ -390,7 +533,7 @@ def oracle_population_dynamics(
         alpha=structure.split.alpha,
         beta=structure.split.beta,
     )
-    trajectory.records.append(_measure(0, game, profile, None))
+    trajectory.records.append(measure_epoch(0, game, profile, None))
     for epoch in range(1, spec.n_epochs + 1):
         responses = synchronous_best_responses(game, profile, selected)
         if spec.update_rule == "replicator":
@@ -419,5 +562,5 @@ def oracle_population_dynamics(
             revised.update(responses)
             game = build_game(_churned_stake(engine, population, epoch))
             profile = revised
-        trajectory.records.append(_measure(epoch, game, profile, None))
+        trajectory.records.append(measure_epoch(epoch, game, profile, None))
     return trajectory

@@ -31,12 +31,11 @@ from repro.schemes.deviation import (
     role_costs,
     scaled_costs,
 )
-from repro.schemes.registry import get_scheme
 
-from oracles import oracle_game
+from oracles import oracle_game, scalar_rule
 
 _COSTS = scaled_costs(1.0)
-_RULE = get_scheme("role_based").make_rule(1.0, SchemeSplit(0.3, 0.3))
+_RULE = scalar_rule("role_based", 1.0, SchemeSplit(0.3, 0.3))
 _STRATEGY = {0: Strategy.COOPERATE, 1: Strategy.DEFECT}
 
 

@@ -10,8 +10,8 @@ scheme in the registry (built-ins and anything registered later):
 * **non-negativity** — no scheme ever pays a negative reward, and
   offline players are never paid;
 * **oracle coherence** — the generic pool interpreter agrees with each
-  scheme's own ``make_rule`` implementation (this is what makes the
-  adapters over the paper's original mechanisms trustworthy).
+  scheme's scalar rule: for the paper's pair, the G_Al and G_Al+ rules
+  as written (this is what makes their pool declarations trustworthy).
 
 The suite runs under the fixed, derandomized profile registered in
 ``tests/conftest.py`` so CI stays deterministic.
@@ -27,7 +27,9 @@ from hypothesis import strategies as st
 
 from repro.core.costs import RoleCosts
 from repro.core.game import AlgorandGame, Strategy
-from repro.schemes import PooledRule, SchemeSplit, get_scheme, scheme_names
+from repro.schemes import SchemeSplit, get_scheme, scheme_names
+
+from oracles import PooledRule, scalar_rule
 
 _STAKES = st.floats(min_value=0.5, max_value=500.0, allow_nan=False)
 _STRATEGIES = st.sampled_from(list(Strategy))
@@ -72,7 +74,7 @@ def _build(situation):
     ) = situation
     scheme = get_scheme(name)
     split = SchemeSplit(alpha, beta)
-    rule = scheme.make_rule(b_i, split)
+    rule = scalar_rule(scheme, b_i, split)
     game = AlgorandGame.from_role_stakes(
         leader_stakes=leader_stakes,
         committee_stakes=committee_stakes,
@@ -112,7 +114,7 @@ def test_full_budget_distributed_when_all_pools_populated(situation):
 
 @given(scheme_situations())
 def test_pool_interpreter_matches_scheme_rule(situation):
-    """PooledRule(pools) and make_rule agree for every registered scheme."""
+    """PooledRule(pools) and the scalar rule agree for every registered scheme."""
     scheme, split, rule, game, profile, b_i = _build(situation)
     pooled = PooledRule(scheme.pools(split), b_i)
     expected = rule.payments(game, profile)

@@ -31,7 +31,7 @@ from repro.scenarios.population_dynamics import (
 )
 from repro.telemetry.runtime import capture
 
-from oracles import oracle_game
+from oracles import oracle_game, scalar_rule
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -334,7 +334,7 @@ class TestQuorumRestore:
             ctx.roles,
             ctx.sync,
             structure.costs,
-            resolved.make_rule(structure.b_i, structure.split),
+            scalar_rule(resolved, structure.b_i, structure.split),
             config.committee_quorum,
         )
         profile = {

@@ -8,7 +8,6 @@ from repro.core.costs import RoleCosts
 from repro.core.game import AlgorandGame, FoundationRule, RoleBasedRule, Strategy
 from repro.errors import SchemeError
 from repro.schemes import (
-    PooledRule,
     PoolSpec,
     RewardScheme,
     SchemeSplit,
@@ -20,6 +19,8 @@ from repro.schemes import (
     scheme_names,
 )
 from repro.schemes.registry import _SCHEMES
+
+from oracles import PooledRule, scalar_rule
 
 _SPLIT = SchemeSplit(alpha=0.3, beta=0.3)
 
@@ -109,17 +110,14 @@ class TestAdapters:
         for pid in expected:
             assert observed[pid] == pytest.approx(expected[pid], rel=1e-12)
 
-    def test_adapter_make_rule_returns_original_types(self):
-        assert isinstance(
-            get_scheme("foundation").make_rule(1.0, _SPLIT), FoundationRule
-        )
-        assert isinstance(
-            get_scheme("role_based").make_rule(1.0, _SPLIT), RoleBasedRule
-        )
+    def test_scalar_rule_returns_the_paper_rules(self):
+        assert isinstance(scalar_rule("foundation", 1.0, _SPLIT), FoundationRule)
+        assert isinstance(scalar_rule("role_based", 1.0, _SPLIT), RoleBasedRule)
+        assert isinstance(scalar_rule("irs", 1.0, _SPLIT), PooledRule)
 
     def test_cooperator_only_schemes_pay_no_defectors(self):
         for name in ("irs", "axiomatic_tau"):
-            rule = get_scheme(name).make_rule(5.0, _SPLIT)
+            rule = scalar_rule(name, 5.0, _SPLIT)
             game = _game(rule)
             profile = _mixed_profile(game)
             payments = rule.payments(game, profile)
@@ -131,7 +129,7 @@ class TestAdapters:
         from repro.schemes import HybridScheme
 
         scheme = HybridScheme(bonus_fraction=0.0, name="hybrid-degenerate")
-        rule = scheme.make_rule(7.0, _SPLIT)
+        rule = scalar_rule(scheme, 7.0, _SPLIT)
         original = FoundationRule(b_i=7.0)
         game = _game(original)
         profile = _mixed_profile(game)

@@ -19,6 +19,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TESTS = Path(__file__).resolve().parent
@@ -198,6 +199,46 @@ def test_the_dynamics_entry_loads_no_scalar_game_or_scenario_engine(tmp_path):
         "repro.sim.behavior",
     )
     assert [name for name in loaded if within(name, unused)] == []
+
+
+@pytest.mark.parametrize(
+    "entry", ["repro.scenarios.dynamics", "repro.schemes.tournament", "repro.schemes.audit"]
+)
+def test_the_scenario_and_sampled_audit_runtime_load_no_scalar_game(entry, tmp_path):
+    loaded = loaded_after(entry, tmp_path)
+    unused = ("repro.core.game", "repro.core.equilibrium")
+    assert [name for name in loaded if within(name, unused)] == []
+
+
+def test_a_scenario_run_loads_no_scalar_game(tmp_path):
+    out = run_python(
+        """
+        import json, sys
+        from repro.scenarios.dynamics import run_scenario
+        from repro.scenarios.registry import get_scenario
+
+        spec = get_scenario("adaptive-adversary").with_overrides(n_epochs=2)
+        for scheme in ("foundation", "axiomatic_tau"):
+            run_scenario(spec, scheme, 3)
+        print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro.core"))))
+        """,
+        tmp_path,
+    )
+    loaded = json.loads(out)
+    assert "repro.core.dynamics" in loaded  # the replicator it steps
+    assert "repro.core.game" not in loaded and "repro.core.equilibrium" not in loaded
+
+
+def test_no_runtime_module_defines_a_scalar_reward_rule():
+    """Pools are the runtime's only declaration of what a scheme pays."""
+    definition = re.compile(r"^\s*(def make_rule\(|class PooledRule\b)", re.MULTILINE)
+    defined = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if definition.search(path.read_text(encoding="utf-8"))
+    ]
+    assert defined == []
+    assert definition.search((TESTS / "oracles.py").read_text(encoding="utf-8"))
 
 
 def test_no_runtime_module_defines_the_per_node_sortition():
