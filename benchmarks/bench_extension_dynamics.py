@@ -18,7 +18,12 @@ from pathlib import Path
 from repro.analysis.plotting import format_table, line_chart
 from repro.core import RoleCosts
 from repro.core.bounds import RoleAggregates, minimum_feasible_reward
-from repro.core.game import (
+
+# The scalar game and its synchronous best-response play are test-side
+# references: they live with the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import best_response_path  # noqa: E402
+from scalar_game.game import (  # noqa: E402
     AlgorandGame,
     FoundationRule,
     RoleBasedRule,
@@ -27,11 +32,6 @@ from repro.core.game import (
     cooperation_share,
     theorem3_profile,
 )
-
-# Synchronous best-response play of the scalar game is a test-side
-# reference: it lives with the test suite.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import best_response_path  # noqa: E402
 
 _COSTS = RoleCosts.paper_defaults()
 _LEADERS = [5.0, 3.0, 4.0]

@@ -113,7 +113,6 @@ def _paired_config(rate: float, run: int) -> SimulationConfig:
         tau_proposer=8.0,
         tau_step=60.0,
         tau_final=80.0,
-        verify_crypto=False,
     )
 
 
@@ -144,9 +143,7 @@ def run_vrf_microbench(n_nodes: int = _VRF_NODES, reps: int = _VRF_REPS):
     over batched seconds for ``reps`` whole-committee sortition
     evaluations at ``n_nodes`` keys.
     """
-    simulation = FastSimulation(
-        SimulationConfig(n_nodes=n_nodes, seed=17, verify_crypto=False)
-    )
+    simulation = FastSimulation(SimulationConfig(n_nodes=n_nodes, seed=17))
     keypairs = simulation._keypairs
     domains = [(987_654_321, 5, 0), (424_242, 9, 1_001), (7, 2, 2_013)]
     bit_identical = all(

@@ -1,7 +1,8 @@
 """Micro-benchmarks of the simulator substrate.
 
 Not paper figures — these track the performance of the building blocks
-(sortition, gossip dissemination, a full consensus round, the Nash check)
+(sortition, gossip dissemination, a full consensus round, the round
+game's Nash check)
 so regressions in the substrate are visible.
 """
 
@@ -11,8 +12,12 @@ import random
 import sys
 from pathlib import Path
 
-from repro.core import RoleCosts, is_nash_equilibrium, all_cooperate
-from repro.core.game import AlgorandGame, FoundationRule
+import numpy as np
+
+from repro.core import RoleCosts
+from repro.scenarios.dynamics import RoundGame
+from repro.schemes import SchemeSplit, resolve_scheme
+from repro.schemes.deviation import COMMITTEE, LEADER, ONLINE, pool_tables
 from repro.sim import SimulationConfig
 from repro.sim.crypto import KeyPair
 from repro.sim.network import build_random_overlay
@@ -76,7 +81,6 @@ def test_bench_consensus_round(benchmark):
     """One healthy BA* round on a 60-node network."""
     config = SimulationConfig(
         n_nodes=60, seed=3, tau_proposer=8.0, tau_step=60.0, tau_final=80.0,
-        verify_crypto=False,
     )
 
     def run():
@@ -88,18 +92,20 @@ def test_bench_consensus_round(benchmark):
 
 
 def test_bench_nash_check(benchmark):
-    """Exact Nash check on a 30-player round game."""
-    game = AlgorandGame.from_role_stakes(
-        leader_stakes=[5.0] * 4,
-        committee_stakes=[3.0] * 12,
-        online_stakes=[10.0] * 14,
-        costs=RoleCosts.paper_defaults(),
-        reward_rule=FoundationRule(b_i=20.0),
-    )
-    profile = all_cooperate(game)
+    """Exact Nash check on a 30-player Foundation round game (C and D switches)."""
+    roles = np.repeat(np.array([LEADER, COMMITTEE, ONLINE], dtype=np.int8), [4, 12, 14])
+    stake = np.array([5.0, 3.0, 10.0])[roles]
+    tables = pool_tables(resolve_scheme("foundation"), SchemeSplit(0.2, 0.3))
+    no_sync = np.zeros(roles.size, dtype=bool)
+    game = RoundGame(stake, roles, no_sync, tables, 20.0, RoleCosts.paper_defaults(), 0.685)
+    profile = np.zeros(roles.size, dtype=np.int8)  # All-Cooperate
 
-    result = benchmark(lambda: is_nash_equilibrium(game, profile))
-    assert not result.is_equilibrium  # Theorem 2
+    def run():
+        to_c, to_d = game.switch_payoffs(profile)
+        return np.maximum(to_c, to_d) - game.payoffs(profile)
+
+    gain = benchmark(run)
+    assert gain.max() > 1e-15  # Theorem 2: All-Cooperate is no equilibrium
 
 
 def test_bench_sortition_batch_population(benchmark):

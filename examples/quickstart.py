@@ -25,7 +25,6 @@ def main() -> None:
         tau_step=60.0,
         tau_final=80.0,
         defection_rate=0.05,  # a few honest-but-selfish nodes defect
-        verify_crypto=False,
     )
     mechanism = IncentiveCompatibleSharing(on_infeasible="skip")
     simulation = make_simulation(config, mechanism=mechanism)

@@ -7,8 +7,8 @@ The package has five layers:
   reachability, BA* consensus, behaviours) on a vectorized round
   kernel, the substrate of the paper's empirical results.
 * :mod:`repro.core` — the paper's contribution: the cost model, the
-  Foundation and role-based reward-sharing mechanisms, the game
-  G_Al / G_Al+, equilibrium analysis, and Algorithm 1.
+  Foundation and role-based reward-sharing mechanisms, the Lemma 2 /
+  Theorem 3 bounds, and Algorithm 1.
 * :mod:`repro.schemes` — the pluggable reward-scheme framework: a
   registry of distribution mechanisms (the paper's two plus IRS-style,
   axiomatic-family and hybrid schemes), a vectorized

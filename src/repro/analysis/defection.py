@@ -52,7 +52,6 @@ class DefectionExperimentConfig:
     tau_proposer: float = 8.0
     tau_step: float = 60.0
     tau_final: float = 80.0
-    verify_crypto: bool = False
     backend: str = "fast"
 
     def __post_init__(self) -> None:
@@ -76,7 +75,6 @@ class DefectionExperimentConfig:
             tau_proposer=self.tau_proposer,
             tau_step=self.tau_step,
             tau_final=self.tau_final,
-            verify_crypto=self.verify_crypto,
         )
 
 
@@ -167,6 +165,7 @@ def fig3_sweep_spec(config: DefectionExperimentConfig) -> SweepSpec:
     """The Figure 3 campaign as a declarative sweep: one shard per (rate, run).
 
     ``backend`` stays part of the shard parameters (always ``"fast"``),
+    and so does ``verify_crypto`` (always ``False``; no engine reads it),
     so the content-addressed keys of already cached shards still match.
     """
     return SweepSpec(
@@ -182,7 +181,7 @@ def fig3_sweep_spec(config: DefectionExperimentConfig) -> SweepSpec:
             "tau_proposer": config.tau_proposer,
             "tau_step": config.tau_step,
             "tau_final": config.tau_final,
-            "verify_crypto": config.verify_crypto,
+            "verify_crypto": False,
             "backend": config.backend,
         },
         root_seed=config.seed,
@@ -207,7 +206,6 @@ def _fig3_shard(params: Mapping[str, Any], _seed: int) -> Dict[str, List[float]]
         tau_proposer=params["tau_proposer"],
         tau_step=params["tau_step"],
         tau_final=params["tau_final"],
-        verify_crypto=params["verify_crypto"],
         backend=params.get("backend"),
     )
     simulation = make_simulation(

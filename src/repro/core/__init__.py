@@ -1,4 +1,4 @@
-"""The paper's contribution: costs, reward mechanisms, game, equilibria.
+"""The paper's contribution: costs, reward mechanisms and their bounds.
 
 Public surface:
 
@@ -10,8 +10,11 @@ Public surface:
 * :class:`IncentiveCompatibleSharing` — Algorithm 1 (adaptive optimal split).
 * :mod:`repro.core.bounds` / :mod:`repro.core.optimizer` — Lemma 2 /
   Theorem 3 bounds and their minimization.
-* :mod:`repro.core.game` / :mod:`repro.core.equilibrium` — G_Al, G_Al+,
-  Nash checks and executable theorems.
+
+The round game G_Al / G_Al+ runs on array pool tables
+(:class:`repro.scenarios.dynamics.RoundGame`); its scalar reading, the
+Nash checks and Theorems 1-3 as checks are the test suite's oracle
+(``tests/scalar_game``).
 """
 
 from repro._lazy import lazy_exports
@@ -26,30 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "costs": ("MICRO_ALGO", "RoleCosts", "TaskCosts"),
     "fees": ("FeeFundedSharing",),
-    "equilibrium": (
-        "Deviation",
-        "NashResult",
-        "best_response",
-        "is_nash_equilibrium",
-        "lemma1_offline_dominated",
-        "theorem1_all_defection_ne",
-        "theorem2_all_cooperation_not_ne",
-        "theorem3_equilibrium",
-    ),
     "foundation": ("FoundationSharing",),
-    "game": (
-        "AlgorandGame",
-        "BlockSuccessModel",
-        "FoundationRule",
-        "Player",
-        "PlayerRole",
-        "RoleBasedRule",
-        "Strategy",
-        "all_cooperate",
-        "all_defect",
-        "theorem3_profile",
-        "with_deviation",
-    ),
     "mechanism": ("IncentiveCompatibleSharing", "MechanismReport"),
     "optimizer": (
         "GridSearchResult",

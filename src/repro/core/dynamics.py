@@ -3,9 +3,8 @@
 The paper analyses one round as a static game; its conclusion motivates
 studying how a population of honest-but-selfish nodes *evolves* when the
 game repeats.  The scenario engines drive two update rules: synchronous
-best response (the comparisons of
-:func:`repro.core.equilibrium.best_response`, run on arrays by
-:mod:`repro.scenarios.dynamics` and, blockwise, by
+best response (each player's payoff under C against its payoff under
+D, run on arrays by :mod:`repro.scenarios.dynamics` and, blockwise, by
 :mod:`repro.scenarios.population_dynamics`) and the replicator step
 defined here:
 

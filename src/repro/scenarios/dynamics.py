@@ -402,7 +402,6 @@ def _simulate_epoch(
         seed=seed,
         stakes=[float(s) for s in stakes],
         gossip_fanout=min(5, stakes.size - 1),
-        verify_crypto=False,
     )
     simulation = make_simulation(config, behaviors=behaviors)
     metrics = simulation.run(spec.simulate_rounds)

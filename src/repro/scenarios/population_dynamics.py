@@ -132,9 +132,9 @@ from repro.telemetry.spans import span
 UPDATE_RULES: Tuple[str, ...] = ("replicator", "best_response")
 
 #: Strict-improvement threshold of a best-response switch — the same
-#: tolerance as :func:`repro.core.equilibrium.best_response`, whose ties
-#: break toward the current strategy (and C > D > O, so O never wins:
-#: a defector's payoff ``rewards - c_so`` dominates offline's ``-c_so``).
+#: tolerance as the scalar game's ``best_response`` (``tests/scalar_game``),
+#: whose ties break toward the current strategy (and C > D > O, so O never
+#: wins: a defector's payoff ``rewards - c_so`` dominates offline's ``-c_so``).
 _BR_TOLERANCE = 1e-15
 
 #: Consumer columns in the population's seed-block stream tree.  The
@@ -660,11 +660,10 @@ def _selected_best_responses(
     The k leaders/committee members fold through the shared kernel as
     one batch at their pinned stakes (:func:`_chunk_counterfactuals`),
     each deviation's block transition (leader count / quorum tally)
-    exact; matching
-    :func:`repro.core.equilibrium.synchronous_best_responses` — strict
-    ``> 1e-15`` improvement to switch, ties keep the current action, and
-    O is dominated by D (``rewards - c_so >= -c_so``), so only {C, D}
-    are compared.
+    exact; matching the scalar game's ``synchronous_best_responses``
+    (``tests/scalar_game``) — strict ``> 1e-15`` improvement to switch,
+    ties keep the current action, and O is dominated by D
+    (``rewards - c_so >= -c_so``), so only {C, D} are compared.
     """
     structure = engine.structure
     roles = structure.selected_role

@@ -27,10 +27,10 @@ epsilon-incentive-compatible under population Y?* — by brute force, fast:
    most profitable deviation as a concrete witness (population, player,
    role, stake, strategy change, gain).
 
-The kernel's differential check against the scalar game (an
-:class:`~repro.core.game.AlgorandGame` under the scheme's pools read
-player by player, one ``payoff`` call per deviation) runs in the test
-suite (``tests/oracles.py``), not in the audit.
+The kernel's differential check against the scalar game (the test
+suite's ``AlgorandGame`` in ``tests/scalar_game``, under the scheme's
+pools read player by player, one ``payoff`` call per deviation) runs in
+the test suite (``tests/oracles.py``), not in the audit.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ reads them through :mod:`repro.schemes.deviation`:
   (:class:`~repro.scenarios.dynamics.RoundGame`).
 
 The test suite reads the same pools player by player on the scalar
-:class:`~repro.core.game.AlgorandGame` (``tests/oracles.py``) — the
+``AlgorandGame`` (``tests/scalar_game``, via ``tests/oracles.py``) — the
 correctness oracle both readings are held to.
 
 Because a unilateral deviation moves exactly one player between pools,

@@ -30,7 +30,7 @@ blockwise, the chunked path is **bit-identical to the monolithic path**
 (``chunk_agents=None`` — one chunk covering the population) at any chunk
 size; ``tests/properties/test_chunk_equivalence.py`` asserts it, and the
 test suite cross-checks small populations against the scalar
-:class:`~repro.core.game.AlgorandGame` oracle.
+``AlgorandGame`` oracle (``tests/scalar_game``).
 
 **Grid audits are fused.**  :func:`audit_population_grid` evaluates the
 whole (scheme x budget-multiplier x cost-scale) verdict tensor in the

@@ -95,11 +95,6 @@ class SimulationConfig:
         (online, sortition only, no tasks).
     malicious_rate / offline_rate:
         Fractions of byzantine and faulty nodes for robustness experiments.
-    verify_crypto:
-        When True, receivers verify signatures and sortition proofs on
-        first delivery.  Only the test suite's per-message oracle
-        (``tests/des``) reads it; the fast kernel computes no proofs to
-        verify.
     """
 
     n_nodes: int = 100
@@ -124,7 +119,6 @@ class SimulationConfig:
     defection_rate: float = 0.0
     malicious_rate: float = 0.0
     offline_rate: float = 0.0
-    verify_crypto: bool = True
     short_circuit_rounds: bool = True
 
     def __post_init__(self) -> None:

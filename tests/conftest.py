@@ -61,7 +61,6 @@ def small_sim_config() -> SimulationConfig:
         tau_proposer=6.0,
         tau_step=60.0,
         tau_final=80.0,
-        verify_crypto=True,
     )
 
 

@@ -9,8 +9,11 @@ import pytest
 from repro.core.bounds import RoleAggregates, minimum_feasible_reward
 from repro.core.costs import RoleCosts
 from repro.core.dynamics import ReplicatorAccumulator, replicator_step
-from repro.core.equilibrium import synchronous_best_responses
-from repro.core.game import (
+from repro.errors import GameError
+
+from oracles import best_response_path, mean_payoff_by_strategy
+from scalar_game.equilibrium import synchronous_best_responses
+from scalar_game.game import (
     AlgorandGame,
     FoundationRule,
     RoleBasedRule,
@@ -22,9 +25,6 @@ from repro.core.game import (
     profile_counts,
     theorem3_profile,
 )
-from repro.errors import GameError
-
-from oracles import best_response_path, mean_payoff_by_strategy
 
 _COSTS = RoleCosts.paper_defaults()
 _LEADERS = [5.0, 3.0]

@@ -114,8 +114,7 @@ class TestLifecycle:
 
         mechanism = _mechanism(ceiling=0.1, fees=0.0, deposit=0.05)
         config = SimulationConfig(
-            n_nodes=40, seed=13, tau_proposer=6.0, tau_step=60.0,
-            tau_final=80.0, verify_crypto=False,
+            n_nodes=40, seed=13, tau_proposer=6.0, tau_step=60.0, tau_final=80.0,
         )
         sim = AlgorandSimulation(config, mechanism=mechanism)
         for _ in range(4):

@@ -33,7 +33,7 @@ def fit_latency_model(
     recalibrate after changing the gossip layer.
     """
     if config is None:
-        config = SimulationConfig(n_nodes=60, seed=seed, verify_crypto=False)
+        config = SimulationConfig(n_nodes=60, seed=seed)
     span = config.delay_max - config.delay_min
     if span <= 0:
         return LatencyModel(hop_quantile=0.0)

@@ -175,6 +175,7 @@ class Node:
         config: SimulationConfig,
         rng: Optional[random.Random] = None,
         genesis_seed: int = 0,
+        verify_crypto: bool = False,
     ) -> None:
         if stake <= 0:
             raise SimulationError(f"node stake must be positive, got {stake}")
@@ -183,6 +184,9 @@ class Node:
         self.stake = float(stake)
         self.behavior = behavior
         self.config = config
+        #: Whether a cooperating receiver verifies sortition proofs (cost
+        #: ``c_vs``) on first delivery.
+        self.verify_crypto = verify_crypto
         self.ledger = ReplicaLedger(genesis_seed=genesis_seed)
         self.mempool: Dict[int, Transaction] = {}
         self.counters = TaskCounters()
@@ -293,7 +297,7 @@ class Node:
         """Store an incoming message; return True if it should be relayed.
 
         Verification work (``c_ve``, ``c_vs``) happens here for cooperating
-        nodes when ``config.verify_crypto`` is on.  Defective nodes store
+        nodes when ``verify_crypto`` is on.  Defective nodes store
         passively (they stay online and can read the chain) but skip the
         verification work.
         """
@@ -319,7 +323,7 @@ class Node:
         """
         if proof is None:
             return False
-        if not self.config.verify_crypto or not self.behavior.cooperates:
+        if not self.verify_crypto or not self.behavior.cooperates:
             return True
         sender_key = self.key_registry.get(sender)
         if sender_key is None or self._ctx is None:

@@ -19,7 +19,7 @@ from des.signing import sortition
 
 
 def _config(**overrides) -> SimulationConfig:
-    defaults = dict(n_nodes=10, seed=3, verify_crypto=False)
+    defaults = dict(n_nodes=10, seed=3)
     defaults.update(overrides)
     return SimulationConfig(**defaults)
 
@@ -39,13 +39,16 @@ def _ctx(round_index=1, total_stake=1000.0) -> RoundContext:
     )
 
 
-def _node(node_id=0, stake=100.0, behavior=Behavior.HONEST, **config_overrides) -> Node:
+def _node(
+    node_id=0, stake=100.0, behavior=Behavior.HONEST, verify_crypto=False, **config_overrides
+) -> Node:
     return Node(
         node_id=node_id,
         keypair=KeyPair.generate(("node", node_id)),
         stake=stake,
         behavior=behavior,
         config=_config(**config_overrides),
+        verify_crypto=verify_crypto,
     )
 
 

@@ -18,7 +18,6 @@ def _config(**overrides) -> SimulationConfig:
         tau_proposer=6.0,
         tau_step=60.0,
         tau_final=80.0,
-        verify_crypto=False,
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)

@@ -9,12 +9,12 @@ from repro.core import (
     IncentiveCompatibleSharing,
     RoleCosts,
 )
-from repro.core.game import AlgorandGame, RoleBasedRule
-from repro.core.equilibrium import theorem3_equilibrium
 from repro.sim import SimulationConfig
 from repro.stakes.exchange import ExchangeSimulator
 
 from des import AlgorandSimulation, price_counters
+from scalar_game.equilibrium import theorem3_equilibrium
+from scalar_game.game import AlgorandGame, RoleBasedRule
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -24,7 +24,6 @@ def _config(**overrides) -> SimulationConfig:
         tau_proposer=6.0,
         tau_step=60.0,
         tau_final=80.0,
-        verify_crypto=False,
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)

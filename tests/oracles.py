@@ -42,20 +42,6 @@ from scipy import optimize
 from repro.core.bounds import RoleAggregates, minimum_feasible_reward
 from repro.core.costs import RoleCosts
 from repro.core.dynamics import replicator_step
-from repro.core.equilibrium import synchronous_best_responses
-from repro.core.game import (
-    AlgorandGame,
-    BlockSuccessModel,
-    FoundationRule,
-    Player,
-    PlayerRole,
-    RewardRule,
-    RoleBasedRule,
-    Strategy,
-    StrategyProfile,
-    profile_counts,
-    with_deviation,
-)
 from repro.core.optimizer import OptimalSplit, minimize_reward_analytic
 from repro.errors import ConfigurationError, MechanismError, SchemeError
 from repro.populations.spec import PopulationSpec
@@ -86,6 +72,20 @@ from repro.schemes.population_audit import (
 from repro.schemes.registry import SchemeLike, resolve_scheme
 
 from des.network import GossipNetwork
+from scalar_game.equilibrium import synchronous_best_responses
+from scalar_game.game import (
+    AlgorandGame,
+    BlockSuccessModel,
+    FoundationRule,
+    Player,
+    PlayerRole,
+    RewardRule,
+    RoleBasedRule,
+    Strategy,
+    StrategyProfile,
+    profile_counts,
+    with_deviation,
+)
 
 
 # -- Algorithm 1 --------------------------------------------------------------
@@ -203,7 +203,7 @@ def honest_subgraph(network: GossipNetwork) -> nx.DiGraph:
 class PooledRule(RewardRule):
     """Scalar interpreter of a pool declaration — the game's reward rule.
 
-    Implements the :class:`~repro.core.game.RewardRule` interface with
+    Implements the :class:`~scalar_game.game.RewardRule` interface with
     plain per-player dictionary loops, deliberately sharing no code with
     the array readings of the pools (the deviation kernel and the
     scenario engine's round game): the paths computing the same payments
@@ -341,7 +341,7 @@ def best_response_path(
     """Synchronous best-response play from ``start``, one profile per round.
 
     Every player revises each round
-    (:func:`~repro.core.equilibrium.synchronous_best_responses`).  The
+    (:func:`~scalar_game.equilibrium.synchronous_best_responses`).  The
     path starts with ``start`` and ends at the first profile nobody
     revises — so ``[start]`` means ``start`` is absorbing — or after
     ``n_rounds`` revisions.
@@ -446,7 +446,7 @@ def oracle_population_gains(
 
     Rebuilds the streamed audit's realized structure (selection,
     synchrony, calibration) as an
-    :class:`~repro.core.game.AlgorandGame` and measures every unilateral
+    :class:`~scalar_game.game.AlgorandGame` and measures every unilateral
     deviation with exact ``payoff`` calls — sharing no arithmetic with
     the chunked kernel.  Guards: the population must fit (``max_agents``)
     and carry no per-agent cost jitter (the scalar game models uniform
@@ -477,9 +477,9 @@ def oracle_population_dynamics(
 
     Rebuilds the same realized structure (selection, synchrony,
     calibration, realization draws) as an in-memory
-    :class:`~repro.core.game.AlgorandGame` and evolves it with the
+    :class:`~scalar_game.game.AlgorandGame` and evolves it with the
     existing scalar pipeline — per-agent ``game.payoff`` deviations,
-    :func:`~repro.core.equilibrium.synchronous_best_responses` and
+    :func:`~scalar_game.equilibrium.synchronous_best_responses` and
     :func:`~repro.core.dynamics.replicator_step` — sharing no pool
     algebra with the chunked kernel.  The differential suite asserts the
     two trajectories agree epoch by epoch.  Guards: the population must

@@ -7,7 +7,7 @@ or two small populations — roles, stakes, a quorum, cooperating sets
 with defecting leaders and committee members, a strong-synchrony set —
 whose base block fails on its leaders, on its quorum and on 0, 1 or 2+
 synchrony defectors, or holds.  Every answer is held to
-:meth:`~repro.core.game.AlgorandGame.block_succeeds` on the deviated
+:meth:`~scalar_game.game.AlgorandGame.block_succeeds` on the deviated
 profile, for scalar censuses (one population) and per-row censuses (two
 populations flattened into one batch, as the sampled audit does).
 """
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.game import Strategy, with_deviation
 from repro.schemes.base import SchemeSplit
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -33,6 +32,7 @@ from repro.schemes.deviation import (
 )
 
 from oracles import oracle_game, scalar_rule
+from scalar_game.game import Strategy, with_deviation
 
 _COSTS = scaled_costs(1.0)
 _RULE = scalar_rule("role_based", 1.0, SchemeSplit(0.3, 0.3))

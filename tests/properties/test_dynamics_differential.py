@@ -3,7 +3,7 @@
 The streamed driver (:mod:`repro.scenarios.population_dynamics`) shares
 *no pool algebra* with the scalar game engine: it folds closed-form
 counterfactual payoffs chunk by chunk, while the oracle rebuilds the same
-realized structure as an :class:`~repro.core.game.AlgorandGame` and walks
+realized structure as an :class:`~scalar_game.game.AlgorandGame` and walks
 ``game.payoff`` / ``synchronous_best_responses`` / ``replicator_step``
 player by player.  On populations small enough for the oracle, the two
 trajectories must agree epoch by epoch — exact strategy counts and block

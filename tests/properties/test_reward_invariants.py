@@ -24,7 +24,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.costs import RoleCosts
-from repro.core.game import (
+
+from scalar_game.game import (
     AlgorandGame,
     FoundationRule,
     PlayerRole,

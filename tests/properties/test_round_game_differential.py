@@ -2,7 +2,7 @@
 
 :class:`~repro.scenarios.dynamics.RoundGame` reads a scheme's pool
 tables over int8 action arrays; the scalar
-:class:`~repro.core.game.AlgorandGame` under the test-side rule
+:class:`~scalar_game.game.AlgorandGame` under the test-side rule
 (:func:`oracles.scalar_rule`: the paper's G_Al / G_Al+ rules for
 ``foundation`` / ``role_based``, :class:`oracles.PooledRule` for the
 rest) reads the same pools player by player.  Scenario trajectories rank
@@ -29,7 +29,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.game import Strategy, with_deviation
 from repro.scenarios import dynamics
 from repro.scenarios.dynamics import RoundGame
 from repro.schemes.base import SchemeSplit
@@ -43,6 +42,7 @@ from repro.schemes.deviation import (
 from repro.schemes.registry import get_scheme
 
 from oracles import measure_epoch, oracle_game, scalar_rule
+from scalar_game.game import Strategy, with_deviation
 
 SCHEMES = ("foundation", "role_based", "irs", "axiomatic_tau", "hybrid")
 PROFILES = ("holds", "no_leader", "quorum_edge", "sync_defector", "sole_leader")

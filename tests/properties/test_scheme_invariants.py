@@ -26,10 +26,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.costs import RoleCosts
-from repro.core.game import AlgorandGame, Strategy
 from repro.schemes import SchemeSplit, get_scheme, scheme_names
 
 from oracles import PooledRule, scalar_rule
+from scalar_game.game import AlgorandGame, Strategy
 
 _STAKES = st.floats(min_value=0.5, max_value=500.0, allow_nan=False)
 _STRATEGIES = st.sampled_from(list(Strategy))

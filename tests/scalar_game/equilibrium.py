@@ -20,7 +20,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.game import (
+from repro.errors import GameError
+
+from scalar_game.game import (
     AlgorandGame,
     PlayerRole,
     Strategy,
@@ -30,7 +32,6 @@ from repro.core.game import (
     theorem3_profile,
     with_deviation,
 )
-from repro.errors import GameError
 
 #: Strategies considered in deviation checks.  Lemma 1 removes O from
 #: rational play, but the checker still verifies O-deviations by default.

@@ -170,8 +170,7 @@ class RoleBasedRule(RewardRule):
 class AlgorandGame:
     """One round of Algorand as a strategic game.
 
-    Build instances with :func:`make_game` or
-    :meth:`AlgorandGame.from_role_stakes`.
+    Build instances with :meth:`AlgorandGame.from_role_stakes`.
     """
 
     players: Dict[int, Player]

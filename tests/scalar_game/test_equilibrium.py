@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import RoleCosts
-from repro.core.equilibrium import (
+
+from scalar_game.equilibrium import (
     best_response,
     is_nash_equilibrium,
     profitable_deviations,
 )
-from repro.core.game import (
+from scalar_game.game import (
     AlgorandGame,
     FoundationRule,
     RoleBasedRule,
@@ -98,8 +99,8 @@ class TestBestResponse:
 class TestRoleBasedEquilibria:
     def test_generous_reward_sustains_theorem3_profile(self):
         from repro.core.bounds import RoleAggregates, minimum_feasible_reward
-        from repro.core.equilibrium import theorem3_equilibrium
-        from repro.core.game import RoleBasedRule
+        from scalar_game.equilibrium import theorem3_equilibrium
+        from scalar_game.game import RoleBasedRule
 
         costs = RoleCosts.paper_defaults()
         aggregates = RoleAggregates(
@@ -120,7 +121,7 @@ class TestRoleBasedEquilibria:
 
     def test_starved_reward_breaks_equilibrium(self):
         from repro.core.bounds import RoleAggregates, minimum_feasible_reward
-        from repro.core.equilibrium import theorem3_equilibrium
+        from scalar_game.equilibrium import theorem3_equilibrium
 
         costs = RoleCosts.paper_defaults()
         aggregates = RoleAggregates(

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import RoleCosts
-from repro.core.game import (
+from repro.errors import GameError
+
+from scalar_game.game import (
     AlgorandGame,
     BlockSuccessModel,
     FoundationRule,
@@ -18,7 +20,6 @@ from repro.core.game import (
     theorem3_profile,
     with_deviation,
 )
-from repro.errors import GameError
 
 
 def _game(rule=None, synchrony_size=0, costs=None) -> AlgorandGame:

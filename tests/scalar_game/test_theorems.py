@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import RoleAggregates, minimum_feasible_reward
 from repro.core.costs import RoleCosts
-from repro.core.equilibrium import (
+
+from scalar_game.equilibrium import (
     lemma1_offline_dominated,
     theorem1_all_defection_ne,
     theorem2_all_cooperation_not_ne,
     theorem3_equilibrium,
 )
-from repro.core.game import (
+from scalar_game.game import (
     AlgorandGame,
     FoundationRule,
     PlayerRole,

@@ -296,7 +296,6 @@ class TestQuorumRestore:
 
     @pytest.mark.parametrize("scheme", ["foundation", "role_based", "irs"])
     def test_sole_defector_payoffs_match_the_oracle(self, scheme):
-        from repro.core.game import Strategy, with_deviation
         from repro.scenarios.population_dynamics import (
             _build_engine,
             _chunk_counterfactuals,
@@ -305,6 +304,7 @@ class TestQuorumRestore:
         )
         from repro.schemes.population_audit import _build_structure, _chunks
         from repro.schemes.registry import resolve_scheme
+        from scalar_game.game import Strategy, with_deviation
 
         spec = _spec(
             population=PopulationSpec(family="uniform", size=600, seed=3),

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.costs import RoleCosts
-from repro.core.game import AlgorandGame, FoundationRule, RoleBasedRule, Strategy
 from repro.errors import SchemeError
 from repro.schemes import (
     PoolSpec,
@@ -21,6 +20,7 @@ from repro.schemes import (
 from repro.schemes.registry import _SCHEMES
 
 from oracles import PooledRule, scalar_rule
+from scalar_game.game import AlgorandGame, FoundationRule, RoleBasedRule, Strategy
 
 _SPLIT = SchemeSplit(alpha=0.3, beta=0.3)
 

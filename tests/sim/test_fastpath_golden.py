@@ -57,7 +57,6 @@ def _config(**overrides) -> SimulationConfig:
         tau_proposer=8.0,
         tau_step=60.0,
         tau_final=80.0,
-        verify_crypto=False,
     )
     base.update(overrides)
     return SimulationConfig(**base)

@@ -58,7 +58,6 @@ def _paired_config(**overrides) -> SimulationConfig:
         tau_proposer=6.0,
         tau_step=60.0,
         tau_final=80.0,
-        verify_crypto=False,
     )
     base.update(overrides)
     return SimulationConfig(**base)
@@ -439,9 +438,7 @@ class TestLatencyCalibration:
         assert abs(fitted.hop_quantile - DEFAULT_HOP_QUANTILE) < 0.1
 
     def test_fit_handles_degenerate_delay_span(self):
-        config = SimulationConfig(
-            n_nodes=12, seed=0, delay_min=0.1, delay_max=0.1, verify_crypto=False
-        )
+        config = SimulationConfig(n_nodes=12, seed=0, delay_min=0.1, delay_max=0.1)
         assert fit_latency_model(config).hop_quantile == 0.0
 
 

@@ -10,6 +10,7 @@ since this test process has long since imported all of them.
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -171,7 +172,6 @@ def test_the_audit_entry_loads_no_oracle_or_sibling_experiment(tmp_path):
     assert "repro.sim.fastpath" in loaded  # the committee kernel it runs
     unused = (
         "repro.schemes.audit",
-        "repro.core.game",
         "repro.analysis.orchestrator",
         "repro.analysis.defection",
         "repro.scenarios",
@@ -186,13 +186,11 @@ def test_the_fig3_entry_loads_no_scheme_or_population_code(tmp_path):
     assert [name for name in loaded if within(name, unused)] == []
 
 
-def test_the_dynamics_entry_loads_no_scalar_game_or_scenario_engine(tmp_path):
+def test_the_dynamics_entry_loads_no_scenario_engine(tmp_path):
     loaded = loaded_after("repro.scenarios.population_dynamics", tmp_path)
     assert "repro.scenarios.trajectory" in loaded  # the records it emits
     assert "repro.core.dynamics" in loaded  # the replicator it steps
     unused = (
-        "repro.core.game",
-        "repro.core.equilibrium",
         "repro.scenarios.dynamics",
         "repro.scenarios.spec",
         "repro.sim.config",
@@ -201,16 +199,7 @@ def test_the_dynamics_entry_loads_no_scalar_game_or_scenario_engine(tmp_path):
     assert [name for name in loaded if within(name, unused)] == []
 
 
-@pytest.mark.parametrize(
-    "entry", ["repro.scenarios.dynamics", "repro.schemes.tournament", "repro.schemes.audit"]
-)
-def test_the_scenario_and_sampled_audit_runtime_load_no_scalar_game(entry, tmp_path):
-    loaded = loaded_after(entry, tmp_path)
-    unused = ("repro.core.game", "repro.core.equilibrium")
-    assert [name for name in loaded if within(name, unused)] == []
-
-
-def test_a_scenario_run_loads_no_scalar_game(tmp_path):
+def test_a_scenario_run_steps_the_core_replicator(tmp_path):
     out = run_python(
         """
         import json, sys
@@ -225,20 +214,46 @@ def test_a_scenario_run_loads_no_scalar_game(tmp_path):
         tmp_path,
     )
     loaded = json.loads(out)
-    assert "repro.core.dynamics" in loaded  # the replicator it steps
-    assert "repro.core.game" not in loaded and "repro.core.equilibrium" not in loaded
+    assert "repro.core.dynamics" in loaded
+
+
+#: What the scalar game defines: its reward rules, the game and its Nash checks.
+SCALAR_GAME = re.compile(
+    r"^\s*(def make_rule\(|class PooledRule\b|class AlgorandGame\b"
+    r"|def is_nash_equilibrium\(|def best_response\(|def synchronous_best_responses\()",
+    re.MULTILINE,
+)
+
+#: The public names ``repro.core`` exported from the scalar game.
+SCALAR_GAME_NAMES = (
+    "AlgorandGame", "BlockSuccessModel", "Deviation", "FoundationRule", "NashResult",
+    "Player", "PlayerRole", "RoleBasedRule", "Strategy", "all_cooperate", "all_defect",
+    "best_response", "is_nash_equilibrium", "lemma1_offline_dominated",
+    "theorem1_all_defection_ne", "theorem2_all_cooperation_not_ne",
+    "theorem3_equilibrium", "theorem3_profile", "with_deviation",
+)
 
 
 def test_no_runtime_module_defines_a_scalar_reward_rule():
-    """Pools are the runtime's only declaration of what a scheme pays."""
-    definition = re.compile(r"^\s*(def make_rule\(|class PooledRule\b)", re.MULTILINE)
+    """Pools are the runtime's only declaration of what a scheme pays, and
+    the round game runs on them; the scalar game is the suite's oracle."""
     defined = [
         str(path.relative_to(SRC))
         for path in sorted(SRC.rglob("*.py"))
-        if definition.search(path.read_text(encoding="utf-8"))
+        if SCALAR_GAME.search(path.read_text(encoding="utf-8"))
     ]
     assert defined == []
-    assert definition.search((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    for oracle in ("oracles.py", "scalar_game/game.py", "scalar_game/equilibrium.py"):
+        assert SCALAR_GAME.search((TESTS / oracle).read_text(encoding="utf-8")), oracle
+
+
+@pytest.mark.parametrize("module", ["repro.core.game", "repro.core.equilibrium"])
+def test_the_scalar_game_is_not_runtime_code(module):
+    import repro.core
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+    assert [name for name in SCALAR_GAME_NAMES if name in repro.core.__all__] == []
 
 
 def test_no_runtime_module_defines_the_per_node_sortition():
