@@ -3,20 +3,24 @@
 Not a paper figure — the ROADMAP's "million-agent dynamics" scaling
 record.  Evolves streamed Zipf populations through 20 replicator epochs
 under the paper's two Section V schemes, measuring epoch throughput
-(agent-epochs/second) and peak RSS, and re-checks the acceptance
-invariants: the trajectories are byte-identical across chunk sizes, the
-foundation scheme unravels toward All-D, and role-based sharing keeps
-cooperation stable with blocks produced.  Each size runs in a fresh
-subprocess so its peak RSS is honest (``ru_maxrss`` is a process
-lifetime maximum).  The driver runs on in-call threads
+(agent-epochs/second), minor page faults and peak RSS, and re-checks the
+acceptance invariants: the trajectories are byte-identical across chunk
+sizes, the foundation scheme unravels toward All-D, and role-based
+sharing keeps cooperation stable with blocks produced.  Each size runs
+in a fresh subprocess so its peak RSS is honest (``ru_maxrss`` is a
+process lifetime maximum); every size is measured ``REPEATS`` times,
+interleaved with the other sizes, and its row records the median and
+the IQR of each timing, through the population-scale benchmark's row
+helpers (``bench_population_scale._row``).  The driver runs on in-call threads
 (:data:`repro.populations.threads.THREADS`, derived from the CPUs the
 process may use); the record also re-runs one streamed size serially and
 requires the identical trajectories.  Results land in
 ``BENCH_dynamics.json`` at the repo root — only when every invariant
-holds (:func:`guard_violations`).
+holds (:func:`guard_violations`), which refuses single-sample rows and
+rows whose timings spread wider than ``MAX_IQR_SHARE`` of their median.
 
 Run via ``pytest benchmarks/bench_population_dynamics.py`` (the full
-sweep, about a minute, most of it the threaded and the serial 10^6
+sweep, a few minutes, most of it the five threaded and the serial 10^6
 runs), or directly::
 
     PYTHONPATH=src python benchmarks/bench_population_dynamics.py --sizes 100000
@@ -35,6 +39,14 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_population_scale import (  # noqa: E402 (needs the path above)
+    MAX_IQR_SHARE,
+    REPEATS,
+    _row,
+)
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _BENCH_JSON = _REPO_ROOT / "BENCH_dynamics.json"
@@ -59,6 +71,18 @@ MAX_PEAK_RSS_MB = 248.0
 #: The streamed size (above ``RESIDENT_BYTES``) re-run at one thread:
 #: its trajectories must equal the threaded run's.
 SERIAL_CHECK_AGENTS = 1_000_000
+
+#: The timings a row stores as a median with an ``_iqr`` twin.
+#: ``minor_faults_per_million_agent_epochs`` counts the page faults
+#: (``RUSAGE_SELF`` ``ru_minflt``) taken inside the two-scheme sweep.
+TIMINGS = (
+    "elapsed_s",
+    "agent_epochs_per_second",
+    "minor_faults_per_million_agent_epochs",
+)
+
+#: The timings the spread guard holds (``MAX_IQR_SHARE`` of the median).
+GUARDED = ("elapsed_s", "agent_epochs_per_second")
 
 
 def _dynamics_spec(size: int, chunk_agents, epochs: int = EPOCHS):
@@ -98,6 +122,7 @@ def _child_payload(
         threads.THREADS = 1
     spec = _dynamics_spec(size, chunk_agents)
     schemes: Dict[str, Dict[str, object]] = {}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with capture() as registry:
         with span("bench.dynamics_sweep", agents=size) as timer:
             for scheme in SCHEMES:
@@ -113,14 +138,18 @@ def _child_payload(
                         json.dumps(trajectory.to_payload(), sort_keys=True).encode()
                     ).hexdigest(),
                 }
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     elapsed = timer.elapsed_s
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    agent_epochs = size * EPOCHS * len(SCHEMES)
     return {
         "n_agents": size,
         "n_epochs": EPOCHS,
         "elapsed_s": elapsed,
-        "peak_rss_mb": peak_rss_mb,
-        "agent_epochs_per_second": size * EPOCHS * len(SCHEMES) / elapsed,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "agent_epochs_per_second": agent_epochs / elapsed,
+        "minor_faults_per_million_agent_epochs": (usage.ru_minflt - faults)
+        * 1e6
+        / agent_epochs,
         "threads": threads.THREADS,
         "schemes": schemes,
         "telemetry": registry.snapshot(),
@@ -163,15 +192,44 @@ def _chunk_invariance(size: int = 20_000) -> bool:
     return all(payload(chunk) == reference for chunk in (4096, 16384, 65536))
 
 
+def _sample(payload: Dict[str, object]) -> Dict[str, float]:
+    """One measurement's :data:`TIMINGS`."""
+    return {name: payload[name] for name in TIMINGS}
+
+
+def _verdict(payload: Dict[str, object]) -> Dict[str, object]:
+    """The fields a row takes from its first repeat (the same in every one)."""
+    return {
+        "n_epochs": payload["n_epochs"],
+        "threads": payload["threads"],
+        "schemes": payload["schemes"],
+    }
+
+
 def guard_violations(payload: Dict[str, object]) -> List[str]:
     """Every acceptance invariant a ``BENCH_dynamics.json`` payload breaks.
 
     Chunk invariance, serial == threaded trajectories, the Section V
     verdicts at every size (naive sharing unravels, role-based
-    stabilizes with blocks produced) and the peak-RSS envelope.  A
+    stabilizes with blocks produced), the peak-RSS envelope, and per
+    size at least ``REPEATS`` measurements whose :data:`GUARDED`
+    timings' IQR stays within ``MAX_IQR_SHARE`` of their median.  A
     payload this returns problems for is never written.
     """
     problems = []
+    for row in payload["sizes"]:
+        if row["repeats"] < REPEATS:
+            problems.append(
+                f"{row['n_agents']} agents: {row['repeats']} repeats, "
+                f"need {REPEATS}"
+            )
+        for name in GUARDED:
+            if row[f"{name}_iqr"] > MAX_IQR_SHARE * row[name]:
+                problems.append(
+                    f"{row['n_agents']} agents: {name} IQR "
+                    f"{row[name + '_iqr']:.3g} exceeds {MAX_IQR_SHARE:.0%} "
+                    f"of its median {row[name]:.3g}"
+                )
     if payload["chunk_invariance_at_20k"] is not True:
         problems.append("trajectories differ across chunk sizes at 2*10^4")
     if payload["threads"]["serial_match"] is not True:
@@ -207,12 +265,17 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
 
     from repro.telemetry import merge_snapshots
 
-    rows: List[Dict[str, object]] = []
+    measured: Dict[int, List[Dict[str, object]]] = {size: [] for size in sizes}
     snapshots: List[Dict[str, object]] = []
-    for size in sizes:
-        row = _run_child(size, chunk_agents)
-        snapshots.append(row.pop("telemetry"))
-        rows.append(row)
+    for _ in range(REPEATS):
+        for size in sizes:
+            child = _run_child(size, chunk_agents)
+            # Counters are the same in every repeat: keep the first's.
+            telemetry = child.pop("telemetry")
+            if not measured[size]:
+                snapshots.append(telemetry)
+            measured[size].append(child)
+    rows = [_row(size, measured[size], _sample, _verdict) for size in sizes]
     serial_size = max(
         (size for size in sizes if size <= SERIAL_CHECK_AGENTS), default=sizes[0]
     )
@@ -229,9 +292,14 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
             "Streamed Section V replicator dynamics (counterfactual crowd "
             f"fitness + selected best response) over {FAMILY} populations "
             f"({FAMILY_PARAMS}), {EPOCHS} epochs, chunk_agents="
-            f"{chunk_agents}, cooperation seeded at 0.9.  Peak RSS is "
-            "per-size (fresh subprocess per size): O(chunk) plus ~2 bytes "
-            "per agent (held synchrony draws and realized profile).  "
+            f"{chunk_agents}, cooperation seeded at 0.9.  Each size is "
+            f"measured {REPEATS} times in fresh subprocesses, interleaved "
+            "with the other sizes; a row's timings are the median with the "
+            "IQR beside it (_iqr), and its peak RSS is the largest of the "
+            "repeats': O(chunk) plus ~2 bytes per agent (held synchrony "
+            "draws and realized profile).  "
+            "minor_faults_per_million_agent_epochs counts the page faults "
+            "(RUSAGE_SELF ru_minflt) taken inside the two-scheme sweep.  "
             "chunk_invariance_at_20k asserts the trajectories are "
             "byte-identical at four chunk sizes.  The driver runs on the "
             "derived in-call thread count (threads.derived); "
@@ -270,15 +338,17 @@ def _format_report(payload: Dict[str, object]) -> str:
         "Streamed dynamics benchmark (foundation vs role_based, "
         f"family {payload['family']}, {EPOCHS} epochs, "
         f"chunk {payload['chunk_agents']}):",
-        f"{'agents':>12}  {'M agent-epochs/s':>16}  {'peak RSS MB':>11}  "
-        f"{'elapsed s':>9}  {'foundation d∞':>13}  {'role_based d∞':>13}",
+        f"{'agents':>12}  {'M agent-epochs/s (IQR)':>22}  {'peak RSS MB':>11}  "
+        f"{'elapsed s (IQR)':>15}  {'foundation d∞':>13}  {'role_based d∞':>13}",
     ]
     for row in payload["sizes"]:
         schemes = row["schemes"]
         lines.append(
             f"{row['n_agents']:>12,}  "
-            f"{row['agent_epochs_per_second'] / 1e6:>16.2f}  "
-            f"{row['peak_rss_mb']:>11.0f}  {row['elapsed_s']:>9.2f}  "
+            f"{row['agent_epochs_per_second'] / 1e6:>14.2f} "
+            f"({row['agent_epochs_per_second_iqr'] / 1e6:>5.2f})  "
+            f"{row['peak_rss_mb']:>11.0f}  {row['elapsed_s']:>7.2f} "
+            f"({row['elapsed_s_iqr']:>5.2f})  "
             f"{schemes['foundation']['final_defection']:>13.3f}  "
             f"{schemes['role_based']['final_defection']:>13.3f}"
         )

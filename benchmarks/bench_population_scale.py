@@ -43,7 +43,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy
 
@@ -242,29 +242,49 @@ def _median_iqr(values: List[float]) -> Tuple[float, float]:
     return float(median), float(high - low)
 
 
-def _row(size: int, payloads: List[Dict[str, object]]) -> Dict[str, object]:
-    """One size's record row from its repeated measurements."""
-    samples = {name: [] for name in TIMINGS}
-    for payload in payloads:
-        schemes = payload["schemes"]
-        samples["elapsed_s"].append(payload["elapsed_s"])
-        samples["audit_agents_per_second_mean"].append(
-            sum(entry["agents_per_second"] for entry in schemes.values())
-            / len(schemes)
+def _audit_sample(payload: Dict[str, object]) -> Dict[str, float]:
+    """One audit measurement's :data:`TIMINGS`."""
+    schemes = payload["schemes"]
+    return {
+        "elapsed_s": payload["elapsed_s"],
+        "audit_agents_per_second_mean": sum(
+            entry["agents_per_second"] for entry in schemes.values()
         )
-        samples["committee_agents_per_second"].append(
-            payload["committee"]["agents_per_s"]
-        )
-        samples["minor_faults_per_million_agents"].append(
-            payload["minor_faults_per_million_agents"]
-        )
-    row: Dict[str, object] = {"n_agents": size, "repeats": len(payloads)}
-    for name in TIMINGS:
-        row[name], row[f"{name}_iqr"] = _median_iqr(samples[name])
-    row["peak_rss_mb"] = max(payload["peak_rss_mb"] for payload in payloads)
-    row["certified"] = {
-        name: entry["certified"] for name, entry in payloads[0]["schemes"].items()
+        / len(schemes),
+        "committee_agents_per_second": payload["committee"]["agents_per_s"],
+        "minor_faults_per_million_agents": payload["minor_faults_per_million_agents"],
     }
+
+
+def _audit_verdict(payload: Dict[str, object]) -> Dict[str, object]:
+    """The audit verdicts a row carries (the same in every repeat)."""
+    return {
+        "certified": {
+            name: entry["certified"] for name, entry in payload["schemes"].items()
+        }
+    }
+
+
+def _row(
+    size: int,
+    payloads: List[Dict[str, object]],
+    sample: Callable[[Dict[str, object]], Dict[str, float]] = _audit_sample,
+    verdict: Callable[[Dict[str, object]], Dict[str, object]] = _audit_verdict,
+) -> Dict[str, object]:
+    """One size's record row from its repeated measurements.
+
+    Every value ``sample`` reads from a measurement is stored as the
+    median of the repeats with its IQR beside it (``_iqr``); the peak RSS
+    is the largest of the repeats', and ``verdict`` adds the fields it
+    reads from the first repeat.  Other benchmarks' records reuse this
+    with their own ``sample`` and ``verdict``.
+    """
+    samples = [sample(payload) for payload in payloads]
+    row: Dict[str, object] = {"n_agents": size, "repeats": len(payloads)}
+    for name in samples[0]:
+        row[name], row[f"{name}_iqr"] = _median_iqr([values[name] for values in samples])
+    row["peak_rss_mb"] = max(payload["peak_rss_mb"] for payload in payloads)
+    row.update(verdict(payloads[0]))
     return row
 
 

@@ -245,27 +245,31 @@ def block_sums(values: np.ndarray) -> np.ndarray:
     across threads or slices (each spanning whole blocks) returns these
     partials, and the caller replays them in block order with
     :func:`add_blocks`: the same float additions, so the same bits.
+    The whole blocks are summed as the rows of one ``(blocks,
+    SEED_BLOCK)`` view and the tail block on its own: each row is the
+    one contiguous reduction ``np.sum`` makes of that block alone.
     """
-    return np.array(
-        [
-            np.sum(values[begin : begin + SEED_BLOCK], dtype=np.float64)
-            for begin in range(0, len(values), SEED_BLOCK)
-        ],
-        dtype=np.float64,
-    )
+    full = len(values) // SEED_BLOCK * SEED_BLOCK
+    sums = values[:full].reshape(-1, SEED_BLOCK).sum(axis=-1, dtype=np.float64)
+    if full == len(values):
+        return sums
+    return np.append(sums, np.sum(values[full:], dtype=np.float64))
 
 
 def block_row_sums(matrix: np.ndarray) -> np.ndarray:
     """Per-block row sums of a ``(rows, agents)`` matrix, shape ``(blocks, rows)``.
 
     Row ``b`` of the result sums block ``b``'s columns of every row: the
-    partial-sum form of :func:`blockwise_row_sums`.
+    partial-sum form of :func:`blockwise_row_sums`.  Column ``p`` equals
+    :func:`block_sums` of ``matrix[p]``, bit for bit.
     """
-    sums = [
-        matrix[:, begin : begin + SEED_BLOCK].sum(axis=1, dtype=np.float64)
-        for begin in range(0, matrix.shape[1], SEED_BLOCK)
-    ]
-    return np.array(sums, dtype=np.float64).reshape(len(sums), matrix.shape[0])
+    rows, n = matrix.shape
+    full = n // SEED_BLOCK * SEED_BLOCK
+    sums = matrix[:, :full].reshape(rows, -1, SEED_BLOCK).sum(axis=-1, dtype=np.float64)
+    if full != n:
+        tail = matrix[:, full:].sum(axis=1, dtype=np.float64)
+        sums = np.concatenate([sums, tail[:, None]], axis=1)
+    return np.ascontiguousarray(sums.T)
 
 
 def add_blocks(start, partials: np.ndarray):

@@ -274,6 +274,7 @@ class PopulationSpec:
         n_agents: int,
         column: str,
         draw: Callable[[np.random.Generator, int], np.ndarray],
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-block draws for an arbitrary consumer column over a chunk.
 
@@ -281,7 +282,9 @@ class PopulationSpec:
         ``[offset, offset + n_agents)`` with that block's dedicated
         stream, so the concatenated result is independent of how the
         caller chunked the population.  ``offset`` must be block-aligned
-        (which every chunk produced by :meth:`iter_chunks` is).
+        (which every chunk produced by :meth:`iter_chunks` is).  With
+        ``out`` (an ``(n_agents,)`` array) each block's draws are written
+        into it in place of a concatenation, and ``out`` is returned.
         """
         if offset % SEED_BLOCK != 0:
             raise ConfigurationError(
@@ -299,10 +302,14 @@ class PopulationSpec:
             block_index = position // SEED_BLOCK
             _start, stop = self.block_bounds(block_index)
             length = min(stop, offset + n_agents) - position
-            parts.append(
-                np.asarray(draw(self.block_rng(block_index, column), length))
-            )
+            part = np.asarray(draw(self.block_rng(block_index, column), length))
+            if out is None:
+                parts.append(part)
+            else:
+                out[position - offset : position - offset + length] = part
             position += length
+        if out is not None:
+            return out
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # -- synthesis -----------------------------------------------------------

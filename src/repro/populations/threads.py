@@ -7,9 +7,10 @@ consumer needs for that, and nothing consumer-specific:
 
 * :data:`THREADS` — how many threads one call may use, derived from the
   CPUs this process may run on and capped by :data:`MAX_THREADS`;
-* :func:`call_pool` — a pool of ``threads - 1`` workers that lives
-  exactly as long as the call (no thread outlives it), or ``None`` when
-  the call runs serially;
+* :func:`call_pool` — a :class:`CallPool` that lives exactly as long as
+  the call: ``threads - 1`` pool workers (none when the call runs
+  serially; no thread outlives the call) and one :class:`Lane` per
+  slice index;
 * :func:`submit` and :func:`prefetch` — run work on that pool inside a
   copy of the caller's :mod:`contextvars` context, so metrics recorded
   by pool threads reach the caller's
@@ -18,7 +19,14 @@ consumer needs for that, and nothing consumer-specific:
   :func:`slices`, fold slice 0 on the calling thread and the others on
   the pool, and hand the partial results back in population order;
 * :class:`Lane` — the scratch arrays one slice index reuses from chunk
-  to chunk, so chunk-sized temporaries are not faulted in afresh.
+  to chunk and from pass to pass, so slice-sized temporaries are
+  faulted in once per call, not once per fold.
+
+Lanes are call-scoped: every pass of one call folds slice ``i`` with
+the call's lane ``i``, and the lanes are emptied when the call ends.  A
+lane key names a *role* in the slice fold ("the slice's roles", "a
+float64 scratch row"), not a pass, so the passes of one call share the
+same pages instead of each holding its own.
 
 Callers fold results back in a fixed order, so output never depends on
 the thread count; the population audit's gain pass
@@ -76,43 +84,57 @@ THREADS = max(1, min(MAX_THREADS, usable_cpus()))
 MIN_SLICE_BLOCKS = 3
 
 
+class CallPool:
+    """One call's in-call threads: pool workers and one lane per slice index.
+
+    ``executor`` runs ``threads - 1`` workers (``None`` when the call is
+    serial); ``lanes[i]`` is the :class:`Lane` every pass of the call
+    folds slice ``i`` with.
+    """
+
+    def __init__(self, threads: int) -> None:
+        threads = max(1, threads)
+        self.executor: Optional[ThreadPoolExecutor] = (
+            ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else None
+        )
+        self.lanes: List[Lane] = [Lane() for _ in range(threads)]
+
+
 @contextmanager
-def call_pool(threads: int) -> Iterator[Optional[ThreadPoolExecutor]]:
-    """A ``threads - 1`` worker pool for one call (``None`` when serial).
+def call_pool(threads: int) -> Iterator[CallPool]:
+    """A :class:`CallPool` of ``threads`` threads for one call.
 
     Shut down on exit, waiting for running work and cancelling queued
-    work, so no pool thread outlives the ``with`` block.
+    work, so no pool thread outlives the ``with`` block; the lanes are
+    dropped then too, so no lane outlives it either.
     """
-    if threads <= 1:
-        yield None
-        return
-    pool = ThreadPoolExecutor(max_workers=threads - 1)
+    call = CallPool(threads)
     try:
-        yield pool
+        yield call
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if call.executor is not None:
+            call.executor.shutdown(wait=True, cancel_futures=True)
+        call.lanes.clear()
 
 
-def submit(
-    pool: ThreadPoolExecutor, fn: Callable[..., T], *args: object
-) -> "Future[T]":
-    """``pool.submit(fn, *args)`` inside a copy of the caller's context."""
-    return pool.submit(contextvars.copy_context().run, fn, *args)
+def submit(call: CallPool, fn: Callable[..., T], *args: object) -> "Future[T]":
+    """Run ``fn(*args)`` on the call's pool inside a copy of the caller's context."""
+    return call.executor.submit(contextvars.copy_context().run, fn, *args)
 
 
 _DONE = object()
 
 
-def prefetch(iterable: Iterable[T], pool: Optional[ThreadPoolExecutor]) -> Iterator[T]:
+def prefetch(iterable: Iterable[T], pool: Optional[CallPool]) -> Iterator[T]:
     """Yield ``iterable``'s items, fetching the next one on ``pool``.
 
     While the caller works on item *k*, a pool thread produces item
     *k + 1*; items come back in order, and only one fetch is in flight,
     so the iterator is never advanced by two threads at once.  With no
-    pool, or a sequence (its items already exist), this is plain
+    pool worker, or a sequence (its items already exist), this is plain
     iteration.
     """
-    if pool is None or isinstance(iterable, Sequence):
+    if pool is None or pool.executor is None or isinstance(iterable, Sequence):
         yield from iterable
         return
     iterator = iter(iterable)
@@ -144,11 +166,17 @@ def slices(chunk: PopulationArrays, n: int) -> List[PopulationArrays]:
 class Lane:
     """Scratch arrays that one fold at a time reuses from chunk to chunk.
 
-    malloc hands freed chunk-sized temporaries back to the OS and the next
+    malloc hands freed slice-sized temporaries back to the OS and the next
     fold faults them in again; buffers taken from a lane keep their pages.
     :meth:`empty` returns the first ``n`` elements of the buffer named
-    ``key`` as the last fold left them (regrown only when too small).  A
-    lane lives as long as its call; nothing a fold returns may alias it.
+    ``key`` as the last fold left them (regrown only when too small).
+
+    A lane is call-scoped: :func:`call_pool` makes one per slice index,
+    every pass of the call reuses it, and it is dropped when the call
+    ends.  Keys name a role in the fold, not a pass, and each key keeps
+    one dtype (a dtype change reallocates), so once the largest slice has
+    been folded no pass allocates again.  Nothing a fold returns may
+    alias a lane.
     """
 
     def __init__(self) -> None:
@@ -174,18 +202,18 @@ class Lane:
 
 def sliced(
     chunks: Iterable[PopulationArrays],
-    pool: Optional[ThreadPoolExecutor],
+    pool: CallPool,
     fold: Callable[[PopulationArrays, Lane], T],
 ) -> Iterator[Tuple[PopulationArrays, Iterator[T]]]:
     """Yield ``(chunk, partials)`` for every chunk, in population order.
 
-    ``pool`` is a :func:`call_pool` ``(THREADS)`` pool (or ``None``).
-    Chunks are prefetched on it and each is cut into :data:`THREADS`
-    block-aligned :func:`slices`; slices 1.. are submitted to the pool
-    workers when the chunk is yielded.  ``partials`` yields the slices'
-    results in population order: reading the first runs ``fold`` on
-    slice 0 on the calling thread, the others are waited for, so the
-    caller can work on the chunk before reading.  Read every partial
+    ``pool`` is the call's :func:`call_pool`.  Chunks are prefetched on
+    it and each is cut into one block-aligned :func:`slices` per lane;
+    slices 1.. are submitted to the pool workers when the chunk is
+    yielded.  ``partials`` yields the slices' results in population
+    order: reading the first runs ``fold`` on slice 0 on the calling
+    thread, the others are waited for, so the caller can work on the
+    chunk before reading.  Read every partial
     before advancing: a worker's exception surfaces there, and the next
     chunk's slices reuse the lanes.  (Slice 0 runs on read, not before
     the yield, so no fold of one chunk runs while the caller still holds
@@ -193,13 +221,11 @@ def sliced(
 
     ``fold(slice, lane)`` must touch only its slice's rows of any shared
     array, since slices of one chunk run concurrently.  Slice ``i`` is
-    folded with lane ``i`` of this call's workspace (one :class:`Lane`
-    per slice index, dropped when the loop ends).
+    folded with the call's lane ``i``, in this pass and every other.
     """
-    n = THREADS if pool is not None else 1
-    lanes = [Lane() for _ in range(n)]
+    lanes = pool.lanes
     for chunk in prefetch(chunks, pool):
-        first, *rest = slices(chunk, n)
+        first, *rest = slices(chunk, len(lanes))
         pending = [submit(pool, fold, *job) for job in zip(rest, lanes[1:])]
         yield chunk, _in_order(fold, first, lanes[0], pending)
 

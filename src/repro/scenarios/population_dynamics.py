@@ -67,7 +67,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -94,14 +93,14 @@ from repro.core.dynamics import ReplicatorAccumulator
 from repro.errors import ConfigurationError
 from repro.populations import threads
 from repro.populations.arrays import (
+    SEED_BLOCK,
     PopulationArrays,
     add_blocks,
-    block_row_sums,
     block_sums,
 )
 from repro.populations.generators import resolve_sampler
 from repro.populations.spec import PopulationSpec
-from repro.populations.threads import Lane, call_pool, prefetch
+from repro.populations.threads import CallPool, Lane, call_pool, prefetch
 from repro.scenarios.trajectory import EpochRecord, ScenarioTrajectory
 from repro.schemes.deviation import (
     COMMITTEE,
@@ -112,7 +111,7 @@ from repro.schemes.deviation import (
     PoolTables,
     block_fold,
     membership,
-    pool_weights,
+    pool_weight,
     role_costs,
 )
 from repro.schemes.population_audit import (
@@ -321,8 +320,8 @@ class _Engine:
     churn_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]]
     #: The run's chunk source, iterated once per pass (see ``_chunks``).
     chunks: Iterable[PopulationArrays]
-    #: The call's in-call thread pool (``None`` when serial).
-    pool: Optional[ThreadPoolExecutor]
+    #: The call's in-call threads and slice lanes, shared by every pass.
+    pool: CallPool
     sync: np.ndarray  # (N,) pre-selection strong-synchrony draws, held
     profile: np.ndarray  # (N,) int8 realized profile (0=C, 1=D), held
 
@@ -341,9 +340,13 @@ def _build_engine(
     scheme_name: str,
     structure: _Structure,
     chunks: Iterable[PopulationArrays],
-    pool: Optional[ThreadPoolExecutor] = None,
+    pool: Optional[CallPool] = None,
 ) -> _Engine:
-    """Census pass: draw synchrony once and count the online crowd's split."""
+    """Census pass: draw synchrony once and count the online crowd's split.
+
+    ``pool`` is the call's :func:`~repro.populations.threads.call_pool`
+    (default: a serial one of its own).
+    """
     config = structure.config
     pop = spec.population
     sync = np.concatenate(
@@ -372,7 +375,7 @@ def _build_engine(
         n_nonsync=n_crowd - n_sync,
         churn_sampler=churn_sampler,
         chunks=chunks,
-        pool=pool,
+        pool=CallPool(1) if pool is None else pool,
         sync=sync,
         profile=np.zeros(pop.size, dtype=np.int8),
     )
@@ -455,13 +458,14 @@ def _churned_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.n
 
 
 def _epoch_context(
-    engine: _Engine, chunk: PopulationArrays, epoch: int
+    engine: _Engine, chunk: PopulationArrays, epoch: int, lane: Optional[Lane] = None
 ) -> Agents:
     """One chunk's context at a given epoch under the held profile.
 
     Actions are the chunk's slice of :attr:`_Engine.profile` (selected
     agents included), stakes the epoch's churned stakes and the
-    synchrony mask the census pass's held draw.
+    synchrony mask the census pass's held draw.  Its columns live in
+    ``lane`` (default: a temporary one).
     """
     rows = slice(chunk.offset, chunk.offset + chunk.n_agents)
     return _chunk_context(
@@ -471,6 +475,7 @@ def _epoch_context(
         stake=_churned_stake(engine, chunk, epoch),
         actions=engine.profile[rows],
         sync=engine.sync[rows],
+        lane=lane,
     )
 
 
@@ -480,26 +485,38 @@ def _realize(
     epoch: int,
     thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
+    lane: Lane,
 ) -> None:
     """Realize one chunk's epoch profile into :attr:`_Engine.profile`.
 
     Crowd actions come from the epoch's uniform draws against
     ``thresholds``, or stay as the last update pass revised them when
     ``thresholds`` is None (best-response mode).  Selected agents play
-    their current best-response actions.
+    their current best-response actions.  The draws land in the lane's
+    ``"scratch"`` row, and each agent's threshold is picked by its held
+    synchrony draw through the dense select ``(u < t_sync) & sync |
+    (u < t_non) & ~sync``: the bits of ``u < np.where(sync, t_sync,
+    t_non)`` without a branch on a random mask.
     """
-    rows = slice(chunk.offset, chunk.offset + chunk.n_agents)
+    n = chunk.n_agents
+    rows = slice(chunk.offset, chunk.offset + n)
     profile = engine.profile[rows]
     if thresholds is not None:
         uniforms = engine.spec.population.chunk_draws(
             chunk.offset,
-            chunk.n_agents,
+            n,
             f"{_REALIZE_COLUMN}.{epoch}",
-            lambda rng, n: rng.random(n),
+            lambda rng, size: rng.random(size),
+            out=lane.empty("scratch", n),
         )
         # Selected rows draw a crowd level too; their action is set below.
-        level = np.where(engine.sync[rows], thresholds[1], thresholds[0])
-        profile[:] = uniforms < level
+        sync = engine.sync[rows]
+        defect = profile.view(bool)
+        np.less(uniforms, thresholds[1], out=defect)
+        defect &= sync
+        other = np.less(uniforms, thresholds[0], out=lane.empty("mask", n, bool))
+        np.greater(other, sync, out=other)  # (u < t_non) & ~sync
+        defect |= other
     _pin_selected(engine, chunk, profile, sel_action)
 
 
@@ -521,21 +538,46 @@ def _measure_slice(
     thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
     part: PopulationArrays,
+    lane: Lane,
 ) -> _MeasureSlice:
-    """Realize one block-aligned slice's profile and reduce it per block."""
-    _realize(engine, part, epoch, thresholds, sel_action)
-    ctx = _epoch_context(engine, part, epoch)
+    """Realize one block-aligned slice's profile and reduce it per block.
+
+    Pools are reduced one row at a time through the lane's
+    ``"contribution"`` and ``"scratch"`` rows (the buffers the update
+    pass's payment fold uses), column ``p`` of each partial being
+    :func:`block_sums` of pool ``p``'s row, the bits
+    :func:`block_row_sums` gives for it.  A class's share of a row is the
+    row times the class flag (``x * coop``, ``x * action``): the bits of
+    ``np.where(coop, x, 0.0)`` for the finite, non-negative weights and
+    costs :class:`~repro.populations.spec.PopulationSpec` validation
+    guarantees.
+    """
+    _realize(engine, part, epoch, thresholds, sel_action, lane)
+    ctx = _epoch_context(engine, part, epoch, lane)
     table = engine.table
-    contribution = pool_weights(table, ctx.stake, ctx.coop_cost)
-    for p in range(len(table.kinds)):
-        contribution[p] *= membership(table.lookup[p], ctx)
+    n, pools = ctx.n, len(table.kinds)
+    blocks = -(-n // SEED_BLOCK)
+    weight_coop = np.empty((blocks, pools), dtype=np.float64)
+    weight_defect = np.empty((blocks, pools), dtype=np.float64)
+    contribution = lane.empty("contribution", n)
+    scratch = lane.empty("scratch", n)
+    for p in range(pools):
+        weight = pool_weight(table, p, ctx.stake, ctx.coop_cost)
+        np.multiply(weight, membership(table.lookup[p], ctx), out=contribution)
+        weight_coop[:, p] = block_sums(np.multiply(contribution, ctx.coop, out=scratch))
+        weight_defect[:, p] = block_sums(
+            np.multiply(contribution, ctx.action, out=scratch)
+        )
+    coop_cost = block_sums(np.multiply(ctx.coop_cost, ctx.coop, out=scratch))
+    defect_cost = block_sums(np.multiply(ctx.sortition_cost, ctx.action, out=scratch))
+    sync_defectors = np.greater(ctx.sync, ctx.coop, out=lane.empty("mask", n, bool))
     return _MeasureSlice(
-        weight_coop=block_row_sums(np.where(ctx.coop, contribution, 0.0)),
-        weight_defect=block_row_sums(np.where(~ctx.coop, contribution, 0.0)),
-        coop_cost=block_sums(np.where(ctx.coop, ctx.coop_cost, 0.0)),
-        defect_cost=block_sums(np.where(~ctx.coop, ctx.sortition_cost, 0.0)),
+        weight_coop=weight_coop,
+        weight_defect=weight_defect,
+        coop_cost=coop_cost,
+        defect_cost=defect_cost,
         n_coop=int(np.count_nonzero(ctx.coop)),
-        sync_defectors=int(np.count_nonzero(ctx.sync & (ctx.action == 1))),
+        sync_defectors=int(np.count_nonzero(sync_defectors)),
     )
 
 
@@ -561,7 +603,7 @@ def _measure_pass(
     sync_defectors = 0
 
     def measure(part: PopulationArrays, lane: Lane) -> _MeasureSlice:
-        return _measure_slice(engine, epoch, thresholds, sel_action, part)
+        return _measure_slice(engine, epoch, thresholds, sel_action, part, lane)
 
     for _chunk, partials in threads.sliced(engine.chunks, engine.pool, measure):
         for part in partials:
@@ -709,7 +751,7 @@ def _update_pass(
 
     def revise(part: PopulationArrays, lane: Lane):
         """Replicator partials, or the slice's crowd revision count."""
-        ctx = _epoch_context(engine, part, prev_epoch)
+        ctx = _epoch_context(engine, part, prev_epoch, lane)
         utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates, lane)
         if replicator:
             # Selected rows zeroed in place (an ``include`` mask copies).

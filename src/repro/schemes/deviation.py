@@ -191,13 +191,26 @@ class Agents:
 
     @cached_property
     def current_cost(self) -> np.ndarray:
-        """Each agent's cost under its profile action."""
-        return np.where(self.coop, self.coop_cost, self.sortition_cost)
+        """Each agent's cost under its profile action.
+
+        The dense select ``a * m + b * ~m`` (``~m`` read as the 0/1
+        ``action``) gives the bits of ``np.where(coop, coop_cost,
+        sortition_cost)`` for finite, non-negative costs, which
+        :class:`~repro.populations.spec.PopulationSpec` validation
+        guarantees (positive cost multipliers times non-negative role
+        costs); it skips the mispredicted branches of a select on a
+        random mask.
+        """
+        cost = self.coop_cost * self.coop
+        cost += self.sortition_cost * self.action
+        return cost
 
     @cached_property
     def switch_cost(self) -> np.ndarray:
-        """Each agent's cost under the action it does not play."""
-        return np.where(self.coop, self.sortition_cost, self.coop_cost)
+        """Each agent's cost under the action it does not play (a dense select)."""
+        cost = self.sortition_cost * self.coop
+        cost += self.coop_cost * self.action
+        return cost
 
     def subset(self, rows: np.ndarray) -> "Agents":
         """The batch's ``rows`` alone, as a batch of their own."""
@@ -220,12 +233,18 @@ class Agents:
     @cached_property
     def nan_unless_defect(self) -> np.ndarray:
         """``0.0`` for defectors, ``nan`` for cooperators (an additive mark)."""
-        return np.where(self.coop, np.nan, 0.0)
+        return _MARKS.take(self.coop.view(np.int8))
 
     @cached_property
     def nan_unless_coop(self) -> np.ndarray:
         """``0.0`` for cooperators, ``nan`` for defectors (an additive mark)."""
-        return np.where(self.coop, 0.0, np.nan)
+        return _MARKS[::-1].take(self.coop.view(np.int8))
+
+
+#: The additive marks indexed by a cooperation flag: ``[0.0, nan]`` for
+#: :attr:`Agents.nan_unless_defect`, reversed for ``nan_unless_coop``.
+#: A table lookup, not a select on a random mask.
+_MARKS = np.array([0.0, np.nan])
 
 
 def membership(

@@ -294,7 +294,7 @@ def _online_actions(
     if config.target == "all_c":
         return np.zeros(chunk.n_agents, dtype=np.int8)
     if config.target == "theorem3":
-        return np.where(sync, 0, 1).astype(np.int8)
+        return np.logical_not(sync).view(np.int8)
     if bool(np.any(chunk.behavior == BEHAVIOR_OFFLINE)):
         raise ConfigurationError(
             "the 'population' audit target requires behavior codes in {C, D}; "
@@ -673,6 +673,7 @@ def _chunk_context(
     stake: Optional[np.ndarray] = None,
     actions: Optional[np.ndarray] = None,
     sync: Optional[np.ndarray] = None,
+    lane: Optional[Lane] = None,
 ) -> Agents:
     """Realize one chunk's roles, synchrony and target-profile actions.
 
@@ -682,14 +683,20 @@ def _chunk_context(
     0=C / 1=D profile, selected agents included).  The fused grid pass
     and the dynamics driver override ``sync`` with held pre-selection
     draws, copied before the selection mask is applied.
+
+    The context's per-agent columns live in ``lane`` (a temporary one by
+    default): a streamed caller passes its slice's lane, so the next
+    chunk's context overwrites this one's.
     """
     config = structure.config
+    lane = Lane() if lane is None else lane
     n = chunk.n_agents
     stake = chunk.stake64() if stake is None else np.asarray(stake, dtype=np.float64)
     cost_multiplier = chunk.cost64()
 
     # Roles: online crowd except the selected agents that fall in-chunk.
-    roles = np.full(n, ONLINE, dtype=np.int8)
+    roles = lane.empty("roles", n, np.int8)
+    roles[:] = ONLINE
     in_chunk = (structure.selected_index >= chunk.offset) & (
         structure.selected_index < chunk.offset + n
     )
@@ -700,26 +707,31 @@ def _chunk_context(
 
     if sync is None:
         sync = _sync_mask(spec, config, chunk)
-    else:
-        sync = np.array(sync, dtype=bool, copy=True)
-    sync[roles != ONLINE] = False
+    held_sync = lane.empty("sync", n, bool)
+    np.copyto(held_sync, sync)
+    held_sync[local_selected] = False
+    coop = lane.empty("coop", n, bool)
     if actions is None:
-        actions = _online_actions(config, chunk, sync)
-        coop = actions == 0
-        coop[roles != ONLINE] = True  # the selected always perform their role
+        np.equal(_online_actions(config, chunk, held_sync), 0, out=coop)
+        coop[local_selected] = True  # the selected always perform their role
     else:
-        actions = np.asarray(actions, dtype=np.int8)
-        coop = actions == 0
+        np.equal(actions, 0, out=coop)
+    coop_cost = role_costs(structure.costs).take(roles, out=lane.empty("coop_cost", n))
+    coop_cost *= cost_multiplier
     return Agents(
         offset=chunk.offset,
         stake=stake,
         roles=roles,
         selected_rows=local_selected,
-        sync=sync,
+        sync=held_sync,
         coop=coop,
-        action=(~coop).astype(np.int8),
-        coop_cost=role_costs(structure.costs).take(roles) * cost_multiplier,
-        sortition_cost=structure.costs.sortition * cost_multiplier,
+        action=np.logical_not(coop, out=lane.empty("action", n, bool)).view(np.int8),
+        coop_cost=coop_cost,
+        sortition_cost=np.multiply(
+            structure.costs.sortition,
+            cost_multiplier,
+            out=lane.empty("sortition_cost", n),
+        ),
     )
 
 
@@ -775,8 +787,9 @@ def iter_population_gains(
     with one budget cell) — used directly by the differential tests that
     compare chunked gains against the monolithic path and the scalar
     game oracle.  The structure pass prefetches chunks like the audit's;
-    the gains are yielded from the calling thread, as fresh arrays (the
-    fold's own buffers are reused by the next chunk).
+    the gains and the cooperation mask are yielded from the calling
+    thread, as fresh arrays (the fold's own buffers are reused by the
+    next chunk).
     """
     resolved = resolve_scheme(scheme)
     chunks = _chunks(spec, config)
@@ -787,9 +800,9 @@ def iter_population_gains(
             )
     lane = Lane()
     for chunk in chunks:
-        ctx = _chunk_context(structure, spec, chunk)
+        ctx = _chunk_context(structure, spec, chunk, lane=lane)
         (gains,) = _chunk_gains(resolved.name, [structure], ctx, lane=lane)
-        yield chunk, np.column_stack(gains.targets(ctx)), ctx.coop
+        yield chunk, np.column_stack(gains.targets(ctx)), ctx.coop.copy()
 
 
 class _GainReducer:
@@ -1128,7 +1141,9 @@ def audit_population_grid(
             shares them.
             """
             cells = [structures[(b, cs)] for b in budgets]
-            ctx = _chunk_context(cells[0], spec, chunk, stake=stake, sync=sync_draws)
+            ctx = _chunk_context(
+                cells[0], spec, chunk, stake=stake, sync=sync_draws, lane=lane
+            )
             if flips is None:
                 flips = cells[0].census.flips(ctx, SWITCH)
             for item in resolved:

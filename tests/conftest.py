@@ -24,7 +24,6 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro-deterministic"
 
 from repro.core.bounds import RoleAggregates
 from repro.core.costs import RoleCosts, TaskCosts
-from repro.sim.config import SimulationConfig
 from repro.sim.crypto import KeyPair
 
 
@@ -49,18 +48,6 @@ def small_aggregates() -> RoleAggregates:
         min_leader=3.0,
         min_committee=4.0,
         min_other=2.0,
-    )
-
-
-@pytest.fixture
-def small_sim_config() -> SimulationConfig:
-    """A small but healthy simulator configuration for fast tests."""
-    return SimulationConfig(
-        n_nodes=40,
-        seed=11,
-        tau_proposer=6.0,
-        tau_step=60.0,
-        tau_final=80.0,
     )
 
 

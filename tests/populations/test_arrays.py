@@ -149,6 +149,65 @@ def _loop_row_sums(matrix: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _loop_block_sums(values: np.ndarray) -> np.ndarray:
+    """Reference: per-block sums as a Python loop over the seed blocks."""
+    return np.array(
+        [
+            np.sum(values[begin : begin + SEED_BLOCK], dtype=np.float64)
+            for begin in range(0, len(values), SEED_BLOCK)
+        ],
+        dtype=np.float64,
+    )
+
+
+def _loop_block_row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Reference: per-block row sums as a Python loop, shape ``(blocks, rows)``."""
+    sums = [
+        matrix[:, begin : begin + SEED_BLOCK].sum(axis=1, dtype=np.float64)
+        for begin in range(0, matrix.shape[1], SEED_BLOCK)
+    ]
+    return np.array(sums, dtype=np.float64).reshape(len(sums), matrix.shape[0])
+
+
+@st.composite
+def _block_matrix(draw):
+    """A ``(rows, n)`` float64 or float32 matrix of any length.
+
+    Lengths fall below one block, on exact block multiples or leave an
+    odd tail; values mix signs and many decades, so a changed order of
+    the float additions shows in the last bits.
+    """
+    blocks = draw(st.integers(min_value=0, max_value=4))
+    tail = draw(
+        st.sampled_from([0, 1, 2, SEED_BLOCK - 1])
+        | st.integers(min_value=0, max_value=SEED_BLOCK - 1)
+    )
+    rows = draw(st.integers(min_value=1, max_value=4))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = blocks * SEED_BLOCK + tail
+    values = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (rows, n))
+    return values.astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_block_matrix())
+def test_block_reductions_match_the_per_block_loop(matrix):
+    """The reshaped reductions give the per-block loop's bits at any length
+    and dtype, and row ``p`` of :func:`block_row_sums` is
+    :func:`block_sums` of row ``p`` (the streamed measure pass sums one
+    pool row at a time)."""
+    by_row = block_row_sums(matrix)
+    expected = _loop_block_row_sums(matrix)
+    assert by_row.shape == expected.shape
+    assert by_row.tobytes() == expected.tobytes()
+    for p, row in enumerate(matrix):
+        sums = block_sums(row)
+        assert sums.dtype == np.float64
+        assert sums.tobytes() == _loop_block_sums(row).tobytes()
+        assert by_row[:, p].tobytes() == sums.tobytes()
+
+
 @st.composite
 def _cut_population(draw):
     """``(values, block-aligned cut points)`` spanning a few seed blocks.

@@ -496,12 +496,12 @@ class TestDrawCounts:
         draws = Counter()
         chunk_draws = PopulationSpec.chunk_draws
 
-        def counting(self, offset, n_agents, column, draw):
+        def counting(self, offset, n_agents, column, draw, out=None):
             first = offset // SEED_BLOCK
             last = (offset + n_agents - 1) // SEED_BLOCK
             for block in range(first, last + 1):
                 draws[(column, block)] += 1
-            return chunk_draws(self, offset, n_agents, column, draw)
+            return chunk_draws(self, offset, n_agents, column, draw, out)
 
         monkeypatch.setattr(PopulationSpec, "chunk_draws", counting)
         spec = _spec(

@@ -1,11 +1,13 @@
 """The streamed folds' scratch workspace: reuse, aliasing and lifetime.
 
 Every streamed call folds its slices into :class:`~repro.populations.
-threads.Lane` buffers that the next chunk's fold overwrites.  These tests
-pin the three promises that makes safe: a lane's buffers really are
-reused, nothing a call hands out aliases them, and no lane outlives its
-call (the service's job thread keeps no memory after a job).  The serial
-one-lane path runs them too when the suite is pinned to one CPU.
+threads.Lane` buffers that the next chunk's fold, and the next pass,
+overwrites.  These tests pin the promises that makes safe and useful: a
+lane's buffers really are reused (a dynamics call stops allocating after
+its first epoch), nothing a call hands out aliases them, and no lane
+outlives its call (the service's job thread keeps no memory after a
+job).  The serial one-lane path runs them too when the suite is pinned
+to one CPU.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 
 from repro.populations import threads
 from repro.populations.spec import PopulationSpec
-from repro.populations.threads import Lane, call_pool, sliced
+from repro.populations.threads import CallPool, Lane, call_pool, sliced
 from repro.scenarios.population_dynamics import (
     PopulationDynamicsSpec,
     run_population_dynamics,
@@ -148,6 +150,58 @@ def test_dynamics_trajectory_survives_a_later_run_and_releases_its_lanes(
     _assert_released(workspace)
     run_population_dynamics(_dynamics_spec(), "foundation")
     assert trajectory.to_payload() == then
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("resident_bytes", [0, 1 << 40], ids=["streamed", "resident"])
+def test_dynamics_lanes_stop_allocating_after_epoch_one(
+    monkeypatch, n_threads, resident_bytes
+):
+    """Every pass of a call folds into the call's lanes, so once epoch 1's
+    update and measure passes ran, no lane buffer is created or regrown.
+    Two 3-block slices, then a 500-agent chunk on lane 0 alone."""
+    from repro.populations import spec as spec_module
+    from repro.scenarios import population_dynamics
+
+    monkeypatch.setattr(spec_module, "RESIDENT_BYTES", resident_bytes)
+    monkeypatch.setattr(threads, "THREADS", n_threads)
+    call_lanes, grown, epoch = [], [], [0]
+    init, take = CallPool.__init__, Lane._take
+    update_pass = population_dynamics._update_pass
+
+    def recording_init(self, n):
+        init(self, n)
+        call_lanes.extend(self.lanes)
+
+    def recording_take(self, key, n, dtype, new):
+        buffer = self._buffers.get(key)
+        if any(self is lane for lane in call_lanes) and (
+            buffer is None or buffer.size < n or buffer.dtype != dtype
+        ):
+            grown.append((epoch[0], key, n))
+        return take(self, key, n, dtype, new)
+
+    def marking_update(engine, aggregates, prev_epoch, *args):
+        epoch[0] = prev_epoch + 1
+        return update_pass(engine, aggregates, prev_epoch, *args)
+
+    monkeypatch.setattr(CallPool, "__init__", recording_init)
+    monkeypatch.setattr(Lane, "_take", recording_take)
+    monkeypatch.setattr(population_dynamics, "_update_pass", marking_update)
+    spec = PopulationDynamicsSpec(
+        name="steady",
+        population=PopulationSpec(
+            "zipf", 6 * 8192 + 500, params={"exponent": 1.9}, cooperation=0.9, seed=5
+        ),
+        n_epochs=4,
+        chunk_agents=6 * 8192,
+    )
+    for scheme in ("role_based", "foundation"):
+        epoch[0] = 0
+        run_population_dynamics(spec, scheme)
+        assert grown and all(at <= 1 for at, _key, _n in grown), (scheme, grown)
+        grown.clear()
+    assert len(call_lanes) == 2 * n_threads
 
 
 def test_grid_audit_releases_its_lanes(workspace):

@@ -138,3 +138,64 @@ def test_schemes_guard_refuses_a_single_sample_record():
     payload["repeats"] = 1
     problems = script.guard_violations(payload)
     assert len(problems) == 1 and "1 repeats" in problems[0]
+
+
+def _dynamics_record():
+    """The committed dynamics record and the script that guards it."""
+    payload = json.loads((REPO_ROOT / "BENCH_dynamics.json").read_text())
+    return payload, _load_script(RECORDS["BENCH_dynamics.json"])
+
+
+def test_dynamics_rows_record_repeated_timings():
+    """Each size row is the median of repeated runs, with its IQR beside it."""
+    payload, script = _dynamics_record()
+    for row in payload["sizes"]:
+        assert row["repeats"] >= script.REPEATS >= 5
+        for name in script.TIMINGS:
+            assert row[f"{name}_iqr"] >= 0.0
+        for name in script.GUARDED:
+            assert row[f"{name}_iqr"] <= script.MAX_IQR_SHARE * row[name]
+        assert row["minor_faults_per_million_agent_epochs"] > 0.0
+
+
+def test_dynamics_row_takes_median_iqr_and_largest_rss():
+    script = _load_script(RECORDS["BENCH_dynamics.json"])
+    payloads = [
+        {
+            "n_epochs": 20,
+            "threads": 2,
+            "schemes": {"role_based": {"final_defection": 0.0}},
+            "elapsed_s": elapsed,
+            "agent_epochs_per_second": 10.0 / elapsed,
+            "minor_faults_per_million_agent_epochs": 100.0 * elapsed,
+            "peak_rss_mb": 50.0 + elapsed,
+        }
+        for elapsed in (4.0, 1.0, 5.0, 2.0, 100.0)
+    ]
+    row = script._row(1000, payloads, script._sample, script._verdict)
+    assert row["repeats"] == 5
+    # Sorted 1, 2, 4, 5, 100: median 4, quartiles 2 and 5.
+    assert (row["elapsed_s"], row["elapsed_s_iqr"]) == (4.0, 3.0)
+    rate = "agent_epochs_per_second"
+    assert (row[rate], row[f"{rate}_iqr"]) == (2.5, 5.0 - 2.0)
+    faults = "minor_faults_per_million_agent_epochs"
+    assert (row[faults], row[f"{faults}_iqr"]) == (400.0, 300.0)
+    assert row["peak_rss_mb"] == 150.0
+    assert (row["n_epochs"], row["threads"]) == (20, 2)
+    assert row["schemes"] == {"role_based": {"final_defection": 0.0}}
+
+
+@pytest.mark.parametrize("timing", ["elapsed_s", "agent_epochs_per_second"])
+def test_dynamics_guard_refuses_a_wide_row(timing):
+    payload, script = _dynamics_record()
+    row = payload["sizes"][-1]
+    row[f"{timing}_iqr"] = 1.5 * script.MAX_IQR_SHARE * row[timing]
+    problems = script.guard_violations(payload)
+    assert len(problems) == 1 and f"{timing} IQR" in problems[0]
+
+
+def test_dynamics_guard_refuses_a_single_sample_row():
+    payload, script = _dynamics_record()
+    payload["sizes"][-1]["repeats"] = 1
+    problems = script.guard_violations(payload)
+    assert len(problems) == 1 and "1 repeats" in problems[0]
