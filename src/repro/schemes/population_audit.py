@@ -716,8 +716,16 @@ def _chunk_context(
         coop[local_selected] = True  # the selected always perform their role
     else:
         np.equal(actions, 0, out=coop)
-    coop_cost = role_costs(structure.costs).take(roles, out=lane.empty("coop_cost", n))
-    coop_cost *= cost_multiplier
+    # The crowd's role cost times its multiplier, then the selected rows':
+    # the bits of ``role_costs(...).take(roles) * cost_multiplier``
+    # without an int8-indexed take over the whole chunk.
+    coop_cost = np.multiply(
+        structure.costs.online, cost_multiplier, out=lane.empty("coop_cost", n)
+    )
+    coop_cost[local_selected] = (
+        role_costs(structure.costs).take(roles[local_selected])
+        * cost_multiplier[local_selected]
+    )
     return Agents(
         offset=chunk.offset,
         stake=stake,
