@@ -263,6 +263,7 @@ def _lazy(target: str) -> Callable[..., Any]:
 _defection_config = _lazy("repro.analysis.defection:DefectionExperimentConfig")
 _comparison_config = _lazy("repro.analysis.reward_comparison:RewardComparisonConfig")
 _surface_config = _lazy("repro.analysis.reward_surface:RewardSurfaceConfig")
+_reward_surface = _lazy("repro.analysis.reward_surface:run_reward_surface")
 _table2 = _lazy("repro.analysis.tables:table2")
 _table3 = _lazy("repro.analysis.tables:table3")
 
@@ -483,7 +484,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             build=lambda values: _surface_config(
                 n_nodes=values["nodes"], seed=values["seed"]
             ),
-            run=_lazy("repro.analysis.reward_surface:run_reward_surface"),
+            run=lambda config, **_: _reward_surface(config),
             defaults={"seed": 5},
         ),
         ExperimentSpec(

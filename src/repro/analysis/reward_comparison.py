@@ -19,7 +19,11 @@ from the rewarded set: U_3 / U_5 / U_7 (1, 200); the required reward drops
 monotonically with the removal threshold ``w``.
 
 These experiments run at the paper's full scale (500k nodes) because they
-are analytic in the stake vector — no event simulation is involved.
+are analytic in the stake vector — no event simulation is involved.  Both
+run the paper's stake distributions and costs as one shard per instance
+through the sweep orchestrator (:func:`fig6_sweep_spec`,
+:func:`fig7c_sweep_spec`), so ``workers`` and ``cache_dir`` apply and the
+merged results are bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.core.optimizer import minimize_reward_analytic
 from repro.core.rewards import RewardSchedule
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_seed
-from repro.stakes.distributions import StakeDistribution, paper_distributions
+from repro.stakes.distributions import paper_distributions
 from repro.stakes.exchange import ExchangeSimulator
 
 #: Total network stake per distribution (paper Section V-B: 50M Algos for
@@ -52,6 +56,10 @@ PAPER_TOTALS: Dict[str, float] = {
     "N(100,10)": 50_000_000.0,
     "N(2000,25)": 1_000_000_000.0,
 }
+
+#: Figure 7(c)'s small-stake removal thresholds ``w``; 0 is the untruncated
+#: U(1,200) baseline.
+FIG7C_THRESHOLDS: Tuple[float, ...] = (0.0, 3.0, 5.0, 7.0)
 
 #: The paper's population size; totals scale linearly when experiments run
 #: with fewer nodes so per-node stakes keep the paper's distribution.
@@ -309,8 +317,6 @@ def _merge_distribution_rewards(
 
 def run_reward_comparison(
     config: RewardComparisonConfig = RewardComparisonConfig(),
-    distributions: Optional[Dict[str, StakeDistribution]] = None,
-    costs: Optional[RoleCosts] = None,
     workers: Union[int, str, None] = 1,
     cache_dir: Union[str, Path, None] = None,
     progress: bool = False,
@@ -318,50 +324,24 @@ def run_reward_comparison(
 ) -> RewardComparisonResult:
     """Run the Figure 6 / 7(a) / 7(b) experiment.
 
-    With the default (paper) distributions and costs, the per-instance
-    shards run through the sweep orchestrator: ``workers`` parallelizes
-    them and ``cache_dir`` makes the campaign resumable, with merged
-    results bit-identical at any worker count.  Custom ``distributions``
-    or ``costs`` objects cannot cross process/cache boundaries, so that
-    path runs the shards inline.
+    The per-instance shards run through the sweep orchestrator:
+    ``workers`` parallelizes them and ``cache_dir`` makes the campaign
+    resumable, with merged results bit-identical at any worker count.
     """
+    sweep = run_sweep(
+        fig6_sweep_spec(config),
+        _fig6_shard,
+        workers=workers,
+        cache_dir=cache_dir,
+        progress=progress,
+        policy=policy,
+    )
+    shard_results = sweep.results()
     result = RewardComparisonResult(config=config)
-    if distributions is None and costs is None:
-        spec = fig6_sweep_spec(config)
-        sweep = run_sweep(
-            spec,
-            _fig6_shard,
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-            policy=policy,
-        )
-        shard_results = sweep.results()
-        names = list(paper_distributions())
-        for index, name in enumerate(names):
-            per_instance = shard_results[
-                index * config.n_instances : (index + 1) * config.n_instances
-            ]
-            result.distributions[name] = _merge_distribution_rewards(
-                name, per_instance, config.n_rounds
-            )
-        return result
-
-    costs = costs if costs is not None else RoleCosts.paper_defaults()
-    distributions = distributions if distributions is not None else paper_distributions()
-    scale = config.n_nodes / PAPER_N_NODES
-    for name, distribution in distributions.items():
-        total = config.totals.get(name)
-        if total is not None:
-            total *= scale
-        per_instance = []
-        for instance in range(config.n_instances):
-            seed = derive_seed(config.seed, f"fig6:{name}:{instance}") % 2**31
-            if total is not None:
-                stakes = distribution.sample_total(config.n_nodes, total, seed)
-            else:
-                stakes = distribution.sample(config.n_nodes, seed)
-            per_instance.append(compute_instance_rewards(stakes, costs, config, seed))
+    for index, name in enumerate(paper_distributions()):
+        per_instance = shard_results[
+            index * config.n_instances : (index + 1) * config.n_instances
+        ]
         result.distributions[name] = _merge_distribution_rewards(
             name, per_instance, config.n_rounds
         )
@@ -402,9 +382,7 @@ def _truncation_name(threshold: float) -> str:
     return "U(1,200)" if threshold == 0 else f"U{threshold:g}(1,200)"
 
 
-def fig7c_sweep_spec(
-    config: RewardComparisonConfig, thresholds: Sequence[float]
-) -> SweepSpec:
+def fig7c_sweep_spec(config: RewardComparisonConfig) -> SweepSpec:
     """The Figure 7(c) campaign: one shard per (threshold, instance)."""
     total = config.totals.get("U(1,200)", 50_000_000.0) * (
         config.n_nodes / PAPER_N_NODES
@@ -412,7 +390,7 @@ def fig7c_sweep_spec(
     return SweepSpec(
         name="fig7c",
         grid={
-            "threshold": list(thresholds),
+            "threshold": list(FIG7C_THRESHOLDS),
             "instance": list(range(config.n_instances)),
         },
         base={
@@ -440,8 +418,6 @@ def _fig7c_shard(params: Mapping[str, Any], _seed: int) -> List[float]:
 
 def run_truncation_experiment(
     config: RewardComparisonConfig = RewardComparisonConfig(),
-    costs: Optional[RoleCosts] = None,
-    thresholds: Sequence[float] = (0.0, 3.0, 5.0, 7.0),
     workers: Union[int, str, None] = 1,
     cache_dir: Union[str, Path, None] = None,
     progress: bool = False,
@@ -455,46 +431,24 @@ def run_truncation_experiment(
     instead of the population minimum (~1), shrinking the required reward.
     Threshold 0 is the untruncated U(1,200) baseline.
 
-    Like :func:`run_reward_comparison`, the default-cost path shards over
-    the orchestrator (``workers`` / ``cache_dir``); custom ``costs`` run
-    inline.
+    Like :func:`run_reward_comparison`, the shards run over the
+    orchestrator (``workers`` / ``cache_dir``).
     """
-    result = TruncationResult(config=config)
-    if costs is None:
-        sweep = run_sweep(
-            fig7c_sweep_spec(config, thresholds),
-            _fig7c_shard,
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-            policy=policy,
-        )
-        shard_results = sweep.results()
-        for index, threshold in enumerate(thresholds):
-            rewards: List[float] = []
-            for instance_rewards in shard_results[
-                index * config.n_instances : (index + 1) * config.n_instances
-            ]:
-                rewards.extend(instance_rewards)
-            result.rewards_by_threshold[_truncation_name(threshold)] = stats.mean(
-                rewards
-            )
-        return result
-
-    total = config.totals.get("U(1,200)", 50_000_000.0) * (
-        config.n_nodes / PAPER_N_NODES
+    sweep = run_sweep(
+        fig7c_sweep_spec(config),
+        _fig7c_shard,
+        workers=workers,
+        cache_dir=cache_dir,
+        progress=progress,
+        policy=policy,
     )
-    distribution = paper_distributions()["U(1,200)"]
-    for threshold in thresholds:
-        name = _truncation_name(threshold)
-        rewards = []
-        for instance in range(config.n_instances):
-            seed = derive_seed(config.seed, f"fig7c:{name}:{instance}") % 2**31
-            stakes = distribution.sample_total(config.n_nodes, total, seed)
-            rewards.extend(
-                compute_instance_rewards(
-                    stakes, costs, config, seed, k_floor=threshold
-                )
-            )
-        result.rewards_by_threshold[name] = stats.mean(rewards)
+    shard_results = sweep.results()
+    result = TruncationResult(config=config)
+    for index, threshold in enumerate(FIG7C_THRESHOLDS):
+        rewards: List[float] = []
+        for instance_rewards in shard_results[
+            index * config.n_instances : (index + 1) * config.n_instances
+        ]:
+            rewards.extend(instance_rewards)
+        result.rewards_by_threshold[_truncation_name(threshold)] = stats.mean(rewards)
     return result

@@ -8,38 +8,30 @@ record the minimum feasible B_i at every grid point.
 
 Paper result: the minimum is ~5.2 Algos at (alpha, beta) = (0.02, 0.03) —
 the third (online) bound dominates, so B_i is minimized by maximizing gamma.
+
+The surface is a few hundred closed-form evaluations of the bound, a few
+milliseconds of work, so it runs in-process through
+:func:`repro.core.optimizer.minimize_reward_grid`; unlike Figures 3, 6 and
+7(c) it takes no workers and no shard cache.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis import plotting
 from repro.analysis.csvio import PathLike, write_rows
-from repro.analysis.orchestrator import run_sweep
-from repro.analysis.retry import ExecutionPolicy
-from repro.analysis.sweep import SweepSpec
-from repro.core.bounds import (
-    RoleAggregates,
-    minimum_feasible_reward,
-    paper_aggregates,
-    reward_bounds,
-)
+from repro.core.bounds import RoleAggregates, paper_aggregates, reward_bounds
 from repro.core.costs import RoleCosts
 from repro.core.optimizer import (
     GridSearchResult,
     OptimalSplit,
-    default_alpha_grid,
-    default_beta_grid,
     minimize_reward_analytic,
     minimize_reward_grid,
 )
-from repro.errors import InfeasibleRewardError
 from repro.stakes.distributions import truncated_normal
 
 
@@ -114,109 +106,18 @@ class RewardSurfaceResult:
         ]
 
 
-def fig5_sweep_spec(
-    config: RewardSurfaceConfig,
-    aggregates: RoleAggregates,
-    alphas: Sequence[float],
-    betas: Sequence[float],
-) -> SweepSpec:
-    """The Figure 5 campaign: one shard per surface row (fixed alpha)."""
-    return SweepSpec(
-        name="fig5",
-        grid={"alpha": [float(alpha) for alpha in alphas]},
-        base={
-            "betas": [float(beta) for beta in betas],
-            "stake_leaders": aggregates.stake_leaders,
-            "stake_committee": aggregates.stake_committee,
-            "stake_others": aggregates.stake_others,
-            "min_leader": aggregates.min_leader,
-            "min_committee": aggregates.min_committee,
-            "min_other": aggregates.min_other,
-        },
-        root_seed=config.seed,
-    )
-
-
-def _fig5_shard(params: Mapping[str, Any], _seed: int) -> List[float]:
-    """One Figure 5 shard: the min-B_i surface row for a fixed alpha."""
-    aggregates = RoleAggregates(
-        stake_leaders=params["stake_leaders"],
-        stake_committee=params["stake_committee"],
-        stake_others=params["stake_others"],
-        min_leader=params["min_leader"],
-        min_committee=params["min_committee"],
-        min_other=params["min_other"],
-    )
-    costs = RoleCosts.paper_defaults()
-    alpha = params["alpha"]
-    row: List[float] = []
-    for beta in params["betas"]:
-        if alpha <= 0 or beta <= 0 or alpha + beta >= 1:
-            row.append(math.inf)
-            continue
-        row.append(minimum_feasible_reward(costs, aggregates, alpha, beta))
-    return row
-
-
-def _merge_surface(
-    alphas: Sequence[float], betas: Sequence[float], rows: Sequence[Sequence[float]]
-) -> GridSearchResult:
-    """Assemble row shards into a grid result (same argmin rule as serial)."""
-    surface = np.asarray(rows, dtype=float)
-    best: Optional[Tuple[float, float, float]] = None
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            value = surface[i, j]
-            if math.isfinite(value) and (best is None or value < best[2]):
-                best = (float(alpha), float(beta), float(value))
-    if best is None:
-        raise InfeasibleRewardError(
-            "no grid point satisfies the Lemma 2 feasibility conditions"
-        )
-    return GridSearchResult(
-        alphas=np.asarray(alphas),
-        betas=np.asarray(betas),
-        surface=surface,
-        best=OptimalSplit(alpha=best[0], beta=best[1], b_i=best[2], method="grid"),
-    )
-
-
 def run_reward_surface(
     config: RewardSurfaceConfig = RewardSurfaceConfig(),
-    costs: Optional[RoleCosts] = None,
-    workers: Union[int, str, None] = 1,
-    cache_dir: Union[str, Path, None] = None,
-    progress: bool = False,
-    policy: Optional[ExecutionPolicy] = None,
 ) -> RewardSurfaceResult:
-    """Run the Figure 5 sweep.
-
-    The stake population and its role aggregates are computed once in the
-    parent; with default (paper) costs the per-alpha surface rows then
-    shard through the sweep orchestrator.  Custom ``costs`` run the
-    original single-process grid search.  ``policy`` sets the robustness
-    envelope (retries, timeouts); the surface merge is positional, so a
-    partial-mode run with failures raises rather than misalign.
-    """
+    """Run the Figure 5 sweep: sample the population, then grid-search and
+    solve the Theorem 3 bound at the paper's costs."""
     distribution = truncated_normal(config.stake_mean, config.stake_std)
     stakes = distribution.sample_total(config.n_nodes, config.total_stake, config.seed)
     aggregates = paper_aggregates(np.asarray(stakes), k_floor=config.k_floor)
-    if costs is None:
-        alphas = list(config.alphas if config.alphas is not None else default_alpha_grid())
-        betas = list(config.betas if config.betas is not None else default_beta_grid())
-        sweep = run_sweep(
-            fig5_sweep_spec(config, aggregates, alphas, betas),
-            _fig5_shard,
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-            policy=policy,
-        )
-        grid = _merge_surface(alphas, betas, sweep.results())
-        analytic = minimize_reward_analytic(RoleCosts.paper_defaults(), aggregates)
-    else:
-        grid = minimize_reward_grid(costs, aggregates, config.alphas, config.betas)
-        analytic = minimize_reward_analytic(costs, aggregates)
+    costs = RoleCosts.paper_defaults()
     return RewardSurfaceResult(
-        config=config, aggregates=aggregates, grid=grid, analytic=analytic
+        config=config,
+        aggregates=aggregates,
+        grid=minimize_reward_grid(costs, aggregates, config.alphas, config.betas),
+        analytic=minimize_reward_analytic(costs, aggregates),
     )

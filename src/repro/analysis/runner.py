@@ -40,7 +40,7 @@ population for every scheme (:mod:`repro.analysis.scale`), and
 ``dynamics`` streams Section V's evolutionary epochs over it in O(chunk)
 memory (:mod:`repro.scenarios.population_dynamics`).
 
-The simulation-heavy experiments (fig3, fig5, fig6, fig7c, scenarios,
+The simulation-heavy experiments (fig3, fig6, fig7c, scenarios,
 tournament) shard through the sweep orchestrator: ``--workers N`` fans
 shards out over ``N`` processes (``auto`` = one per CPU), ``--seed``
 re-roots every random stream, and ``--cache-dir`` persists finished

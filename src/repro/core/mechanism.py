@@ -21,11 +21,7 @@ from typing import Dict, Optional
 
 from repro.core.bounds import RoleAggregates
 from repro.core.costs import RoleCosts
-from repro.core.optimizer import (
-    OptimalSplit,
-    minimize_reward_analytic,
-    minimize_reward_grid,
-)
+from repro.core.optimizer import minimize_reward_analytic
 from repro.core.role_based import allocate_role_based
 from repro.errors import InfeasibleRewardError, MechanismError
 from repro.sim.roles import RewardAllocation, RoleSnapshot
@@ -62,8 +58,6 @@ class IncentiveCompatibleSharing:
     margin:
         Relative amount added above the strict Theorem 3 bound, so the
         distributed ``B_i`` satisfies the strict inequalities.
-    optimizer:
-        ``"analytic"`` (exact, default) or ``"grid"`` (the paper's sweep).
     on_infeasible:
         ``"raise"`` or ``"skip"``; collapsed rounds without a performing
         leader or committee cannot be rewarded coherently — ``"skip"``
@@ -78,11 +72,8 @@ class IncentiveCompatibleSharing:
         costs: Optional[RoleCosts] = None,
         k_floor: float = 0.0,
         margin: float = 1e-6,
-        optimizer: str = "analytic",
         on_infeasible: str = "raise",
     ) -> None:
-        if optimizer not in ("analytic", "grid"):
-            raise MechanismError(f"unknown optimizer {optimizer!r}")
         if on_infeasible not in ("raise", "skip"):
             raise MechanismError(f"unknown on_infeasible policy {on_infeasible!r}")
         if margin < 0:
@@ -92,7 +83,6 @@ class IncentiveCompatibleSharing:
         self.costs = costs if costs is not None else RoleCosts.paper_defaults()
         self.k_floor = k_floor
         self.margin = margin
-        self.optimizer = optimizer
         self.on_infeasible = on_infeasible
         self.reports: list[MechanismReport] = []
 
@@ -101,7 +91,7 @@ class IncentiveCompatibleSharing:
     def compute_parameters(self, snapshot: RoleSnapshot) -> MechanismReport:
         """Lines 1-13 of Algorithm 1: stakes, minima, optimal (alpha, beta, B_i)."""
         aggregates = RoleAggregates.from_snapshot(snapshot, k_floor=self.k_floor)
-        split = self._optimize(aggregates)
+        split = minimize_reward_analytic(self.costs, aggregates)
         b_i = split.b_i * (1.0 + self.margin)
         return MechanismReport(
             round_index=snapshot.round_index,
@@ -114,15 +104,6 @@ class IncentiveCompatibleSharing:
             stake_committee=aggregates.stake_committee,
             stake_others=aggregates.stake_others,
         )
-
-    def compute_for_aggregates(self, aggregates: RoleAggregates) -> OptimalSplit:
-        """Optimize directly from aggregates (full-scale analytic studies)."""
-        return self._optimize(aggregates)
-
-    def _optimize(self, aggregates: RoleAggregates) -> OptimalSplit:
-        if self.optimizer == "grid":
-            return minimize_reward_grid(self.costs, aggregates).best
-        return minimize_reward_analytic(self.costs, aggregates)
 
     # -- RewardMechanism interface ------------------------------------------------
 

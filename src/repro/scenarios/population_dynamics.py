@@ -14,7 +14,8 @@ so dynamics and audits share one streaming substrate:
    all-cooperate profile, and pool tables are expanded — exactly
    :func:`~repro.schemes.population_audit._build_structure`.
 2. **Synchrony census** — the pre-selection strong-synchrony draws are
-   made once per run and held, one bool per agent, for every later pass.
+   made once per run, straight from the seed-block tree (no chunk is
+   read), and held, one bool per agent, for every later pass.
 3. **Per epoch, two streamed passes.**  The *measure* pass realizes the
    epoch's strategy profile (crowd thresholds + selected best responses)
    into one held int8 array, folds per-pool class weights, costs and the
@@ -342,16 +343,15 @@ def _build_engine(
     chunks: Iterable[PopulationArrays],
     pool: Optional[CallPool] = None,
 ) -> _Engine:
-    """Census pass: draw synchrony once and count the online crowd's split.
+    """Census: draw the held synchrony mask over the whole population once
+    (no pass over ``chunks``) and count the online crowd's split.
 
     ``pool`` is the call's :func:`~repro.populations.threads.call_pool`
     (default: a serial one of its own).
     """
     config = structure.config
     pop = spec.population
-    sync = np.concatenate(
-        [_sync_mask(pop, config, chunk) for chunk in prefetch(chunks, pool)]
-    )
+    sync = _sync_mask(pop, config, 0, pop.size)
     # The selected agents perform their role: they are not sync crowd.
     n_sync = int(np.count_nonzero(sync)) - int(
         np.count_nonzero(sync[structure.selected_index])
@@ -464,7 +464,7 @@ def _epoch_context(
 
     Actions are the chunk's slice of :attr:`_Engine.profile` (selected
     agents included), stakes the epoch's churned stakes and the
-    synchrony mask the census pass's held draw.  Its columns live in
+    synchrony mask the census's held draw.  Its columns live in
     ``lane`` (default: a temporary one).
     """
     rows = slice(chunk.offset, chunk.offset + chunk.n_agents)
@@ -816,7 +816,7 @@ def run_population_dynamics(
         "Streamed dynamics epochs evolved",
         labels=("scheme",),
     )
-    # One source for all 3 + 2 * n_epochs passes: a population within
+    # One source for all 2 + 2 * n_epochs passes: a population within
     # RESIDENT_BYTES is synthesized once per call, not once per pass.
     chunks = _chunks(spec.population, config)
     with call_pool(threads.THREADS) as pool:

@@ -335,15 +335,20 @@ def _merge_top_k(
 
 
 def _sync_mask(
-    spec: PopulationSpec, config: PopulationAuditConfig, chunk: PopulationArrays
+    spec: PopulationSpec, config: PopulationAuditConfig, offset: int, n_agents: int
 ) -> np.ndarray:
-    """Strong-synchrony Bernoulli draws for one chunk (chunk-stable)."""
+    """Strong-synchrony Bernoulli draws for agents ``[offset, offset +
+    n_agents)``, thresholded block by block (chunk-stable)."""
     if config.synchrony_rate >= 1.0:
-        return np.ones(chunk.n_agents, dtype=bool)
-    draws = spec.chunk_draws(
-        chunk.offset, chunk.n_agents, _SYNC_COLUMN, lambda rng, n: rng.random(n)
+        return np.ones(n_agents, dtype=bool)
+    rate = config.synchrony_rate
+    return spec.chunk_draws(
+        offset,
+        n_agents,
+        _SYNC_COLUMN,
+        lambda rng, n: rng.random(n) < rate,
+        out=np.empty(n_agents, dtype=bool),
     )
-    return draws < config.synchrony_rate
 
 
 def _cell_config(
@@ -489,7 +494,7 @@ def _build_structure_grid(
             / stake
         )
         index = chunk.offset + np.arange(chunk.n_agents, dtype=np.int64)
-        sync = _sync_mask(spec, config, chunk)
+        sync = _sync_mask(spec, config, chunk.offset, chunk.n_agents)
         actions = _online_actions(config, chunk, sync)
 
         # Local pre-trim before the merge keeps the carried state O(k).
@@ -706,7 +711,7 @@ def _chunk_context(
     roles[local_selected] = structure.selected_role[in_chunk]
 
     if sync is None:
-        sync = _sync_mask(spec, config, chunk)
+        sync = _sync_mask(spec, config, chunk.offset, chunk.n_agents)
     held_sync = lane.empty("sync", n, bool)
     np.copyto(held_sync, sync)
     held_sync[local_selected] = False
@@ -1193,7 +1198,7 @@ def audit_population_grid(
             """
             into = new_reducers()
             stake = chunk.stake64()
-            sync_draws = _sync_mask(spec, config, chunk)
+            sync_draws = _sync_mask(spec, config, chunk.offset, chunk.n_agents)
             flips = None
             for cs in scales:
                 flips = fold_scale(chunk, stake, sync_draws, cs, into, flips, lane)

@@ -45,12 +45,6 @@ class TestComputeParameters:
         # Raising the floor (s*_k: 2 -> 6) lowers the required reward.
         assert strict_b < loose_b
 
-    def test_grid_optimizer_variant(self, paper_costs):
-        mechanism = IncentiveCompatibleSharing(costs=paper_costs, optimizer="grid")
-        report = mechanism.compute_parameters(_snapshot())
-        analytic = IncentiveCompatibleSharing(costs=paper_costs).compute_parameters(_snapshot())
-        assert report.b_i >= analytic.b_i  # grid can only be coarser
-
     def test_default_costs_are_paper_defaults(self):
         mechanism = IncentiveCompatibleSharing()
         assert mechanism.costs.leader == pytest.approx(16e-6)
@@ -94,10 +88,6 @@ class TestAllocate:
 
 
 class TestValidation:
-    def test_unknown_optimizer_rejected(self):
-        with pytest.raises(MechanismError):
-            IncentiveCompatibleSharing(optimizer="oracle")
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(MechanismError):
             IncentiveCompatibleSharing(on_infeasible="shrug")

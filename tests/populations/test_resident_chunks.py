@@ -161,8 +161,9 @@ class TestSynthesisCounter:
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_streamed_dynamics_synthesizes_every_pass(self, monkeypatch, threads):
-        """Structure, census and the epoch-0 measure pass, then an update
-        and a measure pass per epoch: 3 + 2 * 10 = 23 streams.  At two
+        """The structure and the epoch-0 measure pass, then an update and
+        a measure pass per epoch: 2 + 2 * 10 = 22 streams (the census
+        draws its synchrony column without reading a chunk).  At two
         threads every pass prefetches its chunks on the pool, whose
         syntheses still count in the captured registry."""
         monkeypatch.setattr(spec_module, "RESIDENT_BYTES", 0)
@@ -170,8 +171,8 @@ class TestSynthesisCounter:
         spec = self._spec()
         with capture() as registry:
             run_population_dynamics(spec, "role_based")
-        passes = 3 + 2 * spec.n_epochs
-        assert passes == 23
+        passes = 2 + 2 * spec.n_epochs
+        assert passes == 22
         assert synthesized(registry.snapshot()) == passes * spec.population.n_blocks
 
 

@@ -186,6 +186,13 @@ def test_the_fig3_entry_loads_no_scheme_or_population_code(tmp_path):
     assert [name for name in loaded if within(name, unused)] == []
 
 
+def test_the_fig5_entry_loads_no_sweep_machinery(tmp_path):
+    loaded = loaded_after("repro.analysis.reward_surface", tmp_path)
+    assert "repro.core.optimizer" in loaded  # the grid search it runs
+    unused = ("repro.analysis.orchestrator", "repro.analysis.scheduler")
+    assert [name for name in loaded if within(name, unused)] == []
+
+
 def test_the_dynamics_entry_loads_no_scenario_engine(tmp_path):
     loaded = loaded_after("repro.scenarios.population_dynamics", tmp_path)
     assert "repro.scenarios.trajectory" in loaded  # the records it emits
